@@ -24,6 +24,10 @@ from .verify import SUITES, run_suites
 
 TASKS = ("i_function", "mirror", "instantons", "serre_check", "qde_check", "s_matrix")
 MODES = ("equivariant", "nonequivariant", "both")
+# Largest max_degree a config (or --degree) may request.  Cost grows steeply
+# with the degree; the non-equivariant quintic at D=30 is the largest run the
+# benchmark makes, and a larger request is refused instead of run unbounded.
+MAX_DEGREE = 30
 
 
 class ConfigError(Exception):
@@ -35,6 +39,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; bool is a subclass of int but not one of them."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(data: dict) -> dict:
     _require(isinstance(data, dict), "config must be a JSON object")
     known = {"ambient_dim", "degrees", "max_degree", "lambda_floor", "mode", "tasks"}
@@ -42,16 +51,19 @@ def load_config(data: dict) -> dict:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     n = data.get("ambient_dim")
-    _require(isinstance(n, int) and n >= 2, "ambient_dim must be an integer >= 2")
+    _require(_is_int(n) and n >= 2, "ambient_dim must be an integer >= 2")
     degrees = data.get("degrees", [])
     _require(
-        isinstance(degrees, list) and all(isinstance(l, int) and l >= 1 for l in degrees),
+        isinstance(degrees, list) and all(_is_int(l) and l >= 1 for l in degrees),
         "degrees must be a list of integers >= 1",
     )
     D = data.get("max_degree")
-    _require(isinstance(D, int) and D >= 0, "max_degree must be an integer >= 0")
+    _require(
+        _is_int(D) and 0 <= D <= MAX_DEGREE,
+        f"max_degree must be an integer from 0 to {MAX_DEGREE}",
+    )
     floor = data.get("lambda_floor", 2)
-    _require(isinstance(floor, int) and floor >= 0, "lambda_floor must be >= 0")
+    _require(_is_int(floor) and floor >= 0, "lambda_floor must be an integer >= 0")
     mode = data.get("mode", "nonequivariant")
     _require(mode in MODES, f"mode must be one of {MODES}")
     tasks = data.get("tasks", [])
@@ -223,11 +235,12 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             _emit({"error": {"type": "ConfigError", "message": str(exc)}}, args.output)
             return 2
-        if args.degree is not None:
-            raw["max_degree"] = args.degree
-        if args.lambda_floor is not None:
-            raw["lambda_floor"] = args.lambda_floor
         try:
+            _require(isinstance(raw, dict), "config must be a JSON object")
+            if args.degree is not None:
+                raw["max_degree"] = args.degree
+            if args.lambda_floor is not None:
+                raw["lambda_floor"] = args.lambda_floor
             config = load_config(raw)
         except ConfigError as exc:
             _emit({"error": {"type": "ConfigError", "message": str(exc)}}, args.output)

@@ -1,15 +1,20 @@
 """Factorization of twisted series into mirror data.
 
-Given a reduced hypergeometric series I, the engine eliminates every
+Two independent routes bring a reduced hypergeometric series I to the form
+1 + O(1/z).  The general one (birkhoff, tangency_solve) eliminates every
 non-negative z-power of its slices (beyond the leading identity) by adding
 z-polynomial multiples of the derivative frame {(z D_P)^a I}, order by order
 in the Novikov variable.  The corrections are unique because at each degree
 they act through the q^0 block of the frame, which is unit-triangular in the
-monomial basis.  What remains encodes the factored J-function: its z^(-1)
-slots are the components of the projection to the parameter space (string
-direction at P^0, divisor direction at P^1), and peeling them off followed
-by the inverse change of Novikov variable q' = q exp(tau - t) produces the
-J-series in its own chart.
+monomial basis.  The direct one (small_mirror) divides by the scalar series
+F when I has no positive z-powers.  Each route checks the other.
+
+Both then share one tail (_extract_chart).  The z^(-1) slots of the
+normalized series are the components of the projection to the parameter
+space (string direction at P^0, divisor direction at P^1); they are read off
+in one pass, and one product with exp(-(tau0 + tau P)/z) peels them off.
+The inverse change of Novikov variable q' = q exp(tau - t), computed by
+Lagrange inversion, then produces the J-series in its own chart.
 """
 
 from __future__ import annotations
@@ -201,61 +206,53 @@ def _prefactor(desc, D, h: list[QSeries]) -> ZSeries:
     return argument.exp()
 
 
-def _extract_chart(normalized: ZSeries):
-    """Peel the z^(-1) slots of the normalized series into chart data.
+def _extract_chart(series: ZSeries):
+    """Read a series of the form 1 + O(1/z) in its own chart.
 
-    Returns (tau0, tau, tau_higher, chart) where chart has no z^(-1) content
-    at P-degrees 0 and 1, tau0/tau are the string and divisor components of
-    the projection, and tau_higher collects P^(j>=2) components (reported in
-    the incoming chart; nonzero only when the projection leaves the small
-    parameter space).
+    This is the tail shared by both factoring routes.  The z^(-1) slots of the
+    series at P^0 and P^1 are the string and divisor components tau0 and tau of
+    the projection.  Multiplying by exp(-(tau0 + tau P)/z) clears them, because
+    the z^(-1) slot of exp(-H/z) * (1 + N_(-1)/z + ...) is N_(-1) - H; the
+    product is built once and checked to have no z^(-1) content left at P^0 and
+    P^1.  The inverse change of Novikov variable u then re-expands it as J_out.
+
+    Returns (tau0, tau, u, J_out, chart).
     """
-    desc = normalized.desc
-    D = normalized.max_degree
-    h = [QSeries.zero(desc, D) for _ in range(2)]
-    string_constant = normalized.scalar_slot(0, -1, 0)
-    if not string_constant.is_zero():
-        raise EngineError("string-direction projection has a constant term")
-    for d in range(D + 1):
-        current = _prefactor(desc, D, h) * normalized
-        for j in (0, 1):
-            c = current.scalar_slot(d, -1, j)
-            if not c.is_zero():
-                h[j] = h[j] + QSeries(desc, D, {d: c})
-    chart = _prefactor(desc, D, h) * normalized
+    desc = series.desc
+    D = series.max_degree
+    tau0 = _slot_series(series, -1, 0)
+    tau = _slot_series(series, -1, 1)
+    chart = _prefactor(desc, D, [tau0, tau]) * series
     for d in range(D + 1):
         for j in (0, 1):
             if not chart.scalar_slot(d, -1, j).is_zero():
                 raise EngineError("chart extraction failed to clear a z^(-1) slot")
-    tau_higher: dict[int, QSeries] = {}
-    for j in range(2, desc.n):
-        coeffs = {}
-        for d in range(D + 1):
-            c = chart.scalar_slot(d, -1, j)
-            if not c.is_zero():
-                coeffs[d] = c
-        if coeffs:
-            tau_higher[j] = QSeries(desc, D, coeffs)
-    return h[0], h[1], tau_higher, chart
+    u = _inverse_novikov_map(tau)
+    return tau0, tau, u, chart.compose_novikov(u), chart
 
 
 def _inverse_novikov_map(tau_of_q: QSeries) -> QSeries:
-    """Inverse of q' = q * exp(tau_of_q(q)) as a series q = u(q').
+    """Inverse of q' = q * exp(tau_of_q(q)) as a series q = u(q'), by Lagrange inversion.
 
-    The constant term of tau_of_q may be an integer multiple of log(lam); it
-    exponentiates to an exact monomial rescaling of the Novikov variable.
+    The constant term of tau_of_q may be an integer multiple k of log(lam); it
+    exponentiates to an exact monomial rescaling of the Novikov variable.  With
+    q = q' * phi(q) and phi = lam^(-k) * exp(-tail), Lagrange inversion gives
+    [q'^m] u = (1/m) [q^(m-1)] phi^m: one exp and D - 1 products of powers of
+    phi, all truncated at degree D - 1.
     """
     desc = tau_of_q.desc
     D = tau_of_q.max_degree
-    const = tau_of_q.coefficient(0)
-    u_const_inv = exp_constant_scalar(-const)
-    tail = tau_of_q - QSeries(desc, D, {0: const})
-    shift = QSeries(desc, D, {1: u_const_inv})
-    u = shift
-    for _ in range(D + 1):
-        inner = tail.compose(u)
-        u = shift * (-inner).exp()
-    return u
+    lam_shift = exp_constant_scalar(-tau_of_q.coefficient(0))
+    coeffs: dict[int, LambdaScalar] = {}
+    if D:
+        tail = QSeries(desc, D - 1, {d: c for d, c in tau_of_q.coeffs.items() if d})
+        phi = (-tail).exp() * lam_shift
+        power = phi
+        for m in range(1, D + 1):
+            coeffs[m] = power.coefficient(m - 1).scale(Fraction(1, m))
+            if m < D:
+                power = power * phi
+    return QSeries(desc, D, coeffs)
 
 
 def invert_series(h: QSeries) -> QSeries:
@@ -283,9 +280,16 @@ def _assemble(
 ) -> MirrorResult:
     desc = I.desc
     D = I.max_degree
-    tau0, tau, tau_higher, chart = _extract_chart(normalized)
-    u = _inverse_novikov_map(tau)
-    J_out = chart.compose_novikov(u)
+    if not normalized.scalar_slot(0, -1, 0).is_zero():
+        raise EngineError("string-direction projection has a constant term")
+    tau0, tau, u, J_out, chart = _extract_chart(normalized)
+    # P^(j>=2) components of the projection, reported in the incoming chart;
+    # nonzero only when the projection leaves the small parameter space.
+    tau_higher: dict[int, QSeries] = {}
+    for j in range(2, desc.n):
+        qs = _slot_series(chart, -1, j)
+        if not qs.is_zero():
+            tau_higher[j] = qs
 
     F = _slot_series(I, 0, 0)
     G = _slot_series(I, -1, 1)
@@ -392,19 +396,10 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
     J1 = I.scale_qseries(F_inv)
 
     # After dividing by F the remaining z^(-1) slots are the mirror map.
-    tau0 = _slot_series(J1, -1, 0)
-    tau = _slot_series(J1, -1, 1)
-    higher: dict[int, QSeries] = {}
     for j in range(2, desc.n):
-        qs = _slot_series(J1, -1, j)
-        if not qs.is_zero():
-            higher[j] = qs
-    if higher:
-        raise UnitError("projection leaves the small parameter space")
-
-    chart = _prefactor(desc, D, [tau0, tau]) * J1
-    u = _inverse_novikov_map(tau)
-    J_out = chart.compose_novikov(u)
+        if not _slot_series(J1, -1, j).is_zero():
+            raise UnitError("projection leaves the small parameter space")
+    tau0, tau, u, J_out, _ = _extract_chart(J1)
 
     n = desc.n
     return MirrorResult(

@@ -14,7 +14,6 @@ of loop vectors) are handled by the companion QSeries type.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
@@ -140,34 +139,43 @@ class QSeries:
         return all(d >= v for d in self.coeffs)
 
     def invert(self) -> "QSeries":
-        """Inverse of a series whose constant term is a nonzero rational."""
+        """Inverse of a series whose constant term is a nonzero rational.
+
+        With g = 1/f, comparing q^n coefficients of f*g = 1 gives the recurrence
+        g_n = -(1/f_0) sum_{k=1}^{n} f_k g_(n-k), one pass over the degrees.
+        """
         c0 = self.coefficient(0)
         if not c0.is_rational() or c0.as_rational() == 0:
             raise UnitError("q-series constant term is not a nonzero rational")
-        lead = c0.as_rational()
-        # 1/f = (1/lead) * sum (-(f/lead - 1))^j, where f/lead - 1 has valuation >= 1.
-        neg_tail = QSeries.one(self.desc, self.max_degree) - self.scale(Fraction(1, lead))
-        out = QSeries.one(self.desc, self.max_degree)
-        term = QSeries.one(self.desc, self.max_degree)
-        for _ in range(self.max_degree):
-            term = term * neg_tail
-            if term.is_zero():
-                break
-            out = out + term
-        return out.scale(Fraction(1, lead))
+        neg_inv_lead = Fraction(-1, c0.as_rational())
+        tail = {k: c for k, c in self.coeffs.items() if k}
+        first = LambdaScalar.from_rational(self.desc, -neg_inv_lead)
+        return self._recurrence(first, tail, lambda n: neg_inv_lead)
 
     def exp(self) -> "QSeries":
-        """Exponential of a series with zero constant term."""
+        """Exponential of a series with zero constant term.
+
+        g = exp(f) solves q*g' = (q*f')*g, so n*g_n = sum_{k=1}^{n} k f_k g_(n-k)
+        with g_0 = 1: each coefficient costs one pass over f.
+        """
         if not self.valuation_at_least(1):
             raise ValueError("exp requires q-valuation >= 1")
-        out = QSeries.one(self.desc, self.max_degree)
-        term = QSeries.one(self.desc, self.max_degree)
-        for j in range(1, self.max_degree + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            out = out + term.scale(Fraction(1, factorial(j)))
-        return out
+        weighted = {k: c.scale(k) for k, c in self.coeffs.items()}
+        one = LambdaScalar.one(self.desc)
+        return self._recurrence(one, weighted, lambda n: Fraction(1, n))
+
+    def _recurrence(self, first, weights, factor) -> "QSeries":
+        """The series g_0 = first, g_n = factor(n) * sum_{k=1}^{n} weights_k g_(n-k)."""
+        terms = sorted(weights.items())
+        g = [first]
+        for n in range(1, self.max_degree + 1):
+            acc = LambdaScalar.zero(self.desc)
+            for k, w in terms:
+                if k > n:
+                    break
+                acc = acc + w * g[n - k]
+            g.append(acc.scale(factor(n)))
+        return QSeries(self.desc, self.max_degree, dict(enumerate(g)))
 
     def compose(self, inner: "QSeries") -> "QSeries":
         """Substitute q = inner(q'), where inner has valuation >= 1."""

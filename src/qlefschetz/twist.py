@@ -214,10 +214,16 @@ def stirling_check(z_cap: int) -> tuple[bool, int | None]:
 
 
 def _linear_factor_product(
-    desc: RingDescriptor, factors: list[tuple[CohElement, Fraction]]
+    desc: RingDescriptor,
+    factors: list[tuple[CohElement, Fraction]],
+    poly: dict[int, CohElement] | None = None,
 ) -> dict[int, CohElement]:
-    """Product of factors (a + c z) as a z-polynomial with CohElement coefficients."""
-    poly: dict[int, CohElement] = {0: CohElement.one(desc)}
+    """Product of factors (a + c z) as a z-polynomial with CohElement coefficients.
+
+    The product starts from the z-polynomial poly (default 1).
+    """
+    if poly is None:
+        poly = {0: CohElement.one(desc)}
     for a, c in factors:
         out: dict[int, CohElement] = {}
         for ze, el in poly.items():
@@ -239,17 +245,28 @@ def _root_class(desc: RingDescriptor, l: int, equivariant: bool) -> CohElement:
 
 
 def i_function(J: ZSeries, bundle: BundleSpec) -> ZSeries:
-    """Hypergeometric modification: slice d picks up prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z)."""
+    """Hypergeometric modification: slice d picks up prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z).
+
+    The multiplier of slice d contains that of every lower degree, so it is
+    carried along the slices in increasing degree: passing from degree d0 to d
+    multiplies in only the new factors k = l_i d0 + 1 .. l_i d, and degrees
+    missing from J cost nothing extra.
+    """
     desc = J.desc
+    roots = [(l, _root_class(desc, l, bundle.equivariant)) for l in bundle.degrees]
+    multiplier: dict[int, CohElement] = {0: CohElement.one(desc)}
+    reached = 0
     out: dict[int, dict[int, CohElement]] = {}
-    for d, row in J.slices.items():
-        factors: list[tuple[CohElement, Fraction]] = []
-        for l in bundle.degrees:
-            root = _root_class(desc, l, bundle.equivariant)
-            factors.extend((root, Fraction(k)) for k in range(1, l * d + 1))
-        multiplier = _linear_factor_product(desc, factors)
+    for d in sorted(J.slices):
+        new_factors = [
+            (root, Fraction(k))
+            for l, root in roots
+            for k in range(l * reached + 1, l * d + 1)
+        ]
+        multiplier = _linear_factor_product(desc, new_factors, multiplier)
+        reached = d
         tgt: dict[int, CohElement] = {}
-        for z1, el in row.items():
+        for z1, el in J.slices[d].items():
             for z2, mel in multiplier.items():
                 prod = el * mel
                 if prod.is_zero():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qlefschetz.cli import load_config, main, ConfigError
+from qlefschetz.cli import MAX_DEGREE, load_config, main, ConfigError
 from qlefschetz.series import ZSeries
 
 
@@ -140,3 +140,44 @@ def test_verify_suite_exit_codes(tmp_path):
     assert report["passed"] is True
     assert report["first_failure"] is None
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--lambda-floor"])
+@pytest.mark.parametrize("payload", [[], 3, "quintic", None])
+def test_override_on_non_object_config_is_a_config_error(tmp_path, flag, payload):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out.json"
+    assert main(["compute", "--config", cfg, "--output", str(out), flag, "3"]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "ConfigError", "message": "config must be a JSON object"}
+
+
+def test_max_degree_bound():
+    base = dict(QUINTIC_CONFIG)
+    base["max_degree"] = MAX_DEGREE
+    assert load_config(base)["max_degree"] == MAX_DEGREE
+    base["max_degree"] = MAX_DEGREE + 1
+    with pytest.raises(ConfigError, match="max_degree"):
+        load_config(base)
+
+
+def test_degree_override_goes_through_the_bound(tmp_path):
+    cfg = write_config(tmp_path, QUINTIC_CONFIG)
+    out = tmp_path / "out.json"
+    argv = ["compute", "--config", cfg, "--output", str(out), "--degree"]
+    assert main(argv + [str(MAX_DEGREE + 1)]) == 2
+    assert json.loads(out.read_text())["error"]["type"] == "ConfigError"
+    assert main(argv + ["-1"]) == 2
+
+
+@pytest.mark.parametrize("key", ["max_degree", "lambda_floor", "ambient_dim"])
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_is_not_an_integer(key, value):
+    config = dict(QUINTIC_CONFIG, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+
+
+def test_bool_bundle_degree_rejected():
+    with pytest.raises(ConfigError, match="degrees"):
+        load_config(dict(QUINTIC_CONFIG, degrees=[True], tasks=["mirror"]))

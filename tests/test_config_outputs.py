@@ -1,0 +1,33 @@
+"""Byte-identity gate: `compute` output on every shipped config is frozen.
+
+The hashes are sha256 digests of the canonical JSON (sorted keys, indent 2,
+final newline) that `qlefschetz compute` writes for each file in configs/.
+An algorithmic change to the engine must leave every byte of them alone.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from qlefschetz.cli import load_config, run_compute
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+EXPECTED_SHA256 = {
+    "bicubic_p5.json": "6f36e8e665d4cdf33ab94d4a78034fe6cb746bcc6769de0c0c22aaaf56741fb8",
+    "cubic_surfaces_p4.json": "432d4556c2954ff1ce1eb5a3cb1b4593c8b67a3df9a681f482d2d75ae7ee0f85",
+    "quintic.json": "d3b3d1bb976b5a80faf6793e9452d66c4a48736ec8930339176061a39e7a4a06",
+}
+
+
+def test_every_config_has_a_recorded_hash():
+    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(EXPECTED_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SHA256))
+def test_compute_output_is_byte_identical(name):
+    config = load_config(json.loads((CONFIGS / name).read_text(encoding="utf-8")))
+    text = json.dumps(run_compute(config), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EXPECTED_SHA256[name]

@@ -31,7 +31,6 @@ from .ring import (
     CohElement,
     LambdaScalar,
     RingDescriptor,
-    coh_mul,
     euler_expansion_check,
     gram_matrix,
     integrate,
@@ -45,7 +44,6 @@ from .series import (
     ZSeries,
     directional_derivative,
     project,
-    series_mul,
     symplectic_form,
 )
 from .twist import (
@@ -83,7 +81,6 @@ __all__ = [
     "b_series",
     "bernoulli",
     "birkhoff",
-    "coh_mul",
     "cone_transform",
     "directional_derivative",
     "euler_expansion_check",
@@ -99,7 +96,6 @@ __all__ = [
     "qde_verify",
     "s_matrix",
     "serre_dual_i",
-    "series_mul",
     "small_mirror",
     "stirling_check",
     "symplectic_form",

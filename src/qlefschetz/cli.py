@@ -28,6 +28,15 @@ MODES = ("equivariant", "nonequivariant", "both")
 # with the degree; the non-equivariant quintic at D=30 is the largest run the
 # benchmark makes, and a larger request is refused instead of run unbounded.
 MAX_DEGREE = 30
+# Largest ambient_dim and largest sum of the bundle degrees l_i a config may
+# request (configs and the benchmark use at most 8 and 10).  Rationals are
+# written as decimal strings, and Python refuses to convert an integer of more
+# than 4300 digits.  The largest integers come from the hypergeometric product
+# over sum(l_i) * D <= 720 linear factors, not from n: at the caps with
+# degrees [24] and D = 30, the i_function and serre_check outputs have at most
+# 1686 digits for n = 2 and 1574 for n = 10.
+MAX_AMBIENT_DIM = 10
+MAX_DEGREE_SUM = 24
 
 
 class ConfigError(Exception):
@@ -51,11 +60,18 @@ def load_config(data: dict) -> dict:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     n = data.get("ambient_dim")
-    _require(_is_int(n) and n >= 2, "ambient_dim must be an integer >= 2")
+    _require(
+        _is_int(n) and 2 <= n <= MAX_AMBIENT_DIM,
+        f"ambient_dim must be an integer from 2 to {MAX_AMBIENT_DIM}",
+    )
     degrees = data.get("degrees", [])
     _require(
         isinstance(degrees, list) and all(_is_int(l) and l >= 1 for l in degrees),
         "degrees must be a list of integers >= 1",
+    )
+    _require(
+        sum(degrees) <= MAX_DEGREE_SUM,
+        f"degrees must sum to at most {MAX_DEGREE_SUM}",
     )
     D = data.get("max_degree")
     _require(

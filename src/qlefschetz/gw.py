@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import TransversalityError
 from .ring import CohElement, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, directional_derivative
+from .series import QSeries, REDUCED, ZSeries, add_row_product, directional_derivative
 
 
 def j_reduced(
@@ -55,19 +55,14 @@ def _multiply_inverse_factor(
     (P + k z)^(-n) = (k z)^(-n) * sum_{j < n} binom(-n, j) (P / (k z))^j.
     """
     n = desc.n
+    factor = {
+        -n - j: CohElement.p_power(
+            desc, j, Fraction(comb(n + j - 1, j) * (-1) ** j, k ** (n + j))
+        )
+        for j in range(n)
+    }
     out: dict[int, CohElement] = {}
-    for j in range(n):
-        coeff = Fraction(comb(n + j - 1, j) * (-1) ** j, k ** (n + j))
-        p_class = CohElement.p_power(desc, j, coeff)
-        if p_class.is_zero():
-            continue
-        shift = -n - j
-        for ze, el in poly.items():
-            prod = el * p_class
-            if prod.is_zero():
-                continue
-            key = ze + shift
-            out[key] = out.get(key, CohElement.zero(desc)) + prod
+    add_row_product(out, poly, factor)
     return {ze: el for ze, el in out.items() if not el.is_zero()}
 
 

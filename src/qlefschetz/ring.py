@@ -366,16 +366,19 @@ class BundleSpec:
         """The integers l_i * d: the bundle degrees evaluated on a curve class."""
         return [l * d for l in self.degrees]
 
+    def chern_roots(self, desc: RingDescriptor) -> list[CohElement]:
+        """The roots lam + l_i P, or l_i P in the non-equivariant case."""
+        roots = [CohElement.p_power(desc, 1, l) for l in self.degrees]
+        if self.equivariant:
+            lam = CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
+            roots = [lam + root for root in roots]
+        return roots
+
     def euler_class(self, desc: RingDescriptor) -> CohElement:
-        """Product of (lam + l_i P), or of (l_i P) in the non-equivariant case."""
+        """Product of the Chern roots."""
         out = CohElement.one(desc)
-        for l in self.degrees:
-            if self.equivariant:
-                factor = CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
-                factor = factor + CohElement.p_power(desc, 1, l)
-            else:
-                factor = CohElement.p_power(desc, 1, l)
-            out = out * factor
+        for root in self.chern_roots(desc):
+            out = out * root
         return out
 
     def chern_character(self, desc: RingDescriptor, k: int) -> CohElement:
@@ -387,11 +390,6 @@ class BundleSpec:
 
 
 # -- module operations --------------------------------------------------------
-
-
-def coh_mul(a: CohElement, b: CohElement) -> CohElement:
-    """Product in Q[P]/(P^n)."""
-    return a * b
 
 
 def integrate(a: CohElement) -> LambdaScalar:

@@ -378,6 +378,7 @@ class ZSeries:
         return ZSeries(self.desc, max_degree, out, self.convention)
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
+        """Graded Cauchy product, truncated at the common Novikov order."""
         self._check(other)
         out: dict[int, dict[int, CohElement]] = {}
         for d1, row1 in self.slices.items():
@@ -385,14 +386,7 @@ class ZSeries:
                 d = d1 + d2
                 if d > self.max_degree:
                     continue
-                tgt = out.setdefault(d, {})
-                for z1, e1 in row1.items():
-                    for z2, e2 in row2.items():
-                        ze = z1 + z2
-                        prod = e1 * e2
-                        if prod.is_zero():
-                            continue
-                        tgt[ze] = tgt.get(ze, CohElement.zero(self.desc)) + prod
+                add_row_product(out.setdefault(d, {}), row1, row2)
         return ZSeries(self.desc, self.max_degree, out, self.convention)
 
     def __eq__(self, other) -> bool:
@@ -521,9 +515,23 @@ class ZSeries:
 # -- module operations ------------------------------------------------------------
 
 
-def series_mul(f: ZSeries, g: ZSeries) -> ZSeries:
-    """Graded Cauchy product, truncated at the common Novikov order."""
-    return f * g
+def add_row_product(
+    tgt: dict[int, CohElement],
+    a: Mapping[int, CohElement],
+    b: Mapping[int, CohElement],
+) -> None:
+    """tgt += a*b for z-Laurent rows, each a map from z-exponent to CohElement.
+
+    Products that vanish (by P^n = 0) are skipped; sums that cancel stay in tgt.
+    """
+    for z1, e1 in a.items():
+        for z2, e2 in b.items():
+            prod = e1 * e2
+            if prod.is_zero():
+                continue
+            ze = z1 + z2
+            old = tgt.get(ze)
+            tgt[ze] = prod if old is None else old + prod
 
 
 def symplectic_form(f: ZSeries, g: ZSeries) -> QSeries:

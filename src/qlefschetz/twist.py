@@ -4,7 +4,11 @@ This module houses everything attached to a split bundle E = O(l_1) + ... +
 O(l_r): the Bernoulli/Todd coefficients, the Gamma-function asymptotic
 exponent that transforms the untwisted cone into the twisted one, the
 hypergeometric modification of the J-function, and the Serre-dual twist with
-its finite product identity.
+its finite product identity.  The two twists multiply slice d of J by the same
+product prod_i prod_k (lam + l_i P + k z) over k = 1..l_i d and k = 0..l_i d - 1;
+they share one generator that carries that product from degree to degree
+(over all roots at once for the hypergeometric twist, root by root for the
+Serre twist), and the Serre identity is checked against the carried product.
 
 Conventions for the multiplier exponent attached to a Chern root rho = l*P:
 
@@ -28,7 +32,7 @@ from math import comb, factorial
 
 from .errors import EngineError, InsufficientFloorError
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import REDUCED, ZSeries
+from .series import REDUCED, ZSeries, add_row_product
 
 
 @lru_cache(maxsize=None)
@@ -214,73 +218,68 @@ def stirling_check(z_cap: int) -> tuple[bool, int | None]:
 
 
 def _linear_factor_product(
-    desc: RingDescriptor,
-    factors: list[tuple[CohElement, Fraction]],
-    poly: dict[int, CohElement] | None = None,
+    desc: RingDescriptor, poly: dict[int, CohElement], factors
 ) -> dict[int, CohElement]:
-    """Product of factors (a + c z) as a z-polynomial with CohElement coefficients.
-
-    The product starts from the z-polynomial poly (default 1).
-    """
-    if poly is None:
-        poly = {0: CohElement.one(desc)}
-    for a, c in factors:
+    """poly * prod (a + k z) over factors [(a, k)], poly a z-polynomial of CohElements."""
+    for a, k in factors:
         out: dict[int, CohElement] = {}
         for ze, el in poly.items():
             t = el * a
             if not t.is_zero():
                 out[ze] = out.get(ze, CohElement.zero(desc)) + t
-            t = el.scale(c)
+            t = el.scale(k)
             if not t.is_zero():
                 out[ze + 1] = out.get(ze + 1, CohElement.zero(desc)) + t
         poly = {ze: el for ze, el in out.items() if not el.is_zero()}
     return poly
 
 
-def _root_class(desc: RingDescriptor, l: int, equivariant: bool) -> CohElement:
-    root = CohElement.p_power(desc, 1, l)
-    if equivariant:
-        root = root + CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
-    return root
+def _twisted_slices(J: ZSeries, groups, start: int):
+    """Yield (d, twisted slice, group products) for the slices of J in increasing degree.
+
+    groups partitions the Chern roots, given as pairs (l, root).  The product
+    of a group at degree d is prod_{(l, root)} prod_{k=start}^{l d - 1 + start}
+    (root + k z).  It contains the product of every lower degree, so it is
+    carried along the slices: passing from degree d0 to d multiplies in only
+    the factors k = l d0 + start .. l d - 1 + start, and degrees missing from J
+    cost nothing extra.  The slice of J is multiplied by the fold of the group
+    products; one group holding every root needs no fold.
+    """
+    desc = J.desc
+    products = [{0: CohElement.one(desc)} for _ in groups]
+    reached = 0
+    for d in sorted(J.slices):
+        products = [
+            _linear_factor_product(
+                desc,
+                poly,
+                [
+                    (root, Fraction(k))
+                    for l, root in group
+                    for k in range(l * reached + start, l * d + start)
+                ],
+            )
+            for group, poly in zip(groups, products)
+        ]
+        reached = d
+        multiplier = products[0] if products else {0: CohElement.one(desc)}
+        for poly in products[1:]:
+            folded: dict[int, CohElement] = {}
+            add_row_product(folded, multiplier, poly)
+            multiplier = folded
+        twisted: dict[int, CohElement] = {}
+        add_row_product(twisted, J.slices[d], multiplier)
+        yield d, twisted, products
 
 
 def i_function(J: ZSeries, bundle: BundleSpec) -> ZSeries:
-    """Hypergeometric modification: slice d picks up prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z).
-
-    The multiplier of slice d contains that of every lower degree, so it is
-    carried along the slices in increasing degree: passing from degree d0 to d
-    multiplies in only the new factors k = l_i d0 + 1 .. l_i d, and degrees
-    missing from J cost nothing extra.
-    """
-    desc = J.desc
-    roots = [(l, _root_class(desc, l, bundle.equivariant)) for l in bundle.degrees]
-    multiplier: dict[int, CohElement] = {0: CohElement.one(desc)}
-    reached = 0
-    out: dict[int, dict[int, CohElement]] = {}
-    for d in sorted(J.slices):
-        new_factors = [
-            (root, Fraction(k))
-            for l, root in roots
-            for k in range(l * reached + 1, l * d + 1)
-        ]
-        multiplier = _linear_factor_product(desc, new_factors, multiplier)
-        reached = d
-        tgt: dict[int, CohElement] = {}
-        for z1, el in J.slices[d].items():
-            for z2, mel in multiplier.items():
-                prod = el * mel
-                if prod.is_zero():
-                    continue
-                ze = z1 + z2
-                tgt[ze] = tgt.get(ze, CohElement.zero(desc)) + prod
-        out[d] = tgt
-    result = ZSeries(desc, J.max_degree, out, REDUCED)
-    top_allowed = {
-        d: (sum(bundle.degrees) - desc.n) * d for d in result.slices if d > 0
-    }
-    for d, bound in top_allowed.items():
-        top = max(result.z_exponents(d))
-        if top > bound:
+    """Hypergeometric modification: slice d picks up prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z)."""
+    roots = list(zip(bundle.degrees, bundle.chern_roots(J.desc)))
+    out = {d: twisted for d, twisted, _ in _twisted_slices(J, [roots], 1)}
+    result = ZSeries(J.desc, J.max_degree, out, REDUCED)
+    for d, row in result.slices.items():
+        bound = (sum(bundle.degrees) - J.desc.n) * d
+        if d > 0 and max(row) > bound:
             raise AssertionError(f"slice {d} exceeds derived z-bound {bound}")
     return result
 
@@ -293,50 +292,28 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
 
         prod_{k=1-l_i d}^{0} (-lam - l_i P + k z) = (-1)^(l_i d) prod_{k=0}^{l_i d - 1} (lam + l_i P + k z)
 
-    is expanded on both sides for every root and degree; the residual must
-    vanish identically.  Returns (series, ok, first_failure).
+    is checked for every root and degree of J: its right side is the root
+    product that the twist carries, its left side is carried alongside.
+    Returns (series, ok, first_failure), where first_failure is the first
+    failing (root index, degree) in increasing degree, or None.
     """
     desc = J.desc
+    roots = list(zip(bundle.degrees, bundle.chern_roots(desc)))
+    lhs = [{0: CohElement.one(desc)} for _ in roots]
     first_failure = None
-    ok = True
+    reached = 0
     out: dict[int, dict[int, CohElement]] = {}
-    for d, row in J.slices.items():
-        factors: list[tuple[CohElement, Fraction]] = []
-        sign = 1
-        for i, l in enumerate(bundle.degrees):
-            root = _root_class(desc, l, bundle.equivariant)
-            count = l * d
-            sign *= (-1) ** count
-            factors.extend((root, Fraction(k)) for k in range(0, count))
-            if d > 0:
-                lhs = _linear_factor_product(
-                    desc,
-                    [(-root, Fraction(k)) for k in range(1 - count, 1)],
-                )
-                rhs = _linear_factor_product(
-                    desc, [(root, Fraction(k)) for k in range(0, count)]
-                )
-                rhs = {ze: el.scale((-1) ** count) for ze, el in rhs.items()}
-                keys = set(lhs) | set(rhs)
-                for ze in keys:
-                    diff = lhs.get(ze, CohElement.zero(desc)) - rhs.get(
-                        ze, CohElement.zero(desc)
-                    )
-                    if not diff.is_zero():
-                        ok = False
-                        if first_failure is None:
-                            first_failure = (i, d)
-        multiplier = _linear_factor_product(desc, factors)
-        tgt: dict[int, CohElement] = {}
-        for z1, el in row.items():
-            for z2, mel in multiplier.items():
-                prod = (el * mel).scale(sign)
-                if prod.is_zero():
-                    continue
-                ze = z1 + z2
-                tgt[ze] = tgt.get(ze, CohElement.zero(desc)) + prod
-        out[d] = tgt
-    return ZSeries(desc, J.max_degree, out, REDUCED), ok, first_failure
+    for d, twisted, rhs in _twisted_slices(J, [[root] for root in roots], 0):
+        for i, (l, root) in enumerate(roots):
+            new = [(-root, Fraction(k)) for k in range(1 - l * d, 1 - l * reached)]
+            lhs[i] = _linear_factor_product(desc, lhs[i], new)
+            rhs_signed = {ze: el.scale((-1) ** (l * d)) for ze, el in rhs[i].items()}
+            if first_failure is None and lhs[i] != rhs_signed:
+                first_failure = (i, d)
+        reached = d
+        sign = (-1) ** (sum(bundle.degrees) * d)
+        out[d] = {ze: el.scale(sign) for ze, el in twisted.items()}
+    return ZSeries(desc, J.max_degree, out, REDUCED), first_failure is None, first_failure
 
 
 # -- cone transformation -----------------------------------------------------------

@@ -4,15 +4,15 @@ Each function computes the same quantity as an engine kernel by the plain
 definition that the kernel replaces: power sums for exp and 1/f, the
 fixed-point iteration u = q' * lam^(-k) * exp(-tail(u)) for the inverse
 Novikov map, and a from-scratch product of all linear factors for every slice
-of the hypergeometric modification.
+of the hypergeometric modification and of the Serre-dual twist, whose finite
+product identity is expanded on both sides for every root and degree.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from qlefschetz import CohElement, QSeries, ZSeries
+from qlefschetz import CohElement, LambdaScalar, QSeries, ZSeries
 from qlefschetz.series import REDUCED, exp_constant_scalar
-from qlefschetz.twist import _linear_factor_product, _root_class
 
 
 def exp_power_sum(f: QSeries) -> QSeries:
@@ -49,20 +49,74 @@ def inverse_map_fixed_point(tau: QSeries) -> QSeries:
     return u
 
 
+def _root(desc, l, equivariant):
+    """The Chern root lam + l P, or l P without the circle action."""
+    root = CohElement.p_power(desc, 1, l)
+    if equivariant:
+        root = root + CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
+    return root
+
+
+def _factor_product(desc, factors):
+    """prod (a + c z) over factors [(a, c)], as a map z-exponent -> CohElement."""
+    poly = {0: CohElement.one(desc)}
+    for a, c in factors:
+        out = {}
+        for ze, el in poly.items():
+            out[ze] = out.get(ze, CohElement.zero(desc)) + el * a
+            out[ze + 1] = out.get(ze + 1, CohElement.zero(desc)) + el.scale(c)
+        poly = {ze: el for ze, el in out.items() if not el.is_zero()}
+    return poly
+
+
+def _row_times(desc, row, multiplier, sign=1):
+    tgt = {}
+    for z1, el in row.items():
+        for z2, mel in multiplier.items():
+            prod = (el * mel).scale(sign)
+            tgt[z1 + z2] = tgt.get(z1 + z2, CohElement.zero(desc)) + prod
+    return tgt
+
+
 def i_function_from_scratch(J: ZSeries, bundle) -> ZSeries:
     """Slice d times prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z), rebuilt for every d."""
     desc = J.desc
     out = {}
     for d, row in J.slices.items():
         factors = [
-            (_root_class(desc, l, bundle.equivariant), Fraction(k))
+            (_root(desc, l, bundle.equivariant), Fraction(k))
             for l in bundle.degrees
             for k in range(1, l * d + 1)
         ]
-        multiplier = _linear_factor_product(desc, factors)
-        tgt = {}
-        for z1, el in row.items():
-            for z2, mel in multiplier.items():
-                tgt[z1 + z2] = tgt.get(z1 + z2, CohElement.zero(desc)) + el * mel
-        out[d] = tgt
+        out[d] = _row_times(desc, row, _factor_product(desc, factors))
     return ZSeries(desc, J.max_degree, out, REDUCED)
+
+
+def serre_dual_i_from_scratch(J: ZSeries, bundle):
+    """Slice d times (-1)^(sum_i l_i d) prod_i prod_{k=0}^{l_i d - 1} (lam + l_i P + k z).
+
+    Every product, and both sides of the identity
+    prod_{k=1-l d}^{0} (-root + k z) = (-1)^(l d) prod_{k=0}^{l d - 1} (root + k z),
+    is rebuilt for every degree.  Returns (series, ok, first_failure).
+    """
+    desc = J.desc
+    first_failure = None
+    out = {}
+    for d in sorted(J.slices):
+        factors = []
+        sign = 1
+        for i, l in enumerate(bundle.degrees):
+            root = _root(desc, l, bundle.equivariant)
+            count = l * d
+            sign *= (-1) ** count
+            factors.extend((root, Fraction(k)) for k in range(0, count))
+            lhs = _factor_product(desc, [(-root, Fraction(k)) for k in range(1 - count, 1)])
+            rhs = _factor_product(desc, [(root, Fraction(k)) for k in range(0, count)])
+            for ze in set(lhs) | set(rhs):
+                diff = lhs.get(ze, CohElement.zero(desc)) - rhs.get(
+                    ze, CohElement.zero(desc)
+                ).scale((-1) ** count)
+                if not diff.is_zero() and first_failure is None:
+                    first_failure = (i, d)
+        out[d] = _row_times(desc, J.slices[d], _factor_product(desc, factors), sign)
+    return ZSeries(desc, J.max_degree, out, REDUCED), first_failure is None, first_failure

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from qlefschetz.cli import MAX_DEGREE, load_config, main, ConfigError
+from qlefschetz.cli import (
+    MAX_AMBIENT_DIM,
+    MAX_DEGREE,
+    MAX_DEGREE_SUM,
+    ConfigError,
+    load_config,
+    main,
+)
 from qlefschetz.series import ZSeries
 
 
@@ -181,3 +188,37 @@ def test_bool_is_not_an_integer(key, value):
 def test_bool_bundle_degree_rejected():
     with pytest.raises(ConfigError, match="degrees"):
         load_config(dict(QUINTIC_CONFIG, degrees=[True], tasks=["mirror"]))
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        # ran unbounded before ambient_dim was capped
+        ({"ambient_dim": 400, "degrees": [1], "max_degree": 2, "tasks": ["qde_check"]},
+         "ambient_dim"),
+        # died converting a coefficient of more than 4300 digits to a string
+        ({"ambient_dim": 5, "degrees": [3000], "max_degree": 2, "tasks": ["i_function"]},
+         "degrees"),
+    ],
+)
+def test_oversized_config_is_a_config_error(tmp_path, config, key):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out.json"
+    assert main(["compute", "--config", cfg, "--output", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert key in error["message"]
+
+
+def test_size_caps_are_inclusive():
+    at_caps = dict(
+        QUINTIC_CONFIG,
+        ambient_dim=MAX_AMBIENT_DIM,
+        degrees=[MAX_DEGREE_SUM - 1, 1],
+        tasks=["i_function"],
+    )
+    assert load_config(at_caps)["ambient_dim"] == MAX_AMBIENT_DIM
+    with pytest.raises(ConfigError, match="ambient_dim"):
+        load_config(dict(at_caps, ambient_dim=MAX_AMBIENT_DIM + 1))
+    with pytest.raises(ConfigError, match="degrees"):
+        load_config(dict(at_caps, degrees=[MAX_DEGREE_SUM, 1]))

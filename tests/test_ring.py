@@ -10,7 +10,6 @@ from qlefschetz import (
     InsufficientFloorError,
     LambdaScalar,
     RingDescriptor,
-    coh_mul,
     euler_expansion_check,
     gram_matrix,
     integrate,
@@ -32,8 +31,8 @@ def test_descriptor_validation():
 
 def test_coh_mul_nilpotency():
     desc = RingDescriptor(n=5)
-    assert coh_mul(CohElement.p_power(desc, 2), CohElement.p_power(desc, 3)).is_zero()
-    assert coh_mul(CohElement.p_power(desc, 1), CohElement.p_power(desc, 1)) == \
+    assert (CohElement.p_power(desc, 2) * CohElement.p_power(desc, 3)).is_zero()
+    assert CohElement.p_power(desc, 1) * CohElement.p_power(desc, 1) == \
         CohElement.p_power(desc, 2)
 
 
@@ -41,7 +40,7 @@ def test_coh_mul_mixed_scalar():
     desc = RingDescriptor(n=5, lambda_floor=1)
     lam_plus_5p = CohElement.from_scalar(LambdaScalar.lam_power(desc, 1)) + \
         CohElement.p_power(desc, 1, 5)
-    out = coh_mul(lam_plus_5p, CohElement.p_power(desc, 3))
+    out = lam_plus_5p * CohElement.p_power(desc, 3)
     assert out.component(3) == LambdaScalar.lam_power(desc, 1)
     assert out.component(4) == scalar(desc, 5)
     assert out.component(2).is_zero()
@@ -60,7 +59,7 @@ def test_descriptor_mismatch():
     a = CohElement.one(RingDescriptor(n=3))
     b = CohElement.one(RingDescriptor(n=4))
     with pytest.raises(DescriptorMismatchError):
-        coh_mul(a, b)
+        a * b
 
 
 def test_twisted_pairing_quintic():

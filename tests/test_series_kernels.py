@@ -18,6 +18,7 @@ from qlefschetz import (
     ZSeries,
     i_function,
     j_reduced,
+    serre_dual_i,
 )
 from qlefschetz.mirror import _inverse_novikov_map
 from qlefschetz.series import exp_constant_scalar
@@ -27,6 +28,7 @@ from series_oracles import (
     i_function_from_scratch,
     inverse_map_fixed_point,
     invert_geometric,
+    serre_dual_i_from_scratch,
 )
 
 RATIONAL = RingDescriptor(n=2)
@@ -121,7 +123,7 @@ def test_inverse_map_at_degree_zero_is_zero():
     assert _inverse_novikov_map(tau).is_zero()
 
 
-# -- incremental hypergeometric product --------------------------------------------
+# -- carried twist products ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("equivariant", [False, True])
@@ -139,3 +141,7 @@ def test_i_function_matches_from_scratch_product(n, degrees, equivariant):
         got = i_function(J, bundle)
         assert sorted(got.slices) == sorted(kept)
         assert got.to_json_dict() == i_function_from_scratch(J, bundle).to_json_dict()
+        series, ok, failure = serre_dual_i(J, bundle)
+        want, want_ok, want_failure = serre_dual_i_from_scratch(J, bundle)
+        assert series.to_json_dict() == want.to_json_dict()
+        assert (ok, failure) == (want_ok, want_failure) == (True, None)

@@ -126,11 +126,22 @@ def test_serre_product_identity_examples(l, d):
     assert ok, failure
 
 
-def test_serre_full_grid():
-    J = j_reduced(6, 6, lambda_floor=1)
-    for l in range(1, 7):
-        _, ok, failure = serre_dual_i(J, BundleSpec((l,)))
-        assert ok, (l, failure)
+def test_serre_identity_is_checked_on_the_carried_product(monkeypatch):
+    # Drop the factor k = 3 from every carried product.  Only the right side
+    # prod_{k=0}^{l d - 1} (root + k z) contains it; for the bundle (2, 1) it
+    # first enters root 0 at degree 2 and root 1 only at degree 4.
+    from qlefschetz import twist
+
+    carry = twist._linear_factor_product
+
+    def drop_k3(desc, poly, factors):
+        return carry(desc, poly, [(a, k) for a, k in factors if k != 3])
+
+    monkeypatch.setattr(twist, "_linear_factor_product", drop_k3)
+    J = j_reduced(4, 3, lambda_floor=1)
+    _, ok, failure = serre_dual_i(J, BundleSpec((2, 1)))
+    assert not ok
+    assert failure == (0, 2)
 
 
 def test_serre_novikov_sign():

@@ -3,9 +3,10 @@
 The package computes, over the rationals, the genus-0 small J-function of
 projective space, its hypergeometric twists by split bundles, the Birkhoff
 factorization recovering the twisted J-function together with the mirror
-map, and the rational curve counts of the quintic threefold.  A companion
-quantization module implements the anomaly calculus of quadratic
-hamiltonians on a truncated loop space.
+map, and the rational curve counts of every Calabi-Yau threefold complete
+intersection in projective space.  A companion quantization module
+implements the anomaly calculus of quadratic hamiltonians on a truncated
+loop space.
 """
 
 from .errors import (

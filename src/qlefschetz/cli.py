@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import EngineError
 from .gw import j_reduced, qde_verify, s_matrix
-from .mirror import birkhoff, extract_instantons, small_mirror
+from .mirror import birkhoff, calabi_yau_degree, extract_instantons, small_mirror
 from .ring import BundleSpec, RingDescriptor
 from .twist import i_function, serre_dual_i
 from .verify import SUITES, run_suites
@@ -37,6 +38,11 @@ MAX_DEGREE = 30
 # 1686 digits for n = 2 and 1574 for n = 10.
 MAX_AMBIENT_DIM = 10
 MAX_DEGREE_SUM = 24
+# Largest sum(l_i) * max_degree (the linear factors in the top hypergeometric
+# product) an equivariant bundle task may request.  Its lam-Laurent cost grows
+# much faster than this count: (n, degrees, D) = (10, [24], 30) took 157 s on a
+# 2-vCPU x86 VM.  The equivariant quintic at D = 9 has 45 factors.
+MAX_EQUIVARIANT_FACTORS = 64
 
 
 class ConfigError(Exception):
@@ -87,14 +93,21 @@ def load_config(data: dict) -> dict:
         isinstance(tasks, list) and tasks and all(t in TASKS for t in tasks),
         f"tasks must be a non-empty subset of {TASKS}",
     )
-    if "instantons" in tasks:
-        _require(
-            n == 5 and degrees == [5],
-            "the instantons task requires ambient_dim 5 and degrees [5]",
-        )
     bundle_tasks = {"i_function", "mirror", "instantons", "serre_check"}
     if bundle_tasks & set(tasks):
         _require(degrees, "bundle degrees required for the requested tasks")
+        _require(
+            mode == "nonequivariant" or sum(degrees) * D <= MAX_EQUIVARIANT_FACTORS,
+            "equivariant bundle tasks need sum(degrees) * max_degree at most "
+            f"{MAX_EQUIVARIANT_FACTORS}",
+        )
+    if "instantons" in tasks:
+        bundle = BundleSpec(tuple(degrees), equivariant=(mode == "equivariant"))
+        _require(
+            calabi_yau_degree(n, bundle) is not None,
+            "the instantons task needs a non-equivariant Calabi-Yau threefold "
+            "bundle: ambient_dim - 4 degrees summing to ambient_dim",
+        )
     return {
         "ambient_dim": n,
         "degrees": degrees,
@@ -105,29 +118,60 @@ def load_config(data: dict) -> dict:
     }
 
 
-def _modes(config: dict) -> list[str]:
-    if config["mode"] == "both":
-        return ["equivariant", "nonequivariant"]
-    return [config["mode"]]
-
-
 def run_compute(config: dict) -> dict:
-    """Execute the configured tasks; output is a pure function of the config."""
+    """Execute the configured tasks; output is a pure function of the config.
+
+    Each (mode, bundle) is twisted and factored at most once per call.
+    """
     n = config["ambient_dim"]
     D = config["max_degree"]
     desc = RingDescriptor(n=n, lambda_floor=config["lambda_floor"])
     J = j_reduced(n, D, desc=desc)
+    modes = MODES[:2] if config["mode"] == "both" else (config["mode"],)
+    bundles = {
+        mode: BundleSpec(tuple(config["degrees"]), equivariant=(mode == "equivariant"))
+        for mode in modes
+    }
+
+    @cache
+    def base(equivariant: bool):
+        return J if equivariant else J.lambda_zero_part()
+
+    @cache
+    def twisted(bundle: BundleSpec):
+        return i_function(base(bundle.equivariant), bundle)
+
+    @cache
+    def factored(bundle: BundleSpec):
+        route = birkhoff if bundle.equivariant else small_mirror
+        return route(twisted(bundle), bundle=bundle)
+
+    def as_block(result):
+        data = result.to_json_dict()
+        return data, data["truncated"]
+
+    def serre_check(bundle):
+        Istar, ok, failure = serre_dual_i(base(bundle.equivariant), bundle)
+        return {
+            "series": Istar.to_json_dict(),
+            "identity_holds": ok,
+            "first_failure": None if failure is None else list(failure),
+        }, Istar.truncated
+
+    per_mode = {
+        "i_function": lambda bundle: as_block(twisted(bundle)),
+        "mirror": lambda bundle: as_block(factored(bundle)),
+        "serre_check": serre_check,
+    }
     results: dict = {}
     flags: dict = {}
-
-    def mode_bundles() -> list[tuple[str, BundleSpec]]:
-        return [
-            (mode, BundleSpec(tuple(config["degrees"]), equivariant=(mode == "equivariant")))
-            for mode in _modes(config)
-        ]
-
     for task in config["tasks"]:
-        if task == "qde_check":
+        if task in per_mode:
+            results[task], flags[task] = {}, False
+            for mode, bundle in bundles.items():
+                results[task][mode], truncated = per_mode[task](bundle)
+                flags[task] |= truncated
+        elif task == "qde_check":
             ok, slot = qde_verify(J, n)
             results[task] = {
                 "holds": ok,
@@ -142,50 +186,8 @@ def run_compute(config: dict) -> dict:
                 "matrix": S.to_json_dict(),
             }
             flags[task] = False
-        elif task == "i_function":
-            block = {}
-            truncated = False
-            for mode, bundle in mode_bundles():
-                base = J if bundle.equivariant else J.lambda_zero_part()
-                I = i_function(base, bundle)
-                block[mode] = I.to_json_dict()
-                truncated |= I.truncated
-            results[task] = block
-            flags[task] = truncated
-        elif task == "serre_check":
-            block = {}
-            truncated = False
-            for mode, bundle in mode_bundles():
-                base = J if bundle.equivariant else J.lambda_zero_part()
-                Istar, ok, failure = serre_dual_i(base, bundle)
-                block[mode] = {
-                    "series": Istar.to_json_dict(),
-                    "identity_holds": ok,
-                    "first_failure": None if failure is None else list(failure),
-                }
-                truncated |= Istar.truncated
-            results[task] = block
-            flags[task] = truncated
-        elif task == "mirror":
-            block = {}
-            truncated = False
-            for mode, bundle in mode_bundles():
-                base = J if bundle.equivariant else J.lambda_zero_part()
-                I = i_function(base, bundle)
-                if bundle.equivariant:
-                    M = birkhoff(I, bundle=bundle)
-                else:
-                    M = small_mirror(I, bundle=bundle)
-                data = M.to_json_dict()
-                block[mode] = data
-                truncated |= data["truncated"]
-            results[task] = block
-            flags[task] = truncated
         elif task == "instantons":
-            bundle = BundleSpec((5,), equivariant=False)
-            I = i_function(J.lambda_zero_part(), bundle)
-            M = small_mirror(I, bundle=bundle)
-            counts = extract_instantons(M, D)
+            counts = extract_instantons(factored(bundles["nonequivariant"]), D)
             results[task] = {
                 "counts": [str(c) for c in counts],
                 "d_max": D,

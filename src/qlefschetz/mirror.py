@@ -9,10 +9,11 @@ they act through the q^0 block of the frame, which is unit-triangular in the
 monomial basis.  The direct one (small_mirror) divides by the scalar series
 F when I has no positive z-powers.  Each route checks the other.
 
-Both then share one tail (_extract_chart).  The z^(-1) slots of the
-normalized series are the components of the projection to the parameter
-space (string direction at P^0, divisor direction at P^1); they are read off
-in one pass, and one product with exp(-(tau0 + tau P)/z) peels them off.
+Every entry point ends in one tail, _assemble (through _extract_chart), the
+one place a MirrorResult is built.  The z^(-1) slots of the normalized
+series are the components of the projection to the parameter space (string
+direction at P^0, divisor direction at P^1); they are read off in one pass,
+and one product with exp(-(tau0 + tau P)/z) peels them off.
 The inverse change of Novikov variable q' = q exp(tau - t), computed by
 Lagrange inversion, then produces the J-series in its own chart.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     EngineError,
@@ -369,7 +371,6 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
     if I.convention != REDUCED:
         raise ValueError("small_mirror expects a reduced series")
     desc = I.desc
-    D = I.max_degree
     lead = I.coefficient(0, 0)
     if not (lead - CohElement.one(desc)).is_zero():
         raise ValueError("degree-0 slice must be the identity class")
@@ -390,50 +391,46 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
                 if not el.component(p).is_zero():
                     raise UnitError("z^0 slot carries classes above degree 2")
 
-    F = _slot_series(I, 0, 0)
-    G = _slot_series(I, -1, 1)
-    F_inv = F.invert()
-    J1 = I.scale_qseries(F_inv)
+    J1 = I.scale_qseries(_slot_series(I, 0, 0).invert())
 
     # After dividing by F the remaining z^(-1) slots are the mirror map.
     for j in range(2, desc.n):
         if not _slot_series(J1, -1, j).is_zero():
             raise UnitError("projection leaves the small parameter space")
-    tau0, tau, u, J_out, _ = _extract_chart(J1)
-
-    n = desc.n
-    return MirrorResult(
-        desc=desc,
-        max_degree=D,
-        F=F,
-        G=G,
-        tau_of_q=tau,
-        tau0_of_q=tau0,
-        q_of_tau=u,
-        J_out=J_out,
-        c_coeffs=[dict() for _ in range(n)],
-        normalized=J1,
-        tau_higher={},
-        small_projection=True,
-        bundle=bundle,
-    )
+    return _assemble(I, J1, [{} for _ in range(desc.n)], bundle)
 
 
 # -- instanton extraction ----------------------------------------------------------------
 
 
-def extract_instantons(M: MirrorResult, d_max: int) -> list[int]:
-    """Degree-d rational curve counts of the quintic threefold from the factored J.
+def calabi_yau_degree(n: int, bundle: BundleSpec | None) -> int | None:
+    """kappa = prod l_i if the bundle cuts a Calabi-Yau threefold out of P^(n-1), else None.
 
-    The factored series divided by its exponential prefactor is, modulo P^4, a
-    combination sum_m q'^m (S_m/5) [P^2/m^2 - 2 P^3/m^3 + ...] with
-    S_m = sum_{d | m} n_d d^3; the P^2 slots determine the S_m triangularly and
-    the P^3 slots must then agree on their own, which is enforced here along
-    with integrality of the n_d.
+    A generic section of a non-equivariant O(l_1) + ... + O(l_r) vanishes on a
+    threefold when r = n - 4, with trivial canonical class when sum l_i = n;
+    its Euler class is kappa P^(n-4).
     """
-    if M.bundle is None or M.bundle.degrees != (5,) or M.desc.n != 5:
+    if bundle is None or bundle.equivariant or bundle.rank != n - 4:
+        return None
+    return prod(bundle.degrees) if sum(bundle.degrees) == n else None
+
+
+def extract_instantons(M: MirrorResult, d_max: int) -> list[int]:
+    """Degree-d rational curve counts of a Calabi-Yau threefold from the factored J.
+
+    With kappa from calabi_yau_degree, the factored series divided by its
+    exponential prefactor is, below P^4, a combination sum_m q'^m (S_m/kappa)
+    [P^2/m^2 - 2 P^3/m^3] with S_m = sum_{d | m} n_d d^3 (the slots P^(j>=4)
+    pair to zero against e(E) = kappa P^(n-4) and are only checked to be
+    diagonal); the P^2 slots determine the S_m triangularly and the P^3 slots
+    must then agree on their own, which is enforced here along with
+    integrality of the n_d.
+    """
+    kappa = calabi_yau_degree(M.desc.n, M.bundle)
+    if kappa is None:
         raise ExtractionError(
-            "instanton extraction is specific to the quintic in P^4"
+            "instanton extraction needs a Calabi-Yau threefold bundle: "
+            "n - 4 non-equivariant degrees summing to n"
         )
     if d_max < 1:
         raise ExtractionError("d_max must be >= 1")
@@ -466,8 +463,8 @@ def extract_instantons(M: MirrorResult, d_max: int) -> list[int]:
             raise ExtractionError(
                 f"slice {m} has nonzero classes below degree 4"
             )
-        s_m = 5 * Fraction(m) ** 2 * coeffs[2]
-        residual = coeffs[3] + 2 * s_m / (5 * Fraction(m) ** 3)
+        s_m = kappa * Fraction(m) ** 2 * coeffs[2]
+        residual = coeffs[3] + 2 * s_m / (kappa * Fraction(m) ** 3)
         if residual != 0:
             raise ExtractionError(
                 f"P^3 consistency residual {residual} at degree {m}"

@@ -304,10 +304,7 @@ def mirror_suite() -> list[Check]:
     Jeq = j_reduced(5, 3, desc=desc)
     Eeq = BundleSpec((5,), equivariant=True)
     Meq = birkhoff(i_function(Jeq, Eeq), bundle=Eeq)
-    Mnon = small_mirror(
-        i_function(Jeq.lambda_zero_part(), BundleSpec((5,), equivariant=False)),
-        bundle=BundleSpec((5,), equivariant=False),
-    )
+    Mnon = small_mirror(i_function(Jeq.lambda_zero_part(), E), bundle=E)
     ok = Meq.J_out.lambda_zero_part() == Mnon.J_out and all(
         Meq.tau_of_q.coefficient(d).lambda_zero_part()
         == Mnon.tau_of_q.coefficient(d).lambda_zero_part()

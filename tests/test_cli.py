@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from qlefschetz import cli
 from qlefschetz.cli import (
     MAX_AMBIENT_DIM,
     MAX_DEGREE,
     MAX_DEGREE_SUM,
+    MAX_EQUIVARIANT_FACTORS,
     ConfigError,
     load_config,
     main,
@@ -64,6 +66,41 @@ def test_invalid_instanton_config(tmp_path):
         {"ambient_dim": 4, "degrees": [5], "max_degree": 2, "tasks": ["instantons"]},
     )
     assert main(["compute", "--config", cfg, "--output", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "degrees,mode",
+    [
+        ([6], "nonequivariant"),
+        ([3], "nonequivariant"),
+        ([2, 3], "nonequivariant"),  # sum l_i = n, but a surface
+        ([5], "equivariant"),
+    ],
+)
+def test_instantons_refuse_non_calabi_yau_configs(tmp_path, degrees, mode):
+    cfg = write_config(
+        tmp_path, dict(QUINTIC_CONFIG, degrees=degrees, mode=mode, max_degree=2)
+    )
+    out = tmp_path / "out.json"
+    assert main(["compute", "--config", cfg, "--output", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert "instantons" in error["message"]
+
+
+def test_mirror_and_instantons_factor_once(tmp_path, monkeypatch):
+    original, calls = cli.small_mirror, []
+
+    def counting_small_mirror(I, bundle=None):
+        calls.append(bundle)
+        return original(I, bundle=bundle)
+
+    monkeypatch.setattr(cli, "small_mirror", counting_small_mirror)
+    cfg = write_config(tmp_path, QUINTIC_CONFIG)
+    out = tmp_path / "out.json"
+    assert main(["compute", "--config", cfg, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["instantons"]["counts"][0] == "2875"
+    assert len(calls) == 1
 
 
 def test_config_validation_messages():
@@ -199,6 +236,10 @@ def test_bool_bundle_degree_rejected():
         # died converting a coefficient of more than 4300 digits to a string
         ({"ambient_dim": 5, "degrees": [3000], "max_degree": 2, "tasks": ["i_function"]},
          "degrees"),
+        # inside every size cap, but ran 157 s
+        ({"ambient_dim": 10, "degrees": [24], "max_degree": 30, "mode": "equivariant",
+          "tasks": ["i_function"]},
+         "equivariant"),
     ],
 )
 def test_oversized_config_is_a_config_error(tmp_path, config, key):
@@ -222,3 +263,22 @@ def test_size_caps_are_inclusive():
         load_config(dict(at_caps, ambient_dim=MAX_AMBIENT_DIM + 1))
     with pytest.raises(ConfigError, match="degrees"):
         load_config(dict(at_caps, degrees=[MAX_DEGREE_SUM, 1]))
+
+
+def test_equivariant_cost_bound_is_inclusive():
+    at_bound = dict(
+        QUINTIC_CONFIG,
+        degrees=[16],
+        max_degree=MAX_EQUIVARIANT_FACTORS // 16,
+        mode="equivariant",
+        tasks=["i_function"],
+    )
+    assert load_config(at_bound)["max_degree"] * 16 == MAX_EQUIVARIANT_FACTORS
+    over = dict(at_bound, degrees=[13], max_degree=5)
+    assert 13 * 5 == MAX_EQUIVARIANT_FACTORS + 1
+    for mode in ("equivariant", "both"):
+        with pytest.raises(ConfigError, match="equivariant"):
+            load_config(dict(over, mode=mode))
+    # the bound is on equivariant bundle work only
+    assert load_config(dict(over, mode="nonequivariant"))["max_degree"] == 5
+    assert load_config(dict(over, tasks=["qde_check"]))["max_degree"] == 5

@@ -21,7 +21,8 @@ from qlefschetz import (
     small_mirror,
 )
 
-from schubert import lines_on_quintic
+from qlefschetz.mirror import calabi_yau_degree
+from schubert import lines_on_complete_intersection, lines_on_quintic
 
 QUINTIC = BundleSpec((5,), equivariant=False)
 
@@ -123,6 +124,43 @@ def test_instantons_require_quintic_configuration():
     M2 = quintic_mirror(2)
     with pytest.raises(ExtractionError):
         extract_instantons(M2, 3)  # beyond the truncation
+
+
+# Libgober-Teitelbaum, arXiv:alg-geom/9301001
+CALABI_YAU_COUNTS = [
+    (6, (3, 3), [1053, 52812, 6424326]),
+    (6, (2, 4), [1280, 92288, 15655168]),
+    (7, (2, 2, 3), [720, 22428, 1611504]),
+    (8, (2, 2, 2, 2), [512, 9728, 416256]),
+]
+
+
+@pytest.mark.parametrize("n,degrees,counts", CALABI_YAU_COUNTS)
+def test_complete_intersection_instantons(n, degrees, counts):
+    E = BundleSpec(degrees, equivariant=False)
+    M = small_mirror(i_function(j_reduced(n, 3), E), bundle=E)
+    extracted = extract_instantons(M, 3)
+    assert extracted[0] == lines_on_complete_intersection(n, degrees)
+    assert extracted == counts
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        BundleSpec((6,), equivariant=False),
+        BundleSpec((3,), equivariant=False),
+        BundleSpec((2, 3), equivariant=False),  # sum l_i = n, but a surface
+        BundleSpec((5,), equivariant=True),
+    ],
+    ids=["6-on-P4", "3-on-P4", "2-3-on-P4", "equivariant-quintic"],
+)
+def test_instantons_refuse_non_calabi_yau_bundles(bundle):
+    assert calabi_yau_degree(5, bundle) is None
+    J = j_reduced(5, 2, desc=RingDescriptor(n=5, lambda_floor=2))
+    base = J if bundle.equivariant else J.lambda_zero_part()
+    M = birkhoff(i_function(base, bundle), bundle=bundle)
+    with pytest.raises(ExtractionError):
+        extract_instantons(M, 2)
 
 
 def test_extraction_detects_corrupted_series():

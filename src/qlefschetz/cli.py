@@ -108,6 +108,7 @@ def load_config(data: dict) -> dict:
             "the instantons task needs a non-equivariant Calabi-Yau threefold "
             "bundle: ambient_dim - 4 degrees summing to ambient_dim",
         )
+        _require(D >= 1, "the instantons task needs max_degree >= 1")
     return {
         "ambient_dim": n,
         "degrees": degrees,

@@ -6,19 +6,24 @@ a formal commuting generator log(lam).  Laurent exponents below the
 configured floor -L are dropped and the drop is recorded on the value, so
 exact identities (zero residual, no truncation flag) are distinguishable
 from identities that only hold modulo the floor.
+
+Scalars are fraction-free: integer numerators over one common denominator,
+reduced once per arithmetic result, so the inner loops multiply and add
+plain ints and take one gcd per result instead of one per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DescriptorMismatchError, InsufficientFloorError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,21 @@ def _as_fraction(value) -> Fraction:
 class LambdaScalar:
     """A truncated Laurent polynomial in lam with formal log(lam) powers.
 
-    Coefficients are keyed by (lam_exponent, log_exponent).  Values are exact
-    rationals; zero coefficients are never stored.  The ``truncated`` flag is
-    sticky: it propagates through arithmetic and records that some operation
-    dropped a term below the floor (or above the log cap).
+    The value is stored fraction-free: integer numerators keyed by
+    (lam_exponent, log_exponent) over one positive common denominator, in
+    lowest terms (the gcd of the denominator and all numerators is 1, and no
+    numerator is zero), so equal values have equal representations.  Every
+    arithmetic result is built by ``_make``, which reduces once per result;
+    ``__init__`` validates rationals from outside.  Coefficients read back as
+    ``Fraction``.
+
+    The ``truncated`` flag is sticky: it propagates through arithmetic and
+    records that some operation dropped a nonzero term below the floor (or
+    above the log cap).  A product's terms are summed per key before the
+    floor is applied, so a below-floor key that cancels to zero drops nothing.
     """
 
-    __slots__ = ("desc", "coeffs", "truncated")
+    __slots__ = ("desc", "_nums", "_den", "truncated")
 
     def __init__(
         self,
@@ -68,7 +81,6 @@ class LambdaScalar:
         coeffs: Mapping[tuple[int, int], Fraction] | None = None,
         truncated: bool = False,
     ) -> None:
-        self.desc = desc
         clean: dict[tuple[int, int], Fraction] = {}
         dropped = False
         if coeffs:
@@ -82,14 +94,35 @@ class LambdaScalar:
                     dropped = True
                     continue
                 clean[(a, b)] = c
-        self.coeffs = clean
+        # Over the lcm of lowest-terms denominators the numerators are coprime to it.
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.desc = desc
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._den = den
         self.truncated = truncated or dropped
+
+    @classmethod
+    def _make(
+        cls, desc: RingDescriptor, nums: dict, den: int, truncated: bool
+    ) -> "LambdaScalar":
+        """Trusted constructor: nonzero in-range numerators over den > 0, reduced here."""
+        if den != 1:
+            g = gcd(den, *nums.values())  # den itself when nums is empty
+            if g != 1:
+                den //= g
+                nums = {k: c // g for k, c in nums.items()}
+        out = _new(cls)
+        out.desc = desc
+        out._nums = nums
+        out._den = den
+        out.truncated = truncated
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, desc: RingDescriptor) -> "LambdaScalar":
-        return cls(desc)
+        return cls._make(desc, {}, 1, False)
 
     @classmethod
     def one(cls, desc: RingDescriptor) -> "LambdaScalar":
@@ -110,20 +143,21 @@ class LambdaScalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def is_rational(self) -> bool:
-        return all(key == (0, 0) for key in self.coeffs)
+        return all(key == (0, 0) for key in self._nums)
 
     def as_rational(self) -> Fraction:
-        if not self.coeffs:
+        if not self._nums:
             return _ZERO
         if not self.is_rational():
             raise ValueError(f"scalar is not a plain rational: {self}")
-        return self.coeffs[(0, 0)]
+        return Fraction(self._nums[(0, 0)], self._den)
 
     def coefficient(self, lam_exp: int, log_exp: int = 0) -> Fraction:
-        return self.coeffs.get((lam_exp, log_exp), _ZERO)
+        num = self._nums.get((lam_exp, log_exp))
+        return _ZERO if num is None else Fraction(num, self._den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -133,64 +167,104 @@ class LambdaScalar:
 
     def __add__(self, other: "LambdaScalar") -> "LambdaScalar":
         self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, _ZERO) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
+        truncated = self.truncated or other.truncated
+        if not other._nums and self.truncated == truncated:
+            return self
+        if not self._nums and other.truncated == truncated:
+            return other
+        # Both sides over the lcm of the denominators: den = da * fa = db * fb.
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = dict(self._nums) if fa == 1 else {k: c * fa for k, c in self._nums.items()}
+        for key, c in other._nums.items():
+            s = out.get(key, 0) + c * fb
+            if s:
                 out[key] = s
-        return LambdaScalar(self.desc, out, self.truncated or other.truncated)
+            else:
+                del out[key]
+        den = da * fa
+        return LambdaScalar._make(self.desc, out, den, truncated)
 
     def __sub__(self, other: "LambdaScalar") -> "LambdaScalar":
         return self + (-other)
 
     def __neg__(self) -> "LambdaScalar":
-        return LambdaScalar(
-            self.desc, {k: -c for k, c in self.coeffs.items()}, self.truncated
+        return LambdaScalar._make(
+            self.desc, {k: -c for k, c in self._nums.items()}, self._den, self.truncated
         )
 
     def __mul__(self, other) -> "LambdaScalar":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LambdaScalar):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
+        desc = self.desc
+        truncated = self.truncated or other.truncated
+        floor, cap = -desc.lambda_floor, desc.log_cap
+        den = self._den * other._den
+        sn, on = self._nums, other._nums
+        if len(sn) == 1 == len(on):
+            # Monomial times monomial, the common case: one nonzero term.
+            ((a1, b1), c1), = sn.items()
+            ((a2, b2), c2), = on.items()
+            a, b = a1 + a2, b1 + b2
+            if a < floor or b > cap:
+                return LambdaScalar._make(desc, {}, 1, True)
+            return LambdaScalar._make(desc, {(a, b): c1 * c2}, den, truncated)
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (a1, b1), c1 in sn.items():
+            for (a2, b2), c2 in on.items():
                 key = (a1 + a2, b1 + b2)
-                s = out.get(key, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
+                out[key] = get(key, 0) + c1 * c2
+        nums = {}
+        for key, c in out.items():
+            if c:
+                if key[0] < floor or key[1] > cap:
+                    truncated = True
                 else:
-                    out[key] = s
-        return LambdaScalar(self.desc, out, self.truncated or other.truncated)
+                    nums[key] = c
+        return LambdaScalar._make(desc, nums, den, truncated)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "LambdaScalar":
-        value = _as_fraction(value)
-        if value == 0:
-            return LambdaScalar(self.desc, truncated=self.truncated)
-        return LambdaScalar(
-            self.desc, {k: c * value for k, c in self.coeffs.items()}, self.truncated
+        if isinstance(value, int):
+            p, q = value, 1
+        else:
+            value = _as_fraction(value)
+            p, q = value.numerator, value.denominator
+        if not p:
+            return LambdaScalar._make(self.desc, {}, 1, self.truncated)
+        return LambdaScalar._make(
+            self.desc, {k: c * p for k, c in self._nums.items()}, self._den * q,
+            self.truncated,
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaScalar):
             return NotImplemented
-        return self.desc == other.desc and self.coeffs == other.coeffs
+        return (
+            self.desc == other.desc
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.desc, tuple(sorted(self.coeffs.items()))))
+        return hash((self.desc, self._den, tuple(sorted(self._nums.items()))))
 
     def lambda_zero_part(self) -> Fraction:
         """Coefficient at lam^0 log^0: the non-equivariant limit of the scalar."""
-        return self.coeffs.get((0, 0), _ZERO)
+        return self.coefficient(0, 0)
+
+    def _terms(self) -> list[tuple[tuple[int, int], Fraction]]:
+        den = self._den
+        return [(key, Fraction(c, den)) for key, c in sorted(self._nums.items())]
 
     def to_json_dict(self) -> dict[str, str]:
         """Canonical rendering: keys 'a' (or 'a|b' with log powers) to rationals."""
         out = {}
-        for (a, b), c in sorted(self.coeffs.items()):
+        for (a, b), c in self._terms():
             key = str(a) if b == 0 else f"{a}|{b}"
             out[key] = str(c)
         return out
@@ -207,10 +281,10 @@ class LambdaScalar:
         return cls(desc, coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._nums:
             return "0"
         bits = []
-        for (a, b), c in sorted(self.coeffs.items()):
+        for (a, b), c in self._terms():
             term = str(c)
             if a:
                 term += f"*lam^{a}"
@@ -221,7 +295,12 @@ class LambdaScalar:
 
 
 class CohElement:
-    """An element of Q[P]/(P^n): n scalar coordinates in the basis 1, P, ..., P^(n-1)."""
+    """An element of Q[P]/(P^n): n scalar coordinates in the basis 1, P, ..., P^(n-1).
+
+    A product component is truncated when one of its scalar products or sums
+    is, and also when a factor has a zero but truncated component at or below
+    its degree in P: that zero stands for an unknown term below the floor.
+    """
 
     __slots__ = ("desc", "components")
 
@@ -271,7 +350,7 @@ class CohElement:
         return any(c.truncated for c in self.components)
 
     def _check(self, other: "CohElement") -> None:
-        if self.desc != other.desc:
+        if self.desc is not other.desc and self.desc != other.desc:
             raise DescriptorMismatchError("elements over different ring descriptors")
 
     # -- arithmetic ----------------------------------------------------------
@@ -292,22 +371,39 @@ class CohElement:
         return CohElement(self.desc, (-a for a in self.components))
 
     def __mul__(self, other) -> "CohElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if isinstance(other, LambdaScalar):
             return CohElement(self.desc, (c * other for c in self.components))
+        if not isinstance(other, CohElement):
+            return self.scale(other)
         self._check(other)
-        n = self.desc.n
-        out = [LambdaScalar.zero(self.desc) for _ in range(n)]
+        desc = self.desc
+        n = desc.n
+        # A zero but truncated component stands for an unknown below-floor
+        # term, so every slot it reaches, its own degree in P and above, is
+        # truncated.  Other zero components are skipped.
+        tainted = min(
+            (k for comps in (self.components, other.components)
+             for k, c in enumerate(comps) if c.truncated and not c._nums),
+            default=n,
+        )
+        out: list[LambdaScalar | None] = [None] * n
         for i, a in enumerate(self.components):
-            if a.is_zero():
+            if not a._nums:
                 continue
             for j in range(n - i):
                 b = other.components[j]
-                if b.is_zero():
+                if not b._nums:
                     continue
-                out[i + j] = out[i + j] + a * b
-        return CohElement(self.desc, out)
+                prod = a * b
+                slot = out[i + j]
+                out[i + j] = prod if slot is None else slot + prod
+        for k in range(n):
+            slot = out[k]
+            if slot is None:
+                out[k] = LambdaScalar._make(desc, {}, 1, k >= tainted)
+            elif k >= tainted and not slot.truncated:
+                out[k] = LambdaScalar._make(desc, slot._nums, slot._den, True)
+        return CohElement(desc, out)
 
     __rmul__ = __mul__
 

@@ -213,9 +213,8 @@ def exp_constant_scalar(c: LambdaScalar) -> LambdaScalar:
     desc = c.desc
     if c.is_zero():
         return LambdaScalar.one(desc)
-    items = dict(c.coeffs)
-    log_coeff = items.pop((0, 1), Fraction(0))
-    if items:
+    log_coeff = c.coefficient(0, 1)
+    if not (c - LambdaScalar.log_lambda(desc, log_coeff)).is_zero():
         raise EngineError(
             "constant exponent is not a multiple of log(lam); cannot exponentiate exactly"
         )

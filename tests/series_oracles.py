@@ -5,7 +5,9 @@ definition that the kernel replaces: power sums for exp and 1/f, the
 fixed-point iteration u = q' * lam^(-k) * exp(-tail(u)) for the inverse
 Novikov map, and a from-scratch product of all linear factors for every slice
 of the hypergeometric modification and of the Serre-dual twist, whose finite
-product identity is expanded on both sides for every root and degree.
+product identity is expanded on both sides for every root and degree.  The
+scalar kernel is checked against ``FractionScalar`` and ``fraction_coh_mul``,
+the Fraction-dict arithmetic that the fraction-free ``LambdaScalar`` replaced.
 """
 
 from fractions import Fraction
@@ -120,3 +122,79 @@ def serre_dual_i_from_scratch(J: ZSeries, bundle):
                     first_failure = (i, d)
         out[d] = _row_times(desc, J.slices[d], _factor_product(desc, factors), sign)
     return ZSeries(desc, J.max_degree, out, REDUCED), first_failure is None, first_failure
+
+
+class FractionScalar:
+    """A lam-Laurent scalar as a dict {(lam_exp, log_exp): Fraction}, one Fraction per term.
+
+    Terms below the floor or past the log cap are dropped after each result is
+    summed, and the drop of a nonzero term sets the sticky ``truncated`` flag.
+    """
+
+    def __init__(self, desc, coeffs=None, truncated=False):
+        self.desc = desc
+        clean = {}
+        dropped = False
+        for (a, b), c in (coeffs or {}).items():
+            c = Fraction(c)
+            if c == 0:
+                continue
+            if a < -desc.lambda_floor or b > desc.log_cap:
+                dropped = True
+                continue
+            clean[(a, b)] = c
+        self.coeffs = clean
+        self.truncated = truncated or dropped
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return FractionScalar(self.desc, out, self.truncated or other.truncated)
+
+    def __neg__(self):
+        return FractionScalar(
+            self.desc, {k: -c for k, c in self.coeffs.items()}, self.truncated
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for (a1, b1), c1 in self.coeffs.items():
+            for (a2, b2), c2 in other.coeffs.items():
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return FractionScalar(self.desc, out, self.truncated or other.truncated)
+
+    def scale(self, value):
+        return FractionScalar(
+            self.desc, {k: c * value for k, c in self.coeffs.items()}, self.truncated
+        )
+
+    def to_json_dict(self):
+        return {
+            (str(a) if b == 0 else f"{a}|{b}"): str(c)
+            for (a, b), c in sorted(self.coeffs.items())
+        }
+
+
+def fraction_coh_mul(desc, a, b):
+    """Product in Q[P]/(P^n) of component lists of FractionScalar.
+
+    A zero component is skipped even when it is truncated, so its flag does
+    not reach the product.
+    """
+    n = desc.n
+    out = [FractionScalar(desc) for _ in range(n)]
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j in range(n - i):
+            if not b[j].is_zero():
+                out[i + j] = out[i + j] + x * b[j]
+    return out

@@ -88,6 +88,17 @@ def test_instantons_refuse_non_calabi_yau_configs(tmp_path, degrees, mode):
     assert "instantons" in error["message"]
 
 
+def test_instantons_refuse_max_degree_zero(tmp_path):
+    out = tmp_path / "out.json"
+    zero = write_config(tmp_path, dict(QUINTIC_CONFIG, max_degree=0))
+    via_flag = write_config(tmp_path, QUINTIC_CONFIG, name="flag.json")
+    for argv in (["--config", zero], ["--config", via_flag, "--degree", "0"]):
+        assert main(["compute", *argv, "--output", str(out)]) == 2
+        error = json.loads(out.read_text())["error"]
+        assert error["type"] == "ConfigError"
+        assert "max_degree >= 1" in error["message"]
+
+
 def test_mirror_and_instantons_factor_once(tmp_path, monkeypatch):
     original, calls = cli.small_mirror, []
 

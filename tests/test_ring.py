@@ -46,6 +46,22 @@ def test_coh_mul_mixed_scalar():
     assert out.component(2).is_zero()
 
 
+def test_zero_but_truncated_factor_taints_the_product():
+    desc = RingDescriptor(n=2, lambda_floor=2)
+    lost = LambdaScalar.lam_power(desc, -3)  # below the floor: stored as 0, truncated
+    zero = LambdaScalar.zero(desc)
+    a = CohElement(desc, [lost, zero])
+    b = CohElement(desc, [LambdaScalar.lam_power(desc, 2), zero])
+    # The true product is lam^-1 in slot 0, itself below the floor.
+    for prod in (a * b, b * a):
+        assert prod.is_zero()
+        assert prod.truncated
+        assert prod.component(0).truncated and prod.component(1).truncated
+    prod = b * CohElement(desc, [zero, lost])
+    assert not prod.component(0).truncated
+    assert prod.component(1).truncated
+
+
 def test_integrate():
     desc = RingDescriptor(n=5, lambda_floor=1)
     assert integrate(CohElement.p_power(desc, 4)).as_rational() == 1

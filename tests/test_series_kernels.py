@@ -36,7 +36,7 @@ LAURENT = RingDescriptor(n=2, lambda_floor=60)
 
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
-KERNELS = settings(max_examples=60, deadline=None)
+KERNELS = settings(max_examples=60)
 
 
 def scalars(desc):

@@ -104,18 +104,6 @@ def multiplication_operator(
     return columns
 
 
-def apply_linear(T: dict[Index, Vector], f: Vector) -> Vector:
-    out: Vector = {}
-    for idx, c in f.items():
-        for jdx, t in T.get(idx, {}).items():
-            v = out.get(jdx, Fraction(0)) + t * c
-            if v:
-                out[jdx] = v
-            else:
-                out.pop(jdx, None)
-    return out
-
-
 def is_infinitesimal_symplectic(space: DarbouxSpace, T: dict[Index, Vector]) -> bool:
     basis = space.indices()
     for i in basis:

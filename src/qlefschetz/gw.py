@@ -145,8 +145,7 @@ def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
     for a, T in enumerate(frame):
         for d, row in T.slices.items():
             for ze, el in row.items():
-                for b in range(n):
-                    c = el.component(b)
+                for b, c in enumerate(el.components):
                     if c.is_zero():
                         continue
                     cell = entries[b][a]

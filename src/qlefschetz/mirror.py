@@ -130,9 +130,7 @@ def _violations(
 ) -> list[tuple[int, int]]:
     out = []
     for ze in sorted((z for z in row if z >= 0), reverse=True):
-        el = row[ze]
-        for p in range(desc.n):
-            c = el.component(p)
+        for p, c in enumerate(row[ze].components):
             if d == 0 and ze == 0 and p == 0:
                 if not (c - LambdaScalar.one(desc)).is_zero():
                     out.append((ze, p))
@@ -386,10 +384,8 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
         if d == 0:
             continue
         el = row.get(0)
-        if el is not None:
-            for p in range(1, desc.n):
-                if not el.component(p).is_zero():
-                    raise UnitError("z^0 slot carries classes above degree 2")
+        if el is not None and not all(c.is_zero() for c in el.components[1:]):
+            raise UnitError("z^0 slot carries classes above degree 2")
 
     J1 = I.scale_qseries(_slot_series(I, 0, 0).invert())
 
@@ -445,8 +441,7 @@ def extract_instantons(M: MirrorResult, d_max: int) -> list[int]:
         row = J.slice(m)
         coeffs: list[Fraction] = [Fraction(0)] * desc.n
         for ze, el in row.items():
-            for p in range(desc.n):
-                c = el.component(p)
+            for p, c in enumerate(el.components):
                 if c.is_zero():
                     continue
                 if ze != -p:

@@ -7,9 +7,11 @@ configured floor -L are dropped and the drop is recorded on the value, so
 exact identities (zero residual, no truncation flag) are distinguishable
 from identities that only hold modulo the floor.
 
-Scalars are fraction-free: integer numerators over one common denominator,
-reduced once per arithmetic result, so the inner loops multiply and add
-plain ints and take one gcd per result instead of one per term.
+Values are fraction-free: a scalar is one map of integer numerators over one
+common denominator, and so is a class, whose keys carry the power of P next
+to the lam and log(lam) exponents.  Each arithmetic result is reduced once,
+so the inner loops multiply and add plain ints and take one gcd per result
+instead of one per term, and a class product builds no scalar objects.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Iterable, Mapping
 from .errors import DescriptorMismatchError, InsufficientFloorError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _new = object.__new__
 
 
@@ -48,12 +49,41 @@ class RingDescriptor:
             raise ValueError("log_cap must be >= 0")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact rational."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums/den in lowest terms: one gcd over the denominator and every numerator."""
+    if den != 1:
+        g = gcd(den, *nums.values())  # den itself when nums is empty
+        if g != 1:
+            return {k: c // g for k, c in nums.items()}, den // g
+    return nums, den
+
+
+def _add_nums(an: dict, ad: int, bn: dict, bd: int) -> tuple[dict, int]:
+    """an/ad + bn/bd over the lcm of the denominators, dropping cancelled keys."""
+    g = gcd(ad, bd)
+    fa, fb = bd // g, ad // g  # lcm = ad * fa = bd * fb
+    out = dict(an) if fa == 1 else {k: c * fa for k, c in an.items()}
+    for key, c in bn.items():
+        s = out.get(key, 0) + c * fb
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out, ad * fa
+
+
+def _render(terms, den: int) -> dict[str, str]:
+    """((lam_exp, log_exp), numerator) terms over den as JSON: 'a' or 'a|b' to rationals."""
+    return {(str(a) if b == 0 else f"{a}|{b}"): str(Fraction(c, den)) for (a, b), c in terms}
 
 
 class LambdaScalar:
@@ -63,9 +93,9 @@ class LambdaScalar:
     (lam_exponent, log_exponent) over one positive common denominator, in
     lowest terms (the gcd of the denominator and all numerators is 1, and no
     numerator is zero), so equal values have equal representations.  Every
-    arithmetic result is built by ``_make``, which reduces once per result;
-    ``__init__`` validates rationals from outside.  Coefficients read back as
-    ``Fraction``.
+    arithmetic result and every constant is built by ``_make``, which reduces
+    once per result; ``__init__`` validates rationals from outside.
+    Coefficients read back as ``Fraction``.
 
     The ``truncated`` flag is sticky: it propagates through arithmetic and
     records that some operation dropped a nonzero term below the floor (or
@@ -81,23 +111,23 @@ class LambdaScalar:
         coeffs: Mapping[tuple[int, int], Fraction] | None = None,
         truncated: bool = False,
     ) -> None:
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], tuple[int, int]] = {}
         dropped = False
         if coeffs:
             for (a, b), c in coeffs.items():
-                c = _as_fraction(c)
-                if c == 0:
+                num, den = _ratio(c)
+                if not num:
                     continue
                 if b < 0:
                     raise ValueError("log(lam) exponents must be >= 0")
                 if a < -desc.lambda_floor or b > desc.log_cap:
                     dropped = True
                     continue
-                clean[(a, b)] = c
+                clean[(a, b)] = num, den
         # Over the lcm of lowest-terms denominators the numerators are coprime to it.
-        den = lcm(*(c.denominator for c in clean.values()))
+        den = lcm(*(d for _, d in clean.values()))
         self.desc = desc
-        self._nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._nums = {k: num * (den // d) for k, (num, d) in clean.items()}
         self._den = den
         self.truncated = truncated or dropped
 
@@ -106,19 +136,23 @@ class LambdaScalar:
         cls, desc: RingDescriptor, nums: dict, den: int, truncated: bool
     ) -> "LambdaScalar":
         """Trusted constructor: nonzero in-range numerators over den > 0, reduced here."""
-        if den != 1:
-            g = gcd(den, *nums.values())  # den itself when nums is empty
-            if g != 1:
-                den //= g
-                nums = {k: c // g for k, c in nums.items()}
         out = _new(cls)
         out.desc = desc
-        out._nums = nums
-        out._den = den
+        out._nums, out._den = _lowest(nums, den)
         out.truncated = truncated
         return out
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _monomial(cls, desc: RingDescriptor, a: int, b: int, coeff) -> "LambdaScalar":
+        """coeff * lam^a * log(lam)^b; a truncated zero when the key is out of range."""
+        num, den = _ratio(coeff)
+        if not num:
+            return cls._make(desc, {}, 1, False)
+        if a < -desc.lambda_floor or b > desc.log_cap:
+            return cls._make(desc, {}, 1, True)
+        return cls._make(desc, {(a, b): num}, den, False)
 
     @classmethod
     def zero(cls, desc: RingDescriptor) -> "LambdaScalar":
@@ -126,19 +160,19 @@ class LambdaScalar:
 
     @classmethod
     def one(cls, desc: RingDescriptor) -> "LambdaScalar":
-        return cls(desc, {(0, 0): _ONE})
+        return cls._make(desc, {(0, 0): 1}, 1, False)
 
     @classmethod
     def from_rational(cls, desc: RingDescriptor, value) -> "LambdaScalar":
-        return cls(desc, {(0, 0): _as_fraction(value)})
+        return cls._monomial(desc, 0, 0, value)
 
     @classmethod
     def lam_power(cls, desc: RingDescriptor, exponent: int, coeff=1) -> "LambdaScalar":
-        return cls(desc, {(exponent, 0): _as_fraction(coeff)})
+        return cls._monomial(desc, exponent, 0, coeff)
 
     @classmethod
     def log_lambda(cls, desc: RingDescriptor, coeff=1) -> "LambdaScalar":
-        return cls(desc, {(0, 1): _as_fraction(coeff)})
+        return cls._monomial(desc, 0, 1, coeff)
 
     # -- predicates ----------------------------------------------------------
 
@@ -172,19 +206,8 @@ class LambdaScalar:
             return self
         if not self._nums and other.truncated == truncated:
             return other
-        # Both sides over the lcm of the denominators: den = da * fa = db * fb.
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        out = dict(self._nums) if fa == 1 else {k: c * fa for k, c in self._nums.items()}
-        for key, c in other._nums.items():
-            s = out.get(key, 0) + c * fb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        den = da * fa
-        return LambdaScalar._make(self.desc, out, den, truncated)
+        nums, den = _add_nums(self._nums, self._den, other._nums, other._den)
+        return LambdaScalar._make(self.desc, nums, den, truncated)
 
     def __sub__(self, other: "LambdaScalar") -> "LambdaScalar":
         return self + (-other)
@@ -229,11 +252,7 @@ class LambdaScalar:
     __rmul__ = __mul__
 
     def scale(self, value) -> "LambdaScalar":
-        if isinstance(value, int):
-            p, q = value, 1
-        else:
-            value = _as_fraction(value)
-            p, q = value.numerator, value.denominator
+        p, q = _ratio(value)
         if not p:
             return LambdaScalar._make(self.desc, {}, 1, self.truncated)
         return LambdaScalar._make(
@@ -263,11 +282,7 @@ class LambdaScalar:
 
     def to_json_dict(self) -> dict[str, str]:
         """Canonical rendering: keys 'a' (or 'a|b' with log powers) to rationals."""
-        out = {}
-        for (a, b), c in self._terms():
-            key = str(a) if b == 0 else f"{a}|{b}"
-            out[key] = str(c)
-        return out
+        return _render(sorted(self._nums.items()), self._den)
 
     @classmethod
     def from_json_dict(cls, desc: RingDescriptor, data: Mapping[str, str]) -> "LambdaScalar":
@@ -295,138 +310,219 @@ class LambdaScalar:
 
 
 class CohElement:
-    """An element of Q[P]/(P^n): n scalar coordinates in the basis 1, P, ..., P^(n-1).
+    """An element of Q[P]/(P^n), the sum over p < n of component(p) * P^p.
 
-    A product component is truncated when one of its scalar products or sums
-    is, and also when a factor has a zero but truncated component at or below
-    its degree in P: that zero stands for an unknown term below the floor.
+    The value is stored flat: one map of integer numerators keyed by
+    (p, lam_exponent, log_exponent) over one positive common denominator, in
+    lowest terms as for ``LambdaScalar``, so ``==`` and ``hash`` depend only
+    on the value.  Each P-slot has its own truncated flag, bit p of the mask
+    ``_trunc``; ``component(p)`` returns the slot as a ``LambdaScalar``.
+
+    Slot k of a product is truncated when a product of two nonzero
+    components with i + j = k drops a term below the floor or past the log
+    cap, or has a truncated member, and also when a factor has a zero but
+    truncated component at or below k: that zero stands for an unknown term
+    below the floor.  A truncated scalar factor marks every slot.
     """
 
-    __slots__ = ("desc", "components")
+    __slots__ = ("desc", "_nums", "_den", "_trunc")
 
     def __init__(self, desc: RingDescriptor, components: Iterable[LambdaScalar]) -> None:
         comps = tuple(components)
         if len(comps) != desc.n:
             raise ValueError(f"expected {desc.n} components, got {len(comps)}")
+        # Over the lcm of lowest-terms denominators the numerators are coprime to it.
+        den = lcm(*(c._den for c in comps))
         self.desc = desc
-        self.components = comps
+        self._nums = {
+            (p, a, b): num * (den // c._den)
+            for p, c in enumerate(comps) for (a, b), num in c._nums.items()
+        }
+        self._den = den
+        self._trunc = sum(1 << p for p, c in enumerate(comps) if c.truncated)
+
+    @classmethod
+    def _make(cls, desc: RingDescriptor, nums: dict, den: int, trunc: int) -> "CohElement":
+        """Trusted constructor: nonzero in-range numerators over den > 0, reduced here."""
+        out = _new(cls)
+        out.desc = desc
+        out._nums, out._den = _lowest(nums, den)
+        out._trunc = trunc
+        return out
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, desc: RingDescriptor) -> "CohElement":
-        z = LambdaScalar.zero(desc)
-        return cls(desc, (z,) * desc.n)
+        return cls._make(desc, {}, 1, 0)
 
     @classmethod
     def one(cls, desc: RingDescriptor) -> "CohElement":
-        comps = [LambdaScalar.one(desc)] + [LambdaScalar.zero(desc)] * (desc.n - 1)
-        return cls(desc, comps)
+        return cls._make(desc, {(0, 0, 0): 1}, 1, 0)
 
     @classmethod
     def p_power(cls, desc: RingDescriptor, k: int, coeff=1) -> "CohElement":
         """coeff * P^k, which is zero when k >= n."""
-        comps = [LambdaScalar.zero(desc) for _ in range(desc.n)]
-        if 0 <= k < desc.n:
-            comps[k] = LambdaScalar.from_rational(desc, coeff)
-        return cls(desc, comps)
+        num, den = _ratio(coeff)
+        if not (num and 0 <= k < desc.n):
+            return cls._make(desc, {}, 1, 0)
+        return cls._make(desc, {(k, 0, 0): num}, den, 0)
 
     @classmethod
     def from_scalar(cls, scalar: LambdaScalar) -> "CohElement":
-        desc = scalar.desc
-        comps = [scalar] + [LambdaScalar.zero(desc)] * (desc.n - 1)
-        return cls(desc, comps)
+        nums = {(0, a, b): c for (a, b), c in scalar._nums.items()}
+        return cls._make(scalar.desc, nums, scalar._den, int(scalar.truncated))
 
     # -- structure -----------------------------------------------------------
 
     def component(self, k: int) -> LambdaScalar:
-        return self.components[k]
+        if not 0 <= k < self.desc.n:
+            raise IndexError(f"no P^{k} slot in Q[P]/(P^{self.desc.n})")
+        nums = {(a, b): c for (p, a, b), c in self._nums.items() if p == k}
+        return LambdaScalar._make(self.desc, nums, self._den, bool(self._trunc >> k & 1))
+
+    @property
+    def components(self) -> tuple[LambdaScalar, ...]:
+        """All n components, split off in one pass."""
+        desc = self.desc
+        parts: list[dict] = [{} for _ in range(desc.n)]
+        for (p, a, b), c in self._nums.items():
+            parts[p][(a, b)] = c
+        return tuple(
+            LambdaScalar._make(desc, part, self._den, bool(self._trunc >> p & 1))
+            for p, part in enumerate(parts)
+        )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self._nums
 
     @property
     def truncated(self) -> bool:
-        return any(c.truncated for c in self.components)
+        return bool(self._trunc)
 
-    def _check(self, other: "CohElement") -> None:
+    def _check(self, other) -> None:
         if self.desc is not other.desc and self.desc != other.desc:
             raise DescriptorMismatchError("elements over different ring descriptors")
+
+    def _slots(self) -> int:
+        """Mask of the nonzero P-slots."""
+        return sum(1 << p for p in {key[0] for key in self._nums})
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "CohElement") -> "CohElement":
         self._check(other)
-        return CohElement(
-            self.desc, (a + b for a, b in zip(self.components, other.components))
-        )
+        trunc = self._trunc | other._trunc
+        if not other._nums and trunc == self._trunc:
+            return self
+        if not self._nums and trunc == other._trunc:
+            return other
+        nums, den = _add_nums(self._nums, self._den, other._nums, other._den)
+        return CohElement._make(self.desc, nums, den, trunc)
 
     def __sub__(self, other: "CohElement") -> "CohElement":
-        self._check(other)
-        return CohElement(
-            self.desc, (a - b for a, b in zip(self.components, other.components))
-        )
+        return self + (-other)
 
     def __neg__(self) -> "CohElement":
-        return CohElement(self.desc, (-a for a in self.components))
+        return CohElement._make(
+            self.desc, {k: -c for k, c in self._nums.items()}, self._den, self._trunc
+        )
 
     def __mul__(self, other) -> "CohElement":
         if isinstance(other, LambdaScalar):
-            return CohElement(self.desc, (c * other for c in self.components))
+            return self.scale_scalar(other)
         if not isinstance(other, CohElement):
             return self.scale(other)
         self._check(other)
-        desc = self.desc
-        n = desc.n
-        # A zero but truncated component stands for an unknown below-floor
-        # term, so every slot it reaches, its own degree in P and above, is
-        # truncated.  Other zero components are skipped.
-        tainted = min(
-            (k for comps in (self.components, other.components)
-             for k, c in enumerate(comps) if c.truncated and not c._nums),
-            default=n,
-        )
-        out: list[LambdaScalar | None] = [None] * n
-        for i, a in enumerate(self.components):
-            if not a._nums:
-                continue
-            for j in range(n - i):
-                b = other.components[j]
-                if not b._nums:
-                    continue
-                prod = a * b
-                slot = out[i + j]
-                out[i + j] = prod if slot is None else slot + prod
-        for k in range(n):
-            slot = out[k]
-            if slot is None:
-                out[k] = LambdaScalar._make(desc, {}, 1, k >= tainted)
-            elif k >= tainted and not slot.truncated:
-                out[k] = LambdaScalar._make(desc, slot._nums, slot._den, True)
-        return CohElement(desc, out)
+        nums, trunc = self._times(sorted(other._nums.items()))
+        if self._trunc or other._trunc:
+            trunc |= self._spread(other)
+        return CohElement._make(self.desc, nums, self._den * other._den, trunc)
 
     __rmul__ = __mul__
 
+    def _times(self, right: list) -> tuple[dict, int]:
+        """Products of this class's terms with the terms ``right``, summed per key.
+
+        ``right`` holds ((p, lam_exp, log_exp), numerator) pairs sorted by p,
+        so P^n = 0 ends each scan.  Returns the kept numerators and the mask
+        of slots that had a key below the floor or past the log cap: some
+        product of two components reaching such a slot dropped a nonzero
+        term, since its lowest lam and highest log(lam) terms never cancel.
+        """
+        desc = self.desc
+        n, floor, cap = desc.n, -desc.lambda_floor, desc.log_cap
+        out: dict[tuple[int, int, int], int] = {}
+        get = out.get
+        for (i, a1, b1), c1 in self._nums.items():
+            room = n - i
+            for (j, a2, b2), c2 in right:
+                if j >= room:
+                    break
+                key = (i + j, a1 + a2, b1 + b2)
+                out[key] = get(key, 0) + c1 * c2
+        nums = {}
+        dropped = 0
+        for key, c in out.items():
+            if key[1] < floor or key[2] > cap:
+                dropped |= 1 << key[0]
+            elif c:
+                nums[key] = c
+        return nums, dropped
+
+    def _spread(self, other: "CohElement") -> int:
+        """Product slots that inherit a flag from the factors' truncated slots."""
+        full = (1 << self.desc.n) - 1
+        a_nz, b_nz = self._slots(), other._slots()
+        out = 0
+        for i in range(self.desc.n):
+            if a_nz >> i & 1:
+                out |= (b_nz if self._trunc >> i & 1 else b_nz & other._trunc) << i
+        # A zero but truncated slot reaches every slot at or above its own.
+        lost = (self._trunc & ~a_nz) | (other._trunc & ~b_nz)
+        if lost:
+            out |= -(lost & -lost)
+        return out & full
+
     def scale(self, value) -> "CohElement":
-        return CohElement(self.desc, (c.scale(value) for c in self.components))
+        p, q = _ratio(value)
+        if not p:
+            return CohElement._make(self.desc, {}, 1, self._trunc)
+        return CohElement._make(
+            self.desc, {k: c * p for k, c in self._nums.items()}, self._den * q,
+            self._trunc,
+        )
 
     def scale_scalar(self, scalar: LambdaScalar) -> "CohElement":
-        return CohElement(self.desc, (c * scalar for c in self.components))
+        self._check(scalar)
+        nums, trunc = self._times([((0, a, b), c) for (a, b), c in scalar._nums.items()])
+        # A truncated scalar is an unknown term below the floor in every slot.
+        trunc = (1 << self.desc.n) - 1 if scalar.truncated else trunc | self._trunc
+        return CohElement._make(self.desc, nums, self._den * scalar._den, trunc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
             return NotImplemented
-        return self.desc == other.desc and self.components == other.components
+        return (
+            self.desc == other.desc
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.desc, self.components))
+        return hash((self.desc, self._den, frozenset(self._nums.items())))
+
+    def to_json_dict(self) -> dict[str, dict[str, str]]:
+        """Canonical rendering: each nonzero P-exponent to the rendering of its slot."""
+        slots: dict[int, list] = {}
+        for (p, a, b), c in sorted(self._nums.items()):
+            slots.setdefault(p, []).append(((a, b), c))
+        return {str(p): _render(terms, self._den) for p, terms in slots.items()}
 
     def lambda_zero_part(self) -> "CohElement":
-        """Keep only lam^0 log^0 coefficients (the non-equivariant limit)."""
-        comps = []
-        for c in self.components:
-            comps.append(LambdaScalar(self.desc, {(0, 0): c.lambda_zero_part()}))
-        return CohElement(self.desc, comps)
+        """Keep only lam^0 log^0 coefficients (the non-equivariant limit), unflagged."""
+        nums = {k: c for k, c in self._nums.items() if k[1] == 0 and k[2] == 0}
+        return CohElement._make(self.desc, nums, self._den, 0)
 
     def __repr__(self) -> str:
         bits = []
@@ -490,7 +586,7 @@ class BundleSpec:
 
 def integrate(a: CohElement) -> LambdaScalar:
     """Evaluation against the fundamental class: the coefficient of P^(n-1)."""
-    return a.components[a.desc.n - 1]
+    return a.component(a.desc.n - 1)
 
 
 def twisted_pairing(a: CohElement, b: CohElement, bundle: BundleSpec) -> LambdaScalar:

@@ -294,9 +294,8 @@ class ZSeries:
         """Smallest (d, z_exp, P_exp) with a nonzero scalar, or None."""
         for d in sorted(self.slices):
             for ze in sorted(self.slices[d]):
-                el = self.slices[d][ze]
-                for p in range(self.desc.n):
-                    if not el.component(p).is_zero():
+                for p, c in enumerate(self.slices[d][ze].components):
+                    if not c.is_zero():
                         return (d, ze, p)
         return None
 
@@ -341,9 +340,6 @@ class ZSeries:
 
     def scale_scalar(self, scalar: LambdaScalar) -> "ZSeries":
         return self.map_coefficients(lambda el: el.scale_scalar(scalar))
-
-    def scale_class(self, cls_el: CohElement) -> "ZSeries":
-        return self.map_coefficients(lambda el: el * cls_el)
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
         """Multiply by a scalar q-series."""
@@ -435,25 +431,30 @@ class ZSeries:
         raise EngineError("exponential did not terminate; argument is not small")
 
     def compose_novikov(self, inner: QSeries) -> "ZSeries":
-        """Substitute q = inner(q') and re-expand; inner must have valuation >= 1."""
+        """Substitute q = inner(q') and re-expand; inner must have valuation >= 1.
+
+        Each slice_d * [q'^m] inner^d is added straight into row m of the result.
+        """
         if self.desc != inner.desc or self.max_degree != inner.max_degree:
             raise DescriptorMismatchError("substitution series does not match")
         if not inner.valuation_at_least(1):
             raise ValueError("substitution requires valuation >= 1")
-        out = ZSeries(
-            self.desc, self.max_degree, {0: self.slice(0)} if 0 in self.slices else None,
-            self.convention,
-        )
+        out = {0: self.slice(0)}
         power = QSeries.one(self.desc, self.max_degree)
         for d in range(1, self.max_degree + 1):
             power = power * inner
             if power.is_zero():
                 break
-            if d not in self.slices:
+            row = self.slices.get(d)
+            if row is None:
                 continue
-            piece = ZSeries(self.desc, self.max_degree, {0: self.slices[d]}, self.convention)
-            out = out + piece.scale_qseries(power)
-        return out
+            for m, c in power.coeffs.items():
+                tgt = out.setdefault(m, {})
+                for ze, el in row.items():
+                    delta = el.scale_scalar(c)
+                    old = tgt.get(ze)
+                    tgt[ze] = delta if old is None else old + delta
+        return ZSeries(self.desc, self.max_degree, out, self.convention)
 
     # -- serialization ------------------------------------------------------------
 
@@ -462,13 +463,7 @@ class ZSeries:
         for d in sorted(self.slices):
             row: dict[str, dict] = {}
             for ze in sorted(self.slices[d]):
-                el = self.slices[d][ze]
-                pmap: dict[str, dict[str, str]] = {}
-                for p in range(self.desc.n):
-                    comp = el.component(p)
-                    if comp.is_zero():
-                        continue
-                    pmap[str(p)] = comp.to_json_dict()
+                pmap = self.slices[d][ze].to_json_dict()
                 if pmap:
                     row[str(ze)] = pmap
             if row:

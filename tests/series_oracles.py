@@ -7,7 +7,10 @@ Novikov map, and a from-scratch product of all linear factors for every slice
 of the hypergeometric modification and of the Serre-dual twist, whose finite
 product identity is expanded on both sides for every root and degree.  The
 scalar kernel is checked against ``FractionScalar`` and ``fraction_coh_mul``,
-the Fraction-dict arithmetic that the fraction-free ``LambdaScalar`` replaced.
+the Fraction-dict arithmetic that the fraction-free ``LambdaScalar`` replaced,
+and the flat class kernel against ``scalar_coh_mul``, the slot-by-slot
+``LambdaScalar`` product it replaced.  ``compose_novikov_per_degree`` is the
+substitution q = inner(q') built from one series per degree.
 """
 
 from fractions import Fraction
@@ -49,6 +52,21 @@ def inverse_map_fixed_point(tau: QSeries) -> QSeries:
     for _ in range(D + 1):
         u = shift * exp_power_sum(-tail.compose(u))
     return u
+
+
+def compose_novikov_per_degree(f: ZSeries, inner: QSeries) -> ZSeries:
+    """Substitute q = inner(q'): slice_d times inner^d as one series per degree, summed."""
+    desc, D = f.desc, f.max_degree
+    out = ZSeries(desc, D, {0: f.slice(0)}, f.convention)
+    power = QSeries.one(desc, D)
+    for d in range(1, D + 1):
+        power = power * inner
+        if power.is_zero():
+            break
+        if d in f.slices:
+            piece = ZSeries(desc, D, {0: f.slices[d]}, f.convention)
+            out = out + piece.scale_qseries(power)
+    return out
 
 
 def _root(desc, l, equivariant):
@@ -198,3 +216,24 @@ def fraction_coh_mul(desc, a, b):
             if not b[j].is_zero():
                 out[i + j] = out[i + j] + x * b[j]
     return out
+
+
+def scalar_coh_mul(desc, a, b):
+    """Product in Q[P]/(P^n) of component lists of LambdaScalar, slot by slot.
+
+    One scalar product per pair of nonzero components, summed per slot.  A
+    zero but truncated component of either factor marks every slot at or
+    above its own degree in P.
+    """
+    n = desc.n
+    lost = [k for comps in (a, b) for k, c in enumerate(comps) if c.is_zero() and c.truncated]
+    tainted = min(lost, default=n)
+    out = [LambdaScalar.zero(desc) for _ in range(n)]
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j in range(n - i):
+            if not b[j].is_zero():
+                out[i + j] = out[i + j] + x * b[j]
+    flag = LambdaScalar(desc, truncated=True)
+    return [s + flag if k >= tainted else s for k, s in enumerate(out)]

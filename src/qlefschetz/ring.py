@@ -7,11 +7,12 @@ configured floor -L are dropped and the drop is recorded on the value, so
 exact identities (zero residual, no truncation flag) are distinguishable
 from identities that only hold modulo the floor.
 
-Values are fraction-free: a scalar is one map of integer numerators over one
-common denominator, and so is a class, whose keys carry the power of P next
-to the lam and log(lam) exponents.  Each arithmetic result is reduced once,
-so the inner loops multiply and add plain ints and take one gcd per result
-instead of one per term, and a class product builds no scalar objects.
+Scalars and classes share one fraction-free storage format, ``_Terms``: one
+map of integer numerators keyed by (p, lam_exp, log_exp), the power of P
+next to the lam and log(lam) exponents, over one common denominator.  A
+scalar is a value with only the P^0 slot.  Each arithmetic result is reduced
+once, so the inner loops multiply and add plain ints and take one gcd per
+result instead of one per term, and a class product builds no scalar objects.
 """
 
 from __future__ import annotations
@@ -82,28 +83,140 @@ def _add_nums(an: dict, ad: int, bn: dict, bd: int) -> tuple[dict, int]:
 
 
 def _render(terms, den: int) -> dict[str, str]:
-    """((lam_exp, log_exp), numerator) terms over den as JSON: 'a' or 'a|b' to rationals."""
-    return {(str(a) if b == 0 else f"{a}|{b}"): str(Fraction(c, den)) for (a, b), c in terms}
+    """One slot's ((p, lam_exp, log_exp), numerator) terms over den as JSON: 'a' or 'a|b'."""
+    return {(str(a) if b == 0 else f"{a}|{b}"): str(Fraction(c, den)) for (_, a, b), c in terms}
 
 
-class LambdaScalar:
+class _Terms:
+    """The storage format shared by scalars and classes.
+
+    A value is one map of integer numerators keyed by (p, lam_exponent,
+    log_exponent) over one positive common denominator, in lowest terms: no
+    numerator is zero, every key lies inside the floor and the log cap, and
+    the gcd of the denominator and all numerators is 1, so ``==`` and
+    ``hash`` depend only on the value.  ``_trunc`` is the mask of truncated
+    P-slots.  Every arithmetic result and every constant is built by
+    ``_make``, which reduces once per result.  A subclass adds its
+    constructors, readers, product and truncation rule; values of two
+    different subclasses neither add nor compare equal.
+    """
+
+    __slots__ = ("desc", "_nums", "_den", "_trunc")
+
+    @classmethod
+    def _make(cls, desc: RingDescriptor, nums: dict, den: int, trunc: int):
+        """Trusted constructor: nonzero in-range numerators over den > 0, reduced here."""
+        out = _new(cls)
+        out.desc = desc
+        out._nums, out._den = _lowest(nums, den)
+        out._trunc = trunc
+        return out
+
+    @classmethod
+    def zero(cls, desc: RingDescriptor):
+        return cls._make(desc, {}, 1, 0)
+
+    @classmethod
+    def one(cls, desc: RingDescriptor):
+        return cls._make(desc, {(0, 0, 0): 1}, 1, 0)
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self._trunc)
+
+    def _check(self, other) -> None:
+        if self.desc is not other.desc and self.desc != other.desc:
+            raise DescriptorMismatchError("values over different ring descriptors")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        trunc = self._trunc | other._trunc
+        if not other._nums and trunc == self._trunc:
+            return self
+        if not self._nums and trunc == other._trunc:
+            return other
+        nums, den = _add_nums(self._nums, self._den, other._nums, other._den)
+        return self._make(self.desc, nums, den, trunc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make(
+            self.desc, {k: -c for k, c in self._nums.items()}, self._den, self._trunc
+        )
+
+    def scale(self, value):
+        p, q = _ratio(value)
+        if not p:
+            return self._make(self.desc, {}, 1, self._trunc)
+        return self._make(
+            self.desc, {k: c * p for k, c in self._nums.items()}, self._den * q, self._trunc
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.desc == other.desc
+            and self._den == other._den
+            and self._nums == other._nums
+        )
+
+    def __hash__(self):
+        return hash((self.desc, self._den, frozenset(self._nums.items())))
+
+    def _times(self, right) -> tuple[dict, int]:
+        """Products of this value's terms with the terms ``right``, summed per key.
+
+        ``right`` holds ((p, lam_exp, log_exp), numerator) pairs sorted by p,
+        so P^n = 0 ends each scan.  Returns the kept numerators and the mask
+        of slots that had a key below the floor or past the log cap: some
+        product of two components reaching such a slot dropped a nonzero
+        term, since its lowest lam and highest log(lam) terms never cancel.
+        """
+        desc = self.desc
+        n, floor, cap = desc.n, -desc.lambda_floor, desc.log_cap
+        out: dict[tuple[int, int, int], int] = {}
+        get = out.get
+        for (i, a1, b1), c1 in self._nums.items():
+            room = n - i
+            for (j, a2, b2), c2 in right:
+                if j >= room:
+                    break
+                key = (i + j, a1 + a2, b1 + b2)
+                out[key] = get(key, 0) + c1 * c2
+        nums = {}
+        dropped = 0
+        for key, c in out.items():
+            if key[1] < floor or key[2] > cap:
+                dropped |= 1 << key[0]
+            elif c:
+                nums[key] = c
+        return nums, dropped
+
+
+class LambdaScalar(_Terms):
     """A truncated Laurent polynomial in lam with formal log(lam) powers.
 
-    The value is stored fraction-free: integer numerators keyed by
-    (lam_exponent, log_exponent) over one positive common denominator, in
-    lowest terms (the gcd of the denominator and all numerators is 1, and no
-    numerator is zero), so equal values have equal representations.  Every
-    arithmetic result and every constant is built by ``_make``, which reduces
-    once per result; ``__init__`` validates rationals from outside.
-    Coefficients read back as ``Fraction``.
+    Stored in the ``_Terms`` format as a class with only the P^0 slot: its
+    keys are (0, lam_exponent, log_exponent) and ``_trunc`` is 0 or 1.
+    ``__init__`` validates rationals from outside; coefficients read back as
+    ``Fraction``.
 
     The ``truncated`` flag is sticky: it propagates through arithmetic and
     records that some operation dropped a nonzero term below the floor (or
-    above the log cap).  A product's terms are summed per key before the
-    floor is applied, so a below-floor key that cancels to zero drops nothing.
+    above the log cap).  A product of two nonzero scalars drops a nonzero
+    term exactly when one of its keys falls out of range, since its
+    lowest-lam and highest-log terms never cancel.
     """
 
-    __slots__ = ("desc", "_nums", "_den", "truncated")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -111,7 +224,7 @@ class LambdaScalar:
         coeffs: Mapping[tuple[int, int], Fraction] | None = None,
         truncated: bool = False,
     ) -> None:
-        clean: dict[tuple[int, int], tuple[int, int]] = {}
+        clean: dict[tuple[int, int, int], tuple[int, int]] = {}
         dropped = False
         if coeffs:
             for (a, b), c in coeffs.items():
@@ -123,24 +236,13 @@ class LambdaScalar:
                 if a < -desc.lambda_floor or b > desc.log_cap:
                     dropped = True
                     continue
-                clean[(a, b)] = num, den
+                clean[(0, a, b)] = num, den
         # Over the lcm of lowest-terms denominators the numerators are coprime to it.
         den = lcm(*(d for _, d in clean.values()))
         self.desc = desc
         self._nums = {k: num * (den // d) for k, (num, d) in clean.items()}
         self._den = den
-        self.truncated = truncated or dropped
-
-    @classmethod
-    def _make(
-        cls, desc: RingDescriptor, nums: dict, den: int, truncated: bool
-    ) -> "LambdaScalar":
-        """Trusted constructor: nonzero in-range numerators over den > 0, reduced here."""
-        out = _new(cls)
-        out.desc = desc
-        out._nums, out._den = _lowest(nums, den)
-        out.truncated = truncated
-        return out
+        self._trunc = 1 if truncated or dropped else 0
 
     # -- constructors -------------------------------------------------------
 
@@ -149,18 +251,10 @@ class LambdaScalar:
         """coeff * lam^a * log(lam)^b; a truncated zero when the key is out of range."""
         num, den = _ratio(coeff)
         if not num:
-            return cls._make(desc, {}, 1, False)
+            return cls._make(desc, {}, 1, 0)
         if a < -desc.lambda_floor or b > desc.log_cap:
-            return cls._make(desc, {}, 1, True)
-        return cls._make(desc, {(a, b): num}, den, False)
-
-    @classmethod
-    def zero(cls, desc: RingDescriptor) -> "LambdaScalar":
-        return cls._make(desc, {}, 1, False)
-
-    @classmethod
-    def one(cls, desc: RingDescriptor) -> "LambdaScalar":
-        return cls._make(desc, {(0, 0): 1}, 1, False)
+            return cls._make(desc, {}, 1, 1)
+        return cls._make(desc, {(0, a, b): num}, den, 0)
 
     @classmethod
     def from_rational(cls, desc: RingDescriptor, value) -> "LambdaScalar":
@@ -174,103 +268,21 @@ class LambdaScalar:
     def log_lambda(cls, desc: RingDescriptor, coeff=1) -> "LambdaScalar":
         return cls._monomial(desc, 0, 1, coeff)
 
-    # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._nums
+    # -- readers -------------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(key == (0, 0) for key in self._nums)
+        return all(key == (0, 0, 0) for key in self._nums)
 
     def as_rational(self) -> Fraction:
         if not self._nums:
             return _ZERO
         if not self.is_rational():
             raise ValueError(f"scalar is not a plain rational: {self}")
-        return Fraction(self._nums[(0, 0)], self._den)
+        return Fraction(self._nums[(0, 0, 0)], self._den)
 
     def coefficient(self, lam_exp: int, log_exp: int = 0) -> Fraction:
-        num = self._nums.get((lam_exp, log_exp))
+        num = self._nums.get((0, lam_exp, log_exp))
         return _ZERO if num is None else Fraction(num, self._den)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "LambdaScalar") -> None:
-        if self.desc is not other.desc and self.desc != other.desc:
-            raise DescriptorMismatchError("scalars over different ring descriptors")
-
-    def __add__(self, other: "LambdaScalar") -> "LambdaScalar":
-        self._check(other)
-        truncated = self.truncated or other.truncated
-        if not other._nums and self.truncated == truncated:
-            return self
-        if not self._nums and other.truncated == truncated:
-            return other
-        nums, den = _add_nums(self._nums, self._den, other._nums, other._den)
-        return LambdaScalar._make(self.desc, nums, den, truncated)
-
-    def __sub__(self, other: "LambdaScalar") -> "LambdaScalar":
-        return self + (-other)
-
-    def __neg__(self) -> "LambdaScalar":
-        return LambdaScalar._make(
-            self.desc, {k: -c for k, c in self._nums.items()}, self._den, self.truncated
-        )
-
-    def __mul__(self, other) -> "LambdaScalar":
-        if not isinstance(other, LambdaScalar):
-            return self.scale(other)
-        self._check(other)
-        desc = self.desc
-        truncated = self.truncated or other.truncated
-        floor, cap = -desc.lambda_floor, desc.log_cap
-        den = self._den * other._den
-        sn, on = self._nums, other._nums
-        if len(sn) == 1 == len(on):
-            # Monomial times monomial, the common case: one nonzero term.
-            ((a1, b1), c1), = sn.items()
-            ((a2, b2), c2), = on.items()
-            a, b = a1 + a2, b1 + b2
-            if a < floor or b > cap:
-                return LambdaScalar._make(desc, {}, 1, True)
-            return LambdaScalar._make(desc, {(a, b): c1 * c2}, den, truncated)
-        out: dict[tuple[int, int], int] = {}
-        get = out.get
-        for (a1, b1), c1 in sn.items():
-            for (a2, b2), c2 in on.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = get(key, 0) + c1 * c2
-        nums = {}
-        for key, c in out.items():
-            if c:
-                if key[0] < floor or key[1] > cap:
-                    truncated = True
-                else:
-                    nums[key] = c
-        return LambdaScalar._make(desc, nums, den, truncated)
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "LambdaScalar":
-        p, q = _ratio(value)
-        if not p:
-            return LambdaScalar._make(self.desc, {}, 1, self.truncated)
-        return LambdaScalar._make(
-            self.desc, {k: c * p for k, c in self._nums.items()}, self._den * q,
-            self.truncated,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaScalar):
-            return NotImplemented
-        return (
-            self.desc == other.desc
-            and self._den == other._den
-            and self._nums == other._nums
-        )
-
-    def __hash__(self):
-        return hash((self.desc, self._den, tuple(sorted(self._nums.items()))))
 
     def lambda_zero_part(self) -> Fraction:
         """Coefficient at lam^0 log^0: the non-equivariant limit of the scalar."""
@@ -278,7 +290,7 @@ class LambdaScalar:
 
     def _terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         den = self._den
-        return [(key, Fraction(c, den)) for key, c in sorted(self._nums.items())]
+        return [((a, b), Fraction(c, den)) for (_, a, b), c in sorted(self._nums.items())]
 
     def to_json_dict(self) -> dict[str, str]:
         """Canonical rendering: keys 'a' (or 'a|b' with log powers) to rationals."""
@@ -308,15 +320,43 @@ class LambdaScalar:
             bits.append(term)
         return " + ".join(bits)
 
+    # -- product -------------------------------------------------------------
 
-class CohElement:
+    def __mul__(self, other) -> "LambdaScalar":
+        if not isinstance(other, LambdaScalar):
+            # Classes and q-series answer a scalar on the left through __rmul__.
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        self._check(other)
+        sn, on = self._nums, other._nums
+        if len(sn) == 1 == len(on):
+            # Monomial times monomial, the common case: one nonzero term.
+            ((_, a1, b1), c1), = sn.items()
+            ((_, a2, b2), c2), = on.items()
+            desc = self.desc
+            a, b = a1 + a2, b1 + b2
+            if a < -desc.lambda_floor or b > desc.log_cap:
+                return LambdaScalar._make(desc, {}, 1, 1)
+            return LambdaScalar._make(
+                desc, {(0, a, b): c1 * c2}, self._den * other._den, self._trunc | other._trunc
+            )
+        nums, dropped = self._times(on.items())
+        return LambdaScalar._make(
+            self.desc, nums, self._den * other._den, self._trunc | other._trunc | dropped
+        )
+
+    __rmul__ = __mul__
+
+    # perfbench traces scalar sums through this class's own ``__add__`` entry.
+    __add__ = _Terms.__add__
+
+
+class CohElement(_Terms):
     """An element of Q[P]/(P^n), the sum over p < n of component(p) * P^p.
 
-    The value is stored flat: one map of integer numerators keyed by
-    (p, lam_exponent, log_exponent) over one positive common denominator, in
-    lowest terms as for ``LambdaScalar``, so ``==`` and ``hash`` depend only
-    on the value.  Each P-slot has its own truncated flag, bit p of the mask
-    ``_trunc``; ``component(p)`` returns the slot as a ``LambdaScalar``.
+    Stored in the ``_Terms`` format: integer numerators keyed by
+    (p, lam_exponent, log_exponent) over one common denominator.  Each
+    P-slot has its own truncated flag, bit p of the mask ``_trunc``;
+    ``component(p)`` returns the slot as a ``LambdaScalar``.
 
     Slot k of a product is truncated when a product of two nonzero
     components with i + j = k drops a term below the floor or past the log
@@ -325,7 +365,7 @@ class CohElement:
     below the floor.  A truncated scalar factor marks every slot.
     """
 
-    __slots__ = ("desc", "_nums", "_den", "_trunc")
+    __slots__ = ()
 
     def __init__(self, desc: RingDescriptor, components: Iterable[LambdaScalar]) -> None:
         comps = tuple(components)
@@ -336,29 +376,12 @@ class CohElement:
         self.desc = desc
         self._nums = {
             (p, a, b): num * (den // c._den)
-            for p, c in enumerate(comps) for (a, b), num in c._nums.items()
+            for p, c in enumerate(comps) for (_, a, b), num in c._nums.items()
         }
         self._den = den
-        self._trunc = sum(1 << p for p, c in enumerate(comps) if c.truncated)
-
-    @classmethod
-    def _make(cls, desc: RingDescriptor, nums: dict, den: int, trunc: int) -> "CohElement":
-        """Trusted constructor: nonzero in-range numerators over den > 0, reduced here."""
-        out = _new(cls)
-        out.desc = desc
-        out._nums, out._den = _lowest(nums, den)
-        out._trunc = trunc
-        return out
+        self._trunc = sum(c._trunc << p for p, c in enumerate(comps))
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, desc: RingDescriptor) -> "CohElement":
-        return cls._make(desc, {}, 1, 0)
-
-    @classmethod
-    def one(cls, desc: RingDescriptor) -> "CohElement":
-        return cls._make(desc, {(0, 0, 0): 1}, 1, 0)
 
     @classmethod
     def p_power(cls, desc: RingDescriptor, k: int, coeff=1) -> "CohElement":
@@ -370,16 +393,16 @@ class CohElement:
 
     @classmethod
     def from_scalar(cls, scalar: LambdaScalar) -> "CohElement":
-        nums = {(0, a, b): c for (a, b), c in scalar._nums.items()}
-        return cls._make(scalar.desc, nums, scalar._den, int(scalar.truncated))
+        # A scalar is already stored as the P^0 slot, flag in bit 0.
+        return cls._make(scalar.desc, scalar._nums, scalar._den, scalar._trunc)
 
     # -- structure -----------------------------------------------------------
 
     def component(self, k: int) -> LambdaScalar:
         if not 0 <= k < self.desc.n:
             raise IndexError(f"no P^{k} slot in Q[P]/(P^{self.desc.n})")
-        nums = {(a, b): c for (p, a, b), c in self._nums.items() if p == k}
-        return LambdaScalar._make(self.desc, nums, self._den, bool(self._trunc >> k & 1))
+        nums = {(0, a, b): c for (p, a, b), c in self._nums.items() if p == k}
+        return LambdaScalar._make(self.desc, nums, self._den, self._trunc >> k & 1)
 
     @property
     def components(self) -> tuple[LambdaScalar, ...]:
@@ -387,46 +410,17 @@ class CohElement:
         desc = self.desc
         parts: list[dict] = [{} for _ in range(desc.n)]
         for (p, a, b), c in self._nums.items():
-            parts[p][(a, b)] = c
+            parts[p][(0, a, b)] = c
         return tuple(
-            LambdaScalar._make(desc, part, self._den, bool(self._trunc >> p & 1))
+            LambdaScalar._make(desc, part, self._den, self._trunc >> p & 1)
             for p, part in enumerate(parts)
         )
-
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    @property
-    def truncated(self) -> bool:
-        return bool(self._trunc)
-
-    def _check(self, other) -> None:
-        if self.desc is not other.desc and self.desc != other.desc:
-            raise DescriptorMismatchError("elements over different ring descriptors")
 
     def _slots(self) -> int:
         """Mask of the nonzero P-slots."""
         return sum(1 << p for p in {key[0] for key in self._nums})
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "CohElement") -> "CohElement":
-        self._check(other)
-        trunc = self._trunc | other._trunc
-        if not other._nums and trunc == self._trunc:
-            return self
-        if not self._nums and trunc == other._trunc:
-            return other
-        nums, den = _add_nums(self._nums, self._den, other._nums, other._den)
-        return CohElement._make(self.desc, nums, den, trunc)
-
-    def __sub__(self, other: "CohElement") -> "CohElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CohElement":
-        return CohElement._make(
-            self.desc, {k: -c for k, c in self._nums.items()}, self._den, self._trunc
-        )
 
     def __mul__(self, other) -> "CohElement":
         if isinstance(other, LambdaScalar):
@@ -440,35 +434,6 @@ class CohElement:
         return CohElement._make(self.desc, nums, self._den * other._den, trunc)
 
     __rmul__ = __mul__
-
-    def _times(self, right: list) -> tuple[dict, int]:
-        """Products of this class's terms with the terms ``right``, summed per key.
-
-        ``right`` holds ((p, lam_exp, log_exp), numerator) pairs sorted by p,
-        so P^n = 0 ends each scan.  Returns the kept numerators and the mask
-        of slots that had a key below the floor or past the log cap: some
-        product of two components reaching such a slot dropped a nonzero
-        term, since its lowest lam and highest log(lam) terms never cancel.
-        """
-        desc = self.desc
-        n, floor, cap = desc.n, -desc.lambda_floor, desc.log_cap
-        out: dict[tuple[int, int, int], int] = {}
-        get = out.get
-        for (i, a1, b1), c1 in self._nums.items():
-            room = n - i
-            for (j, a2, b2), c2 in right:
-                if j >= room:
-                    break
-                key = (i + j, a1 + a2, b1 + b2)
-                out[key] = get(key, 0) + c1 * c2
-        nums = {}
-        dropped = 0
-        for key, c in out.items():
-            if key[1] < floor or key[2] > cap:
-                dropped |= 1 << key[0]
-            elif c:
-                nums[key] = c
-        return nums, dropped
 
     def _spread(self, other: "CohElement") -> int:
         """Product slots that inherit a flag from the factors' truncated slots."""
@@ -484,39 +449,18 @@ class CohElement:
             out |= -(lost & -lost)
         return out & full
 
-    def scale(self, value) -> "CohElement":
-        p, q = _ratio(value)
-        if not p:
-            return CohElement._make(self.desc, {}, 1, self._trunc)
-        return CohElement._make(
-            self.desc, {k: c * p for k, c in self._nums.items()}, self._den * q,
-            self._trunc,
-        )
-
     def scale_scalar(self, scalar: LambdaScalar) -> "CohElement":
         self._check(scalar)
-        nums, trunc = self._times([((0, a, b), c) for (a, b), c in scalar._nums.items()])
+        nums, trunc = self._times(scalar._nums.items())
         # A truncated scalar is an unknown term below the floor in every slot.
-        trunc = (1 << self.desc.n) - 1 if scalar.truncated else trunc | self._trunc
+        trunc = (1 << self.desc.n) - 1 if scalar._trunc else trunc | self._trunc
         return CohElement._make(self.desc, nums, self._den * scalar._den, trunc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CohElement):
-            return NotImplemented
-        return (
-            self.desc == other.desc
-            and self._den == other._den
-            and self._nums == other._nums
-        )
-
-    def __hash__(self):
-        return hash((self.desc, self._den, frozenset(self._nums.items())))
 
     def to_json_dict(self) -> dict[str, dict[str, str]]:
         """Canonical rendering: each nonzero P-exponent to the rendering of its slot."""
         slots: dict[int, list] = {}
-        for (p, a, b), c in sorted(self._nums.items()):
-            slots.setdefault(p, []).append(((a, b), c))
+        for key, c in sorted(self._nums.items()):
+            slots.setdefault(key[0], []).append((key, c))
         return {str(p): _render(terms, self._den) for p, terms in slots.items()}
 
     def lambda_zero_part(self) -> "CohElement":

@@ -85,7 +85,8 @@ class QSeries:
         self._check(other)
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            out[d] = out.get(d, LambdaScalar.zero(self.desc)) + c
+            old = out.get(d)
+            out[d] = c if old is None else old + c
         return QSeries(self.desc, self.max_degree, out)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
@@ -113,7 +114,8 @@ class QSeries:
                 if d > self.max_degree:
                     continue
                 prod = c1 * c2
-                out[d] = out.get(d, LambdaScalar.zero(self.desc)) + prod
+                old = out.get(d)
+                out[d] = prod if old is None else old + prod
         return QSeries(self.desc, self.max_degree, out)
 
     __rmul__ = __mul__
@@ -353,7 +355,9 @@ class ZSeries:
                     continue
                 tgt = out.setdefault(d, {})
                 for ze, el in row.items():
-                    tgt[ze] = tgt.get(ze, CohElement.zero(self.desc)) + el.scale_scalar(c)
+                    prod = el.scale_scalar(c)
+                    old = tgt.get(ze)
+                    tgt[ze] = prod if old is None else old + prod
         return ZSeries(self.desc, self.max_degree, out, self.convention)
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
@@ -391,14 +395,8 @@ class ZSeries:
             self.desc == other.desc
             and self.max_degree == other.max_degree
             and self.convention == other.convention
-            and self._normalized() == other._normalized()
+            and self.slices == other.slices
         )
-
-    def _normalized(self):
-        return {
-            d: {ze: el for ze, el in row.items()}
-            for d, row in self.slices.items()
-        }
 
     def __hash__(self):
         raise TypeError("ZSeries is not hashable")

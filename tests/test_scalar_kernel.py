@@ -11,9 +11,10 @@ every ``truncated`` flag.
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
-from qlefschetz import CohElement, LambdaScalar, RingDescriptor
+from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor
 
 from series_oracles import FractionScalar, fraction_coh_mul
 
@@ -32,6 +33,10 @@ def pairs(draw):
     return LambdaScalar(DESC, terms, truncated), FractionScalar(DESC, terms, truncated)
 
 
+def both(terms, truncated=False):
+    return LambdaScalar(DESC, terms, truncated), FractionScalar(DESC, terms, truncated)
+
+
 def agree(new, old):
     assert new.to_json_dict() == old.to_json_dict()
     assert new.truncated == old.truncated
@@ -42,10 +47,17 @@ def assert_canonical(s):
     assert den > 0
     assert all(nums.values())
     assert gcd(den, *nums.values()) == 1
-    assert all(a >= -DESC.lambda_floor and 0 <= b <= DESC.log_cap for a, b in nums)
+    # A scalar is stored as the P^0 slot of a class.
+    assert all(p == 0 for p, _, _ in nums)
+    assert all(a >= -DESC.lambda_floor and 0 <= b <= DESC.log_cap for _, a, b in nums)
 
 
 @given(pairs(), pairs())
+# Unflagged factors whose product drops a term below the floor or past the
+# log cap: through the monomial path, and through the general product.
+@example(both({(-1, 0): 1}), both({(-2, 0): 2}))
+@example(both({(-1, 0): 1, (0, 0): 1}), both({(-2, 0): 1}))
+@example(both({(0, 1): 1, (1, 0): 1}), both({(0, 1): 3}))
 def test_arithmetic_matches_the_fraction_kernel(x, y):
     (a, fa), (b, fb) = x, y
     agree(a + b, fa + fb)
@@ -111,3 +123,41 @@ def test_coh_product_matches_the_fraction_kernel(xs, ys):
     for slot, (got, old) in enumerate(zip((a * b).components, want)):
         assert got.to_json_dict() == old.to_json_dict()
         assert got.truncated == (old.truncated or slot >= tainted)
+
+
+@given(pairs())
+def test_a_scalar_is_the_p0_slot_of_a_class(x):
+    s, _ = x
+    c = CohElement.from_scalar(s)
+    assert c.component(0) == s and c.component(0).truncated == s.truncated
+    assert c.truncated == s.truncated
+    assert all(c.component(p).is_zero() for p in range(1, DESC.n))
+
+
+@given(pairs(), pairs(), pairs())
+def test_a_scalar_on_the_left_of_a_class_or_a_q_series(x, y, w):
+    (s, _), (t, _), (u, _) = x, y, w
+    c = CohElement(DESC, [t, u, s])
+    assert s * c == c * s
+    assert [p.truncated for p in (s * c).components] == [p.truncated for p in (c * s).components]
+    q = QSeries(DESC, 2, {0: t, 2: u})
+    assert s * q == q * s
+    assert (s * q).truncated == (q * s).truncated
+    with pytest.raises(TypeError):
+        s * 1.5
+
+
+def test_scalars_and_classes_do_not_mix():
+    s, c = LambdaScalar.one(DESC), CohElement.one(DESC)
+    # The same stored terms, but a scalar is not a class.
+    assert s._nums == c._nums
+    assert not s == c and not c == s
+    assert s != c and c != s
+    with pytest.raises(TypeError):
+        s + c
+    with pytest.raises(TypeError):
+        c + s
+    with pytest.raises(TypeError):
+        c - s
+    with pytest.raises(TypeError):
+        s - c

@@ -13,10 +13,21 @@ sign conventions are fixed so that the displayed anomaly values come out
 positive: the Poisson bracket is sum [dF/dq dG/dp - dF/dp dG/dq] and the
 operator commutator is [A, B] = B A - A B; with this pairing the projective
 representation identity reads {F,G}^ = [F^,G^] + C(F,G).
+
+Each quantity is read off once.  Against a unit vector the form is a single
+entry, Omega(f, e_q) = f_p and Omega(f, e_p) = -f_q, so the pairing
+B(i, j) = Omega(T e_i, e_j) of a map T is read straight off the entries of T
+(maps and their entries live on the window, as every map that
+``multiplication_operator`` builds does): T is infinitesimally symplectic
+exactly when B is symmetric, and its hamiltonian Omega(T f, f)/2 has the
+coefficients of B.  The Poisson bracket pairs gradients that are each built in
+one pass over the monomials.  Sums collect their terms first and drop the
+zeros once, at the end.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,17 +75,12 @@ def omega(space: DarbouxSpace, f: Vector, g: Vector) -> Fraction:
     return acc
 
 
-def _z_coefficient_index(space: DarbouxSpace, e: int) -> tuple[Index, Fraction] | None:
-    """Map a plain z-exponent to (coordinate, conversion factor), or None if outside."""
-    if e >= 0:
-        if e < space.z_window:
-            return ("q", e, 0), Fraction(1)
-        return None
-    k = -1 - e
-    if k < space.z_window:
-        # coefficient of z^(-1-k) equals (-1)^(k+1) p_k
-        return ("p", k, 0), Fraction((-1) ** (k + 1))
-    return None
+def _plain(kind: str, k: int) -> tuple[int, int]:
+    """The plain z-exponent of coordinate (kind, k) and the sign relating the two.
+
+    q_k is the coefficient of z^k; the coefficient of z^(-1-k) is (-1)^(k+1) p_k.
+    """
+    return (k, 1) if kind == "q" else (-1 - k, (-1) ** (k + 1))
 
 
 def multiplication_operator(
@@ -83,36 +89,42 @@ def multiplication_operator(
     """The map f -> (A z^s) f truncated to the window, as columns indexed by input."""
     if len(matrix) != space.h_dim or any(len(r) != space.h_dim for r in matrix):
         raise ValueError("matrix shape does not match h_dim")
+    # the window coordinate (kind, k) of each plain z-exponent
+    ends = {_plain(kind, k)[0]: (kind, k) for kind in ("q", "p") for k in range(space.z_window)}
     columns: dict[Index, Vector] = {}
     for kind, k, a in space.indices():
-        # source coordinate as a plain z-coefficient
-        if kind == "q":
-            e_src, conv_src = k, Fraction(1)
-        else:
-            e_src, conv_src = -1 - k, Fraction((-1) ** (k + 1))
-        e_dst = e_src + z_power
+        e, sign = _plain(kind, k)
         col: Vector = {}
-        target = _z_coefficient_index(space, e_dst)
-        if target is not None:
-            (dst_kind, dst_k, _), conv_dst = target
+        if e + z_power in ends:
+            dst_kind, dst_k = ends[e + z_power]
+            # plain coefficient transforms with A; convert both ends
+            sign *= _plain(dst_kind, dst_k)[1]
             for b in range(space.h_dim):
-                c = matrix[b][a]
-                if c:
-                    # plain coefficient transforms with A; convert both ends
-                    col[(dst_kind, dst_k, b)] = c * conv_src / conv_dst
+                if matrix[b][a]:
+                    col[(dst_kind, dst_k, b)] = Fraction(matrix[b][a]) * sign
         columns[(kind, k, a)] = col
     return columns
 
 
+def _pairing(space: DarbouxSpace, T: dict[Index, Vector]) -> dict[Monomial, Fraction]:
+    """B(i, j) = Omega(T e_i, e_j), read off the entries of T: one per entry."""
+    B: dict[Monomial, Fraction] = {}
+    for i in space.indices():
+        for (kind, k, a), c in T.get(i, {}).items():
+            if kind == "p":
+                B[(i, ("q", k, a))] = Fraction(c)
+            else:
+                B[(i, ("p", k, a))] = -Fraction(c)
+    return B
+
+
+def _is_symmetric(B: dict[Monomial, Fraction]) -> bool:
+    return all(B.get((j, i), 0) == c for (i, j), c in B.items())
+
+
 def is_infinitesimal_symplectic(space: DarbouxSpace, T: dict[Index, Vector]) -> bool:
-    basis = space.indices()
-    for i in basis:
-        Ti = T.get(i, {})
-        for j in basis:
-            Tj = T.get(j, {})
-            if omega(space, Ti, {j: Fraction(1)}) + omega(space, {i: Fraction(1)}, Tj):
-                return False
-    return True
+    """Omega(T f, g) + Omega(f, T g) = 0 on the window, i.e. B(i, j) = B(j, i)."""
+    return _is_symmetric(_pairing(space, T))
 
 
 class QuadraticHamiltonian:
@@ -122,40 +134,20 @@ class QuadraticHamiltonian:
 
     def __init__(self, space: DarbouxSpace, coeffs: dict[Monomial, Fraction] | None = None):
         self.space = space
-        clean: dict[Monomial, Fraction] = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if not c:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                v = clean.get(key, Fraction(0)) + c
-                if v:
-                    clean[key] = v
-                else:
-                    clean.pop(key, None)
-        self.coeffs = clean
+        clean: dict[Monomial, Fraction] = defaultdict(Fraction)
+        for (i, j), c in (coeffs or {}).items():
+            clean[(i, j) if i <= j else (j, i)] += c
+        self.coeffs = {key: c for key, c in clean.items() if c}
 
     def __add__(self, other: "QuadraticHamiltonian") -> "QuadraticHamiltonian":
-        out = dict(self.coeffs)
+        out = defaultdict(Fraction, self.coeffs)
         for key, c in other.coeffs.items():
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] += c
         return QuadraticHamiltonian(self.space, out)
 
     def __neg__(self) -> "QuadraticHamiltonian":
         return QuadraticHamiltonian(
             self.space, {k: -c for k, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other: "QuadraticHamiltonian") -> "QuadraticHamiltonian":
-        return self + (-other)
-
-    def scale(self, value: Fraction) -> "QuadraticHamiltonian":
-        return QuadraticHamiltonian(
-            self.space, {k: c * value for k, c in self.coeffs.items()}
         )
 
     def __eq__(self, other) -> bool:
@@ -187,50 +179,40 @@ class QuadraticHamiltonian:
 
 def hamiltonian_of(space: DarbouxSpace, T: dict[Index, Vector]) -> QuadraticHamiltonian:
     """The quadratic hamiltonian Omega(T f, f)/2 of an infinitesimal symplectic map."""
-    if not is_infinitesimal_symplectic(space, T):
+    B = _pairing(space, T)
+    if not _is_symmetric(B):
         raise EngineError("map is not infinitesimally symplectic on the window")
-    basis = space.indices()
+    return QuadraticHamiltonian(
+        space, {(i, j): c / 2 if i == j else c for (i, j), c in B.items() if i <= j}
+    )
 
-    def B(i: Index, j: Index) -> Fraction:
-        return omega(space, T.get(i, {}), {j: Fraction(1)})
 
-    coeffs: dict[Monomial, Fraction] = {}
-    for ii, i in enumerate(basis):
-        for j in basis[ii:]:
-            h = B(i, i) / 2 if i == j else (B(i, j) + B(j, i)) / 2
-            if h:
-                coeffs[(i, j)] = h
-    return QuadraticHamiltonian(space, coeffs)
+def _gradients(H: QuadraticHamiltonian) -> dict[Index, Vector]:
+    """{x: dH/dx} for every coordinate x of H, from one pass over its monomials."""
+    grads: dict[Index, Vector] = defaultdict(dict)
+    for (i, j), c in H.coeffs.items():
+        if i == j:
+            grads[i][i] = 2 * c
+        else:
+            grads[i][j] = c
+            grads[j][i] = c
+    return grads
 
 
 def poisson_bracket(F: QuadraticHamiltonian, G: QuadraticHamiltonian) -> QuadraticHamiltonian:
     """House convention: sum_k [ dF/dq_k dG/dp_k - dF/dp_k dG/dq_k ]."""
-    space = F.space
-
-    def gradient(H: QuadraticHamiltonian, idx: Index) -> dict[Index, Fraction]:
-        out: dict[Index, Fraction] = {}
-        for (i, j), c in H.coeffs.items():
-            if i == idx:
-                out[j] = out.get(j, Fraction(0)) + c * (2 if i == j else 1)
-            elif j == idx:
-                out[i] = out.get(i, Fraction(0)) + c
-        return out
-
-    coeffs: dict[Monomial, Fraction] = {}
-
-    def accumulate(lin1: dict[Index, Fraction], lin2: dict[Index, Fraction], sign: int):
-        for i, c1 in lin1.items():
-            for j, c2 in lin2.items():
-                key = (i, j) if i <= j else (j, i)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + sign * c1 * c2
-
-    for k in range(space.z_window):
-        for a in range(space.h_dim):
-            qk = ("q", k, a)
-            pk = ("p", k, a)
-            accumulate(gradient(F, qk), gradient(G, pk), 1)
-            accumulate(gradient(F, pk), gradient(G, qk), -1)
-    return QuadraticHamiltonian(space, coeffs)
+    dG_by = _gradients(G)
+    coeffs: dict[Monomial, Fraction] = defaultdict(Fraction)
+    for (kind, k, a), dF in _gradients(F).items():
+        dG = dG_by.get(("p" if kind == "q" else "q", k, a))
+        if not dG:
+            continue
+        if kind == "p":
+            dG = {j: -c for j, c in dG.items()}
+        for i, c1 in dF.items():
+            for j, c2 in dG.items():
+                coeffs[(i, j) if i <= j else (j, i)] += c1 * c2
+    return QuadraticHamiltonian(F.space, coeffs)
 
 
 class FockOperator:
@@ -247,38 +229,31 @@ class FockOperator:
         self.terms = list(terms or [])
 
     def apply(self, poly: Poly) -> Poly:
-        out: Poly = {}
-
-        def add(key: PolyKey, c: Fraction) -> None:
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-
+        out: Poly = defaultdict(Fraction)
         for hbar, kind, (i, j), coeff in self.terms:
             for (vars_, h0), c in poly.items():
-                base = coeff * c
+                # a derivative acts with the multiplicity of its variable
+                rest, mult = list(vars_), 1
                 if kind == "mult":
-                    new_vars = tuple(sorted(vars_ + (i, j)))
-                    add((new_vars, h0 + hbar), base)
+                    rest += (i, j)
                 elif kind == "mixed":
-                    for pos, v in enumerate(vars_):
-                        if v == j:
-                            rest = vars_[:pos] + vars_[pos + 1 :]
-                            new_vars = tuple(sorted(rest + (i,)))
-                            add((new_vars, h0 + hbar), base)
+                    mult = rest.count(j)
+                    if mult:
+                        rest.remove(j)
+                        rest.append(i)
                 elif kind == "diff2":
-                    for pos, v in enumerate(vars_):
-                        if v == i:
-                            rest = vars_[:pos] + vars_[pos + 1 :]
-                            for pos2, w in enumerate(rest):
-                                if w == j:
-                                    rest2 = rest[:pos2] + rest[pos2 + 1 :]
-                                    add((rest2, h0 + hbar), base)
+                    mult = rest.count(i)
+                    if mult:
+                        rest.remove(i)
+                        mult *= rest.count(j)
+                        if mult:
+                            rest.remove(j)
                 else:
                     raise ValueError(f"unknown term kind {kind}")
-        return out
+                if mult:
+                    term = coeff * c
+                    out[(tuple(sorted(rest)), h0 + hbar)] += term if mult == 1 else term * mult
+        return {key: c for key, c in out.items() if c}
 
     def __repr__(self) -> str:
         return f"FockOperator({len(self.terms)} terms)"
@@ -331,16 +306,10 @@ def commutator_apply(
     F_hat: FockOperator, G_hat: FockOperator, poly: Poly
 ) -> Poly:
     """[F^, G^] applied to a polynomial, in the house orientation G^ F^ - F^ G^."""
-    first = G_hat.apply(F_hat.apply(poly))
-    second = F_hat.apply(G_hat.apply(poly))
-    out = dict(first)
-    for key, c in second.items():
-        v = out.get(key, Fraction(0)) - c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
+    out = defaultdict(Fraction, G_hat.apply(F_hat.apply(poly)))
+    for key, c in F_hat.apply(G_hat.apply(poly)).items():
+        out[key] -= c
+    return {key: c for key, c in out.items() if c}
 
 
 def projective_identity_check(
@@ -351,18 +320,13 @@ def projective_identity_check(
     Returns (True, None) or (False, first_failing_key).
     """
     lhs = quantize(poisson_bracket(F, G)).apply(poly)
-    rhs = commutator_apply(quantize(F), quantize(G), poly)
+    rhs = defaultdict(Fraction, commutator_apply(quantize(F), quantize(G), poly))
     c = cocycle_eval(F, G)
     if c:
         for key, v in poly.items():
-            val = rhs.get(key, Fraction(0)) + c * v
-            if val:
-                rhs[key] = val
-            else:
-                rhs.pop(key, None)
-    keys = set(lhs) | set(rhs)
-    for key in sorted(keys):
-        if lhs.get(key, Fraction(0)) != rhs.get(key, Fraction(0)):
+            rhs[key] += c * v
+    for key in sorted(set(lhs) | set(rhs)):
+        if lhs.get(key, 0) != rhs.get(key, 0):
             return False, key
     return True, None
 
@@ -388,20 +352,17 @@ def hbar_grading_ok(op: FockOperator, expected: set[int]) -> bool:
     return {hbar for hbar, _, _, _ in op.terms} <= expected
 
 
-def monomial_basis(space: DarbouxSpace) -> list[Monomial]:
-    idx = space.indices()
-    return [
-        (i, j)
-        for pos, i in enumerate(idx)
-        for j in idx[pos:]
-    ]
-
-
 def random_hamiltonian(space: DarbouxSpace, rng) -> QuadraticHamiltonian:
+    """Each pair (i, j), i no later than j in window order, drawn with probability 0.4.
+
+    The draw order is part of the contract: seeded checks see the same inputs.
+    """
+    idx = space.indices()
     coeffs: dict[Monomial, Fraction] = {}
-    for key in monomial_basis(space):
-        if rng.random() < 0.4:
-            coeffs[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    for pos, i in enumerate(idx):
+        for j in idx[pos:]:
+            if rng.random() < 0.4:
+                coeffs[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return QuadraticHamiltonian(space, coeffs)
 
 

@@ -139,34 +139,31 @@ def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
     desc = frame[0].desc
     n = desc.n
     D = frame[0].max_degree
-    entries: list[list[dict[int, QSeries]]] = [
-        [dict() for _ in range(n)] for _ in range(n)
-    ]
+    # coefficients per cell and z-power, {d: c}, before any series is built
+    cells: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
     for a, T in enumerate(frame):
         for d, row in T.slices.items():
             for ze, el in row.items():
                 for b, c in enumerate(el.components):
-                    if c.is_zero():
-                        continue
-                    cell = entries[b][a]
-                    if ze not in cell:
-                        cell[ze] = QSeries(desc, D, {d: c})
-                    else:
-                        cell[ze] = cell[ze] + QSeries(desc, D, {d: c})
+                    if not c.is_zero():
+                        cells[b][a].setdefault(ze, {})[d] = c
+    entries = [
+        [{ze: QSeries(desc, D, coeffs) for ze, coeffs in cell.items()} for cell in row]
+        for row in cells
+    ]
     return SMatrix(desc, D, entries)
 
 
-def _cell_mul(x: dict[int, QSeries], y: dict[int, QSeries], desc, D, negate_z_first):
-    out: dict[int, QSeries] = {}
+def _add_cell_product(acc: dict[int, QSeries], x: dict[int, QSeries], y: dict[int, QSeries]):
+    """Add x(-z) * y(z) into acc, z-power by z-power."""
     for z1, q1 in x.items():
-        factor = q1.scale(Fraction(-1) ** (z1 % 2)) if negate_z_first else q1
+        factor = -q1 if z1 % 2 else q1
         for z2, q2 in y.items():
-            ze = z1 + z2
             prod = factor * q2
             if prod.is_zero():
                 continue
-            out[ze] = out.get(ze, QSeries.zero(desc, D)) + prod
-    return {ze: q for ze, q in out.items() if not q.is_zero()}
+            old = acc.get(z1 + z2)
+            acc[z1 + z2] = prod if old is None else old + prod
 
 
 def s_matrix(J: ZSeries, n: int, max_degree: int):
@@ -206,15 +203,9 @@ def s_matrix(J: ZSeries, n: int, max_degree: int):
             # residual entry (a, b): sum_i T_{ia}(-z) * T_{g(i), b}(z) - g_{ab}
             acc: dict[int, QSeries] = {}
             for i in range(n):
-                cell = _cell_mul(
-                    S.entries[i][a], S.entries[g_apply(i)][b], desc, D, True
-                )
-                for ze, q in cell.items():
-                    acc[ze] = acc.get(ze, QSeries.zero(desc, D)) + q
-            target = Fraction(1) if a + b == n - 1 else Fraction(0)
-            if target:
-                zero_cell = acc.get(0, QSeries.zero(desc, D))
-                acc[0] = zero_cell - QSeries.from_rationals(desc, D, {0: target})
+                _add_cell_product(acc, S.entries[i][a], S.entries[g_apply(i)][b])
+            if a + b == n - 1:
+                acc[0] = acc.get(0, QSeries.zero(desc, D)) - QSeries.one(desc, D)
             for ze in sorted(acc):
                 if not acc[ze].is_zero():
                     ok = False

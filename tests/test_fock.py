@@ -2,15 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlefschetz.errors import EngineError
 from qlefschetz.fock import (
     DarbouxSpace,
+    FockOperator,
     QuadraticHamiltonian,
     cocycle_eval,
     commutator_apply,
     hamiltonian_of,
-    hbar_grading_ok,
     is_infinitesimal_symplectic,
     multiplication_operator,
     omega,
@@ -18,8 +19,16 @@ from qlefschetz.fock import (
     projective_identity_check,
     quantize,
     random_hamiltonian,
-    random_polynomial,
     str_formula_check,
+)
+
+from fock_oracles import (
+    apply_by_positions,
+    hamiltonian_of_by_omega,
+    is_infinitesimal_symplectic_by_omega,
+    multiplication_operator_by_exponents,
+    poisson_bracket_per_coordinate,
+    random_hamiltonian_over_basis,
 )
 
 Q0 = ("q", 0, 0)
@@ -133,17 +142,6 @@ def test_projective_identity_pq_pairs_no_anomaly(space):
     assert ok, failure
 
 
-def test_projective_identity_random_pairs():
-    rng = random.Random(1234)
-    for i in range(100):
-        sp = DarbouxSpace(h_dim=rng.randint(1, 2), z_window=rng.randint(1, 3))
-        Fh = random_hamiltonian(sp, rng)
-        Gh = random_hamiltonian(sp, rng)
-        poly = random_polynomial(sp, rng)
-        ok, failure = projective_identity_check(Fh, Gh, poly)
-        assert ok, (i, failure)
-
-
 def test_bracket_antisymmetry_and_jacobi():
     rng = random.Random(55)
     sp = DarbouxSpace(h_dim=2, z_window=2)
@@ -193,18 +191,6 @@ def test_str_formula_random_symmetric():
         assert value == half_trace
 
 
-def test_hbar_grading(space):
-    assert hbar_grading_ok(
-        quantize(QuadraticHamiltonian(space, {(P0, P0): F(1)})), {1}
-    )
-    assert hbar_grading_ok(
-        quantize(QuadraticHamiltonian(space, {(Q0, Q0): F(1)})), {-1}
-    )
-    assert hbar_grading_ok(
-        quantize(QuadraticHamiltonian(space, {(Q0, P0): F(1)})), {0}
-    )
-
-
 def test_commutator_preserves_grading(space):
     # pp against qq: commutator terms act at hbar^0 on a plain polynomial
     Fh = quantize(QuadraticHamiltonian(space, {(P0, P0): F(1)}))
@@ -212,3 +198,143 @@ def test_commutator_preserves_grading(space):
     poly = {((Q0, Q0), 0): F(1)}
     out = commutator_apply(Fh, Gh, poly)
     assert all(h == 0 for (_, h) in out)
+
+
+# --- the one-pass calculus against the direct definitions in fock_oracles ---
+
+ORACLES = settings(max_examples=80)
+
+SPACES = st.builds(
+    DarbouxSpace, h_dim=st.integers(1, 3), z_window=st.integers(1, 4)
+)
+
+
+def all_fractions(values) -> bool:
+    return all(type(c) is F for c in values)
+
+
+@st.composite
+def matrices(draw, h: int):
+    """An h x h matrix: symmetric, antisymmetric, general, or general with int entries."""
+    family = draw(st.sampled_from(["symmetric", "antisymmetric", "general", "int"]))
+    entry = (
+        st.integers(-3, 3)
+        if family == "int"
+        else st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+    M = [[draw(entry) for _ in range(h)] for _ in range(h)]
+    if family in ("symmetric", "antisymmetric"):
+        sign = 1 if family == "symmetric" else -1
+        for a in range(h):
+            for b in range(a):
+                M[a][b] = sign * M[b][a]
+            if sign < 0:
+                M[a][a] = F(0)
+    return M
+
+
+@st.composite
+def window_maps(draw):
+    """A space and the sum of one or two multiplication maps A z^s, s in -3..3."""
+    space = draw(SPACES)
+    terms = draw(
+        st.lists(st.tuples(matrices(space.h_dim), st.integers(-3, 3)), min_size=1, max_size=2)
+    )
+    total: dict = {}
+    for M, s in terms:
+        for i, col in multiplication_operator(space, M, s).items():
+            summed = total.setdefault(i, {})
+            for j, c in col.items():
+                summed[j] = summed.get(j, F(0)) + c
+    return space, total
+
+
+@ORACLES
+@given(SPACES, st.data())
+def test_multiplication_operator_matches_the_exponent_converter(space, data):
+    M = data.draw(matrices(space.h_dim))
+    s = data.draw(st.integers(-3, 3))
+    T = multiplication_operator(space, M, s)
+    assert T == multiplication_operator_by_exponents(space, M, s)
+    assert all(all_fractions(col.values()) for col in T.values())
+
+
+PLAIN_Z0 = DarbouxSpace(h_dim=1, z_window=2)
+
+
+@ORACLES
+@given(window_maps())
+@example((PLAIN_Z0, multiplication_operator(PLAIN_Z0, [[F(1)]], 0)))
+def test_symplectic_test_and_hamiltonian_match_the_omega_loops(case):
+    space, T = case
+    symplectic = is_infinitesimal_symplectic(space, T)
+    assert symplectic == is_infinitesimal_symplectic_by_omega(space, T)
+    if not symplectic:
+        with pytest.raises(EngineError):
+            hamiltonian_of(space, T)
+        return
+    H = hamiltonian_of(space, T)
+    assert H == hamiltonian_of_by_omega(space, T)
+    assert all_fractions(H.coeffs.values())
+
+
+def seeded_hamiltonians(space: DarbouxSpace, seed: int, count: int):
+    rng = random.Random(seed)
+    return [random_hamiltonian(space, rng) for _ in range(count)]
+
+
+@ORACLES
+@given(SPACES, st.integers(0, 10**6))
+def test_poisson_bracket_matches_per_coordinate_gradients(space, seed):
+    A, B = seeded_hamiltonians(space, seed, 2)
+    bracket = poisson_bracket(A, B)
+    assert bracket == poisson_bracket_per_coordinate(A, B)
+    assert all_fractions(bracket.coeffs.values())
+
+
+@st.composite
+def operators_and_polynomials(draw):
+    """A quantized random hamiltonian and an int-valued polynomial of degree <= 4."""
+    space = draw(SPACES)
+    (H,) = seeded_hamiltonians(space, draw(st.integers(0, 10**6)), 1)
+    qvars = [("q", k, a) for k in range(space.z_window) for a in range(space.h_dim)]
+    monomial = st.tuples(
+        st.lists(st.sampled_from(qvars), max_size=4).map(lambda v: tuple(sorted(v))),
+        st.integers(-1, 1),
+    )
+    poly = draw(st.dictionaries(monomial, st.integers(-3, 3), max_size=4))
+    return quantize(H), poly
+
+
+@ORACLES
+@given(operators_and_polynomials())
+def test_operator_action_matches_the_position_loops(case):
+    op, poly = case
+    out = op.apply(poly)
+    assert out == apply_by_positions(op, poly)
+    assert all(out.values()) and all_fractions(out.values())
+
+
+def test_second_derivative_counts_both_multiplicities(space):
+    # (d^2/dq0 dq1 + d^2/dq0^2)(q0^2 q1^3 + q0^3) = 6 q0 q1^2 + 2 q1^3 + 6 q0
+    op = FockOperator(space, [(0, "diff2", (Q0, Q1), F(1)), (0, "diff2", (Q0, Q0), F(1))])
+    poly = {((Q0, Q0, Q1, Q1, Q1), 0): F(1), ((Q0, Q0, Q0), 0): F(1)}
+    assert op.apply(poly) == {
+        ((Q0, Q1, Q1), 0): F(6),
+        ((Q1, Q1, Q1), 0): F(2),
+        ((Q0,), 0): F(6),
+    }
+
+
+@given(SPACES, st.integers(0, 10**6))
+def test_random_hamiltonian_draws_as_over_the_monomial_basis(space, seed):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert random_hamiltonian(space, rng) == random_hamiltonian_over_basis(space, oracle_rng)
+    assert rng.random() == oracle_rng.random()
+
+
+def test_hamiltonian_sums_mirrored_keys_and_drops_zeros(space):
+    H = QuadraticHamiltonian(space, {(Q0, P0): 2, (P0, Q0): -2, (Q1, Q1): 3})
+    assert H.coeffs == {(Q1, Q1): F(3)}
+    assert all_fractions(H.coeffs.values())
+    assert (H + -H).is_zero()

@@ -66,12 +66,6 @@ def test_qde_detects_corruption():
     assert slot is not None
 
 
-def test_qde_full_range():
-    for n in range(2, 7):
-        ok, slot = qde_verify(j_reduced(n, 8), n)
-        assert ok, (n, slot)
-
-
 def test_frame_starts_with_j():
     J = j_reduced(4, 4)
     frame = frame_series(J, 4)

@@ -220,21 +220,6 @@ def test_cone_transform_empty_is_identity():
     assert cone_transform(J, BundleSpec(())) == J
 
 
-def test_cone_transform_inverse():
-    desc = RingDescriptor(n=3, lambda_floor=4, log_cap=10)
-    J = j_reduced(3, 2, desc=desc)
-    E = BundleSpec((1, 2))
-    assert cone_transform(cone_transform(J, E), E, invert=True) == J
-
-
-def test_cone_transform_group_action():
-    desc = RingDescriptor(n=3, lambda_floor=4, log_cap=10)
-    J = j_reduced(3, 2, desc=desc)
-    once = cone_transform(cone_transform(J, BundleSpec((1,))), BundleSpec((2,)))
-    joint = cone_transform(J, BundleSpec((1, 2)))
-    assert once == joint
-
-
 def test_cone_transform_requires_equivariant():
     J = j_reduced(3, 1, lambda_floor=2)
     from qlefschetz.errors import EngineError

@@ -164,11 +164,6 @@ class QuadraticHamiltonian:
             acc += c * f.get(i, Fraction(0)) * f.get(j, Fraction(0))
         return acc
 
-    def monomials_of_kind(self, kinds: tuple[str, str]):
-        for (i, j), c in self.coeffs.items():
-            if (i[0], j[0]) == kinds:
-                yield (i, j), c
-
     def __repr__(self) -> str:
         def fmt(idx: Index) -> str:
             return f"{idx[0]}{idx[1]}.{idx[2]}"
@@ -279,26 +274,28 @@ def quantize(G: QuadraticHamiltonian) -> FockOperator:
     return FockOperator(G.space, terms)
 
 
-def _table_value(p_mono: Monomial, q_mono: Monomial) -> Fraction:
-    """Anomaly table on a pp-monomial against a qq-monomial."""
-    p_idx = sorted(((k, a) for (_, k, a) in p_mono))
-    q_idx = sorted(((k, a) for (_, k, a) in q_mono))
-    if p_idx != q_idx:
-        return Fraction(0)
-    if p_idx[0] == p_idx[1]:
-        return Fraction(2)
-    return Fraction(1)
+def _by_pair(H: QuadraticHamiltonian, kind: str) -> dict:
+    """H's monomials x_i x_j with both factors of one kind, keyed by their (k, a) pair.
+
+    Stored monomials have i <= j, so the pair is already sorted.
+    """
+    return {(i[1:], j[1:]): c for (i, j), c in H.coeffs.items() if i[0] == j[0] == kind}
 
 
 def cocycle_eval(F: QuadraticHamiltonian, G: QuadraticHamiltonian) -> Fraction:
-    """The scalar anomaly C(F, G), bilinear and antisymmetric in its arguments."""
+    """The scalar anomaly C(F, G), bilinear and antisymmetric in its arguments.
+
+    A pp-monomial of one argument pairs only with the qq-monomial of the
+    other on the same index pair, with weight 2 on a square and 1 otherwise;
+    the pp-monomials of F count positively and those of G negatively.
+    """
     acc = Fraction(0)
-    for m_f, c_f in F.monomials_of_kind(("p", "p")):
-        for m_g, c_g in G.monomials_of_kind(("q", "q")):
-            acc += c_f * c_g * _table_value(m_f, m_g)
-    for m_f, c_f in F.monomials_of_kind(("q", "q")):
-        for m_g, c_g in G.monomials_of_kind(("p", "p")):
-            acc -= c_f * c_g * _table_value(m_g, m_f)
+    for pp, qq, sign in ((F, G, 1), (G, F, -1)):
+        q_terms = _by_pair(qq, "q")
+        for pair, c in _by_pair(pp, "p").items():
+            c_q = q_terms.get(pair)
+            if c_q is not None:
+                acc += (2 if pair[0] == pair[1] else 1) * sign * c * c_q
     return acc
 
 

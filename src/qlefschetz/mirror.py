@@ -106,7 +106,6 @@ def _subtract_scaled(
     max_degree: int,
 ) -> None:
     """work -= beta * z^z_shift * q^d_shift * frame_el, in place."""
-    desc = frame_el.desc
     for d, row in frame_el.slices.items():
         d_out = d + d_shift
         if d_out > max_degree:
@@ -117,10 +116,10 @@ def _subtract_scaled(
             delta = el.scale_scalar(beta)
             if delta.is_zero():
                 continue
-            cur = tgt.get(key, CohElement.zero(desc))
-            new = cur - delta
+            old = tgt.get(key)
+            new = -delta if old is None else old - delta
             if new.is_zero():
-                tgt.pop(key, None)
+                del tgt[key]
             else:
                 tgt[key] = new
 
@@ -180,7 +179,8 @@ def _eliminate(
                 _subtract_scaled(work, frame[p], d, ze, beta, D)
                 key = (d, ze)
                 cell = corrections[p]
-                cell[key] = cell.get(key, LambdaScalar.zero(desc)) - beta
+                old = cell.get(key)
+                cell[key] = -beta if old is None else old - beta
         else:
             raise EngineError(
                 f"elimination did not stabilize at Novikov degree {d}"
@@ -201,7 +201,8 @@ def _prefactor(desc, D, h: list[QSeries]) -> ZSeries:
             if el.is_zero():
                 continue
             tgt = slices.setdefault(d, {})
-            tgt[-1] = tgt.get(-1, CohElement.zero(desc)) - el
+            old = tgt.get(-1)
+            tgt[-1] = -el if old is None else old - el
     argument = ZSeries(desc, D, slices, REDUCED)
     return argument.exp()
 

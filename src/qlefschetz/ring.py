@@ -7,12 +7,13 @@ configured floor -L are dropped and the drop is recorded on the value, so
 exact identities (zero residual, no truncation flag) are distinguishable
 from identities that only hold modulo the floor.
 
-Scalars and classes share one fraction-free storage format, ``_Terms``: one
-map of integer numerators keyed by (p, lam_exp, log_exp), the power of P
-next to the lam and log(lam) exponents, over one common denominator.  A
-scalar is a value with only the P^0 slot.  Each arithmetic result is reduced
+Scalars, classes and q-series share one fraction-free storage format,
+``_Terms``: one map of integer numerators keyed by (slot, lam_exp, log_exp)
+over one common denominator.  A scalar is a value with only the P^0 slot.  A
+class in R[P]/(P^n) and a q-series in R[q]/(q^(D+1)) (``series.QSeries``)
+share one graded product, ``_Graded``.  Each arithmetic result is reduced
 once, so the inner loops multiply and add plain ints and take one gcd per
-result instead of one per term, and a class product builds no scalar objects.
+result instead of one per term, and a graded product builds no scalar objects.
 """
 
 from __future__ import annotations
@@ -82,22 +83,32 @@ def _add_nums(an: dict, ad: int, bn: dict, bd: int) -> tuple[dict, int]:
     return out, ad * fa
 
 
+def _stacked(slots) -> tuple[dict, int, int]:
+    """Scalars [(slot, scalar)] as one value's numerators, denominator and flag mask."""
+    slots = list(slots)
+    # Over the lcm of lowest-terms denominators the numerators are coprime to it.
+    den = lcm(*(s._den for _, s in slots))
+    nums = {(k, a, b): c * (den // s._den) for k, s in slots for (_, a, b), c in s._nums.items()}
+    return nums, den, sum(s._trunc << k for k, s in slots)
+
+
 def _render(terms, den: int) -> dict[str, str]:
     """One slot's ((p, lam_exp, log_exp), numerator) terms over den as JSON: 'a' or 'a|b'."""
     return {(str(a) if b == 0 else f"{a}|{b}"): str(Fraction(c, den)) for (_, a, b), c in terms}
 
 
 class _Terms:
-    """The storage format shared by scalars and classes.
+    """The storage format shared by scalars, classes and q-series.
 
-    A value is one map of integer numerators keyed by (p, lam_exponent,
+    A value is one map of integer numerators keyed by (slot, lam_exponent,
     log_exponent) over one positive common denominator, in lowest terms: no
     numerator is zero, every key lies inside the floor and the log cap, and
     the gcd of the denominator and all numerators is 1, so ``==`` and
-    ``hash`` depend only on the value.  ``_trunc`` is the mask of truncated
-    P-slots.  Every arithmetic result and every constant is built by
-    ``_make``, which reduces once per result.  A subclass adds its
-    constructors, readers, product and truncation rule; values of two
+    ``hash`` depend only on the value.  Slots run over 0 .. ``_span()`` - 1
+    and ``_trunc`` is the mask of truncated slots.  Every arithmetic result
+    and every constant is built by ``_make``, which reduces once per result;
+    ``_like`` builds a result of the same shape as ``self``.  A subclass adds
+    its constructors, readers, product and truncation rule; values of two
     different subclasses neither add nor compare equal.
     """
 
@@ -111,6 +122,13 @@ class _Terms:
         out._nums, out._den = _lowest(nums, den)
         out._trunc = trunc
         return out
+
+    def _like(self, nums: dict, den: int, trunc: int):
+        return self._make(self.desc, nums, den, trunc)
+
+    def _span(self) -> int:
+        """Number of slots: values live in R[t]/(t^span)."""
+        return self.desc.n
 
     @classmethod
     def zero(cls, desc: RingDescriptor):
@@ -141,23 +159,19 @@ class _Terms:
         if not self._nums and trunc == other._trunc:
             return other
         nums, den = _add_nums(self._nums, self._den, other._nums, other._den)
-        return self._make(self.desc, nums, den, trunc)
+        return self._like(nums, den, trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._make(
-            self.desc, {k: -c for k, c in self._nums.items()}, self._den, self._trunc
-        )
+        return self._like({k: -c for k, c in self._nums.items()}, self._den, self._trunc)
 
     def scale(self, value):
         p, q = _ratio(value)
         if not p:
-            return self._make(self.desc, {}, 1, self._trunc)
-        return self._make(
-            self.desc, {k: c * p for k, c in self._nums.items()}, self._den * q, self._trunc
-        )
+            return self._like({}, 1, self._trunc)
+        return self._like({k: c * p for k, c in self._nums.items()}, self._den * q, self._trunc)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -174,14 +188,14 @@ class _Terms:
     def _times(self, right) -> tuple[dict, int]:
         """Products of this value's terms with the terms ``right``, summed per key.
 
-        ``right`` holds ((p, lam_exp, log_exp), numerator) pairs sorted by p,
-        so P^n = 0 ends each scan.  Returns the kept numerators and the mask
-        of slots that had a key below the floor or past the log cap: some
-        product of two components reaching such a slot dropped a nonzero
+        ``right`` holds ((slot, lam_exp, log_exp), numerator) pairs sorted by
+        slot, so t^span = 0 ends each scan.  Returns the kept numerators and
+        the mask of slots that had a key below the floor or past the log cap:
+        some product of two components reaching such a slot dropped a nonzero
         term, since its lowest lam and highest log(lam) terms never cancel.
         """
         desc = self.desc
-        n, floor, cap = desc.n, -desc.lambda_floor, desc.log_cap
+        n, floor, cap = self._span(), -desc.lambda_floor, desc.log_cap
         out: dict[tuple[int, int, int], int] = {}
         get = out.get
         for (i, a1, b1), c1 in self._nums.items():
@@ -350,19 +364,89 @@ class LambdaScalar(_Terms):
     __add__ = _Terms.__add__
 
 
-class CohElement(_Terms):
+class _Graded(_Terms):
+    """The graded product shared by classes and q-series.
+
+    A value is an element of R[t]/(t^span) over the scalar ring R, slot k
+    holding the coefficient of t^k: t = P and span n for a ``CohElement``,
+    t = q and span D + 1 for a ``QSeries``.  Bit k of ``_trunc`` flags slot k.
+
+    Slot k of a product is truncated when a product of two nonzero slots
+    with i + j = k drops a term below the floor or past the log cap, or has
+    a truncated member, and also when a factor has a zero but truncated slot
+    at or below k: that zero stands for an unknown term below the floor.  A
+    truncated scalar factor marks every slot.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, LambdaScalar):
+            return self.scale_scalar(other)
+        if type(other) is not type(self):
+            return self.scale(other)
+        self._check(other)
+        nums, trunc = self._times(sorted(other._nums.items()))
+        if self._trunc or other._trunc:
+            trunc |= self._spread(other)
+        return self._like(nums, self._den * other._den, trunc)
+
+    def _slot(self, k: int) -> LambdaScalar:
+        """Slot k as a scalar, with its flag."""
+        nums = {(0, a, b): c for (p, a, b), c in self._nums.items() if p == k}
+        return LambdaScalar._make(self.desc, nums, self._den, self._trunc >> k & 1)
+
+    def _split(self) -> list[LambdaScalar]:
+        """Every slot as a scalar with its flag, split off in one pass."""
+        parts: list[dict] = [{} for _ in range(self._span())]
+        for (p, a, b), c in self._nums.items():
+            parts[p][(0, a, b)] = c
+        return [
+            LambdaScalar._make(self.desc, part, self._den, self._trunc >> p & 1)
+            for p, part in enumerate(parts)
+        ]
+
+    def _slots(self) -> int:
+        """Mask of the nonzero slots."""
+        return sum(1 << p for p in {key[0] for key in self._nums})
+
+    def _spread(self, other) -> int:
+        """Product slots that inherit a flag from the factors' truncated slots."""
+        span = self._span()
+        a_nz, b_nz = self._slots(), other._slots()
+        out = 0
+        for i in range(span):
+            if a_nz >> i & 1:
+                out |= (b_nz if self._trunc >> i & 1 else b_nz & other._trunc) << i
+        # A zero but truncated slot reaches every slot at or above its own.
+        lost = (self._trunc & ~a_nz) | (other._trunc & ~b_nz)
+        if lost:
+            out |= -(lost & -lost)
+        return out & ((1 << span) - 1)
+
+    def scale_scalar(self, scalar: LambdaScalar):
+        _Terms._check(self, scalar)
+        nums, trunc = self._times(scalar._nums.items())
+        # A truncated scalar is an unknown term below the floor in every slot.
+        trunc = (1 << self._span()) - 1 if scalar._trunc else trunc | self._trunc
+        return self._like(nums, self._den * scalar._den, trunc)
+
+    def to_json_dict(self) -> dict[str, dict[str, str]]:
+        """Canonical rendering: each nonzero slot's exponent to the rendering of its scalar."""
+        slots: dict[int, list] = {}
+        for key, c in sorted(self._nums.items()):
+            slots.setdefault(key[0], []).append((key, c))
+        return {str(p): _render(terms, self._den) for p, terms in slots.items()}
+
+
+class CohElement(_Graded):
     """An element of Q[P]/(P^n), the sum over p < n of component(p) * P^p.
 
     Stored in the ``_Terms`` format: integer numerators keyed by
     (p, lam_exponent, log_exponent) over one common denominator.  Each
     P-slot has its own truncated flag, bit p of the mask ``_trunc``;
-    ``component(p)`` returns the slot as a ``LambdaScalar``.
-
-    Slot k of a product is truncated when a product of two nonzero
-    components with i + j = k drops a term below the floor or past the log
-    cap, or has a truncated member, and also when a factor has a zero but
-    truncated component at or below k: that zero stands for an unknown term
-    below the floor.  A truncated scalar factor marks every slot.
+    ``component(p)`` returns the slot as a ``LambdaScalar``.  Products follow
+    the truncation rule of ``_Graded``.
     """
 
     __slots__ = ()
@@ -371,15 +455,8 @@ class CohElement(_Terms):
         comps = tuple(components)
         if len(comps) != desc.n:
             raise ValueError(f"expected {desc.n} components, got {len(comps)}")
-        # Over the lcm of lowest-terms denominators the numerators are coprime to it.
-        den = lcm(*(c._den for c in comps))
         self.desc = desc
-        self._nums = {
-            (p, a, b): num * (den // c._den)
-            for p, c in enumerate(comps) for (_, a, b), num in c._nums.items()
-        }
-        self._den = den
-        self._trunc = sum(c._trunc << p for p, c in enumerate(comps))
+        self._nums, self._den, self._trunc = _stacked(enumerate(comps))
 
     # -- constructors --------------------------------------------------------
 
@@ -401,67 +478,17 @@ class CohElement(_Terms):
     def component(self, k: int) -> LambdaScalar:
         if not 0 <= k < self.desc.n:
             raise IndexError(f"no P^{k} slot in Q[P]/(P^{self.desc.n})")
-        nums = {(0, a, b): c for (p, a, b), c in self._nums.items() if p == k}
-        return LambdaScalar._make(self.desc, nums, self._den, self._trunc >> k & 1)
+        return self._slot(k)
 
     @property
     def components(self) -> tuple[LambdaScalar, ...]:
         """All n components, split off in one pass."""
-        desc = self.desc
-        parts: list[dict] = [{} for _ in range(desc.n)]
-        for (p, a, b), c in self._nums.items():
-            parts[p][(0, a, b)] = c
-        return tuple(
-            LambdaScalar._make(desc, part, self._den, self._trunc >> p & 1)
-            for p, part in enumerate(parts)
-        )
-
-    def _slots(self) -> int:
-        """Mask of the nonzero P-slots."""
-        return sum(1 << p for p in {key[0] for key in self._nums})
+        return tuple(self._split())
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __mul__(self, other) -> "CohElement":
-        if isinstance(other, LambdaScalar):
-            return self.scale_scalar(other)
-        if not isinstance(other, CohElement):
-            return self.scale(other)
-        self._check(other)
-        nums, trunc = self._times(sorted(other._nums.items()))
-        if self._trunc or other._trunc:
-            trunc |= self._spread(other)
-        return CohElement._make(self.desc, nums, self._den * other._den, trunc)
-
-    __rmul__ = __mul__
-
-    def _spread(self, other: "CohElement") -> int:
-        """Product slots that inherit a flag from the factors' truncated slots."""
-        full = (1 << self.desc.n) - 1
-        a_nz, b_nz = self._slots(), other._slots()
-        out = 0
-        for i in range(self.desc.n):
-            if a_nz >> i & 1:
-                out |= (b_nz if self._trunc >> i & 1 else b_nz & other._trunc) << i
-        # A zero but truncated slot reaches every slot at or above its own.
-        lost = (self._trunc & ~a_nz) | (other._trunc & ~b_nz)
-        if lost:
-            out |= -(lost & -lost)
-        return out & full
-
-    def scale_scalar(self, scalar: LambdaScalar) -> "CohElement":
-        self._check(scalar)
-        nums, trunc = self._times(scalar._nums.items())
-        # A truncated scalar is an unknown term below the floor in every slot.
-        trunc = (1 << self.desc.n) - 1 if scalar._trunc else trunc | self._trunc
-        return CohElement._make(self.desc, nums, self._den * scalar._den, trunc)
-
-    def to_json_dict(self) -> dict[str, dict[str, str]]:
-        """Canonical rendering: each nonzero P-exponent to the rendering of its slot."""
-        slots: dict[int, list] = {}
-        for key, c in sorted(self._nums.items()):
-            slots.setdefault(key[0], []).append((key, c))
-        return {str(p): _render(terms, self._den) for p, terms in slots.items()}
+    # perfbench traces class products through this class's own ``__mul__`` entry.
+    __mul__ = __rmul__ = _Graded.__mul__
 
     def lambda_zero_part(self) -> "CohElement":
         """Keep only lam^0 log^0 coefficients (the non-equivariant limit), unflagged."""
@@ -497,10 +524,6 @@ class BundleSpec:
     @property
     def rank(self) -> int:
         return len(self.degrees)
-
-    def degree_pairing(self, d: int) -> list[int]:
-        """The integers l_i * d: the bundle degrees evaluated on a curve class."""
-        return [l * d for l in self.degrees]
 
     def chern_roots(self, desc: RingDescriptor) -> list[CohElement]:
         """The roots lam + l_i P, or l_i P in the non-equivariant case."""

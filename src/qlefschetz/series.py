@@ -8,7 +8,8 @@ expanded and q = Q*exp(t) absorbs the divisor direction, so the degree-0
 slice of such a series is the identity class.
 
 Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
-of loop vectors) are handled by the companion QSeries type.
+of loop vectors) are handled by the companion QSeries type, an element of
+R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).
 """
 
 from __future__ import annotations
@@ -17,16 +18,23 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
-from .ring import CohElement, LambdaScalar, RingDescriptor, poincare_pairing
+from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _stacked, poincare_pairing
 
 REDUCED = "reduced"
 RAW = "raw"
 
 
-class QSeries:
-    """A scalar Novikov series: finitely many q-coefficients in the Laurent ring."""
+class QSeries(_Graded):
+    """A scalar Novikov series, an element of R[q]/(q^(D+1)) over the Laurent ring R.
 
-    __slots__ = ("desc", "max_degree", "coeffs")
+    Stored in the ``_Terms`` format of ``ring`` with the Novikov degree in the
+    slot: integer numerators keyed by (d, lam_exponent, log_exponent) over one
+    common denominator, D = ``max_degree``.  Bit d of ``_trunc`` flags the q^d
+    coefficient, also when that coefficient is zero, and the product is the
+    class product of ``_Graded`` with span D + 1 where a class has n.
+    """
+
+    __slots__ = ("max_degree",)
 
     def __init__(
         self,
@@ -36,16 +44,23 @@ class QSeries:
     ) -> None:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
+        slots = []
+        for d, c in (coeffs or {}).items():
+            if d < 0:
+                raise ValueError("negative Novikov degree")
+            if d <= max_degree:
+                slots.append((d, c))
         self.desc = desc
         self.max_degree = max_degree
-        clean: dict[int, LambdaScalar] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                if d < 0:
-                    raise ValueError("negative Novikov degree")
-                if d <= max_degree and not c.is_zero():
-                    clean[d] = c
-        self.coeffs = clean
+        self._nums, self._den, self._trunc = _stacked(slots)
+
+    def _like(self, nums: dict, den: int, trunc: int) -> "QSeries":
+        out = self._make(self.desc, nums, den, trunc)
+        out.max_degree = self.max_degree
+        return out
+
+    def _span(self) -> int:
+        return self.max_degree + 1
 
     @classmethod
     def zero(cls, desc: RingDescriptor, max_degree: int) -> "QSeries":
@@ -66,14 +81,14 @@ class QSeries:
         )
 
     def coefficient(self, d: int) -> LambdaScalar:
-        return self.coeffs.get(d, LambdaScalar.zero(self.desc))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        if not 0 <= d <= self.max_degree:
+            return LambdaScalar.zero(self.desc)
+        return self._slot(d)
 
     @property
-    def truncated(self) -> bool:
-        return any(c.truncated for c in self.coeffs.values())
+    def coeffs(self) -> dict[int, LambdaScalar]:
+        """The nonzero coefficients by Novikov degree, split off in one pass."""
+        return {d: c for d, c in enumerate(self._split()) if not c.is_zero()}
 
     def _check(self, other: "QSeries") -> None:
         if self.desc != other.desc:
@@ -81,64 +96,19 @@ class QSeries:
         if self.max_degree != other.max_degree:
             raise ValueError("q-series truncated at different degrees")
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            old = out.get(d)
-            out[d] = c if old is None else old + c
-        return QSeries(self.desc, self.max_degree, out)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(
-            self.desc, self.max_degree, {d: -c for d, c in self.coeffs.items()}
-        )
-
-    def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, LambdaScalar):
-            return QSeries(
-                self.desc,
-                self.max_degree,
-                {d: c * other for d, c in self.coeffs.items()},
-            )
-        self._check(other)
-        out: dict[int, LambdaScalar] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if d > self.max_degree:
-                    continue
-                prod = c1 * c2
-                old = out.get(d)
-                out[d] = prod if old is None else old + prod
-        return QSeries(self.desc, self.max_degree, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "QSeries":
-        return QSeries(
-            self.desc, self.max_degree, {d: c.scale(value) for d, c in self.coeffs.items()}
-        )
+    # perfbench traces q-series products through this class's own ``__mul__`` entry.
+    __mul__ = __rmul__ = _Graded.__mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (
-            self.desc == other.desc
-            and self.max_degree == other.max_degree
-            and self.coeffs == other.coeffs
-        )
+        return self.max_degree == other.max_degree and super().__eq__(other)
 
     def __hash__(self):
-        return hash((self.desc, self.max_degree, tuple(sorted(self.coeffs.items()))))
+        return hash((super().__hash__(), self.max_degree))
 
     def valuation_at_least(self, v: int) -> bool:
-        return all(d >= v for d in self.coeffs)
+        return all(key[0] >= v for key in self._nums)
 
     def invert(self) -> "QSeries":
         """Inverse of a series whose constant term is a nonzero rational.
@@ -195,11 +165,8 @@ class QSeries:
                 out = out + power * c
         return out
 
-    def to_json_dict(self) -> dict[str, dict[str, str]]:
-        return {str(d): c.to_json_dict() for d, c in sorted(self.coeffs.items())}
-
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         return " + ".join(f"({c})*q^{d}" for d, c in sorted(self.coeffs.items()))
 
@@ -321,7 +288,8 @@ class ZSeries:
         for d, row in other.slices.items():
             tgt = out.setdefault(d, {})
             for ze, el in row.items():
-                tgt[ze] = tgt.get(ze, CohElement.zero(self.desc)) + el
+                old = tgt.get(ze)
+                tgt[ze] = el if old is None else old + el
         return ZSeries(self.desc, self.max_degree, out, self.convention)
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
@@ -541,18 +509,13 @@ def symplectic_form(f: ZSeries, g: ZSeries) -> QSeries:
             d = d1 + d2
             if d > f.max_degree:
                 continue
-            acc = out.get(d, LambdaScalar.zero(desc))
             for z1, e1 in row1.items():
-                z2 = -1 - z1
-                e2 = row2.get(z2)
+                e2 = row2.get(-1 - z1)
                 if e2 is None:
                     continue
-                sign = -1 if z1 % 2 else 1
-                acc = acc + poincare_pairing(e1, e2).scale(sign)
-            if acc.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = acc
+                term = poincare_pairing(e1, e2).scale(-1 if z1 % 2 else 1)
+                old = out.get(d)
+                out[d] = term if old is None else old + term
     return QSeries(desc, f.max_degree, out)
 
 
@@ -582,9 +545,11 @@ def directional_derivative(f: ZSeries) -> ZSeries:
         for ze, el in row.items():
             p_el = el * p_class
             if not p_el.is_zero():
-                tgt[ze] = tgt.get(ze, CohElement.zero(desc)) + p_el
+                old = tgt.get(ze)
+                tgt[ze] = p_el if old is None else old + p_el
             if d:
                 z_el = el.scale(d)
-                tgt[ze + 1] = tgt.get(ze + 1, CohElement.zero(desc)) + z_el
+                old = tgt.get(ze + 1)
+                tgt[ze + 1] = z_el if old is None else old + z_el
         out[d] = tgt
     return ZSeries(desc, f.max_degree, out, REDUCED)

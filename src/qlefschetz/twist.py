@@ -217,19 +217,19 @@ def stirling_check(z_cap: int) -> tuple[bool, int | None]:
 # -- hypergeometric modification ------------------------------------------------
 
 
-def _linear_factor_product(
-    desc: RingDescriptor, poly: dict[int, CohElement], factors
-) -> dict[int, CohElement]:
+def _linear_factor_product(poly: dict[int, CohElement], factors) -> dict[int, CohElement]:
     """poly * prod (a + k z) over factors [(a, k)], poly a z-polynomial of CohElements."""
     for a, k in factors:
         out: dict[int, CohElement] = {}
         for ze, el in poly.items():
             t = el * a
             if not t.is_zero():
-                out[ze] = out.get(ze, CohElement.zero(desc)) + t
+                old = out.get(ze)
+                out[ze] = t if old is None else old + t
             t = el.scale(k)
             if not t.is_zero():
-                out[ze + 1] = out.get(ze + 1, CohElement.zero(desc)) + t
+                old = out.get(ze + 1)
+                out[ze + 1] = t if old is None else old + t
         poly = {ze: el for ze, el in out.items() if not el.is_zero()}
     return poly
 
@@ -251,7 +251,6 @@ def _twisted_slices(J: ZSeries, groups, start: int):
     for d in sorted(J.slices):
         products = [
             _linear_factor_product(
-                desc,
                 poly,
                 [
                     (root, Fraction(k))
@@ -306,7 +305,7 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
     for d, twisted, rhs in _twisted_slices(J, [[root] for root in roots], 0):
         for i, (l, root) in enumerate(roots):
             new = [(-root, Fraction(k)) for k in range(1 - l * d, 1 - l * reached)]
-            lhs[i] = _linear_factor_product(desc, lhs[i], new)
+            lhs[i] = _linear_factor_product(lhs[i], new)
             rhs_signed = {ze: el.scale((-1) ** (l * d)) for ze, el in rhs[i].items()}
             if first_failure is None and lhs[i] != rhs_signed:
                 first_failure = (i, d)
@@ -326,7 +325,8 @@ def bundle_exponent_slots(
     slots: dict[int, CohElement] = {}
     for l in bundle.degrees:
         for ze, el in b_series(l, desc, z_cap).z_slots(sign).items():
-            slots[ze] = slots.get(ze, CohElement.zero(desc)) + el
+            old = slots.get(ze)
+            slots[ze] = el if old is None else old + el
     return slots
 
 

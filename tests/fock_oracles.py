@@ -6,7 +6,9 @@ evaluate Omega against unit vectors over the whole window, the Poisson bracket
 builds the gradients coordinate by coordinate with a rescan of every monomial,
 the operator action enumerates every position of a differentiated variable,
 the multiplication operator maps each end through its own z-exponent
-converter, and the random hamiltonian draws over a prebuilt monomial basis.
+converter, the random hamiltonian draws over a prebuilt monomial basis, and
+the anomaly looks up the pairing table for every pp-monomial against every
+qq-monomial.
 """
 
 from fractions import Fraction
@@ -167,3 +169,32 @@ def random_hamiltonian_over_basis(space: DarbouxSpace, rng) -> QuadraticHamilton
         if rng.random() < 0.4:
             coeffs[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return QuadraticHamiltonian(space, coeffs)
+
+
+def _monomials_of_kind(H: QuadraticHamiltonian, kinds: tuple[str, str]):
+    for (i, j), c in H.coeffs.items():
+        if (i[0], j[0]) == kinds:
+            yield (i, j), c
+
+
+def _table_value(p_mono: Monomial, q_mono: Monomial) -> Fraction:
+    """Anomaly table on a pp-monomial against a qq-monomial."""
+    p_idx = sorted(((k, a) for (_, k, a) in p_mono))
+    q_idx = sorted(((k, a) for (_, k, a) in q_mono))
+    if p_idx != q_idx:
+        return Fraction(0)
+    if p_idx[0] == p_idx[1]:
+        return Fraction(2)
+    return Fraction(1)
+
+
+def cocycle_eval_by_table(F: QuadraticHamiltonian, G: QuadraticHamiltonian) -> Fraction:
+    """C(F, G) as the table value of every pp-monomial against every qq-monomial."""
+    acc = Fraction(0)
+    for m_f, c_f in _monomials_of_kind(F, ("p", "p")):
+        for m_g, c_g in _monomials_of_kind(G, ("q", "q")):
+            acc += c_f * c_g * _table_value(m_f, m_g)
+    for m_f, c_f in _monomials_of_kind(F, ("q", "q")):
+        for m_g, c_g in _monomials_of_kind(G, ("p", "p")):
+            acc -= c_f * c_g * _table_value(m_g, m_f)
+    return acc

@@ -10,13 +10,26 @@ scalar kernel is checked against ``FractionScalar`` and ``fraction_coh_mul``,
 the Fraction-dict arithmetic that the fraction-free ``LambdaScalar`` replaced,
 and the flat class kernel against ``scalar_coh_mul``, the slot-by-slot
 ``LambdaScalar`` product it replaced.  ``compose_novikov_per_degree`` is the
-substitution q = inner(q') built from one series per degree.
+substitution q = inner(q') built from one series per degree.  ``DictQSeries``
+is the dict-of-scalars q-series that ``QSeries``, now a value in the shared
+class format, replaced.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Mapping
 
-from qlefschetz import CohElement, LambdaScalar, QSeries, ZSeries
+from qlefschetz import (
+    CohElement,
+    DescriptorMismatchError,
+    LambdaScalar,
+    QSeries,
+    RingDescriptor,
+    UnitError,
+    ZSeries,
+)
 from qlefschetz.series import REDUCED, exp_constant_scalar
 
 
@@ -237,3 +250,189 @@ def scalar_coh_mul(desc, a, b):
                 out[i + j] = out[i + j] + x * b[j]
     flag = LambdaScalar(desc, truncated=True)
     return [s + flag if k >= tainted else s for k, s in enumerate(out)]
+
+
+class DictQSeries:
+    """A scalar Novikov series as a dict {d: LambdaScalar} of its nonzero coefficients.
+
+    Every operation works coefficient by coefficient with scalar arithmetic,
+    and the constructor drops zero coefficients together with their
+    ``truncated`` flags.
+    """
+
+    __slots__ = ("desc", "max_degree", "coeffs")
+
+    def __init__(
+        self,
+        desc: RingDescriptor,
+        max_degree: int,
+        coeffs: Mapping[int, LambdaScalar] | None = None,
+    ) -> None:
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
+        self.desc = desc
+        self.max_degree = max_degree
+        clean: dict[int, LambdaScalar] = {}
+        if coeffs:
+            for d, c in coeffs.items():
+                if d < 0:
+                    raise ValueError("negative Novikov degree")
+                if d <= max_degree and not c.is_zero():
+                    clean[d] = c
+        self.coeffs = clean
+
+    @classmethod
+    def zero(cls, desc: RingDescriptor, max_degree: int) -> "DictQSeries":
+        return cls(desc, max_degree)
+
+    @classmethod
+    def one(cls, desc: RingDescriptor, max_degree: int) -> "DictQSeries":
+        return cls(desc, max_degree, {0: LambdaScalar.one(desc)})
+
+    @classmethod
+    def from_rationals(
+        cls, desc: RingDescriptor, max_degree: int, values: Mapping[int, Fraction]
+    ) -> "DictQSeries":
+        return cls(
+            desc,
+            max_degree,
+            {d: LambdaScalar.from_rational(desc, v) for d, v in values.items()},
+        )
+
+    def coefficient(self, d: int) -> LambdaScalar:
+        return self.coeffs.get(d, LambdaScalar.zero(self.desc))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def truncated(self) -> bool:
+        return any(c.truncated for c in self.coeffs.values())
+
+    def _check(self, other: "DictQSeries") -> None:
+        if self.desc != other.desc:
+            raise DescriptorMismatchError("q-series over different descriptors")
+        if self.max_degree != other.max_degree:
+            raise ValueError("q-series truncated at different degrees")
+
+    def __add__(self, other: "DictQSeries") -> "DictQSeries":
+        self._check(other)
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            old = out.get(d)
+            out[d] = c if old is None else old + c
+        return DictQSeries(self.desc, self.max_degree, out)
+
+    def __sub__(self, other: "DictQSeries") -> "DictQSeries":
+        return self + (-other)
+
+    def __neg__(self) -> "DictQSeries":
+        return DictQSeries(
+            self.desc, self.max_degree, {d: -c for d, c in self.coeffs.items()}
+        )
+
+    def __mul__(self, other) -> "DictQSeries":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, LambdaScalar):
+            return DictQSeries(
+                self.desc,
+                self.max_degree,
+                {d: c * other for d, c in self.coeffs.items()},
+            )
+        self._check(other)
+        out: dict[int, LambdaScalar] = {}
+        for d1, c1 in self.coeffs.items():
+            for d2, c2 in other.coeffs.items():
+                d = d1 + d2
+                if d > self.max_degree:
+                    continue
+                prod = c1 * c2
+                old = out.get(d)
+                out[d] = prod if old is None else old + prod
+        return DictQSeries(self.desc, self.max_degree, out)
+
+    __rmul__ = __mul__
+
+    def scale(self, value) -> "DictQSeries":
+        return DictQSeries(
+            self.desc, self.max_degree, {d: c.scale(value) for d, c in self.coeffs.items()}
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DictQSeries):
+            return NotImplemented
+        return (
+            self.desc == other.desc
+            and self.max_degree == other.max_degree
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.desc, self.max_degree, tuple(sorted(self.coeffs.items()))))
+
+    def valuation_at_least(self, v: int) -> bool:
+        return all(d >= v for d in self.coeffs)
+
+    def invert(self) -> "DictQSeries":
+        """Inverse of a series whose constant term is a nonzero rational.
+
+        With g = 1/f, comparing q^n coefficients of f*g = 1 gives the recurrence
+        g_n = -(1/f_0) sum_{k=1}^{n} f_k g_(n-k), one pass over the degrees.
+        """
+        c0 = self.coefficient(0)
+        if not c0.is_rational() or c0.as_rational() == 0:
+            raise UnitError("q-series constant term is not a nonzero rational")
+        neg_inv_lead = Fraction(-1, c0.as_rational())
+        tail = {k: c for k, c in self.coeffs.items() if k}
+        first = LambdaScalar.from_rational(self.desc, -neg_inv_lead)
+        return self._recurrence(first, tail, lambda n: neg_inv_lead)
+
+    def exp(self) -> "DictQSeries":
+        """Exponential of a series with zero constant term.
+
+        g = exp(f) solves q*g' = (q*f')*g, so n*g_n = sum_{k=1}^{n} k f_k g_(n-k)
+        with g_0 = 1: each coefficient costs one pass over f.
+        """
+        if not self.valuation_at_least(1):
+            raise ValueError("exp requires q-valuation >= 1")
+        weighted = {k: c.scale(k) for k, c in self.coeffs.items()}
+        one = LambdaScalar.one(self.desc)
+        return self._recurrence(one, weighted, lambda n: Fraction(1, n))
+
+    def _recurrence(self, first, weights, factor) -> "DictQSeries":
+        """The series g_0 = first, g_n = factor(n) * sum_{k=1}^{n} weights_k g_(n-k)."""
+        terms = sorted(weights.items())
+        g = [first]
+        for n in range(1, self.max_degree + 1):
+            acc = LambdaScalar.zero(self.desc)
+            for k, w in terms:
+                if k > n:
+                    break
+                acc = acc + w * g[n - k]
+            g.append(acc.scale(factor(n)))
+        return DictQSeries(self.desc, self.max_degree, dict(enumerate(g)))
+
+    def compose(self, inner: "DictQSeries") -> "DictQSeries":
+        """Substitute q = inner(q'), where inner has valuation >= 1."""
+        self._check(inner)
+        if not inner.valuation_at_least(1):
+            raise ValueError("composition requires inner valuation >= 1")
+        out = DictQSeries(self.desc, self.max_degree, {0: self.coefficient(0)})
+        power = DictQSeries.one(self.desc, self.max_degree)
+        for d in range(1, self.max_degree + 1):
+            power = power * inner
+            if power.is_zero():
+                break
+            c = self.coefficient(d)
+            if not c.is_zero():
+                out = out + power * c
+        return out
+
+    def to_json_dict(self) -> dict[str, dict[str, str]]:
+        return {str(d): c.to_json_dict() for d, c in sorted(self.coeffs.items())}
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"({c})*q^{d}" for d, c in sorted(self.coeffs.items()))

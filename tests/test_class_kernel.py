@@ -71,14 +71,15 @@ def agree(got: CohElement, want) -> None:
     assert got.truncated == any(c.truncated for c in want)
 
 
-def assert_canonical(el: CohElement) -> None:
-    nums, den = el._nums, el._den
+def assert_canonical(el) -> None:
+    """A class or q-series in lowest terms, its keys and flags inside its slots and range."""
+    nums, den, desc, span = el._nums, el._den, el.desc, el._span()
     assert den > 0
     assert all(nums.values())
     assert gcd(den, *nums.values()) == 1
     for p, a, b in nums:
-        assert 0 <= p < DESC.n and a >= -DESC.lambda_floor and 0 <= b <= DESC.log_cap
-    assert 0 <= el._trunc < 1 << DESC.n
+        assert 0 <= p < span and a >= -desc.lambda_floor and 0 <= b <= desc.log_cap
+    assert 0 <= el._trunc < 1 << span
 
 
 @given(classes(), classes())

@@ -24,6 +24,7 @@ from qlefschetz.fock import (
 
 from fock_oracles import (
     apply_by_positions,
+    cocycle_eval_by_table,
     hamiltonian_of_by_omega,
     is_infinitesimal_symplectic_by_omega,
     multiplication_operator_by_exponents,
@@ -290,6 +291,16 @@ def test_poisson_bracket_matches_per_coordinate_gradients(space, seed):
     bracket = poisson_bracket(A, B)
     assert bracket == poisson_bracket_per_coordinate(A, B)
     assert all_fractions(bracket.coeffs.values())
+
+
+@ORACLES
+@given(SPACES, st.integers(0, 10**6))
+def test_cocycle_matches_the_table_over_all_monomial_pairs(space, seed):
+    A, B = seeded_hamiltonians(space, seed, 2)
+    for F_, G_ in ((A, B), (B, A), (A, A), (A, poisson_bracket(A, B))):
+        value = cocycle_eval(F_, G_)
+        assert value == cocycle_eval_by_table(F_, G_)
+        assert type(value) is F
 
 
 @st.composite

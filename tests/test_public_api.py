@@ -3,6 +3,8 @@ import sys
 from pathlib import Path
 
 import qlefschetz
+from qlefschetz import CohElement, LambdaScalar, QSeries
+from qlefschetz.ring import _Terms
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qlefschetz"
 
@@ -32,3 +34,24 @@ def test_runtime_imports_are_stdlib_only():
                 if module.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_scalars_classes_and_q_series_share_one_kernel():
+    assert all(issubclass(kind, _Terms) for kind in (LambdaScalar, CohElement, QSeries))
+    # The kernel's arithmetic is defined once: _times on _Terms, the two
+    # numerator helpers at the top level of ring.py, and nowhere else.
+    kernel = {"_times", "_add_nums", "_lowest"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owners[id(child)] = node.name if isinstance(node, ast.ClassDef) else None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in kernel:
+                found.add((path.name, owners[id(node)], node.name))
+    assert found == {
+        ("ring.py", "_Terms", "_times"),
+        ("ring.py", None, "_add_nums"),
+        ("ring.py", None, "_lowest"),
+    }

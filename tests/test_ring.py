@@ -135,7 +135,6 @@ def test_bundle_spec_validation():
     with pytest.raises(ValueError):
         BundleSpec((0,))
     assert BundleSpec(()).rank == 0
-    assert BundleSpec((2, 3)).degree_pairing(2) == [4, 6]
 
 
 def test_ring_axioms_random():

@@ -210,3 +210,17 @@ def test_qseries_basic_algebra():
     h = QSeries.from_rationals(desc, 4, {1: F(2)})
     assert h.exp().coefficient(2).as_rational() == 2
     assert h.compose(h).coefficient(1).as_rational() == 4
+
+
+def test_qseries_keeps_the_flag_of_a_zero_coefficient(desc):
+    lost = LambdaScalar.lam_power(desc, -3)
+    f = QSeries(desc, 1, {0: lost})
+    assert f.truncated and f.is_zero()
+    # (lam^-2 + q) * lam^-1: the true q^0 term lam^-3 lies below the floor.
+    g = QSeries(desc, 2, {0: LambdaScalar.lam_power(desc, -2), 1: LambdaScalar.one(desc)})
+    inv_lam = LambdaScalar.lam_power(desc, -1)
+    for prod in (g * inv_lam, inv_lam * g, g * QSeries(desc, 2, {0: inv_lam})):
+        assert prod.truncated
+        head, linear = prod.coefficient(0), prod.coefficient(1)
+        assert head.is_zero() and head.truncated
+        assert linear == inv_lam and not linear.truncated

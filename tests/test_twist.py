@@ -134,8 +134,8 @@ def test_serre_identity_is_checked_on_the_carried_product(monkeypatch):
 
     carry = twist._linear_factor_product
 
-    def drop_k3(desc, poly, factors):
-        return carry(desc, poly, [(a, k) for a, k in factors if k != 3])
+    def drop_k3(poly, factors):
+        return carry(poly, [(a, k) for a, k in factors if k != 3])
 
     monkeypatch.setattr(twist, "_linear_factor_product", drop_k3)
     J = j_reduced(4, 3, lambda_floor=1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import TransversalityError
-from .ring import CohElement, RingDescriptor
+from .ring import CohElement, LambdaScalar, RingDescriptor
 from .series import QSeries, REDUCED, ZSeries, add_row_product, directional_derivative
 
 
@@ -34,36 +34,41 @@ def j_reduced(
         desc = RingDescriptor(n=n, lambda_floor=lambda_floor, log_cap=log_cap)
     elif desc.n != n:
         raise ValueError("descriptor does not match the requested dimension")
-    slices: dict[int, dict[int, CohElement]] = {0: {0: CohElement.one(desc)}}
-    current: dict[int, CohElement] = {0: CohElement.one(desc)}
+    one = CohElement.one(desc)
+    slices: dict[int, dict[int, CohElement]] = {0: {0: one}}
+    current: dict[int, CohElement] = {0: one}
     for d in range(1, max_degree + 1):
         current = _multiply_inverse_factor(desc, current, d)
-        slices[d] = dict(current)
-        top = max(current)
+        slices[d] = current
+    J = ZSeries._of(desc, max_degree, slices, REDUCED)
+    for d in range(1, max_degree + 1):
+        top = max(J.z_exponents(d))
         if top != -n * d:
             raise AssertionError(
                 f"slice {d} has top z-exponent {top}, expected {-n * d}"
             )
-    return ZSeries(desc, max_degree, slices, REDUCED)
+    return J
 
 
 def _multiply_inverse_factor(
     desc: RingDescriptor, poly: dict[int, CohElement], k: int
 ) -> dict[int, CohElement]:
-    """Multiply a z-Laurent CohElement polynomial by (P + k z)^(-n), mod P^n.
+    """Multiply a weight-keyed row of classes by (P + k z)^(-n), mod P^n.
 
-    (P + k z)^(-n) = (k z)^(-n) * sum_{j < n} binom(-n, j) (P / (k z))^j.
+    (P + k z)^(-n) = (k z)^(-n) * sum_{j < n} binom(-n, j) (P / (k z))^j, whose
+    terms all have weight -n: one class at weight -n.
     """
     n = desc.n
-    factor = {
-        -n - j: CohElement.p_power(
-            desc, j, Fraction(comb(n + j - 1, j) * (-1) ** j, k ** (n + j))
-        )
-        for j in range(n)
-    }
+    factor = CohElement(
+        desc,
+        [
+            LambdaScalar.from_rational(desc, Fraction(comb(n + j - 1, j) * (-1) ** j, k ** (n + j)))
+            for j in range(n)
+        ],
+    )
     out: dict[int, CohElement] = {}
-    add_row_product(out, poly, factor)
-    return {ze: el for ze, el in out.items() if not el.is_zero()}
+    add_row_product(out, poly, {-n: factor})
+    return {w: el for w, el in out.items() if not el.is_zero()}
 
 
 def qde_verify(J: ZSeries, n: int):
@@ -142,8 +147,8 @@ def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
     # coefficients per cell and z-power, {d: c}, before any series is built
     cells: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
     for a, T in enumerate(frame):
-        for d, row in T.slices.items():
-            for ze, el in row.items():
+        for d in T.slices:
+            for ze, el in T.slice(d).items():
                 for b, c in enumerate(el.components):
                     if not c.is_zero():
                         cells[b][a].setdefault(ze, {})[d] = c
@@ -205,7 +210,8 @@ def s_matrix(J: ZSeries, n: int, max_degree: int):
             for i in range(n):
                 _add_cell_product(acc, S.entries[i][a], S.entries[g_apply(i)][b])
             if a + b == n - 1:
-                acc[0] = acc.get(0, QSeries.zero(desc, D)) - QSeries.one(desc, D)
+                old, one = acc.get(0), QSeries.one(desc, D)
+                acc[0] = -one if old is None else old - one
             for ze in sorted(acc):
                 if not acc[ze].is_zero():
                     ok = False

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gw import frame_series
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, exp_constant_scalar
+from .series import QSeries, REDUCED, ZSeries, add_scaled_row, exp_constant_scalar
 
 _MAX_SWEEPS = 400
 
@@ -93,10 +93,6 @@ class MirrorResult:
 # -- elimination core --------------------------------------------------------------
 
 
-def _copy_slices(f: ZSeries) -> dict[int, dict[int, CohElement]]:
-    return {d: dict(row) for d, row in f.slices.items()}
-
-
 def _subtract_scaled(
     work: dict[int, dict[int, CohElement]],
     frame_el: ZSeries,
@@ -105,33 +101,22 @@ def _subtract_scaled(
     beta: LambdaScalar,
     max_degree: int,
 ) -> None:
-    """work -= beta * z^z_shift * q^d_shift * frame_el, in place."""
+    """work -= beta * z^z_shift * q^d_shift * frame_el, in place, on rows keyed by weight."""
+    neg = -beta
     for d, row in frame_el.slices.items():
         d_out = d + d_shift
-        if d_out > max_degree:
-            continue
-        tgt = work.setdefault(d_out, {})
-        for ze, el in row.items():
-            key = ze + z_shift
-            delta = el.scale_scalar(beta)
-            if delta.is_zero():
-                continue
-            old = tgt.get(key)
-            new = -delta if old is None else old - delta
-            if new.is_zero():
-                del tgt[key]
-            else:
-                tgt[key] = new
+        if d_out <= max_degree:
+            add_scaled_row(work.setdefault(d_out, {}), row, neg, z_shift)
 
 
-def _violations(
-    desc: RingDescriptor, row: dict[int, CohElement], d: int
-) -> list[tuple[int, int]]:
+def _violations(f: ZSeries, d: int) -> list[tuple[int, int]]:
+    """The (z-exponent, P-exponent) slots with z >= 0 to eliminate from slice d of f."""
+    zrow = f.slice(d)
     out = []
-    for ze in sorted((z for z in row if z >= 0), reverse=True):
-        for p, c in enumerate(row[ze].components):
+    for ze in sorted((ze for ze in zrow if ze >= 0), reverse=True):
+        for p, c in enumerate(zrow[ze].components):
             if d == 0 and ze == 0 and p == 0:
-                if not (c - LambdaScalar.one(desc)).is_zero():
+                if not (c - LambdaScalar.one(f.desc)).is_zero():
                     out.append((ze, p))
             elif not c.is_zero():
                 out.append((ze, p))
@@ -160,18 +145,20 @@ def _eliminate(
                 f"frame element {p} has non-unit leading coefficient {lead}"
             )
 
-    work = _copy_slices(f)
+    work = {d: dict(row) for d, row in f.slices.items()}
     corrections: list[dict[tuple[int, int], LambdaScalar]] = [dict() for _ in range(n)]
-    zero = CohElement.zero(desc)
+
+    def current(d: int) -> ZSeries:
+        """Slice d of work as it stands, as a series."""
+        return ZSeries._of(desc, D, {d: work.get(d, {})}, f.convention)
+
     for d in range(D + 1):
         for _sweep in range(_MAX_SWEEPS):
-            row = work.get(d, {})
-            viols = _violations(desc, row, d)
+            viols = _violations(current(d), d)
             if not viols:
                 break
             for ze, p in viols:
-                el = work.get(d, {}).get(ze, zero)
-                beta = el.component(p)
+                beta = current(d).scalar_slot(d, ze, p)
                 if d == 0 and ze == 0 and p == 0:
                     beta = beta - one
                 if beta.is_zero():
@@ -185,7 +172,7 @@ def _eliminate(
             raise EngineError(
                 f"elimination did not stabilize at Novikov degree {d}"
             )
-    normalized = ZSeries(desc, D, work, f.convention)
+    normalized = ZSeries._of(desc, D, work, f.convention)
     return normalized, corrections
 
 
@@ -374,18 +361,14 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
     if not (lead - CohElement.one(desc)).is_zero():
         raise ValueError("degree-0 slice must be the identity class")
 
-    for d, row in I.slices.items():
-        for ze, el in row.items():
-            if ze > 0 and not el.is_zero():
-                raise UnitError(
-                    "positive z-powers present; the series is outside the "
-                    "small-parameter normal form (degree exceeds dimension)"
-                )
-    for d, row in I.slices.items():
-        if d == 0:
-            continue
-        el = row.get(0)
-        if el is not None and not all(c.is_zero() for c in el.components[1:]):
+    for d in I.slices:
+        if any(ze > 0 for ze in I.z_exponents(d)):
+            raise UnitError(
+                "positive z-powers present; the series is outside the "
+                "small-parameter normal form (degree exceeds dimension)"
+            )
+    for d in I.slices:
+        if d and not all(c.is_zero() for c in I.coefficient(d, 0).components[1:]):
             raise UnitError("z^0 slot carries classes above degree 2")
 
     J1 = I.scale_qseries(_slot_series(I, 0, 0).invert())

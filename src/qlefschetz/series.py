@@ -7,6 +7,10 @@ stored in the ``reduced`` convention: the prefactor z*exp((t0+Pt)/z) is never
 expanded and q = Q*exp(t) absorbs the divisor direction, so the degree-0
 slice of such a series is the identity class.
 
+With z, P and lam of degree 1 every series the pipeline builds is homogeneous,
+so a slice is stored as classes keyed by weight w = z + p + lam_exp: one class
+per slice, and a product of two slices is one class product.
+
 Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
 R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).
@@ -15,6 +19,7 @@ R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
@@ -193,7 +198,16 @@ def exp_constant_scalar(c: LambdaScalar) -> LambdaScalar:
 
 
 class ZSeries:
-    """Novikov-graded Laurent series in z with CohElement coefficients."""
+    """Novikov-graded Laurent series in z with CohElement coefficients.
+
+    Give z, P and lam degree 1.  Row d of ``slices`` is keyed by weight: the
+    class at weight w holds the terms P^p lam^a log(lam)^b whose z-exponent is
+    w - p - a.  The map from (z-exponent, term) to (weight, term) is a
+    bijection, so any series can be stored this way, and every series the
+    pipeline builds is homogeneous, one class per slice.  The constructor and
+    ``slice(d)`` speak z-exponents; ``_by_weight`` and ``_by_z`` convert.
+    A zero class is kept only when it is flagged as truncated.
+    """
 
     __slots__ = ("desc", "max_degree", "convention", "slices")
 
@@ -208,47 +222,58 @@ class ZSeries:
             raise ValueError("max_degree must be >= 0")
         if convention not in (REDUCED, RAW):
             raise ValueError(f"unknown convention {convention!r}")
+        rows: dict[int, dict[int, CohElement]] = {}
+        for d, zpoly in (slices or {}).items():
+            if d < 0:
+                raise ValueError("negative Novikov degree")
+            rows[d] = _by_weight(zpoly)
+        self._fill(desc, max_degree, rows, convention)
+
+    @classmethod
+    def _of(cls, desc, max_degree, rows, convention) -> "ZSeries":
+        """Trusted constructor from rows already keyed by weight."""
+        out = object.__new__(cls)
+        out._fill(desc, max_degree, rows, convention)
+        return out
+
+    def _fill(self, desc, max_degree, rows, convention) -> None:
         self.desc = desc
         self.max_degree = max_degree
         self.convention = convention
-        clean: dict[int, dict[int, CohElement]] = {}
-        if slices:
-            for d, zpoly in slices.items():
-                if d < 0:
-                    raise ValueError("negative Novikov degree")
-                if d > max_degree:
-                    continue
-                row = {ze: el for ze, el in zpoly.items() if not el.is_zero()}
-                if row:
-                    clean[d] = row
-        self.slices = clean
+        slices: dict[int, dict[int, CohElement]] = {}
+        for d, row in rows.items():
+            if d <= max_degree:
+                kept = {w: el for w, el in row.items() if not el.is_zero() or el.truncated}
+                if kept:
+                    slices[d] = kept
+        self.slices = slices
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def unit(cls, desc: RingDescriptor, max_degree: int, convention: str = REDUCED) -> "ZSeries":
-        return cls(desc, max_degree, {0: {0: CohElement.one(desc)}}, convention)
+        return cls._of(desc, max_degree, {0: {0: CohElement.one(desc)}}, convention)
 
     @classmethod
     def zero(cls, desc: RingDescriptor, max_degree: int, convention: str = REDUCED) -> "ZSeries":
-        return cls(desc, max_degree, None, convention)
+        return cls._of(desc, max_degree, {}, convention)
 
     # -- inspection -------------------------------------------------------------
 
     def slice(self, d: int) -> dict[int, CohElement]:
-        return dict(self.slices.get(d, {}))
+        """Slice d keyed by z-exponent."""
+        return _by_z(self.slices.get(d, {}))
 
     def coefficient(self, d: int, z_exp: int) -> CohElement:
-        row = self.slices.get(d)
-        if row is None:
-            return CohElement.zero(self.desc)
-        return row.get(z_exp, CohElement.zero(self.desc))
+        el = _by_z(self.slices.get(d, {}), lambda ze: ze == z_exp).get(z_exp)
+        return CohElement.zero(self.desc) if el is None else el
 
     def scalar_slot(self, d: int, z_exp: int, p_exp: int) -> LambdaScalar:
         return self.coefficient(d, z_exp).component(p_exp)
 
     def is_zero(self) -> bool:
-        return not self.slices
+        """True when every value is zero; flags are not looked at."""
+        return all(el.is_zero() for row in self.slices.values() for el in row.values())
 
     @property
     def truncated(self) -> bool:
@@ -257,13 +282,15 @@ class ZSeries:
         )
 
     def z_exponents(self, d: int) -> list[int]:
-        return sorted(self.slices.get(d, {}))
+        """The z-exponents of slice d that hold terms."""
+        return sorted(ze for ze, el in self.slice(d).items() if not el.is_zero())
 
     def first_nonzero_slot(self):
         """Smallest (d, z_exp, P_exp) with a nonzero scalar, or None."""
         for d in sorted(self.slices):
-            for ze in sorted(self.slices[d]):
-                for p, c in enumerate(self.slices[d][ze].components):
+            row = self.slice(d)
+            for ze in sorted(row):
+                for p, c in enumerate(row[ze].components):
                     if not c.is_zero():
                         return (d, ze, p)
         return None
@@ -278,6 +305,9 @@ class ZSeries:
                 f"cannot combine {self.convention} series with {other.convention} series"
             )
 
+    def _like(self, rows) -> "ZSeries":
+        return ZSeries._of(self.desc, self.max_degree, rows, self.convention)
+
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other: "ZSeries") -> "ZSeries":
@@ -287,62 +317,55 @@ class ZSeries:
         }
         for d, row in other.slices.items():
             tgt = out.setdefault(d, {})
-            for ze, el in row.items():
-                old = tgt.get(ze)
-                tgt[ze] = el if old is None else old + el
-        return ZSeries(self.desc, self.max_degree, out, self.convention)
+            for w, el in row.items():
+                old = tgt.get(w)
+                tgt[w] = el if old is None else old + el
+        return self._like(out)
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         return self + (-other)
 
     def __neg__(self) -> "ZSeries":
-        return self.map_coefficients(lambda el: -el)
+        return self._map(lambda el: -el)
 
-    def map_coefficients(self, fn: Callable[[CohElement], CohElement]) -> "ZSeries":
-        out = {
-            d: {ze: fn(el) for ze, el in row.items()}
-            for d, row in self.slices.items()
-        }
-        return ZSeries(self.desc, self.max_degree, out, self.convention)
+    def _map(self, fn: Callable[[CohElement], CohElement]) -> "ZSeries":
+        """fn applied to every class; fn must keep each term's weight (scale, negate, drop)."""
+        return self._like(
+            {d: {w: fn(el) for w, el in row.items()} for d, row in self.slices.items()}
+        )
 
     def scale(self, value) -> "ZSeries":
-        return self.map_coefficients(lambda el: el.scale(value))
+        return self._map(lambda el: el.scale(value))
 
     def scale_scalar(self, scalar: LambdaScalar) -> "ZSeries":
-        return self.map_coefficients(lambda el: el.scale_scalar(scalar))
+        out: dict[int, dict[int, CohElement]] = {}
+        for d, row in self.slices.items():
+            add_scaled_row(out.setdefault(d, {}), row, scalar)
+        return self._like(out)
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
         """Multiply by a scalar q-series."""
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
+        coeffs = f._split()
         out: dict[int, dict[int, CohElement]] = {}
         for d1, row in self.slices.items():
-            for d2, c in f.coeffs.items():
-                d = d1 + d2
-                if d > self.max_degree:
-                    continue
-                tgt = out.setdefault(d, {})
-                for ze, el in row.items():
-                    prod = el.scale_scalar(c)
-                    old = tgt.get(ze)
-                    tgt[ze] = prod if old is None else old + prod
-        return ZSeries(self.desc, self.max_degree, out, self.convention)
+            for d2, c in enumerate(coeffs[: self.max_degree - d1 + 1]):
+                if not c.is_zero() or c.truncated:
+                    add_scaled_row(out.setdefault(d1 + d2, {}), row, c)
+        return self._like(out)
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
-        out = {
-            d + k: dict(row)
-            for d, row in self.slices.items()
-            if d + k <= self.max_degree
-        }
-        return ZSeries(self.desc, self.max_degree, out, self.convention)
+        if any(d + k < 0 for d in self.slices):
+            raise ValueError("negative Novikov degree")
+        return self._like({d + k: dict(row) for d, row in self.slices.items()})
 
     def truncate_novikov(self, max_degree: int) -> "ZSeries":
         """Forget all slices above a lower truncation order."""
         if max_degree >= self.max_degree:
             return self
-        out = {d: dict(row) for d, row in self.slices.items() if d <= max_degree}
-        return ZSeries(self.desc, max_degree, out, self.convention)
+        return ZSeries._of(self.desc, max_degree, self.slices, self.convention)
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         """Graded Cauchy product, truncated at the common Novikov order."""
@@ -354,7 +377,16 @@ class ZSeries:
                 if d > self.max_degree:
                     continue
                 add_row_product(out.setdefault(d, {}), row1, row2)
-        return ZSeries(self.desc, self.max_degree, out, self.convention)
+        return self._like(out)
+
+    def _values(self) -> dict[int, dict[int, CohElement]]:
+        """The rows without their flagged zeros."""
+        out = {}
+        for d, row in self.slices.items():
+            kept = {w: el for w, el in row.items() if not el.is_zero()}
+            if kept:
+                out[d] = kept
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZSeries):
@@ -363,14 +395,14 @@ class ZSeries:
             self.desc == other.desc
             and self.max_degree == other.max_degree
             and self.convention == other.convention
-            and self.slices == other.slices
+            and self._values() == other._values()
         )
 
     def __hash__(self):
         raise TypeError("ZSeries is not hashable")
 
     def lambda_zero_part(self) -> "ZSeries":
-        return self.map_coefficients(lambda el: el.lambda_zero_part())
+        return self._map(lambda el: el.lambda_zero_part())
 
     def exp(self) -> "ZSeries":
         """Exponential of a series argument that is nilpotent-plus-small.
@@ -391,9 +423,9 @@ class ZSeries:
         for j in range(1, bound + 1):
             term = term * self
             term = term.scale(Fraction(1, j))
+            out = out + term
             if term.is_zero():
                 return out
-            out = out + term
         raise EngineError("exponential did not terminate; argument is not small")
 
     def compose_novikov(self, inner: QSeries) -> "ZSeries":
@@ -405,7 +437,7 @@ class ZSeries:
             raise DescriptorMismatchError("substitution series does not match")
         if not inner.valuation_at_least(1):
             raise ValueError("substitution requires valuation >= 1")
-        out = {0: self.slice(0)}
+        out = {0: dict(self.slices.get(0, {}))}
         power = QSeries.one(self.desc, self.max_degree)
         for d in range(1, self.max_degree + 1):
             power = power * inner
@@ -414,22 +446,20 @@ class ZSeries:
             row = self.slices.get(d)
             if row is None:
                 continue
-            for m, c in power.coeffs.items():
-                tgt = out.setdefault(m, {})
-                for ze, el in row.items():
-                    delta = el.scale_scalar(c)
-                    old = tgt.get(ze)
-                    tgt[ze] = delta if old is None else old + delta
-        return ZSeries(self.desc, self.max_degree, out, self.convention)
+            for m, c in enumerate(power._split()):
+                if not c.is_zero() or c.truncated:
+                    add_scaled_row(out.setdefault(m, {}), row, c)
+        return self._like(out)
 
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         slices: dict[str, dict] = {}
         for d in sorted(self.slices):
+            zrow = self.slice(d)
             row: dict[str, dict] = {}
-            for ze in sorted(self.slices[d]):
-                pmap = self.slices[d][ze].to_json_dict()
+            for ze in sorted(zrow):
+                pmap = zrow[ze].to_json_dict()
                 if pmap:
                     row[str(ze)] = pmap
             if row:
@@ -475,23 +505,81 @@ class ZSeries:
 # -- module operations ------------------------------------------------------------
 
 
+def _regroup(row: Mapping[int, CohElement], sign: int, keep=None) -> dict[int, CohElement]:
+    """Move each term (p, lam_exp, log_exp) of the class at key k to key k + sign*(p + lam_exp).
+
+    No two terms meet, so values are unchanged; only the classes at keys that
+    pass ``keep`` are built.  A flag does not say which term was lost, so
+    every class of the result carries the union of the row's flags, and a
+    flagged row without terms becomes a flagged zero at key 0, whatever
+    ``keep`` says: it holds no term, so it has no z-exponent to test.
+    """
+    den = lcm(*(el._den for el in row.values()))
+    parts: dict[int, dict] = {}
+    mask = 0
+    for k, el in row.items():
+        desc = el.desc
+        mask |= el._trunc
+        f = den // el._den
+        for t, c in el._nums.items():
+            parts.setdefault(k + sign * (t[0] + t[1]), {})[t] = c * f
+    if mask and not parts:
+        return {0: CohElement._make(desc, {}, 1, mask)}
+    return {
+        key: CohElement._make(desc, nums, den, mask)
+        for key, nums in parts.items()
+        if keep is None or keep(key)
+    }
+
+
+def _by_weight(row: Mapping[int, CohElement]) -> dict[int, CohElement]:
+    """A row keyed by z-exponent, re-keyed by weight w = z + p + lam_exp."""
+    return _regroup(row, 1)
+
+
+def _by_z(row: Mapping[int, CohElement], keep=None) -> dict[int, CohElement]:
+    """A row keyed by weight, re-keyed by z-exponent z = w - p - lam_exp (those that pass keep)."""
+    return _regroup(row, -1, keep)
+
+
 def add_row_product(
     tgt: dict[int, CohElement],
     a: Mapping[int, CohElement],
     b: Mapping[int, CohElement],
 ) -> None:
-    """tgt += a*b for z-Laurent rows, each a map from z-exponent to CohElement.
+    """tgt += a*b for rows of classes keyed by weight (or by z-exponent: keys add either way).
 
-    Products that vanish (by P^n = 0) are skipped; sums that cancel stay in tgt.
+    Products that vanish (by P^n = 0) are skipped unless flagged; sums that
+    cancel stay in tgt.
     """
     for z1, e1 in a.items():
         for z2, e2 in b.items():
             prod = e1 * e2
-            if prod.is_zero():
+            if prod.is_zero() and not prod.truncated:
                 continue
             ze = z1 + z2
             old = tgt.get(ze)
             tgt[ze] = prod if old is None else old + prod
+
+
+def add_scaled_row(
+    tgt: dict[int, CohElement], row: Mapping[int, CohElement], c: LambdaScalar, shift: int = 0
+) -> None:
+    """tgt += c * z^shift * row for rows keyed by weight.
+
+    The lam^a part of c moves a class a + shift weights up, so a scalar whose
+    terms have several lam exponents lands at several weights.
+    """
+    parts: dict[int, dict] = {}
+    for key, num in c._nums.items():
+        parts.setdefault(key[1], {})[key] = num
+    for a, nums in parts.items() or [(0, {})]:
+        part = c if len(parts) <= 1 else LambdaScalar._make(c.desc, nums, c._den, c._trunc)
+        for w, el in row.items():
+            prod = el.scale_scalar(part)
+            key = w + a + shift
+            old = tgt.get(key)
+            tgt[key] = prod if old is None else old + prod
 
 
 def symplectic_form(f: ZSeries, g: ZSeries) -> QSeries:
@@ -504,8 +592,10 @@ def symplectic_form(f: ZSeries, g: ZSeries) -> QSeries:
     f._check(g)
     desc = f.desc
     out: dict[int, LambdaScalar] = {}
-    for d1, row1 in f.slices.items():
-        for d2, row2 in g.slices.items():
+    g_rows = {d: g.slice(d) for d in g.slices}
+    for d1 in f.slices:
+        row1 = f.slice(d1)
+        for d2, row2 in g_rows.items():
             d = d1 + d2
             if d > f.max_degree:
                 continue
@@ -526,30 +616,22 @@ def project(f: ZSeries, half: str) -> ZSeries:
     if half not in ("plus", "minus"):
         raise ValueError("half must be 'plus' or 'minus'")
     keep = (lambda ze: ze >= 0) if half == "plus" else (lambda ze: ze < 0)
-    out = {
-        d: {ze: el for ze, el in row.items() if keep(ze)}
-        for d, row in f.slices.items()
-    }
-    return ZSeries(f.desc, f.max_degree, out, RAW)
+    out = {d: _by_weight(_by_z(row, keep)) for d, row in f.slices.items()}
+    return f._like(out)
 
 
 def directional_derivative(f: ZSeries) -> ZSeries:
-    """The operator z*D_P on a reduced series: slice_d goes to (P + d z) * slice_d."""
+    """The operator z*D_P on a reduced series: slice_d goes to (P + d z) * slice_d.
+
+    P and z both have weight 1, so the class at weight w goes to w + 1 as
+    the class product with P + d.
+    """
     if f.convention != REDUCED:
         raise ConventionError("z*D_P acts on reduced series")
     desc = f.desc
     p_class = CohElement.p_power(desc, 1)
     out: dict[int, dict[int, CohElement]] = {}
     for d, row in f.slices.items():
-        tgt: dict[int, CohElement] = {}
-        for ze, el in row.items():
-            p_el = el * p_class
-            if not p_el.is_zero():
-                old = tgt.get(ze)
-                tgt[ze] = p_el if old is None else old + p_el
-            if d:
-                z_el = el.scale(d)
-                old = tgt.get(ze + 1)
-                tgt[ze + 1] = z_el if old is None else old + z_el
-        out[d] = tgt
-    return ZSeries(desc, f.max_degree, out, REDUCED)
+        step = p_class + CohElement.p_power(desc, 0, d) if d else p_class
+        out[d] = {w + 1: el * step for w, el in row.items()}
+    return f._like(out)

@@ -218,19 +218,15 @@ def stirling_check(z_cap: int) -> tuple[bool, int | None]:
 
 
 def _linear_factor_product(poly: dict[int, CohElement], factors) -> dict[int, CohElement]:
-    """poly * prod (a + k z) over factors [(a, k)], poly a z-polynomial of CohElements."""
+    """poly * prod (a + k z) over factors [(a, k)], poly a row of classes keyed by weight.
+
+    Each a is a Chern root, of weight 1 like z, so the class at weight w goes
+    to w + 1 as the class product with a + k.
+    """
     for a, k in factors:
-        out: dict[int, CohElement] = {}
-        for ze, el in poly.items():
-            t = el * a
-            if not t.is_zero():
-                old = out.get(ze)
-                out[ze] = t if old is None else old + t
-            t = el.scale(k)
-            if not t.is_zero():
-                old = out.get(ze + 1)
-                out[ze + 1] = t if old is None else old + t
-        poly = {ze: el for ze, el in out.items() if not el.is_zero()}
+        step = a + CohElement.p_power(a.desc, 0, k)
+        out = {w + 1: el * step for w, el in poly.items()}
+        poly = {w: el for w, el in out.items() if not el.is_zero() or el.truncated}
     return poly
 
 
@@ -275,10 +271,10 @@ def i_function(J: ZSeries, bundle: BundleSpec) -> ZSeries:
     """Hypergeometric modification: slice d picks up prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z)."""
     roots = list(zip(bundle.degrees, bundle.chern_roots(J.desc)))
     out = {d: twisted for d, twisted, _ in _twisted_slices(J, [roots], 1)}
-    result = ZSeries(J.desc, J.max_degree, out, REDUCED)
-    for d, row in result.slices.items():
+    result = ZSeries._of(J.desc, J.max_degree, out, REDUCED)
+    for d in result.slices:
         bound = (sum(bundle.degrees) - J.desc.n) * d
-        if d > 0 and max(row) > bound:
+        if d > 0 and any(ze > bound for ze in result.z_exponents(d)):
             raise AssertionError(f"slice {d} exceeds derived z-bound {bound}")
     return result
 
@@ -306,13 +302,13 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
         for i, (l, root) in enumerate(roots):
             new = [(-root, Fraction(k)) for k in range(1 - l * d, 1 - l * reached)]
             lhs[i] = _linear_factor_product(lhs[i], new)
-            rhs_signed = {ze: el.scale((-1) ** (l * d)) for ze, el in rhs[i].items()}
+            rhs_signed = {w: el.scale((-1) ** (l * d)) for w, el in rhs[i].items()}
             if first_failure is None and lhs[i] != rhs_signed:
                 first_failure = (i, d)
         reached = d
         sign = (-1) ** (sum(bundle.degrees) * d)
-        out[d] = {ze: el.scale(sign) for ze, el in twisted.items()}
-    return ZSeries(desc, J.max_degree, out, REDUCED), first_failure is None, first_failure
+        out[d] = {w: el.scale(sign) for w, el in twisted.items()}
+    return ZSeries._of(desc, J.max_degree, out, REDUCED), first_failure is None, first_failure
 
 
 # -- cone transformation -----------------------------------------------------------

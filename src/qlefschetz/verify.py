@@ -141,12 +141,12 @@ def series_suite() -> list[Check]:
             lag_ok = False
         zf = ZSeries(
             desc, f.max_degree,
-            {d: {ze + 1: el for ze, el in row.items()} for d, row in f.slices.items()},
+            {d: {ze + 1: el for ze, el in f.slice(d).items()} for d in f.slices},
             RAW,
         )
         zg = ZSeries(
             desc, g.max_degree,
-            {d: {ze + 1: el for ze, el in row.items()} for d, row in g.slices.items()},
+            {d: {ze + 1: el for ze, el in g.slice(d).items()} for d in g.slices},
             RAW,
         )
         if not (symplectic_form(zf, g) + symplectic_form(f, zg)).is_zero():
@@ -321,8 +321,8 @@ def mirror_suite() -> list[Check]:
                 I3.desc,
                 I3.max_degree,
                 {
-                    d: {z + ze: el for z, el in row.items()}
-                    for d, row in frame[a].slices.items()
+                    d: {z + ze: el for z, el in frame[a].slice(d).items()}
+                    for d in frame[a].slices
                 },
                 REDUCED,
             )

@@ -12,7 +12,9 @@ and the flat class kernel against ``scalar_coh_mul``, the slot-by-slot
 ``LambdaScalar`` product it replaced.  ``compose_novikov_per_degree`` is the
 substitution q = inner(q') built from one series per degree.  ``DictQSeries``
 is the dict-of-scalars q-series that ``QSeries``, now a value in the shared
-class format, replaced.
+class format, replaced, and ``ZKeyedSeries`` with the ``zkeyed_*`` functions
+is the z-series whose rows were keyed by z-exponent, one class per entry,
+before ``ZSeries`` keyed them by weight.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from qlefschetz import (
     UnitError,
     ZSeries,
 )
+from qlefschetz.ring import poincare_pairing
 from qlefschetz.series import REDUCED, exp_constant_scalar
 
 
@@ -77,7 +80,7 @@ def compose_novikov_per_degree(f: ZSeries, inner: QSeries) -> ZSeries:
         if power.is_zero():
             break
         if d in f.slices:
-            piece = ZSeries(desc, D, {0: f.slices[d]}, f.convention)
+            piece = ZSeries(desc, D, {0: f.slice(d)}, f.convention)
             out = out + piece.scale_qseries(power)
     return out
 
@@ -115,13 +118,13 @@ def i_function_from_scratch(J: ZSeries, bundle) -> ZSeries:
     """Slice d times prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z), rebuilt for every d."""
     desc = J.desc
     out = {}
-    for d, row in J.slices.items():
+    for d in J.slices:
         factors = [
             (_root(desc, l, bundle.equivariant), Fraction(k))
             for l in bundle.degrees
             for k in range(1, l * d + 1)
         ]
-        out[d] = _row_times(desc, row, _factor_product(desc, factors))
+        out[d] = _row_times(desc, J.slice(d), _factor_product(desc, factors))
     return ZSeries(desc, J.max_degree, out, REDUCED)
 
 
@@ -151,7 +154,7 @@ def serre_dual_i_from_scratch(J: ZSeries, bundle):
                 ).scale((-1) ** count)
                 if not diff.is_zero() and first_failure is None:
                     first_failure = (i, d)
-        out[d] = _row_times(desc, J.slices[d], _factor_product(desc, factors), sign)
+        out[d] = _row_times(desc, J.slice(d), _factor_product(desc, factors), sign)
     return ZSeries(desc, J.max_degree, out, REDUCED), first_failure is None, first_failure
 
 
@@ -436,3 +439,140 @@ class DictQSeries:
         if not self.coeffs:
             return "0"
         return " + ".join(f"({c})*q^{d}" for d, c in sorted(self.coeffs.items()))
+
+
+class ZKeyedSeries:
+    """A z-series whose row d maps each z-exponent to a class.
+
+    The constructor drops zero classes together with their ``truncated``
+    flags, and each row product adds one class product per pair of entries,
+    skipping the products that vanish.
+    """
+
+    __slots__ = ("desc", "max_degree", "convention", "slices")
+
+    def __init__(self, desc, max_degree, slices=None, convention=REDUCED):
+        self.desc = desc
+        self.max_degree = max_degree
+        self.convention = convention
+        self.slices = {}
+        for d, zpoly in (slices or {}).items():
+            row = {ze: el for ze, el in zpoly.items() if not el.is_zero()}
+            if d <= max_degree and row:
+                self.slices[d] = row
+
+    @property
+    def truncated(self) -> bool:
+        return any(el.truncated for row in self.slices.values() for el in row.values())
+
+    def _like(self, slices) -> "ZKeyedSeries":
+        return ZKeyedSeries(self.desc, self.max_degree, slices, self.convention)
+
+    def __add__(self, other: "ZKeyedSeries") -> "ZKeyedSeries":
+        out = {d: dict(row) for d, row in self.slices.items()}
+        for d, row in other.slices.items():
+            tgt = out.setdefault(d, {})
+            for ze, el in row.items():
+                old = tgt.get(ze)
+                tgt[ze] = el if old is None else old + el
+        return self._like(out)
+
+    def __mul__(self, other: "ZKeyedSeries") -> "ZKeyedSeries":
+        out = {}
+        for d1, row1 in self.slices.items():
+            for d2, row2 in other.slices.items():
+                if d1 + d2 <= self.max_degree:
+                    tgt = out.setdefault(d1 + d2, {})
+                    for z1, e1 in row1.items():
+                        for z2, e2 in row2.items():
+                            prod = e1 * e2
+                            if not prod.is_zero():
+                                old = tgt.get(z1 + z2)
+                                tgt[z1 + z2] = prod if old is None else old + prod
+        return self._like(out)
+
+    def _add_scaled(self, out, d, row, c) -> None:
+        tgt = out.setdefault(d, {})
+        for ze, el in row.items():
+            prod = el.scale_scalar(c)
+            old = tgt.get(ze)
+            tgt[ze] = prod if old is None else old + prod
+
+    def scale_qseries(self, f: QSeries) -> "ZKeyedSeries":
+        out = {}
+        for d1, row in self.slices.items():
+            for d2, c in f.coeffs.items():
+                if d1 + d2 <= self.max_degree:
+                    self._add_scaled(out, d1 + d2, row, c)
+        return self._like(out)
+
+    def compose_novikov(self, inner: QSeries) -> "ZKeyedSeries":
+        out = {0: dict(self.slices.get(0, {}))}
+        power = QSeries.one(self.desc, self.max_degree)
+        for d in range(1, self.max_degree + 1):
+            power = power * inner
+            if power.is_zero():
+                break
+            if d in self.slices:
+                for m, c in power.coeffs.items():
+                    self._add_scaled(out, m, self.slices[d], c)
+        return self._like(out)
+
+    def to_json_dict(self) -> dict:
+        slices = {}
+        for d in sorted(self.slices):
+            row = {}
+            for ze in sorted(self.slices[d]):
+                pmap = self.slices[d][ze].to_json_dict()
+                if pmap:
+                    row[str(ze)] = pmap
+            if row:
+                slices[str(d)] = row
+        return {
+            "convention": self.convention,
+            "max_degree": self.max_degree,
+            "ring": {
+                "n": self.desc.n,
+                "lambda_floor": self.desc.lambda_floor,
+                "log_cap": self.desc.log_cap,
+            },
+            "slices": slices,
+            "truncated": self.truncated,
+        }
+
+
+def zkeyed_directional_derivative(f: ZKeyedSeries) -> ZKeyedSeries:
+    """z D_P entry by entry: P * el stays at z^ze and d * el moves to z^(ze+1)."""
+    p_class = CohElement.p_power(f.desc, 1)
+    out = {}
+    for d, row in f.slices.items():
+        tgt = out.setdefault(d, {})
+        for ze, el in row.items():
+            for key, part in ((ze, el * p_class), (ze + 1, el.scale(d))):
+                if not part.is_zero():
+                    old = tgt.get(key)
+                    tgt[key] = part if old is None else old + part
+    return f._like(out)
+
+
+def zkeyed_project(f: ZKeyedSeries, half: str) -> ZKeyedSeries:
+    keep = (lambda ze: ze >= 0) if half == "plus" else (lambda ze: ze < 0)
+    return f._like(
+        {d: {ze: el for ze, el in row.items() if keep(ze)} for d, row in f.slices.items()}
+    )
+
+
+def zkeyed_symplectic_form(f: ZKeyedSeries, g: ZKeyedSeries) -> QSeries:
+    """The z^(-1) coefficient of the Poincare-paired product f(-z) g(z), entry by entry."""
+    out = {}
+    for d1, row1 in f.slices.items():
+        for d2, row2 in g.slices.items():
+            if d1 + d2 > f.max_degree:
+                continue
+            for z1, e1 in row1.items():
+                e2 = row2.get(-1 - z1)
+                if e2 is not None:
+                    term = poincare_pairing(e1, e2).scale(-1 if z1 % 2 else 1)
+                    old = out.get(d1 + d2)
+                    out[d1 + d2] = term if old is None else old + term
+    return QSeries(f.desc, f.max_degree, out)

@@ -199,7 +199,7 @@ def test_compose_novikov_matches_the_per_degree_sum(x):
     assert got == want
     # The per-degree sum drops zero but truncated intermediate classes with
     # their flags, so a flag may only be gained.
-    for d, row in want.slices.items():
-        for ze, el in row.items():
-            for new, old in zip(got.slices[d][ze].components, el.components):
+    for d in want.slices:
+        for ze, el in want.slice(d).items():
+            for new, old in zip(got.coefficient(d, ze).components, el.components):
                 assert new.truncated or not old.truncated

@@ -231,8 +231,8 @@ def test_back_substitution_reproduces_normalized_series():
                     I.desc,
                     I.max_degree,
                     {
-                        d: {z + ze: el for z, el in row.items()}
-                        for d, row in frame[a].slices.items()
+                        d: {z + ze: el for z, el in frame[a].slice(d).items()}
+                        for d in frame[a].slices
                     },
                     REDUCED,
                 )

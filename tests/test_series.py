@@ -175,7 +175,7 @@ def test_z_multiplication_infinitesimally_symplectic():
     def times_z(f):
         return ZSeries(
             desc, f.max_degree,
-            {d: {ze + 1: el for ze, el in row.items()} for d, row in f.slices.items()},
+            {d: {ze + 1: el for ze, el in f.slice(d).items()} for d in f.slices},
             RAW,
         )
 

@@ -137,7 +137,7 @@ def test_i_function_matches_from_scratch_product(n, degrees, equivariant):
         full = full.lambda_zero_part()
     bundle = BundleSpec(degrees, equivariant=equivariant)
     for kept in (range(8), (0, 3, 7), (2, 5)):
-        J = ZSeries(desc, 7, {d: full.slices[d] for d in kept}, REDUCED)
+        J = ZSeries(desc, 7, {d: full.slice(d) for d in kept}, REDUCED)
         got = i_function(J, bundle)
         assert sorted(got.slices) == sorted(kept)
         assert got.to_json_dict() == i_function_from_scratch(J, bundle).to_json_dict()

@@ -170,9 +170,9 @@ def _apply_factor(h, scale, k, equivariant):
     p_cls = CohElement.p_power(desc, 1, scale)
     if equivariant:
         p_cls = p_cls + CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
-    for d, row in h.slices.items():
+    for d in h.slices:
         tgt = out.setdefault(d, {})
-        for ze, el in row.items():
+        for ze, el in h.slice(d).items():
             pe = el * p_cls
             if not pe.is_zero():
                 tgt[ze] = tgt.get(ze, CohElement.zero(desc)) + pe

@@ -1,0 +1,154 @@
+"""Record a benchmark comparison of two checkouts as a committed BENCH_*.json row.
+
+Runs the benchmark harness ``perfbench/run.py`` of each checkout in
+alternated pairs, one run at a time: pair i runs both sides with seed
+``--seed + i``, the parent first in even pairs and the change first in odd
+ones, so slow drift of the host hits both sides alike.  Each run's last
+stdout line is the harness's JSON summary.  For every end-to-end metric the
+file records the median and quartiles of each side and the number of pairs
+in which the change read lower.  It also records, for each checkout, the
+commit it is at (``git rev-parse HEAD``), whether its code differs from that
+commit, and a sha256 over the files the harness runs (``src/``, ``perfbench/``
+and ``configs/``), which ties the file to the tree it measured even when the
+change is not committed yet.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload equivariant_birkhoff --pairs 10 --seconds 25 --out BENCH_11.json
+
+Several ``--workload`` options may be given; a workload already in ``--out``
+is replaced and the others are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+METRICS = ("setup_s", "wall_s", "job_p50_ms", "job_tail_ms", "peak_rss_mb")
+RUN_DIRS = ("src", "perfbench", "configs")
+SKIP_DIRS = {"__pycache__", "_work", ".pytest_cache", ".hypothesis"}
+
+
+def source_digest(checkout: str) -> str:
+    """sha256 over the relative path and bytes of every file in RUN_DIRS, in path order."""
+    paths = []
+    for top in RUN_DIRS:
+        for root, dirs, files in os.walk(os.path.join(checkout, top)):
+            dirs[:] = [d for d in dirs if d not in SKIP_DIRS]
+            paths += [os.path.join(root, name) for name in files]
+    h = hashlib.sha256()
+    for path in sorted(paths, key=lambda p: os.path.relpath(p, checkout)):
+        h.update(os.path.relpath(path, checkout).encode() + b"\0")
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def describe(checkout: str) -> dict:
+    """The commit a checkout is at, whether its run files differ from it, and their digest."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git("status", "--porcelain", "--", *RUN_DIRS)),
+        "source_sha256": source_digest(checkout),
+    }
+
+
+def run_harness(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """One harness run in a checkout; its final JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: no output from the harness\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(workload: str, parent: str, change: str, pairs: int, seed: int, seconds: int) -> dict:
+    checkouts = {"parent": describe(parent), "change": describe(change)}
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            out = run_harness(parent if side == "parent" else change, workload, seed + i, seconds)
+            runs[side].append(out)
+            print(f"{workload} pair {i + 1}/{pairs} {side}: "
+                  f"wall_s={out['metrics'].get('wall_s', {}).get('value')}", file=sys.stderr)
+    if checkouts != {"parent": describe(parent), "change": describe(change)}:
+        raise RuntimeError(f"{workload}: a checkout changed while it was measured")
+    metrics = {}
+    for name in METRICS:
+        base = [r["metrics"][name]["value"] for r in runs["parent"]]
+        new = [r["metrics"][name]["value"] for r in runs["change"]]
+        metrics[name] = {
+            "unit": runs["parent"][0]["metrics"][name]["unit"],
+            "parent": summary(base),
+            "change": summary(new),
+            "change_lower_pairs": sum(b > c for b, c in zip(base, new)),
+        }
+    return {
+        "workload": workload,
+        "checkouts": checkouts,
+        "seeds": list(range(seed, seed + pairs)),
+        "seconds": seconds,
+        "pairs": pairs,
+        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "failed": sum(r["failed"] for side in runs.values() for r in side),
+        "metrics": metrics,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=901)
+    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2")
+
+    doc = {"rows": []}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    rows = {row["workload"]: row for row in doc["rows"]}
+    for workload in args.workload:
+        rows[workload] = compare(
+            workload, args.parent, args.change, args.pairs, args.seed, args.seconds
+        )
+    doc = {
+        "recorder": "tools/bench_pairs.py",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "rows": [rows[name] for name in sorted(rows)],
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -186,7 +186,7 @@ def run_compute(config: dict) -> dict:
                 "first_failure": None if failure is None else list(failure),
                 "matrix": S.to_json_dict(),
             }
-            flags[task] = False
+            flags[task] = S.truncated
         elif task == "instantons":
             counts = extract_instantons(factored(bundles["nonequivariant"]), D)
             results[task] = {

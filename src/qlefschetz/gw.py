@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import TransversalityError
 from .ring import CohElement, LambdaScalar, RingDescriptor
@@ -97,78 +97,100 @@ def frame_series(J: ZSeries, n: int) -> list[ZSeries]:
 
 @dataclass
 class SMatrix:
-    """Coordinates of the frame in the monomial basis.
+    """Coordinates of the frame in the monomial basis, one q-series per weight offset.
 
-    entries[b][a] is the scalar z-Laurent, Novikov-graded coefficient of P^b in
-    the a-th frame element, stored as a map z_exp -> QSeries.  At q^0 and z^0
-    the matrix is the identity; all corrections sit in strictly negative
-    z-exponents.
+    cells[b][a] maps the offset k = w - a + n*d of each weight class of frame
+    element a to the series of its P^b components, whose term q^d lam^l sits
+    at z^(a - b - n*d + k - l); a frame of ``j_reduced`` has only offset 0.
+    ``truncated`` is set when a cell or a unitarity residual entry is flagged.
     """
 
     desc: RingDescriptor
     max_degree: int
-    entries: list[list[dict[int, QSeries]]]
+    cells: list[list[dict[int, QSeries]]]
+    truncated: bool = False
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.cells)
 
     def entry(self, b: int, a: int) -> dict[int, QSeries]:
-        return self.entries[b][a]
+        """The coefficient of P^b in frame element a, as z_exp -> QSeries."""
+        return self._z_view(self.cells[b][a], a - b)
+
+    def _z_view(self, series: dict[int, QSeries], shift: int) -> dict[int, QSeries]:
+        """Series by offset k, re-keyed by z_exp = shift + k - n*d - l; pieces keep all flags."""
+        n, mask, den = self.desc.n, 0, lcm(*(s._den for s in series.values()))
+        parts: dict[int, dict] = {}
+        for k, s in series.items():
+            mask |= s._trunc
+            f = den // s._den
+            for key, c in s._nums.items():
+                parts.setdefault(shift + k - n * key[0] - key[1], {})[key] = c * f
+        proto = QSeries.zero(self.desc, self.max_degree)
+        return {ze: proto._like(nums, den, mask) for ze, nums in parts.items()}
 
     def q_zero_z_zero(self) -> list[list[Fraction]]:
-        out = []
-        for b in range(self.size):
-            row = []
-            for a in range(self.size):
-                q0 = self.entries[b][a].get(0)
-                row.append(q0.coefficient(0).as_rational() if q0 else Fraction(0))
-            out.append(row)
-        return out
+        zero, span = QSeries.zero(self.desc, self.max_degree), range(self.size)
+        return [
+            [self.entry(b, a).get(0, zero).coefficient(0).as_rational() for a in span]
+            for b in span
+        ]
 
     def to_json_dict(self) -> dict:
-        data = []
-        for b in range(self.size):
-            row = []
-            for a in range(self.size):
-                cell = {
-                    str(ze): self.entries[b][a][ze].to_json_dict()
-                    for ze in sorted(self.entries[b][a])
-                }
-                row.append(cell)
-            data.append(row)
+        span = range(self.size)
+        views = [[sorted(self.entry(b, a).items()) for a in span] for b in span]
+        data = [[{str(ze): s.to_json_dict() for ze, s in view} for view in row] for row in views]
         return {"size": self.size, "max_degree": self.max_degree, "entries": data}
 
 
 def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
-    desc = frame[0].desc
+    desc, D = frame[0].desc, frame[0].max_degree
     n = desc.n
-    D = frame[0].max_degree
-    # coefficients per cell and z-power, {d: c}, before any series is built
-    cells: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
+    # coefficients per cell and weight offset, {d: c}, before any series is built
+    coeffs: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
     for a, T in enumerate(frame):
-        for d in T.slices:
-            for ze, el in T.slice(d).items():
+        for d, row in T.slices.items():
+            for w, el in row.items():
                 for b, c in enumerate(el.components):
-                    if not c.is_zero():
-                        cells[b][a].setdefault(ze, {})[d] = c
-    entries = [
-        [{ze: QSeries(desc, D, coeffs) for ze, coeffs in cell.items()} for cell in row]
-        for row in cells
-    ]
-    return SMatrix(desc, D, entries)
+                    if not c.is_zero() or c.truncated:
+                        coeffs[b][a].setdefault(w - a + n * d, {})[d] = c
+    cells = [[{k: QSeries(desc, D, c) for k, c in cell.items()} for cell in row] for row in coeffs]
+    return SMatrix(desc, D, cells)
 
 
-def _add_cell_product(acc: dict[int, QSeries], x: dict[int, QSeries], y: dict[int, QSeries]):
-    """Add x(-z) * y(z) into acc, z-power by z-power."""
-    for z1, q1 in x.items():
-        factor = -q1 if z1 % 2 else q1
-        for z2, q2 in y.items():
-            prod = factor * q2
-            if prod.is_zero():
-                continue
-            old = acc.get(z1 + z2)
-            acc[z1 + z2] = prod if old is None else old + prod
+def _at_minus_z(s: QSeries, shift: int) -> QSeries:
+    """Cell (b, a) at offset k at -z (shift = a - b + k): odd z-exponents shift - n*d - l flip."""
+    n = s.desc.n
+    nums = {key: -c if (shift - n * key[0] - key[1]) % 2 else c for key, c in s._nums.items()}
+    return s._like(nums, s._den, s._trunc)
+
+
+def _unitarity(S: SMatrix):
+    """The residual T^t(-z) g^(-1) T(z) - g of an S-matrix: (ok, first_failure, truncated).
+
+    g = g^(-1) is the anti-diagonal Gram matrix of the Poincare pairing, so
+    entry (a, b) is sum_i T_{i,a}(-z) T_{n-1-i,b}(z) - delta_{a+b,n-1}: one
+    q-series product per pair of offsets, read by z like a cell with a - b
+    replaced by a + b - (n - 1).  first_failure is (a, b, z_exp, d) at the
+    lowest z_exp, then lowest d, of the first nonzero entry.
+    """
+    n, one, first_failure = S.size, QSeries.one(S.desc, S.max_degree), None
+    truncated = any(s.truncated for row in S.cells for cell in row for s in cell.values())
+    for a in range(n):
+        minus = [
+            {k: _at_minus_z(s, a - i + k) for k, s in S.cells[i][a].items()} for i in range(n)
+        ]
+        for b in range(n):
+            res: dict[int, QSeries] = {0: -one} if a + b == n - 1 else {}
+            for i in range(n):
+                add_row_product(res, minus[i], S.cells[n - 1 - i][b])
+            truncated |= any(s.truncated for s in res.values())
+            view = S._z_view(res, a + b - n + 1)
+            if view and first_failure is None:
+                ze = min(view)
+                first_failure = (a, b, ze, min(view[ze].coeffs))
+    return first_failure is None, first_failure, truncated
 
 
 def s_matrix(J: ZSeries, n: int, max_degree: int):
@@ -183,39 +205,8 @@ def s_matrix(J: ZSeries, n: int, max_degree: int):
     holds, slot = qde_verify(J, n)
     if not holds:
         raise ValueError(f"input fails the quantum differential equation at {slot}")
-    J = J.truncate_novikov(max_degree)
-    frame = frame_series(J, n)
-    S = _matrix_from_frame(frame)
-    desc = J.desc
-    D = J.max_degree
-
-    identity_block = S.q_zero_z_zero()
-    for b in range(n):
-        for a in range(n):
-            expected = Fraction(1) if a == b else Fraction(0)
-            if identity_block[b][a] != expected:
-                raise TransversalityError("frame z^0 q^0 block is not the identity")
-
-    # g and g^(-1) coincide: the Gram matrix of the Poincare pairing in the
-    # monomial basis is the anti-diagonal permutation, an involution.
-    def g_apply(row_idx: int) -> int:
-        return n - 1 - row_idx
-
-    first_failure = None
-    ok = True
-    for a in range(n):
-        for b in range(n):
-            # residual entry (a, b): sum_i T_{ia}(-z) * T_{g(i), b}(z) - g_{ab}
-            acc: dict[int, QSeries] = {}
-            for i in range(n):
-                _add_cell_product(acc, S.entries[i][a], S.entries[g_apply(i)][b])
-            if a + b == n - 1:
-                old, one = acc.get(0), QSeries.one(desc, D)
-                acc[0] = -one if old is None else old - one
-            for ze in sorted(acc):
-                if not acc[ze].is_zero():
-                    ok = False
-                    if first_failure is None:
-                        bad_d = min(d for d in acc[ze].coeffs)
-                        first_failure = (a, b, ze, bad_d)
+    S = _matrix_from_frame(frame_series(J.truncate_novikov(max_degree), n))
+    if S.q_zero_z_zero() != [[int(a == b) for a in range(n)] for b in range(n)]:
+        raise TransversalityError("frame z^0 q^0 block is not the identity")
+    ok, first_failure, S.truncated = _unitarity(S)
     return S, ok, first_failure

@@ -484,15 +484,16 @@ class ZSeries:
             lambda_floor=int(ring["lambda_floor"]),
             log_cap=int(ring["log_cap"]),
         )
-        slices: dict[int, dict[int, CohElement]] = {}
+        # A flag does not say which term was lost: every class, and a zero at q^0 z^0, carries it.
+        flag = LambdaScalar(desc, truncated=bool(data.get("truncated")))
+        slices: dict[int, dict[int, CohElement]] = {0: {0: CohElement(desc, [flag] * desc.n)}}
         for d_str, row in data["slices"].items():
-            out_row: dict[int, CohElement] = {}
+            out_row = slices.setdefault(int(d_str), {})
             for ze_str, pmap in row.items():
-                comps = [LambdaScalar.zero(desc) for _ in range(desc.n)]
+                comps = [flag] * desc.n
                 for p_str, lam_map in pmap.items():
-                    comps[int(p_str)] = LambdaScalar.from_json_dict(desc, lam_map)
+                    comps[int(p_str)] = LambdaScalar.from_json_dict(desc, lam_map) + flag
                 out_row[int(ze_str)] = CohElement(desc, comps)
-            slices[int(d_str)] = out_row
         return cls(desc, int(data["max_degree"]), slices, data["convention"])
 
     def __repr__(self) -> str:
@@ -547,7 +548,7 @@ def add_row_product(
     a: Mapping[int, CohElement],
     b: Mapping[int, CohElement],
 ) -> None:
-    """tgt += a*b for rows of classes keyed by weight (or by z-exponent: keys add either way).
+    """tgt += a*b for rows of classes (or q-series) keyed by weight, z-exponent or offset: keys add.
 
     Products that vanish (by P^n = 0) are skipped unless flagged; sums that
     cancel stay in tgt.

@@ -183,15 +183,10 @@ def gw_suite() -> list[Check]:
     ok, detail = True, ""
     for n in range(2, 6):
         J = j_reduced(n, 5)
-        S, good, fail = s_matrix(J, n, 5)
+        _, good, fail = s_matrix(J, n, 5)
         if not good:
             ok, detail = False, f"n={n}, {fail}"
             break
-        ident = S.q_zero_z_zero()
-        for a in range(n):
-            for b in range(n):
-                if ident[b][a] != (1 if a == b else 0):
-                    ok, detail = False, f"q0 z0 block not identity at n={n}"
     checks.append(Check("gw.s_matrix_unitary_n_le_5_D5", ok, detail))
     return checks
 

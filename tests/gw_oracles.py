@@ -1,0 +1,82 @@
+"""The S-matrix stored z-power by z-power, as an independent oracle.
+
+Each cell is a map z_exp -> QSeries, built from the z-view ``slice(d)`` of
+every frame element, and the unitarity residual T^t(-z) g T(z) - g is summed
+one product of two z-power pieces at a time.  ``tests/test_s_matrix_cells.py``
+compares ``gw.SMatrix``, which keeps one q-series per weight offset, with it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from qlefschetz import QSeries, ZSeries
+
+
+def zkeyed_matrix_from_frame(frame: list[ZSeries]) -> list[list[dict[int, QSeries]]]:
+    """entries[b][a]: the P^b coefficient of frame element a, as z_exp -> QSeries."""
+    desc = frame[0].desc
+    n = desc.n
+    D = frame[0].max_degree
+    cells: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for a, T in enumerate(frame):
+        for d in T.slices:
+            for ze, el in T.slice(d).items():
+                for b, c in enumerate(el.components):
+                    if not c.is_zero():
+                        cells[b][a].setdefault(ze, {})[d] = c
+    return [
+        [{ze: QSeries(desc, D, coeffs) for ze, coeffs in cell.items()} for cell in row]
+        for row in cells
+    ]
+
+
+def zkeyed_add_cell_product(acc: dict[int, QSeries], x: dict[int, QSeries], y: dict[int, QSeries]):
+    """Add x(-z) * y(z) into acc, z-power by z-power."""
+    for z1, q1 in x.items():
+        factor = -q1 if z1 % 2 else q1
+        for z2, q2 in y.items():
+            prod = factor * q2
+            if prod.is_zero():
+                continue
+            old = acc.get(z1 + z2)
+            acc[z1 + z2] = prod if old is None else old + prod
+
+
+def zkeyed_unitarity(entries, desc, D):
+    """(ok, first_failure) of T^t(-z) g T(z) - g, g the anti-diagonal Gram matrix."""
+    n = len(entries)
+    first_failure = None
+    ok = True
+    for a in range(n):
+        for b in range(n):
+            acc: dict[int, QSeries] = {}
+            for i in range(n):
+                zkeyed_add_cell_product(acc, entries[i][a], entries[n - 1 - i][b])
+            if a + b == n - 1:
+                old, one = acc.get(0), QSeries.one(desc, D)
+                acc[0] = -one if old is None else old - one
+            for ze in sorted(acc):
+                if not acc[ze].is_zero():
+                    ok = False
+                    if first_failure is None:
+                        first_failure = (a, b, ze, min(acc[ze].coeffs))
+    return ok, first_failure
+
+
+def zkeyed_q_zero_z_zero(entries) -> list[list[Fraction]]:
+    out = []
+    for row in entries:
+        out.append([])
+        for cell in row:
+            q0 = cell.get(0)
+            out[-1].append(q0.coefficient(0).as_rational() if q0 else Fraction(0))
+    return out
+
+
+def zkeyed_to_json_dict(entries, D) -> dict:
+    data = [
+        [{str(ze): cell[ze].to_json_dict() for ze in sorted(cell)} for cell in row]
+        for row in entries
+    ]
+    return {"size": len(entries), "max_degree": D, "entries": data}

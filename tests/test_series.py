@@ -202,6 +202,20 @@ def test_json_round_trip():
     assert json.dumps(back.to_json_dict(), sort_keys=True) == blob
 
 
+def test_a_truncated_series_reads_back_truncated():
+    desc = RingDescriptor(n=2, lambda_floor=2)
+    lost = CohElement(desc, [LambdaScalar.lam_power(desc, -3), LambdaScalar.zero(desc)])
+    kept = lost + CohElement.one(desc)
+    for f in (ZSeries(desc, 1, {0: {0: kept}}), ZSeries(desc, 1, {1: {-1: lost}})):
+        assert f.truncated
+        data = json.loads(json.dumps(f.to_json_dict()))
+        back = ZSeries.from_json_dict(data)
+        assert back == f and back.truncated
+        assert back.to_json_dict() == data
+        clean = ZSeries.from_json_dict({**data, "truncated": False})
+        assert clean == f and not clean.truncated
+
+
 def test_qseries_basic_algebra():
     desc = RingDescriptor(n=2)
     f = QSeries.from_rationals(desc, 4, {0: F(1), 1: F(3)})

@@ -23,6 +23,11 @@ exactly when B is symmetric, and its hamiltonian Omega(T f, f)/2 has the
 coefficients of B.  The Poisson bracket pairs gradients that are each built in
 one pass over the monomials.  Sums collect their terms first and drop the
 zeros once, at the end.
+
+The bracket and the operator action run on integers: each input is read as
+integer numerators over the lcm of its denominators, the inner loops multiply
+and add plain ints, and every returned coefficient is one ``Fraction`` per
+output monomial.  A ``FockOperator`` holds its coefficients in that form.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import EngineError
+from .ring import _fraction, _ratio
 
 # A coordinate index is ('q'|'p', k, a); a vector is a dict index -> Fraction.
 Index = tuple[str, int, int]
@@ -73,6 +80,18 @@ def omega(space: DarbouxSpace, f: Vector, g: Vector) -> Fraction:
             acc += f.get(("p", k, a), Fraction(0)) * g.get(("q", k, a), Fraction(0))
             acc -= f.get(("q", k, a), Fraction(0)) * g.get(("p", k, a), Fraction(0))
     return acc
+
+
+def _ints(values: dict) -> tuple[dict, int]:
+    """Exact rational values as integer numerators over the lcm of their denominators."""
+    ratios = {key: _ratio(c) for key, c in values.items()}
+    den = lcm(*(d for _, d in ratios.values()))
+    return {key: p * (den // d) for key, (p, d) in ratios.items()}, den
+
+
+def _fractions(nums: dict, den: int) -> dict:
+    """Integer numerators over den as Fraction values, zeros dropped."""
+    return {key: _fraction(c, den) for key, c in nums.items() if c}
 
 
 def _plain(kind: str, k: int) -> tuple[int, int]:
@@ -134,10 +153,19 @@ class QuadraticHamiltonian:
 
     def __init__(self, space: DarbouxSpace, coeffs: dict[Monomial, Fraction] | None = None):
         self.space = space
-        clean: dict[Monomial, Fraction] = defaultdict(Fraction)
-        for (i, j), c in (coeffs or {}).items():
-            clean[(i, j) if i <= j else (j, i)] += c
-        self.coeffs = {key: c for key, c in clean.items() if c}
+        nums, den = _ints(coeffs or {})
+        clean: dict[Monomial, int] = {}
+        for (i, j), c in nums.items():
+            key = (i, j) if i <= j else (j, i)
+            clean[key] = clean.get(key, 0) + c
+        self.coeffs = _fractions(clean, den)
+
+    @classmethod
+    def _make(cls, space: DarbouxSpace, coeffs: dict[Monomial, Fraction]):
+        """Trusted constructor: nonzero Fraction values on sorted monomials."""
+        out = object.__new__(cls)
+        out.space, out.coeffs = space, coeffs
+        return out
 
     def __add__(self, other: "QuadraticHamiltonian") -> "QuadraticHamiltonian":
         out = defaultdict(Fraction, self.coeffs)
@@ -182,10 +210,10 @@ def hamiltonian_of(space: DarbouxSpace, T: dict[Index, Vector]) -> QuadraticHami
     )
 
 
-def _gradients(H: QuadraticHamiltonian) -> dict[Index, Vector]:
-    """{x: dH/dx} for every coordinate x of H, from one pass over its monomials."""
-    grads: dict[Index, Vector] = defaultdict(dict)
-    for (i, j), c in H.coeffs.items():
+def _gradients(nums: dict[Monomial, int]) -> dict[Index, dict[Index, int]]:
+    """{x: dH/dx} over H's denominator for every coordinate x, from one pass over the monomials."""
+    grads: dict[Index, dict[Index, int]] = defaultdict(dict)
+    for (i, j), c in nums.items():
         if i == j:
             grads[i][i] = 2 * c
         else:
@@ -196,68 +224,100 @@ def _gradients(H: QuadraticHamiltonian) -> dict[Index, Vector]:
 
 def poisson_bracket(F: QuadraticHamiltonian, G: QuadraticHamiltonian) -> QuadraticHamiltonian:
     """House convention: sum_k [ dF/dq_k dG/dp_k - dF/dp_k dG/dq_k ]."""
-    dG_by = _gradients(G)
-    coeffs: dict[Monomial, Fraction] = defaultdict(Fraction)
-    for (kind, k, a), dF in _gradients(F).items():
+    f_nums, f_den = _ints(F.coeffs)
+    g_nums, g_den = _ints(G.coeffs)
+    dG_by = _gradients(g_nums)
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for (kind, k, a), dF in _gradients(f_nums).items():
         dG = dG_by.get(("p" if kind == "q" else "q", k, a))
         if not dG:
             continue
-        if kind == "p":
-            dG = {j: -c for j, c in dG.items()}
+        sign = 1 if kind == "q" else -1
         for i, c1 in dF.items():
+            c1 *= sign
             for j, c2 in dG.items():
-                coeffs[(i, j) if i <= j else (j, i)] += c1 * c2
-    return QuadraticHamiltonian(F.space, coeffs)
+                key = (i, j) if i <= j else (j, i)
+                acc[key] = get(key, 0) + c1 * c2
+    return QuadraticHamiltonian._make(F.space, _fractions(acc, f_den * g_den))
+
+
+_KINDS = ("mult", "mixed", "diff2")
 
 
 class FockOperator:
-    """An order-<=2 differential operator in the q-variables with hbar grading."""
+    """An order-<=2 differential operator in the q-variables with hbar grading.
 
-    __slots__ = ("space", "terms")
+    Its coefficients are integer numerators over one denominator; ``terms``
+    reads them back as ``Fraction``.
+    """
+
+    __slots__ = ("space", "_terms", "_den")
 
     def __init__(self, space: DarbouxSpace, terms=None):
         # terms: list of (hbar_exp, kind, payload, coeff)
         #   kind 'mult': payload (i, j) q-indices; multiply by q_i q_j
         #   kind 'mixed': payload (i, j): q_i * d/dq_j
         #   kind 'diff2': payload (i, j): d^2/dq_i dq_j
+        terms = list(terms or [])
+        for _, kind, _, _ in terms:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown term kind {kind}")
+        nums, self._den = _ints(dict(enumerate(c for *_, c in terms)))
         self.space = space
-        self.terms = list(terms or [])
+        self._terms = [(hbar, kind, pair, nums[t]) for t, (hbar, kind, pair, _) in enumerate(terms)]
+
+    @classmethod
+    def _make(cls, space: DarbouxSpace, terms: list, den: int) -> "FockOperator":
+        """Trusted constructor: known kinds, integer coefficients over den > 0."""
+        out = object.__new__(cls)
+        out.space, out._terms, out._den = space, terms, den
+        return out
+
+    @property
+    def terms(self) -> list:
+        den = self._den
+        return [(hbar, kind, pair, _fraction(c, den)) for hbar, kind, pair, c in self._terms]
 
     def apply(self, poly: Poly) -> Poly:
-        out: Poly = defaultdict(Fraction)
-        for hbar, kind, (i, j), coeff in self.terms:
-            for (vars_, h0), c in poly.items():
+        return _fractions(*self._apply(*_ints(poly)))
+
+    def _apply(self, nums: dict[PolyKey, int], den: int) -> tuple[dict[PolyKey, int], int]:
+        """The operator on integer numerators over den: the image's numerators and denominator."""
+        out: dict[PolyKey, int] = {}
+        get = out.get
+        for hbar, kind, (i, j), coeff in self._terms:
+            for (vars_, h0), c in nums.items():
                 # a derivative acts with the multiplicity of its variable
-                rest, mult = list(vars_), 1
                 if kind == "mult":
-                    rest += (i, j)
-                elif kind == "mixed":
-                    mult = rest.count(j)
-                    if mult:
+                    rest, mult = vars_ + (i, j), 1
+                else:
+                    mult = vars_.count(j if kind == "mixed" else i)
+                    if not mult:
+                        continue
+                    rest = list(vars_)
+                    if kind == "mixed":
                         rest.remove(j)
                         rest.append(i)
-                elif kind == "diff2":
-                    mult = rest.count(i)
-                    if mult:
+                    else:
                         rest.remove(i)
                         mult *= rest.count(j)
-                        if mult:
-                            rest.remove(j)
-                else:
-                    raise ValueError(f"unknown term kind {kind}")
-                if mult:
-                    term = coeff * c
-                    out[(tuple(sorted(rest)), h0 + hbar)] += term if mult == 1 else term * mult
-        return {key: c for key, c in out.items() if c}
+                        if not mult:
+                            continue
+                        rest.remove(j)
+                key = (tuple(sorted(rest)), h0 + hbar)
+                out[key] = get(key, 0) + coeff * c * mult
+        return {key: c for key, c in out.items() if c}, self._den * den
 
     def __repr__(self) -> str:
-        return f"FockOperator({len(self.terms)} terms)"
+        return f"FockOperator({len(self._terms)} terms)"
 
 
 def quantize(G: QuadraticHamiltonian) -> FockOperator:
     """Darboux quantization: qq -> qq/hbar, qp -> q d/dq, pp -> hbar d2/dq dq."""
+    nums, den = _ints(G.coeffs)
     terms = []
-    for (i, j), c in G.coeffs.items():
+    for (i, j), c in nums.items():
         kinds = (i[0], j[0])
         qi = ("q", i[1], i[2])
         qj = ("q", j[1], j[2])
@@ -271,7 +331,7 @@ def quantize(G: QuadraticHamiltonian) -> FockOperator:
             terms.append((1, "diff2", (qi, qj), c))
         else:
             raise ValueError(f"malformed monomial kinds {kinds}")
-    return FockOperator(G.space, terms)
+    return FockOperator._make(G.space, terms, den)
 
 
 def _by_pair(H: QuadraticHamiltonian, kind: str) -> dict:
@@ -303,10 +363,12 @@ def commutator_apply(
     F_hat: FockOperator, G_hat: FockOperator, poly: Poly
 ) -> Poly:
     """[F^, G^] applied to a polynomial, in the house orientation G^ F^ - F^ G^."""
-    out = defaultdict(Fraction, G_hat.apply(F_hat.apply(poly)))
-    for key, c in F_hat.apply(G_hat.apply(poly)).items():
-        out[key] -= c
-    return {key: c for key, c in out.items() if c}
+    nums, den = _ints(poly)
+    out, den_out = G_hat._apply(*F_hat._apply(nums, den))
+    # both orders end over the same denominator F_den * G_den * den
+    for key, c in F_hat._apply(*G_hat._apply(nums, den))[0].items():
+        out[key] = out.get(key, 0) - c
+    return _fractions(out, den_out)
 
 
 def projective_identity_check(
@@ -346,7 +408,7 @@ def str_formula_check(
 
 
 def hbar_grading_ok(op: FockOperator, expected: set[int]) -> bool:
-    return {hbar for hbar, _, _, _ in op.terms} <= expected
+    return {hbar for hbar, _, _, _ in op._terms} <= expected
 
 
 def random_hamiltonian(space: DarbouxSpace, rng) -> QuadraticHamiltonian:

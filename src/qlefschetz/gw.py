@@ -130,12 +130,13 @@ class SMatrix:
         proto = QSeries.zero(self.desc, self.max_degree)
         return {ze: proto._like(nums, den, mask) for ze, nums in parts.items()}
 
-    def q_zero_z_zero(self) -> list[list[Fraction]]:
+    def _block(self) -> list[list[LambdaScalar]]:
+        """The q^0 z^0 scalar of every cell."""
         zero, span = QSeries.zero(self.desc, self.max_degree), range(self.size)
-        return [
-            [self.entry(b, a).get(0, zero).coefficient(0).as_rational() for a in span]
-            for b in span
-        ]
+        return [[self.entry(b, a).get(0, zero).coefficient(0) for a in span] for b in span]
+
+    def q_zero_z_zero(self) -> list[list[Fraction]]:
+        return [[c.as_rational() for c in row] for row in self._block()]
 
     def to_json_dict(self) -> dict:
         span = range(self.size)
@@ -206,7 +207,8 @@ def s_matrix(J: ZSeries, n: int, max_degree: int):
     if not holds:
         raise ValueError(f"input fails the quantum differential equation at {slot}")
     S = _matrix_from_frame(frame_series(J.truncate_novikov(max_degree), n))
-    if S.q_zero_z_zero() != [[int(a == b) for a in range(n)] for b in range(n)]:
+    one, zero = LambdaScalar.one(J.desc), LambdaScalar.zero(J.desc)
+    if S._block() != [[one if a == b else zero for a in range(n)] for b in range(n)]:
         raise TransversalityError("frame z^0 q^0 block is not the identity")
     ok, first_failure, S.truncated = _unitarity(S)
     return S, ok, first_failure

@@ -60,6 +60,14 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den for a positive den as a Fraction, reduced by one gcd without validation."""
+    g = gcd(num, den)
+    out = _new(Fraction)
+    out._numerator, out._denominator = num // g, den // g
+    return out
+
+
 def _lowest(nums: dict, den: int) -> tuple[dict, int]:
     """nums/den in lowest terms: one gcd over the denominator and every numerator."""
     if den != 1:
@@ -542,10 +550,7 @@ class BundleSpec:
 
     def chern_character(self, desc: RingDescriptor, k: int) -> CohElement:
         """ch_k of the bundle: sum_i (l_i P)^k / k! (non-equivariant roots)."""
-        coeff = sum(Fraction(l) ** k for l in self.degrees) / factorial(k)
-        if k == 0:
-            return CohElement.p_power(desc, 0, Fraction(len(self.degrees)))
-        return CohElement.p_power(desc, k, coeff)
+        return CohElement.p_power(desc, k, Fraction(sum(l**k for l in self.degrees), factorial(k)))
 
 
 # -- module operations --------------------------------------------------------
@@ -564,6 +569,12 @@ def twisted_pairing(a: CohElement, b: CohElement, bundle: BundleSpec) -> LambdaS
 
 def poincare_pairing(a: CohElement, b: CohElement) -> LambdaScalar:
     return integrate(a * b)
+
+
+def _laurent(desc: RingDescriptor, terms) -> CohElement:
+    """(num/den) P^k lam^-k summed over terms (k, num, den), 0 < k < n, k <= floor: one class."""
+    den = lcm(*(d for _, _, d in terms))
+    return CohElement._make(desc, {(k, -k, 0): c * (den // d) for k, c, d in terms if c}, den, 0)
 
 
 def euler_expansion_check(
@@ -589,27 +600,26 @@ def euler_expansion_check(
             f"got {desc.lambda_floor}"
         )
 
-    # Left side, expanded: sum_i [log(lam) + sum_{k>=1} (-1)^(k-1) (l_i P)^k / (k lam^k)].
-    lhs = CohElement.zero(desc)
+    # Left side, expanded: sum_i [log(lam) + sum_{k>=1} (-1)^(k-1) (l_i P)^k / (k lam^k)],
+    # its Laurent part from the integer power sums p_k = sum_i l_i^k.
     log_one = CohElement.from_scalar(LambdaScalar.log_lambda(desc))
-    for l in bundle.degrees:
-        lhs = lhs + log_one
-        for k in range(1, n):
-            coeff = Fraction((-1) ** (k - 1), k)
-            term = CohElement.p_power(desc, k, coeff * Fraction(l) ** k)
-            lhs = lhs + term.scale_scalar(LambdaScalar.lam_power(desc, -k))
+    nilpotent = _laurent(
+        desc, [(k, (-1) ** (k - 1) * sum(l**k for l in bundle.degrees), k) for k in range(1, n)]
+    )
+    lhs = log_one.scale(bundle.rank) + nilpotent
 
-    # Right side from the Chern character.
+    # Right side from the Chern character: ch_k (-1)^(k-1) (k-1)! / lam^k.
     rhs = bundle.chern_character(desc, 0).scale_scalar(LambdaScalar.log_lambda(desc))
+    laurent = []
     for k in range(1, n):
-        s_k = Fraction((-1) ** (k - 1) * factorial(k - 1))
-        term = bundle.chern_character(desc, k).scale(s_k)
-        rhs = rhs + term.scale_scalar(LambdaScalar.lam_power(desc, -k))
+        ch = bundle.chern_character(desc, k)
+        s_k = (-1) ** (k - 1) * factorial(k - 1)
+        laurent.append((k, s_k * ch._nums.get((k, 0, 0), 0), ch._den))
+    rhs = rhs + _laurent(desc, laurent)
 
     residual = lhs - rhs
 
     # Exponentiated cross-check: lam^rank * exp(nilpotent part) == product form.
-    nilpotent = lhs - log_one.scale(bundle.rank)
     exp_nil = CohElement.one(desc)
     power = CohElement.one(desc)
     for j in range(1, n):

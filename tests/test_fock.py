@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -349,3 +350,86 @@ def test_hamiltonian_sums_mirrored_keys_and_drops_zeros(space):
     assert H.coeffs == {(Q1, Q1): F(3)}
     assert all_fractions(H.coeffs.values())
     assert (H + -H).is_zero()
+
+
+def test_hamiltonian_rejects_inexact_coefficients(space):
+    with pytest.raises(TypeError):
+        QuadraticHamiltonian(space, {(Q0, Q0): 0.5})
+
+
+def test_operator_rejects_an_unknown_term_kind(space):
+    with pytest.raises(ValueError):
+        FockOperator(space, [(0, "bogus", (Q0, Q0), F(1))])
+    with pytest.raises(TypeError):
+        FockOperator(space, [(0, "mult", (Q0, Q0), 0.5)])
+
+
+# --- the integer inner loops on denominators the seeded draws never produce ---
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+RATIONALS = st.builds(
+    lambda num, dens: F(num, math.prod(dens)),
+    st.integers(-30, 30),
+    st.lists(st.sampled_from(PRIMES), max_size=2),
+)
+
+
+@st.composite
+def wide_hamiltonians(draw, space: DarbouxSpace):
+    """Up to 8 monomials, either factor order, coefficients over products of primes <= 13."""
+    idx = space.indices()
+    pairs = st.tuples(st.sampled_from(idx), st.sampled_from(idx))
+    return QuadraticHamiltonian(space, draw(st.dictionaries(pairs, RATIONALS, max_size=8)))
+
+
+@st.composite
+def wide_cases(draw):
+    space = draw(SPACES)
+    qvars = [("q", k, a) for k in range(space.z_window) for a in range(space.h_dim)]
+    monomial = st.tuples(
+        st.lists(st.sampled_from(qvars), max_size=4).map(lambda v: tuple(sorted(v))),
+        st.integers(-1, 1),
+    )
+    poly = draw(st.dictionaries(monomial, RATIONALS, max_size=4))
+    return draw(wide_hamiltonians(space)), draw(wide_hamiltonians(space)), poly
+
+
+def clean(values) -> bool:
+    """Every value a Fraction and none of them zero."""
+    return all_fractions(values) and all(values)
+
+
+def minus(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, F(0)) - c
+    return {key: c for key, c in out.items() if c}
+
+
+@ORACLES
+@given(wide_cases())
+def test_integer_calculus_matches_the_oracles_on_wide_denominators(case):
+    A, B, poly = case
+    bracket = poisson_bracket(A, B)
+    assert bracket == poisson_bracket_per_coordinate(A, B)
+    assert clean(bracket.coeffs.values())
+
+    A_hat, B_hat = quantize(A), quantize(B)
+    for op in (A_hat, B_hat, quantize(bracket)):
+        out = op.apply(poly)
+        assert out == apply_by_positions(op, poly)
+        assert clean(out.values())
+
+    commutator = minus(
+        apply_by_positions(B_hat, apply_by_positions(A_hat, poly)),
+        apply_by_positions(A_hat, apply_by_positions(B_hat, poly)),
+    )
+    out = commutator_apply(A_hat, B_hat, poly)
+    assert out == commutator
+    assert clean(out.values())
+
+    anomaly = cocycle_eval_by_table(A, B)
+    lhs = apply_by_positions(quantize(poisson_bracket_per_coordinate(A, B)), poly)
+    rhs = minus(commutator, {key: -anomaly * c for key, c in poly.items()})
+    assert lhs == rhs  # the identity holds by the oracles
+    assert projective_identity_check(A, B, poly) == (True, None)

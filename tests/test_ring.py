@@ -16,6 +16,7 @@ from qlefschetz import (
     poincare_pairing,
     twisted_pairing,
 )
+from qlefschetz.verify import ring_suite
 
 
 def scalar(desc, value):
@@ -174,3 +175,64 @@ def test_log_lambda_cap():
     cube = log * log * log
     assert cube.is_zero()
     assert cube.truncated
+
+
+def test_rank_zero_bundle_has_zero_chern_character_and_expands():
+    desc = RingDescriptor(n=3, lambda_floor=3)
+    empty = BundleSpec(())
+    assert empty.chern_character(desc, 0).is_zero()
+    for k in range(1, 5):
+        assert empty.chern_character(desc, k).is_zero()
+    ok, residual = euler_expansion_check(desc, empty)
+    assert ok
+    assert residual.is_zero() and not residual.truncated
+
+
+def test_chern_character_reads_the_power_sums():
+    desc = RingDescriptor(n=4)
+    bundle = BundleSpec((1, 2, 3))
+    assert bundle.chern_character(desc, 0) == CohElement.p_power(desc, 0, 3)
+    assert bundle.chern_character(desc, 2) == CohElement.p_power(desc, 2, F(14, 2))
+    assert bundle.chern_character(desc, 3) == CohElement.p_power(desc, 3, F(36, 6))
+    assert bundle.chern_character(desc, 4).is_zero()
+
+
+def grid_check():
+    (check,) = [c for c in ring_suite() if c.name == "ring.euler_expansion_grid"]
+    return check
+
+
+def test_the_grid_catches_a_wrong_chern_character(monkeypatch):
+    right = BundleSpec.chern_character
+
+    def wrong(self, desc, k):
+        ch = right(self, desc, k)
+        return ch.scale(2) if k == 1 else ch
+
+    monkeypatch.setattr(BundleSpec, "chern_character", wrong)
+    ok, residual = euler_expansion_check(RingDescriptor(n=3, lambda_floor=3), BundleSpec((2,)))
+    assert not ok
+    assert not residual.is_zero()
+    check = grid_check()
+    assert not check.passed and check.detail.startswith("n=")
+
+
+def test_the_grid_catches_a_wrong_euler_class(monkeypatch):
+    right = BundleSpec.euler_class
+
+    def wrong(self, desc):
+        return right(self, desc) + CohElement.p_power(desc, desc.n - 1)
+
+    monkeypatch.setattr(BundleSpec, "euler_class", wrong)
+    ok, residual = euler_expansion_check(RingDescriptor(n=3, lambda_floor=3), BundleSpec((2,)))
+    assert not ok
+    assert residual.is_zero() and not residual.truncated  # only the cross-check fails
+    check = grid_check()
+    assert not check.passed and check.detail.startswith("n=")
+
+
+def test_euler_expansion_without_room_for_log_is_truncated():
+    desc = RingDescriptor(n=4, lambda_floor=4, log_cap=0)
+    ok, residual = euler_expansion_check(desc, BundleSpec((1, 3)))
+    assert not ok
+    assert residual.truncated

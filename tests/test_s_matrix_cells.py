@@ -21,6 +21,7 @@ from qlefschetz import (
     LambdaScalar,
     QSeries,
     RingDescriptor,
+    TransversalityError,
     ZSeries,
     frame_series,
     j_reduced,
@@ -154,3 +155,14 @@ def test_a_flagged_zero_component_flags_the_s_matrix():
     S = gw._matrix_from_frame(frame)
     assert S.cells[1][0][0].is_zero()
     assert gw._unitarity(S) == (True, None, True)
+
+
+def test_a_lam_term_in_the_identity_block_is_a_transversality_error():
+    # J * (1 + lam) passes the differential-equation gate, but its q^0 z^0
+    # block is (1 + lam) on the diagonal: not the identity, and not rational.
+    desc = RingDescriptor(n=3, lambda_floor=2)
+    one_plus_lam = LambdaScalar(desc, {(0, 0): 1, (1, 0): 1})
+    bump = CohElement(desc, [one_plus_lam, LambdaScalar.zero(desc), LambdaScalar.zero(desc)])
+    J = j_reduced(3, 2, desc=desc) * ZSeries(desc, 2, {0: {0: bump}})
+    with pytest.raises(TransversalityError):
+        s_matrix(J, 3, 2)

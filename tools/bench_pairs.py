@@ -6,7 +6,9 @@ alternated pairs, one run at a time: pair i runs both sides with seed
 ones, so slow drift of the host hits both sides alike.  Each run's last
 stdout line is the harness's JSON summary.  For every end-to-end metric the
 file records the median and quartiles of each side and the number of pairs
-in which the change read lower.  It also records, for each checkout, the
+in which the change read lower, and next to ``peak_rss_mb`` the number of
+passes of every run, since the peak grows with the passes that fit into
+``--seconds``.  It also records, for each checkout, the
 commit it is at (``git rev-parse HEAD``), whether its code differs from that
 commit, and a sha256 over the files the harness runs (``src/``, ``perfbench/``
 and ``configs/``), which ties the file to the tree it measured even when the
@@ -65,7 +67,7 @@ def describe(checkout: str) -> dict:
 
 
 def run_harness(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """One harness run in a checkout; its final JSON line."""
+    """One harness run in a checkout: its final JSON line, with its pass count as ``passes``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -74,7 +76,14 @@ def run_harness(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: no output from the harness\n{proc.stderr}")
-    return json.loads(lines[-1])
+    out = json.loads(lines[-1])
+    # the summary line "workload=... passes=N" precedes the metrics
+    out["passes"] = next(
+        int(field.split("=", 1)[1])
+        for line in lines if line.startswith("workload=")
+        for field in line.split() if field.startswith("passes=")
+    )
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -104,6 +113,7 @@ def compare(workload: str, parent: str, change: str, pairs: int, seed: int, seco
             "change": summary(new),
             "change_lower_pairs": sum(b > c for b, c in zip(base, new)),
         }
+    metrics["peak_rss_mb"]["passes"] = {side: [r["passes"] for r in runs[side]] for side in runs}
     return {
         "workload": workload,
         "checkouts": checkouts,

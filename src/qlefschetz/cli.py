@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import EngineError
 from .gw import j_reduced, qde_verify, s_matrix
@@ -212,8 +213,44 @@ def run_verify(suite: str) -> dict:
     }
 
 
+def _canonical(value, indent: str, out: list) -> None:
+    """Append the chunks of json.dumps(value, sort_keys=True, indent=2), nested at indent.
+
+    json's encoder is pure Python whenever indent is set.  This one writes the
+    same bytes for the values the engine emits and raises TypeError on others.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif not value and isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+            out.append(sep + _quote(key) + ": ")
+            _canonical(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _canonical(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif value is None or isinstance(value, int):
+        out.append(json.dumps(value))
+    else:
+        raise TypeError(f"{type(value).__name__} is not written by the canonical writer")
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list = []
+    _canonical(payload, "", out)
+    text = "".join(out) + "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
     else:

@@ -260,9 +260,12 @@ class FockOperator:
         #   kind 'mixed': payload (i, j): q_i * d/dq_j
         #   kind 'diff2': payload (i, j): d^2/dq_i dq_j
         terms = list(terms or [])
-        for _, kind, _, _ in terms:
+        qvars = [("q", k, a) for k in range(space.z_window) for a in range(space.h_dim)]
+        for _, kind, pair, _ in terms:
             if kind not in _KINDS:
                 raise ValueError(f"unknown term kind {kind}")
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(x in qvars for x in pair)):
+                raise ValueError(f"payload {pair!r} is not a pair of q-indices in the window")
         nums, self._den = _ints(dict(enumerate(c for *_, c in terms)))
         self.space = space
         self._terms = [(hbar, kind, pair, nums[t]) for t, (hbar, kind, pair, _) in enumerate(terms)]

@@ -140,7 +140,7 @@ class SMatrix:
 
     def to_json_dict(self) -> dict:
         span = range(self.size)
-        views = [[sorted(self.entry(b, a).items()) for a in span] for b in span]
+        views = [[self.entry(b, a).items() for a in span] for b in span]
         data = [[{str(ze): s.to_json_dict() for ze, s in view} for view in row] for row in views]
         return {"size": self.size, "max_degree": self.max_degree, "entries": data}
 

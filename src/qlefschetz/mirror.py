@@ -77,12 +77,12 @@ class MirrorResult:
             "tau_of_q": self.tau_of_q.to_json_dict(),
             "tau0_of_q": self.tau0_of_q.to_json_dict(),
             "tau_higher": {
-                str(j): qs.to_json_dict() for j, qs in sorted(self.tau_higher.items())
+                str(j): qs.to_json_dict() for j, qs in self.tau_higher.items()
             },
             "q_of_tau": self.q_of_tau.to_json_dict(),
             "J_out": self.J_out.to_json_dict(),
             "c_coeffs": [
-                {str(ze): qs.to_json_dict() for ze, qs in sorted(cell.items())}
+                {str(ze): qs.to_json_dict() for ze, qs in cell.items()}
                 for cell in self.c_coeffs
             ],
             "small_projection": self.small_projection,

@@ -101,8 +101,15 @@ def _stacked(slots) -> tuple[dict, int, int]:
 
 
 def _render(terms, den: int) -> dict[str, str]:
-    """One slot's ((p, lam_exp, log_exp), numerator) terms over den as JSON: 'a' or 'a|b'."""
-    return {(str(a) if b == 0 else f"{a}|{b}"): str(Fraction(c, den)) for (_, a, b), c in terms}
+    """One slot's ((p, a, b), numerator c) terms over den as JSON: 'a' or 'a|b' to c/den.
+
+    Each value is str(Fraction(c, den)), formed from the integers with one gcd.
+    """
+    return {
+        (str(a) if b == 0 else f"{a}|{b}"):
+        str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}"
+        for (_, a, b), c in terms
+    }
 
 
 class _Terms:
@@ -316,7 +323,7 @@ class LambdaScalar(_Terms):
 
     def to_json_dict(self) -> dict[str, str]:
         """Canonical rendering: keys 'a' (or 'a|b' with log powers) to rationals."""
-        return _render(sorted(self._nums.items()), self._den)
+        return _render(self._nums.items(), self._den)
 
     @classmethod
     def from_json_dict(cls, desc: RingDescriptor, data: Mapping[str, str]) -> "LambdaScalar":
@@ -442,7 +449,7 @@ class _Graded(_Terms):
     def to_json_dict(self) -> dict[str, dict[str, str]]:
         """Canonical rendering: each nonzero slot's exponent to the rendering of its scalar."""
         slots: dict[int, list] = {}
-        for key, c in sorted(self._nums.items()):
+        for key, c in self._nums.items():
             slots.setdefault(key[0], []).append((key, c))
         return {str(p): _render(terms, self._den) for p, terms in slots.items()}
 

@@ -455,11 +455,10 @@ class ZSeries:
 
     def to_json_dict(self) -> dict:
         slices: dict[str, dict] = {}
-        for d in sorted(self.slices):
-            zrow = self.slice(d)
+        for d in self.slices:
             row: dict[str, dict] = {}
-            for ze in sorted(zrow):
-                pmap = zrow[ze].to_json_dict()
+            for ze, el in self.slice(d).items():
+                pmap = el.to_json_dict()
                 if pmap:
                     row[str(ze)] = pmap
             if row:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qlefschetz.cli import load_config, run_compute
+from qlefschetz.cli import load_config, main, run_compute
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,3 +37,10 @@ def test_compute_output_is_byte_identical(name):
     config = load_config(json.loads((CONFIGS / name).read_text(encoding="utf-8")))
     text = json.dumps(run_compute(config), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EXPECTED_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SHA256))
+def test_compute_writes_the_pinned_bytes(name, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["compute", "--config", str(CONFIGS / name), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED_SHA256[name]

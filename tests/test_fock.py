@@ -364,6 +364,32 @@ def test_operator_rejects_an_unknown_term_kind(space):
         FockOperator(space, [(0, "mult", (Q0, Q0), 0.5)])
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (("p", 0, 0), ("p", 5, 0)),  # p-variables, one outside the window
+        (Q0,),  # one index, not a pair
+        (Q0, Q1, Q0),
+        (Q0, ("q", 2, 0)),  # k == z_window
+        (("q", 0, 1), Q0),  # a == h_dim
+        (Q0, ("q", -1, 0)),
+        (Q0, ["q", 0, 0]),
+        [Q0, Q1],
+    ],
+)
+def test_operator_rejects_a_payload_that_is_not_a_pair_of_window_q_indices(space, pair):
+    for kind in ("mult", "mixed", "diff2"):
+        with pytest.raises(ValueError):
+            FockOperator(space, [(0, kind, pair, F(1))])
+
+
+def test_operator_accepts_every_pair_of_window_q_indices():
+    space = DarbouxSpace(h_dim=2, z_window=2)
+    qvars = [i for i in space.indices() if i[0] == "q"]
+    op = FockOperator(space, [(0, "mult", (i, j), F(1)) for i in qvars for j in qvars])
+    assert len(op.terms) == len(qvars) ** 2
+
+
 # --- the integer inner loops on denominators the seeded draws never produce ---
 
 PRIMES = (2, 3, 5, 7, 11, 13)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qlefschetz.cli import run_verify
+from qlefschetz.cli import main, run_verify
 from qlefschetz.verify import SUITES
 
 # sha256 of each suite's canonical report (json.dumps(sort_keys=True, indent=2)
@@ -28,3 +28,10 @@ def test_suite_is_green(suite):
     assert report["passed"], report["first_failure"]
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_writes_the_pinned_bytes(suite, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[suite]

@@ -245,6 +245,11 @@ def poisson_bracket(F: QuadraticHamiltonian, G: QuadraticHamiltonian) -> Quadrat
 _KINDS = ("mult", "mixed", "diff2")
 
 
+def _window_q(space: DarbouxSpace) -> list[Index]:
+    """The window's q-indices, the Fock variables; a list, so ``in`` also refuses unhashables."""
+    return [("q", k, a) for k in range(space.z_window) for a in range(space.h_dim)]
+
+
 class FockOperator:
     """An order-<=2 differential operator in the q-variables with hbar grading.
 
@@ -260,7 +265,7 @@ class FockOperator:
         #   kind 'mixed': payload (i, j): q_i * d/dq_j
         #   kind 'diff2': payload (i, j): d^2/dq_i dq_j
         terms = list(terms or [])
-        qvars = [("q", k, a) for k in range(space.z_window) for a in range(space.h_dim)]
+        qvars = _window_q(space)
         for _, kind, pair, _ in terms:
             if kind not in _KINDS:
                 raise ValueError(f"unknown term kind {kind}")
@@ -283,6 +288,11 @@ class FockOperator:
         return [(hbar, kind, pair, _fraction(c, den)) for hbar, kind, pair, c in self._terms]
 
     def apply(self, poly: Poly) -> Poly:
+        """The operator on a polynomial in the window's q-variables; any other is refused."""
+        qvars = _window_q(self.space)
+        for vars_, _ in poly:
+            if not all(x in qvars for x in vars_):
+                raise ValueError(f"monomial {vars_!r} is not in the q-indices of the window")
         return _fractions(*self._apply(*_ints(poly)))
 
     def _apply(self, nums: dict[PolyKey, int], den: int) -> tuple[dict[PolyKey, int], int]:
@@ -429,7 +439,7 @@ def random_hamiltonian(space: DarbouxSpace, rng) -> QuadraticHamiltonian:
 
 
 def random_polynomial(space: DarbouxSpace, rng, max_deg: int = 3) -> Poly:
-    qvars = [("q", k, a) for k in range(space.z_window) for a in range(space.h_dim)]
+    qvars = _window_q(space)
     poly: Poly = {}
     for _ in range(4):
         deg = rng.randint(0, max_deg)

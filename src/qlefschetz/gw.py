@@ -19,7 +19,7 @@ from math import comb, lcm
 
 from .errors import TransversalityError
 from .ring import CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, add_row_product, directional_derivative
+from .series import QSeries, REDUCED, ZSeries, directional_derivative, queue_row_product, summed
 
 
 def j_reduced(
@@ -66,9 +66,9 @@ def _multiply_inverse_factor(
             for j in range(n)
         ],
     )
-    out: dict[int, CohElement] = {}
-    add_row_product(out, poly, {-n: factor})
-    return {w: el for w, el in out.items() if not el.is_zero()}
+    out: dict[int, list] = {}
+    queue_row_product(out, poly, {-n: factor})
+    return {w: el for w, el in summed(out).items() if not el.is_zero()}
 
 
 def qde_verify(J: ZSeries, n: int):
@@ -172,20 +172,23 @@ def _unitarity(S: SMatrix):
 
     g = g^(-1) is the anti-diagonal Gram matrix of the Poincare pairing, so
     entry (a, b) is sum_i T_{i,a}(-z) T_{n-1-i,b}(z) - delta_{a+b,n-1}: one
-    q-series product per pair of offsets, read by z like a cell with a - b
+    sum of q-series products per offset, with the delta as the product
+    (-1)*1, read by z like a cell with a - b
     replaced by a + b - (n - 1).  first_failure is (a, b, z_exp, d) at the
     lowest z_exp, then lowest d, of the first nonzero entry.
     """
     n, one, first_failure = S.size, QSeries.one(S.desc, S.max_degree), None
+    delta = (-one, one)
     truncated = any(s.truncated for row in S.cells for cell in row for s in cell.values())
     for a in range(n):
         minus = [
             {k: _at_minus_z(s, a - i + k) for k, s in S.cells[i][a].items()} for i in range(n)
         ]
         for b in range(n):
-            res: dict[int, QSeries] = {0: -one} if a + b == n - 1 else {}
+            queued: dict[int, list] = {0: [delta]} if a + b == n - 1 else {}
             for i in range(n):
-                add_row_product(res, minus[i], S.cells[n - 1 - i][b])
+                queue_row_product(queued, minus[i], S.cells[n - 1 - i][b])
+            res = summed(queued)
             truncated |= any(s.truncated for s in res.values())
             view = S._z_view(res, a + b - n + 1)
             if view and first_failure is None:

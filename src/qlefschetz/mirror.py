@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gw import frame_series
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, add_scaled_row, exp_constant_scalar
+from .series import QSeries, REDUCED, ZSeries, exp_constant_scalar, queue_scaled_row, summed
 
 _MAX_SWEEPS = 400
 
@@ -101,12 +101,22 @@ def _subtract_scaled(
     beta: LambdaScalar,
     max_degree: int,
 ) -> None:
-    """work -= beta * z^z_shift * q^d_shift * frame_el, in place, on rows keyed by weight."""
-    neg = -beta
+    """work -= beta * z^z_shift * q^d_shift * frame_el, in place, on rows keyed by weight.
+
+    Each class of work it touches becomes one sum of products: the old class
+    times 1 and the products with -beta.
+    """
+    neg, one = -beta, LambdaScalar.one(beta.desc)
+    queued: dict[int, dict[int, list]] = {}
     for d, row in frame_el.slices.items():
-        d_out = d + d_shift
-        if d_out <= max_degree:
-            add_scaled_row(work.setdefault(d_out, {}), row, neg, z_shift)
+        if d + d_shift <= max_degree:
+            queue_scaled_row(queued.setdefault(d + d_shift, {}), row, neg, z_shift)
+    for d, row in queued.items():
+        tgt = work.setdefault(d, {})
+        for w, pairs in row.items():
+            if w in tgt:
+                pairs.append((tgt[w], one))
+        tgt.update(summed(row))
 
 
 def _violations(f: ZSeries, d: int) -> list[tuple[int, int]]:

@@ -11,9 +11,13 @@ Scalars, classes and q-series share one fraction-free storage format,
 ``_Terms``: one map of integer numerators keyed by (slot, lam_exp, log_exp)
 over one common denominator.  A scalar is a value with only the P^0 slot.  A
 class in R[P]/(P^n) and a q-series in R[q]/(q^(D+1)) (``series.QSeries``)
-share one graded product, ``_Graded``.  Each arithmetic result is reduced
-once, so the inner loops multiply and add plain ints and take one gcd per
-result instead of one per term, and a graded product builds no scalar objects.
+share one graded product, ``_Graded``.  The one term loop, ``_Terms._times``,
+takes a list of pairs and accumulates the numerators of every product x*y in
+one map over one common denominator, so a sum of products is reduced once,
+with one gcd, and builds no scalar objects; a single product is the one-pair
+case.  The pairs' flags are ORed: a product with a scalar flags every slot
+when the scalar is truncated and the other factor's slots otherwise, and a
+graded product flags the slots ``_Graded._spread`` gives.
 """
 
 from __future__ import annotations
@@ -200,26 +204,32 @@ class _Terms:
     def __hash__(self):
         return hash((self.desc, self._den, frozenset(self._nums.items())))
 
-    def _times(self, right) -> tuple[dict, int]:
-        """Products of this value's terms with the terms ``right``, summed per key.
+    def _times(self, pairs, den: int) -> tuple[dict, int]:
+        """The products x*y over pairs [(x, y)], summed per key as numerators over den.
 
-        ``right`` holds ((slot, lam_exp, log_exp), numerator) pairs sorted by
-        slot, so t^span = 0 ends each scan.  Returns the kept numerators and
-        the mask of slots that had a key below the floor or past the log cap:
-        some product of two components reaching such a slot dropped a nonzero
-        term, since its lowest lam and highest log(lam) terms never cancel.
+        den is a common multiple of the x._den * y._den; each pair's factor
+        den // (x._den * y._den) scales x's numerators in the outer loop.  A
+        graded right factor is scanned by slot, so t^span = 0 ends each scan.
+        Returns the kept numerators and the mask of slots that had a key below
+        the floor or past the log cap: some product of two components reaching
+        such a slot dropped a nonzero term, since its lowest lam and highest
+        log(lam) terms never cancel.
         """
         desc = self.desc
         n, floor, cap = self._span(), -desc.lambda_floor, desc.log_cap
         out: dict[tuple[int, int, int], int] = {}
         get = out.get
-        for (i, a1, b1), c1 in self._nums.items():
-            room = n - i
-            for (j, a2, b2), c2 in right:
-                if j >= room:
-                    break
-                key = (i + j, a1 + a2, b1 + b2)
-                out[key] = get(key, 0) + c1 * c2
+        for x, y in pairs:
+            f = den // (x._den * y._den)
+            left = x._nums.items() if f == 1 else [(k, c * f) for k, c in x._nums.items()]
+            right = y._nums.items() if type(y) is LambdaScalar else sorted(y._nums.items())
+            for (i, a1, b1), c1 in left:
+                room = n - i
+                for (j, a2, b2), c2 in right:
+                    if j >= room:
+                        break
+                    key = (i + j, a1 + a2, b1 + b2)
+                    out[key] = get(key, 0) + c1 * c2
         nums = {}
         dropped = 0
         for key, c in out.items():
@@ -228,6 +238,26 @@ class _Terms:
             elif c:
                 nums[key] = c
         return nums, dropped
+
+    def _dot(self, pairs):
+        """The sum of the products x*y over pairs [(x, y)], shaped like self, reduced once.
+
+        The numerators go over the lcm of the x._den * y._den.  Each pair's
+        flags are ORed into the result: a product with a scalar y flags every
+        slot when y is truncated (an unknown term below the floor) and x's own
+        slots otherwise; a graded product flags the slots ``_Graded._spread``
+        gives.
+        """
+        den, trunc = 1, 0
+        for x, y in pairs:
+            xy = x._den * y._den
+            den = xy if den == 1 else lcm(den, xy)
+            if type(y) is LambdaScalar:
+                trunc |= (1 << self._span()) - 1 if y._trunc else x._trunc
+            elif x._trunc or y._trunc:
+                trunc |= x._spread(y)
+        nums, dropped = self._times(pairs, den)
+        return self._like(nums, den, trunc | dropped)
 
 
 class LambdaScalar(_Terms):
@@ -272,6 +302,9 @@ class LambdaScalar(_Terms):
         self._nums = {k: num * (den // d) for k, (num, d) in clean.items()}
         self._den = den
         self._trunc = 1 if truncated or dropped else 0
+
+    def _span(self) -> int:
+        return 1  # the P^0 slot
 
     # -- constructors -------------------------------------------------------
 
@@ -356,22 +389,7 @@ class LambdaScalar(_Terms):
             # Classes and q-series answer a scalar on the left through __rmul__.
             return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         self._check(other)
-        sn, on = self._nums, other._nums
-        if len(sn) == 1 == len(on):
-            # Monomial times monomial, the common case: one nonzero term.
-            ((_, a1, b1), c1), = sn.items()
-            ((_, a2, b2), c2), = on.items()
-            desc = self.desc
-            a, b = a1 + a2, b1 + b2
-            if a < -desc.lambda_floor or b > desc.log_cap:
-                return LambdaScalar._make(desc, {}, 1, 1)
-            return LambdaScalar._make(
-                desc, {(0, a, b): c1 * c2}, self._den * other._den, self._trunc | other._trunc
-            )
-        nums, dropped = self._times(on.items())
-        return LambdaScalar._make(
-            self.desc, nums, self._den * other._den, self._trunc | other._trunc | dropped
-        )
+        return self._dot([(self, other)])
 
     __rmul__ = __mul__
 
@@ -401,25 +419,26 @@ class _Graded(_Terms):
         if type(other) is not type(self):
             return self.scale(other)
         self._check(other)
-        nums, trunc = self._times(sorted(other._nums.items()))
-        if self._trunc or other._trunc:
-            trunc |= self._spread(other)
-        return self._like(nums, self._den * other._den, trunc)
+        return self._dot([(self, other)])
 
     def _slot(self, k: int) -> LambdaScalar:
         """Slot k as a scalar, with its flag."""
         nums = {(0, a, b): c for (p, a, b), c in self._nums.items() if p == k}
         return LambdaScalar._make(self.desc, nums, self._den, self._trunc >> k & 1)
 
-    def _split(self) -> list[LambdaScalar]:
-        """Every slot as a scalar with its flag, split off in one pass."""
-        parts: list[dict] = [{} for _ in range(self._span())]
+    def _split(self) -> dict[int, LambdaScalar]:
+        """The slots that hold a term or a flag as scalars with their flags, in one pass.
+
+        Every other slot is an unflagged zero.
+        """
+        trunc = self._trunc
+        parts: dict[int, dict] = {p: {} for p in range(trunc.bit_length()) if trunc >> p & 1}
         for (p, a, b), c in self._nums.items():
-            parts[p][(0, a, b)] = c
-        return [
-            LambdaScalar._make(self.desc, part, self._den, self._trunc >> p & 1)
-            for p, part in enumerate(parts)
-        ]
+            parts.setdefault(p, {})[(0, a, b)] = c
+        return {
+            p: LambdaScalar._make(self.desc, part, self._den, trunc >> p & 1)
+            for p, part in sorted(parts.items())
+        }
 
     def _slots(self) -> int:
         """Mask of the nonzero slots."""
@@ -441,10 +460,7 @@ class _Graded(_Terms):
 
     def scale_scalar(self, scalar: LambdaScalar):
         _Terms._check(self, scalar)
-        nums, trunc = self._times(scalar._nums.items())
-        # A truncated scalar is an unknown term below the floor in every slot.
-        trunc = (1 << self._span()) - 1 if scalar._trunc else trunc | self._trunc
-        return self._like(nums, self._den * scalar._den, trunc)
+        return self._dot([(self, scalar)])
 
     def to_json_dict(self) -> dict[str, dict[str, str]]:
         """Canonical rendering: each nonzero slot's exponent to the rendering of its scalar."""
@@ -498,7 +514,8 @@ class CohElement(_Graded):
     @property
     def components(self) -> tuple[LambdaScalar, ...]:
         """All n components, split off in one pass."""
-        return tuple(self._split())
+        parts, zero = self._split(), LambdaScalar.zero(self.desc)
+        return tuple(parts.get(p, zero) for p in range(self.desc.n))
 
     # -- arithmetic ----------------------------------------------------------
 

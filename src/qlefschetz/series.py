@@ -93,7 +93,7 @@ class QSeries(_Graded):
     @property
     def coeffs(self) -> dict[int, LambdaScalar]:
         """The nonzero coefficients by Novikov degree, split off in one pass."""
-        return {d: c for d, c in enumerate(self._split()) if not c.is_zero()}
+        return {d: c for d, c in self._split().items() if not c.is_zero()}
 
     def _check(self, other: "QSeries") -> None:
         if self.desc != other.desc:
@@ -146,11 +146,8 @@ class QSeries(_Graded):
         terms = sorted(weights.items())
         g = [first]
         for n in range(1, self.max_degree + 1):
-            acc = LambdaScalar.zero(self.desc)
-            for k, w in terms:
-                if k > n:
-                    break
-                acc = acc + w * g[n - k]
+            pairs = [(w, g[n - k]) for k, w in terms if k <= n]
+            acc = first._dot(pairs) if pairs else LambdaScalar.zero(self.desc)
             g.append(acc.scale(factor(n)))
         return QSeries(self.desc, self.max_degree, dict(enumerate(g)))
 
@@ -160,15 +157,16 @@ class QSeries(_Graded):
         if not inner.valuation_at_least(1):
             raise ValueError("composition requires inner valuation >= 1")
         out = QSeries(self.desc, self.max_degree, {0: self.coefficient(0)})
+        coeffs = self.coeffs
         power = QSeries.one(self.desc, self.max_degree)
+        pairs = []
         for d in range(1, self.max_degree + 1):
             power = power * inner
             if power.is_zero():
                 break
-            c = self.coefficient(d)
-            if not c.is_zero():
-                out = out + power * c
-        return out
+            if d in coeffs:
+                pairs.append((power, coeffs[d]))
+        return out + out._dot(pairs) if pairs else out
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -264,12 +262,35 @@ class ZSeries:
         """Slice d keyed by z-exponent."""
         return _by_z(self.slices.get(d, {}))
 
+    def _at_z(self, d: int, z_exp: int) -> tuple[dict, int, int]:
+        """The terms of slice d at z^z_exp, read straight from the weight classes.
+
+        Returns their numerators over the lcm of the row's denominators and
+        the flag mask that ``_by_z`` gives them: the union of the row's flags
+        when a term sits at z^z_exp, or when the row holds no term and
+        z_exp = 0; no flag otherwise.
+        """
+        row = self.slices.get(d, {})
+        den = lcm(*(el._den for el in row.values()))
+        nums, mask, held = {}, 0, False
+        for w, el in row.items():
+            mask |= el._trunc
+            held = held or bool(el._nums)
+            f = den // el._den
+            for key, c in el._nums.items():
+                if key[0] + key[1] == w - z_exp:
+                    nums[key] = c * f
+        return nums, den, mask if nums or (z_exp == 0 and not held) else 0
+
     def coefficient(self, d: int, z_exp: int) -> CohElement:
-        el = _by_z(self.slices.get(d, {}), lambda ze: ze == z_exp).get(z_exp)
-        return CohElement.zero(self.desc) if el is None else el
+        return CohElement._make(self.desc, *self._at_z(d, z_exp))
 
     def scalar_slot(self, d: int, z_exp: int, p_exp: int) -> LambdaScalar:
-        return self.coefficient(d, z_exp).component(p_exp)
+        if not 0 <= p_exp < self.desc.n:
+            raise IndexError(f"no P^{p_exp} slot in Q[P]/(P^{self.desc.n})")
+        nums, den, mask = self._at_z(d, z_exp)
+        nums = {(0, a, b): c for (p, a, b), c in nums.items() if p == p_exp}
+        return LambdaScalar._make(self.desc, nums, den, mask >> p_exp & 1)
 
     def is_zero(self) -> bool:
         """True when every value is zero; flags are not looked at."""
@@ -338,22 +359,22 @@ class ZSeries:
         return self._map(lambda el: el.scale(value))
 
     def scale_scalar(self, scalar: LambdaScalar) -> "ZSeries":
-        out: dict[int, dict[int, CohElement]] = {}
+        out: dict[int, dict[int, list]] = {}
         for d, row in self.slices.items():
-            add_scaled_row(out.setdefault(d, {}), row, scalar)
-        return self._like(out)
+            queue_scaled_row(out.setdefault(d, {}), row, scalar)
+        return self._summed(out)
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
         """Multiply by a scalar q-series."""
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
         coeffs = f._split()
-        out: dict[int, dict[int, CohElement]] = {}
+        out: dict[int, dict[int, list]] = {}
         for d1, row in self.slices.items():
-            for d2, c in enumerate(coeffs[: self.max_degree - d1 + 1]):
-                if not c.is_zero() or c.truncated:
-                    add_scaled_row(out.setdefault(d1 + d2, {}), row, c)
-        return self._like(out)
+            for d2, c in coeffs.items():
+                if d1 + d2 <= self.max_degree:
+                    queue_scaled_row(out.setdefault(d1 + d2, {}), row, c)
+        return self._summed(out)
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
@@ -370,14 +391,18 @@ class ZSeries:
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         """Graded Cauchy product, truncated at the common Novikov order."""
         self._check(other)
-        out: dict[int, dict[int, CohElement]] = {}
+        out: dict[int, dict[int, list]] = {}
         for d1, row1 in self.slices.items():
             for d2, row2 in other.slices.items():
                 d = d1 + d2
                 if d > self.max_degree:
                     continue
-                add_row_product(out.setdefault(d, {}), row1, row2)
-        return self._like(out)
+                queue_row_product(out.setdefault(d, {}), row1, row2)
+        return self._summed(out)
+
+    def _summed(self, queued: dict[int, dict[int, list]]) -> "ZSeries":
+        """The series whose class at (d, w) sums the products queued there."""
+        return self._like({d: summed(row) for d, row in queued.items()})
 
     def _values(self) -> dict[int, dict[int, CohElement]]:
         """The rows without their flagged zeros."""
@@ -431,13 +456,15 @@ class ZSeries:
     def compose_novikov(self, inner: QSeries) -> "ZSeries":
         """Substitute q = inner(q') and re-expand; inner must have valuation >= 1.
 
-        Each slice_d * [q'^m] inner^d is added straight into row m of the result.
+        Each slice_d * [q'^m] inner^d is queued into row m of the result, next
+        to slice 0 times 1, and every class of the result is one sum of products.
         """
         if self.desc != inner.desc or self.max_degree != inner.max_degree:
             raise DescriptorMismatchError("substitution series does not match")
         if not inner.valuation_at_least(1):
             raise ValueError("substitution requires valuation >= 1")
-        out = {0: dict(self.slices.get(0, {}))}
+        one = LambdaScalar.one(self.desc)
+        out = {0: {w: [(el, one)] for w, el in self.slices.get(0, {}).items()}}
         power = QSeries.one(self.desc, self.max_degree)
         for d in range(1, self.max_degree + 1):
             power = power * inner
@@ -446,10 +473,9 @@ class ZSeries:
             row = self.slices.get(d)
             if row is None:
                 continue
-            for m, c in enumerate(power._split()):
-                if not c.is_zero() or c.truncated:
-                    add_scaled_row(out.setdefault(m, {}), row, c)
-        return self._like(out)
+            for m, c in power._split().items():
+                queue_scaled_row(out.setdefault(m, {}), row, c)
+        return self._summed(out)
 
     # -- serialization ------------------------------------------------------------
 
@@ -542,30 +568,22 @@ def _by_z(row: Mapping[int, CohElement], keep=None) -> dict[int, CohElement]:
     return _regroup(row, -1, keep)
 
 
-def add_row_product(
-    tgt: dict[int, CohElement],
-    a: Mapping[int, CohElement],
-    b: Mapping[int, CohElement],
+def queue_row_product(
+    tgt: dict[int, list], a: Mapping[int, CohElement], b: Mapping[int, CohElement]
 ) -> None:
-    """tgt += a*b for rows of classes (or q-series) keyed by weight, z-exponent or offset: keys add.
+    """Queue the pairs of a*b into tgt for rows keyed by weight, z-exponent or offset.
 
-    Products that vanish (by P^n = 0) are skipped unless flagged; sums that
-    cancel stay in tgt.
+    The rows hold classes or q-series and keys add; ``summed`` builds the values.
     """
     for z1, e1 in a.items():
         for z2, e2 in b.items():
-            prod = e1 * e2
-            if prod.is_zero() and not prod.truncated:
-                continue
-            ze = z1 + z2
-            old = tgt.get(ze)
-            tgt[ze] = prod if old is None else old + prod
+            tgt.setdefault(z1 + z2, []).append((e1, e2))
 
 
-def add_scaled_row(
-    tgt: dict[int, CohElement], row: Mapping[int, CohElement], c: LambdaScalar, shift: int = 0
+def queue_scaled_row(
+    tgt: dict[int, list], row: Mapping[int, CohElement], c: LambdaScalar, shift: int = 0
 ) -> None:
-    """tgt += c * z^shift * row for rows keyed by weight.
+    """Queue the pairs of c * z^shift * row into tgt, for rows keyed by weight.
 
     The lam^a part of c moves a class a + shift weights up, so a scalar whose
     terms have several lam exponents lands at several weights.
@@ -576,10 +594,16 @@ def add_scaled_row(
     for a, nums in parts.items() or [(0, {})]:
         part = c if len(parts) <= 1 else LambdaScalar._make(c.desc, nums, c._den, c._trunc)
         for w, el in row.items():
-            prod = el.scale_scalar(part)
-            key = w + a + shift
-            old = tgt.get(key)
-            tgt[key] = prod if old is None else old + prod
+            tgt.setdefault(w + a + shift, []).append((el, part))
+
+
+def summed(queued: Mapping[int, list]) -> dict:
+    """Each key's queued pairs [(x, y)] as one value, the sum of the x*y reduced once.
+
+    A key whose products all vanish, none of them flagged, holds an unflagged
+    zero, which the series constructors drop.
+    """
+    return {key: pairs[0][0]._dot(pairs) for key, pairs in queued.items()}
 
 
 def symplectic_form(f: ZSeries, g: ZSeries) -> QSeries:

@@ -32,7 +32,7 @@ from math import comb, factorial
 
 from .errors import EngineError, InsufficientFloorError
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import REDUCED, ZSeries, add_row_product
+from .series import REDUCED, ZSeries, queue_row_product, summed
 
 
 @lru_cache(maxsize=None)
@@ -259,12 +259,12 @@ def _twisted_slices(J: ZSeries, groups, start: int):
         reached = d
         multiplier = products[0] if products else {0: CohElement.one(desc)}
         for poly in products[1:]:
-            folded: dict[int, CohElement] = {}
-            add_row_product(folded, multiplier, poly)
-            multiplier = folded
-        twisted: dict[int, CohElement] = {}
-        add_row_product(twisted, J.slices[d], multiplier)
-        yield d, twisted, products
+            folded: dict[int, list] = {}
+            queue_row_product(folded, multiplier, poly)
+            multiplier = summed(folded)
+        twisted: dict[int, list] = {}
+        queue_row_product(twisted, J.slices[d], multiplier)
+        yield d, summed(twisted), products
 
 
 def i_function(J: ZSeries, bundle: BundleSpec) -> ZSeries:

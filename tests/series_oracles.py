@@ -14,7 +14,12 @@ substitution q = inner(q') built from one series per degree.  ``DictQSeries``
 is the dict-of-scalars q-series that ``QSeries``, now a value in the shared
 class format, replaced, and ``ZKeyedSeries`` with the ``zkeyed_*`` functions
 is the z-series whose rows were keyed by z-exponent, one class per entry,
-before ``ZSeries`` keyed them by weight.
+before ``ZSeries`` keyed them by weight.  ``add_row_product`` and
+``add_scaled_row`` are the per-product row kernels that the queued sums of
+products (``series.queue_row_product``, ``queue_scaled_row`` and ``summed``)
+replaced: each product is built as its own value and added into the target
+at once.  The ``*_per_product`` functions are the ``ZSeries`` operations
+written on them.
 """
 
 from __future__ import annotations
@@ -576,3 +581,83 @@ def zkeyed_symplectic_form(f: ZKeyedSeries, g: ZKeyedSeries) -> QSeries:
                     old = out.get(d1 + d2)
                     out[d1 + d2] = term if old is None else old + term
     return QSeries(f.desc, f.max_degree, out)
+
+
+# -- the per-product row kernels --------------------------------------------------
+
+
+def add_row_product(tgt, a, b) -> None:
+    """tgt += a*b for rows of classes (or q-series) keyed by weight, z-exponent or offset: keys add.
+
+    Products that vanish (by P^n = 0) are skipped unless flagged; sums that
+    cancel stay in tgt.
+    """
+    for z1, e1 in a.items():
+        for z2, e2 in b.items():
+            prod = e1 * e2
+            if prod.is_zero() and not prod.truncated:
+                continue
+            ze = z1 + z2
+            old = tgt.get(ze)
+            tgt[ze] = prod if old is None else old + prod
+
+
+def add_scaled_row(tgt, row, c: LambdaScalar, shift: int = 0) -> None:
+    """tgt += c * z^shift * row for rows keyed by weight.
+
+    The lam^a part of c moves a class a + shift weights up, so a scalar whose
+    terms have several lam exponents lands at several weights.
+    """
+    parts: dict[int, dict] = {}
+    for key, num in c._nums.items():
+        parts.setdefault(key[1], {})[key] = num
+    for a, nums in parts.items() or [(0, {})]:
+        part = c if len(parts) <= 1 else LambdaScalar._make(c.desc, nums, c._den, c._trunc)
+        for w, el in row.items():
+            prod = el.scale_scalar(part)
+            key = w + a + shift
+            old = tgt.get(key)
+            tgt[key] = prod if old is None else old + prod
+
+
+def mul_per_product(f: ZSeries, g: ZSeries) -> ZSeries:
+    """The graded Cauchy product f*g, one class product per pair of weight classes."""
+    out = {}
+    for d1, row1 in f.slices.items():
+        for d2, row2 in g.slices.items():
+            if d1 + d2 <= f.max_degree:
+                add_row_product(out.setdefault(d1 + d2, {}), row1, row2)
+    return f._like(out)
+
+
+def scale_scalar_per_product(f: ZSeries, c: LambdaScalar) -> ZSeries:
+    out = {}
+    for d, row in f.slices.items():
+        add_scaled_row(out.setdefault(d, {}), row, c)
+    return f._like(out)
+
+
+def scale_qseries_per_product(f: ZSeries, h: QSeries) -> ZSeries:
+    out = {}
+    for d1, row in f.slices.items():
+        for d2 in range(f.max_degree - d1 + 1):
+            c = h.coefficient(d2)
+            if not c.is_zero() or c.truncated:
+                add_scaled_row(out.setdefault(d1 + d2, {}), row, c)
+    return f._like(out)
+
+
+def compose_novikov_per_product(f: ZSeries, inner: QSeries) -> ZSeries:
+    """q = inner(q'): slice 0 copied, then slice_d * [q'^m] inner^d added into row m."""
+    out = {0: dict(f.slices.get(0, {}))}
+    power = QSeries.one(f.desc, f.max_degree)
+    for d in range(1, f.max_degree + 1):
+        power = power * inner
+        if power.is_zero():
+            break
+        if d in f.slices:
+            for m in range(f.max_degree + 1):
+                c = power.coefficient(m)
+                if not c.is_zero() or c.truncated:
+                    add_scaled_row(out.setdefault(m, {}), f.slices[d], c)
+    return f._like(out)

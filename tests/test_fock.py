@@ -459,3 +459,15 @@ def test_integer_calculus_matches_the_oracles_on_wide_denominators(case):
     rhs = minus(commutator, {key: -anomaly * c for key, c in poly.items()})
     assert lhs == rhs  # the identity holds by the oracles
     assert projective_identity_check(A, B, poly) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "variable",
+    [("p", 7, 3), ("p", 0, 0), ("q", 2, 0), ("q", 0, 1), ("q", -1, 0), "q"],
+)
+def test_apply_rejects_a_polynomial_in_a_variable_outside_the_window(variable):
+    space = DarbouxSpace(h_dim=1, z_window=2)
+    op = FockOperator(space, [(0, "mixed", (Q0, Q1), 1)])
+    with pytest.raises(ValueError):
+        op.apply({((variable, Q1), 0): 1})
+    assert op.apply({((Q1, Q1), 0): 1}) == {((Q0, Q1), 0): 2}

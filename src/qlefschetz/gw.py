@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import TransversalityError
 from .ring import CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, directional_derivative, queue_row_product, summed
+from .series import QSeries, REDUCED, ZSeries, _at_minus_z, _by_z, directional_derivative
+from .series import queue_row_product, summed
 
 
 def j_reduced(
@@ -119,16 +120,8 @@ class SMatrix:
         return self._z_view(self.cells[b][a], a - b)
 
     def _z_view(self, series: dict[int, QSeries], shift: int) -> dict[int, QSeries]:
-        """Series by offset k, re-keyed by z_exp = shift + k - n*d - l; pieces keep all flags."""
-        n, mask, den = self.desc.n, 0, lcm(*(s._den for s in series.values()))
-        parts: dict[int, dict] = {}
-        for k, s in series.items():
-            mask |= s._trunc
-            f = den // s._den
-            for key, c in s._nums.items():
-                parts.setdefault(shift + k - n * key[0] - key[1], {})[key] = c * f
-        proto = QSeries.zero(self.desc, self.max_degree)
-        return {ze: proto._like(nums, den, mask) for ze, nums in parts.items()}
+        """Series by offset k read by z (``series._by_z``, q of weight n); no termless piece."""
+        return {ze: s for ze, s in _by_z(series, self.desc.n, shift).items() if not s.is_zero()}
 
     def _block(self) -> list[list[LambdaScalar]]:
         """The q^0 z^0 scalar of every cell."""
@@ -160,13 +153,6 @@ def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
     return SMatrix(desc, D, cells)
 
 
-def _at_minus_z(s: QSeries, shift: int) -> QSeries:
-    """Cell (b, a) at offset k at -z (shift = a - b + k): odd z-exponents shift - n*d - l flip."""
-    n = s.desc.n
-    nums = {key: -c if (shift - n * key[0] - key[1]) % 2 else c for key, c in s._nums.items()}
-    return s._like(nums, s._den, s._trunc)
-
-
 def _unitarity(S: SMatrix):
     """The residual T^t(-z) g^(-1) T(z) - g of an S-matrix: (ok, first_failure, truncated).
 
@@ -182,7 +168,7 @@ def _unitarity(S: SMatrix):
     truncated = any(s.truncated for row in S.cells for cell in row for s in cell.values())
     for a in range(n):
         minus = [
-            {k: _at_minus_z(s, a - i + k) for k, s in S.cells[i][a].items()} for i in range(n)
+            {k: _at_minus_z(s, a - i + k, n) for k, s in S.cells[i][a].items()} for i in range(n)
         ]
         for b in range(n):
             queued: dict[int, list] = {0: [delta]} if a + b == n - 1 else {}

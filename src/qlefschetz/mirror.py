@@ -12,8 +12,9 @@ F when I has no positive z-powers.  Each route checks the other.
 Every entry point ends in one tail, _assemble (through _extract_chart), the
 one place a MirrorResult is built.  The z^(-1) slots of the normalized
 series are the components of the projection to the parameter space (string
-direction at P^0, divisor direction at P^1); they are read off in one pass,
-and one product with exp(-(tau0 + tau P)/z) peels them off.
+direction at P^0, divisor direction at P^1); ``ZSeries.z_row`` reads them
+off in one pass over the slices, and one product with exp(-(tau0 + tau P)/z)
+peels them off.
 The inverse change of Novikov variable q' = q exp(tau - t), computed by
 Lagrange inversion, then produces the J-series in its own chart.
 """
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .gw import frame_series
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, exp_constant_scalar, queue_scaled_row, summed
+from .series import QSeries, REDUCED, ZSeries, _by_z, exp_constant_scalar, queue_scaled_row, summed
 
 _MAX_SWEEPS = 400
 
@@ -119,14 +120,14 @@ def _subtract_scaled(
         tgt.update(summed(row))
 
 
-def _violations(f: ZSeries, d: int) -> list[tuple[int, int]]:
-    """The (z-exponent, P-exponent) slots with z >= 0 to eliminate from slice d of f."""
-    zrow = f.slice(d)
+def _violations(row: dict[int, CohElement], d: int) -> list[tuple[int, int]]:
+    """The (z-exponent, P-exponent) slots with z >= 0 to eliminate from row d, keyed by weight."""
+    zrow = _by_z(row)
     out = []
     for ze in sorted((ze for ze in zrow if ze >= 0), reverse=True):
         for p, c in enumerate(zrow[ze].components):
             if d == 0 and ze == 0 and p == 0:
-                if not (c - LambdaScalar.one(f.desc)).is_zero():
+                if not (c - LambdaScalar.one(c.desc)).is_zero():
                     out.append((ze, p))
             elif not c.is_zero():
                 out.append((ze, p))
@@ -157,18 +158,16 @@ def _eliminate(
 
     work = {d: dict(row) for d, row in f.slices.items()}
     corrections: list[dict[tuple[int, int], LambdaScalar]] = [dict() for _ in range(n)]
-
-    def current(d: int) -> ZSeries:
-        """Slice d of work as it stands, as a series."""
-        return ZSeries._of(desc, D, {d: work.get(d, {})}, f.convention)
+    zero = CohElement.zero(desc)
 
     for d in range(D + 1):
         for _sweep in range(_MAX_SWEEPS):
-            viols = _violations(current(d), d)
+            viols = _violations(work.get(d, {}), d)
             if not viols:
                 break
             for ze, p in viols:
-                beta = current(d).scalar_slot(d, ze, p)
+                # work as it stands: an earlier correction of this sweep may reach the slot
+                beta = _by_z(work.get(d, {}), at=ze).get(ze, zero).component(p)
                 if d == 0 and ze == 0 and p == 0:
                     beta = beta - one
                 if beta.is_zero():
@@ -209,24 +208,26 @@ def _extract_chart(series: ZSeries):
 
     This is the tail shared by both factoring routes.  The z^(-1) slots of the
     series at P^0 and P^1 are the string and divisor components tau0 and tau of
-    the projection.  Multiplying by exp(-(tau0 + tau P)/z) clears them, because
-    the z^(-1) slot of exp(-H/z) * (1 + N_(-1)/z + ...) is N_(-1) - H; the
-    product is built once and checked to have no z^(-1) content left at P^0 and
-    P^1.  The inverse change of Novikov variable u then re-expands it as J_out.
+    the projection; tau0 must have no constant term.  Multiplying by
+    exp(-(tau0 + tau P)/z) clears them, because the z^(-1) slot of
+    exp(-H/z) * (1 + N_(-1)/z + ...) is N_(-1) - H; the product is built once
+    and checked to have no z^(-1) content left at P^0 and P^1.  Its z^(-1)
+    slots at P^(j>=2), nonzero only when the projection leaves the small
+    parameter space, are returned as tau_higher.  The inverse change of
+    Novikov variable u then re-expands the product as J_out.
 
-    Returns (tau0, tau, u, J_out, chart).
+    Returns (tau0, tau, u, J_out, tau_higher).
     """
-    desc = series.desc
-    D = series.max_degree
-    tau0 = _slot_series(series, -1, 0)
-    tau = _slot_series(series, -1, 1)
-    chart = _prefactor(desc, D, [tau0, tau]) * series
-    for d in range(D + 1):
-        for j in (0, 1):
-            if not chart.scalar_slot(d, -1, j).is_zero():
-                raise EngineError("chart extraction failed to clear a z^(-1) slot")
+    tau0, tau, *_ = series.z_row(-1)
+    if not tau0.coefficient(0).is_zero():
+        raise EngineError("string-direction projection has a constant term")
+    chart = _prefactor(series.desc, series.max_degree, [tau0, tau]) * series
+    string, divisor, *higher = chart.z_row(-1)
+    if not (string.is_zero() and divisor.is_zero()):
+        raise EngineError("chart extraction failed to clear a z^(-1) slot")
+    tau_higher = {j: qs for j, qs in enumerate(higher, 2) if not qs.is_zero()}
     u = _inverse_novikov_map(tau)
-    return tau0, tau, u, chart.compose_novikov(u), chart
+    return tau0, tau, u, chart.compose_novikov(u), tau_higher
 
 
 def _inverse_novikov_map(tau_of_q: QSeries) -> QSeries:
@@ -260,16 +261,6 @@ def invert_series(h: QSeries) -> QSeries:
     return _inverse_novikov_map(h)
 
 
-def _slot_series(I: ZSeries, z_exp: int, p_exp: int) -> QSeries:
-    desc = I.desc
-    coeffs = {}
-    for d in I.slices:
-        c = I.scalar_slot(d, z_exp, p_exp)
-        if not c.is_zero():
-            coeffs[d] = c
-    return QSeries(desc, I.max_degree, coeffs)
-
-
 def _assemble(
     I: ZSeries,
     normalized: ZSeries,
@@ -278,19 +269,9 @@ def _assemble(
 ) -> MirrorResult:
     desc = I.desc
     D = I.max_degree
-    if not normalized.scalar_slot(0, -1, 0).is_zero():
-        raise EngineError("string-direction projection has a constant term")
-    tau0, tau, u, J_out, chart = _extract_chart(normalized)
-    # P^(j>=2) components of the projection, reported in the incoming chart;
-    # nonzero only when the projection leaves the small parameter space.
-    tau_higher: dict[int, QSeries] = {}
-    for j in range(2, desc.n):
-        qs = _slot_series(chart, -1, j)
-        if not qs.is_zero():
-            tau_higher[j] = qs
-
-    F = _slot_series(I, 0, 0)
-    G = _slot_series(I, -1, 1)
+    tau0, tau, u, J_out, tau_higher = _extract_chart(normalized)
+    F = I.z_row(0)[0]
+    G = I.z_row(-1)[1]
 
     c_coeffs: list[dict[int, QSeries]] = []
     for cell in corrections:
@@ -321,20 +302,14 @@ def _assemble(
 # -- public entry points --------------------------------------------------------------
 
 
-def birkhoff(
-    I: ZSeries,
-    frame: list[ZSeries] | None = None,
-    bundle: BundleSpec | None = None,
-) -> MirrorResult:
+def birkhoff(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
     """Factor a reduced series with leading slice 1 through its derivative frame."""
     if I.convention != REDUCED:
         raise ValueError("factorization expects a reduced series")
     lead = I.coefficient(0, 0)
     if not (lead - CohElement.one(I.desc)).is_zero() or len(I.slice(0)) != 1:
         raise ValueError("degree-0 slice must be the identity class")
-    if frame is None:
-        frame = frame_series(I, I.desc.n)
-    normalized, corrections = _eliminate(I, frame)
+    normalized, corrections = _eliminate(I, frame_series(I, I.desc.n))
     return _assemble(I, normalized, corrections, bundle)
 
 
@@ -377,16 +352,15 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
                 "positive z-powers present; the series is outside the "
                 "small-parameter normal form (degree exceeds dimension)"
             )
-    for d in I.slices:
-        if d and not all(c.is_zero() for c in I.coefficient(d, 0).components[1:]):
-            raise UnitError("z^0 slot carries classes above degree 2")
+    F, *above = I.z_row(0)
+    if not all(qs.is_zero() for qs in above):
+        raise UnitError("z^0 slot carries classes above degree 2")
 
-    J1 = I.scale_qseries(_slot_series(I, 0, 0).invert())
+    J1 = I.scale_qseries(F.invert())
 
     # After dividing by F the remaining z^(-1) slots are the mirror map.
-    for j in range(2, desc.n):
-        if not _slot_series(J1, -1, j).is_zero():
-            raise UnitError("projection leaves the small parameter space")
+    if not all(qs.is_zero() for qs in J1.z_row(-1)[2:]):
+        raise UnitError("projection leaves the small parameter space")
     return _assemble(I, J1, [{} for _ in range(desc.n)], bundle)
 
 

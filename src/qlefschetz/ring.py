@@ -15,9 +15,10 @@ share one graded product, ``_Graded``.  The one term loop, ``_Terms._times``,
 takes a list of pairs and accumulates the numerators of every product x*y in
 one map over one common denominator, so a sum of products is reduced once,
 with one gcd, and builds no scalar objects; a single product is the one-pair
-case.  The pairs' flags are ORed: a product with a scalar flags every slot
-when the scalar is truncated and the other factor's slots otherwise, and a
-graded product flags the slots ``_Graded._spread`` gives.
+case.  The pairs' flags are ORed: a product with an exact zero (no term, no
+flag) is an exact zero, a product with a scalar flags every slot when the
+scalar is truncated and the other factor's slots otherwise, and a graded
+product flags the slots ``_Graded._spread`` gives.
 """
 
 from __future__ import annotations
@@ -243,8 +244,9 @@ class _Terms:
         """The sum of the products x*y over pairs [(x, y)], shaped like self, reduced once.
 
         The numerators go over the lcm of the x._den * y._den.  Each pair's
-        flags are ORed into the result: a product with a scalar y flags every
-        slot when y is truncated (an unknown term below the floor) and x's own
+        flags are ORed into the result: a pair with an exact zero factor (no
+        term, no flag) adds none; a product with a scalar y flags every slot
+        when y is truncated (an unknown term below the floor) and x's own
         slots otherwise; a graded product flags the slots ``_Graded._spread``
         gives.
         """
@@ -252,6 +254,8 @@ class _Terms:
         for x, y in pairs:
             xy = x._den * y._den
             den = xy if den == 1 else lcm(den, xy)
+            if not (x._nums or x._trunc) or not (y._nums or y._trunc):
+                continue  # an exact zero factor: the product is an exact zero
             if type(y) is LambdaScalar:
                 trunc |= (1 << self._span()) - 1 if y._trunc else x._trunc
             elif x._trunc or y._trunc:
@@ -408,7 +412,8 @@ class _Graded(_Terms):
     with i + j = k drops a term below the floor or past the log cap, or has
     a truncated member, and also when a factor has a zero but truncated slot
     at or below k: that zero stands for an unknown term below the floor.  A
-    truncated scalar factor marks every slot.
+    truncated scalar factor marks every slot.  A product with an exact zero
+    (no term, no flag) is an exact zero.
     """
 
     __slots__ = ()

@@ -202,9 +202,10 @@ class ZSeries:
     class at weight w holds the terms P^p lam^a log(lam)^b whose z-exponent is
     w - p - a.  The map from (z-exponent, term) to (weight, term) is a
     bijection, so any series can be stored this way, and every series the
-    pipeline builds is homogeneous, one class per slice.  The constructor and
-    ``slice(d)`` speak z-exponents; ``_by_weight`` and ``_by_z`` convert.
-    A zero class is kept only when it is flagged as truncated.
+    pipeline builds is homogeneous, one class per slice.  The constructor,
+    ``slice(d)``, ``coefficient``, ``scalar_slot`` and ``z_row`` speak
+    z-exponents; they convert through ``_by_weight`` and ``_by_z``, that is
+    through ``_regroup``.  A zero class is kept only when it is flagged.
     """
 
     __slots__ = ("desc", "max_degree", "convention", "slices")
@@ -262,35 +263,24 @@ class ZSeries:
         """Slice d keyed by z-exponent."""
         return _by_z(self.slices.get(d, {}))
 
-    def _at_z(self, d: int, z_exp: int) -> tuple[dict, int, int]:
-        """The terms of slice d at z^z_exp, read straight from the weight classes.
-
-        Returns their numerators over the lcm of the row's denominators and
-        the flag mask that ``_by_z`` gives them: the union of the row's flags
-        when a term sits at z^z_exp, or when the row holds no term and
-        z_exp = 0; no flag otherwise.
-        """
-        row = self.slices.get(d, {})
-        den = lcm(*(el._den for el in row.values()))
-        nums, mask, held = {}, 0, False
-        for w, el in row.items():
-            mask |= el._trunc
-            held = held or bool(el._nums)
-            f = den // el._den
-            for key, c in el._nums.items():
-                if key[0] + key[1] == w - z_exp:
-                    nums[key] = c * f
-        return nums, den, mask if nums or (z_exp == 0 and not held) else 0
-
     def coefficient(self, d: int, z_exp: int) -> CohElement:
-        return CohElement._make(self.desc, *self._at_z(d, z_exp))
+        return _by_z(self.slices.get(d, {}), at=z_exp).get(z_exp, CohElement.zero(self.desc))
 
     def scalar_slot(self, d: int, z_exp: int, p_exp: int) -> LambdaScalar:
-        if not 0 <= p_exp < self.desc.n:
-            raise IndexError(f"no P^{p_exp} slot in Q[P]/(P^{self.desc.n})")
-        nums, den, mask = self._at_z(d, z_exp)
-        nums = {(0, a, b): c for (p, a, b), c in nums.items() if p == p_exp}
-        return LambdaScalar._make(self.desc, nums, den, mask >> p_exp & 1)
+        return self.coefficient(d, z_exp).component(p_exp)
+
+    def z_row(self, z_exp: int) -> list[QSeries]:
+        """The n q-series sum_d [z^z_exp P^p] slice_d q^d, p < n, in one pass over the slices.
+
+        Slice d is read once, as ``coefficient(d, z_exp)``: the q^d term of
+        series p is ``scalar_slot(d, z_exp, p)``, kept with its flag if nonzero.
+        """
+        coeffs: list[dict[int, LambdaScalar]] = [{} for _ in range(self.desc.n)]
+        for d in self.slices:
+            for p, c in self.coefficient(d, z_exp)._split().items():
+                if not c.is_zero():
+                    coeffs[p][d] = c
+        return [QSeries(self.desc, self.max_degree, slot) for slot in coeffs]
 
     def is_zero(self) -> bool:
         """True when every value is zero; flags are not looked at."""
@@ -381,6 +371,12 @@ class ZSeries:
         if any(d + k < 0 for d in self.slices):
             raise ValueError("negative Novikov degree")
         return self._like({d + k: dict(row) for d, row in self.slices.items()})
+
+    def z_shift(self, k: int) -> "ZSeries":
+        """Multiply by z^k: z has weight 1, so the class at weight w moves to w + k."""
+        return self._like(
+            {d: {w + k: el for w, el in row.items()} for d, row in self.slices.items()}
+        )
 
     def truncate_novikov(self, max_degree: int) -> "ZSeries":
         """Forget all slices above a lower truncation order."""
@@ -531,31 +527,32 @@ class ZSeries:
 # -- module operations ------------------------------------------------------------
 
 
-def _regroup(row: Mapping[int, CohElement], sign: int, keep=None) -> dict[int, CohElement]:
-    """Move each term (p, lam_exp, log_exp) of the class at key k to key k + sign*(p + lam_exp).
+def _regroup(row: Mapping[int, _Graded], sign: int, weight: int = 1, shift: int = 0, at=None):
+    """Re-key a row: term (t, a, b) of the value at key k moves to k + shift + sign*(weight*t + a).
 
-    No two terms meet, so values are unchanged; only the classes at keys that
-    pass ``keep`` are built.  A flag does not say which term was lost, so
-    every class of the result carries the union of the row's flags, and a
-    flagged row without terms becomes a flagged zero at key 0, whatever
-    ``keep`` says: it holds no term, so it has no z-exponent to test.
+    This is the one rule between weight and z (t is the slot, a the lam
+    exponent).  With weight 1 it re-keys a row of classes: sign +1 from
+    z-exponent to weight, sign -1 back.  With weight n and sign -1 it reads
+    the series of an S-matrix cell by z, since q has weight n.  No two terms
+    meet, so values are unchanged; with ``at`` only the terms that land at key
+    ``at`` move, so a one-key read builds one value.  A flag does not say
+    which term was lost, so every value of the result carries the union of
+    the row's flags, and a flagged row without terms becomes a flagged zero at
+    key 0, whatever ``at`` says: it holds no term, so it has no key to test.
     """
     den = lcm(*(el._den for el in row.values()))
     parts: dict[int, dict] = {}
     mask = 0
     for k, el in row.items():
-        desc = el.desc
         mask |= el._trunc
         f = den // el._den
         for t, c in el._nums.items():
-            parts.setdefault(k + sign * (t[0] + t[1]), {})[t] = c * f
-    if mask and not parts:
-        return {0: CohElement._make(desc, {}, 1, mask)}
-    return {
-        key: CohElement._make(desc, nums, den, mask)
-        for key, nums in parts.items()
-        if keep is None or keep(key)
-    }
+            key = k + shift + sign * (weight * t[0] + t[1])
+            if at is None or key == at:
+                parts.setdefault(key, {})[t] = c * f
+    if mask and not any(value._nums for value in row.values()):
+        return {0: el._like({}, 1, mask)}
+    return {key: el._like(nums, den, mask) for key, nums in parts.items()}
 
 
 def _by_weight(row: Mapping[int, CohElement]) -> dict[int, CohElement]:
@@ -563,9 +560,21 @@ def _by_weight(row: Mapping[int, CohElement]) -> dict[int, CohElement]:
     return _regroup(row, 1)
 
 
-def _by_z(row: Mapping[int, CohElement], keep=None) -> dict[int, CohElement]:
-    """A row keyed by weight, re-keyed by z-exponent z = w - p - lam_exp (those that pass keep)."""
-    return _regroup(row, -1, keep)
+def _by_z(row: Mapping[int, _Graded], weight: int = 1, shift: int = 0, at=None) -> dict:
+    """A row keyed by weight, re-keyed by z = shift + w - weight*t - a (only z = at, if set)."""
+    return _regroup(row, -1, weight, shift, at)
+
+
+def _at_minus_z(value: _Graded, shift: int, weight: int) -> _Graded:
+    """A value of a weight-keyed row read at -z; ``shift`` is its key plus the row's shift.
+
+    By the rule of ``_regroup`` its term (t, lam_exp, log_exp) sits at
+    z^(shift - weight*t - lam_exp), so the terms at odd z-exponents flip sign.
+    """
+    nums = {
+        key: -c if (shift - weight * key[0] - key[1]) % 2 else c for key, c in value._nums.items()
+    }
+    return value._like(nums, value._den, value._trunc)
 
 
 def queue_row_product(
@@ -640,7 +649,10 @@ def project(f: ZSeries, half: str) -> ZSeries:
     if half not in ("plus", "minus"):
         raise ValueError("half must be 'plus' or 'minus'")
     keep = (lambda ze: ze >= 0) if half == "plus" else (lambda ze: ze < 0)
-    out = {d: _by_weight(_by_z(row, keep)) for d, row in f.slices.items()}
+    out = {}
+    for d, row in f.slices.items():
+        # The flagged zero of a row without terms has no z-exponent: both halves keep it.
+        out[d] = _by_weight({ze: el for ze, el in _by_z(row).items() if keep(ze) or el.is_zero()})
     return f._like(out)
 
 

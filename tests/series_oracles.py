@@ -19,13 +19,17 @@ before ``ZSeries`` keyed them by weight.  ``add_row_product`` and
 products (``series.queue_row_product``, ``queue_scaled_row`` and ``summed``)
 replaced: each product is built as its own value and added into the target
 at once.  The ``*_per_product`` functions are the ``ZSeries`` operations
-written on them.
+written on them.  ``at_z`` is the direct (z, p) read of a weight-keyed slice
+and ``slot_series`` the per-(degree, slot) q-series reader built on it, which
+``ZSeries.z_row`` replaced; ``cell_z_view`` and ``cell_at_minus_z`` are the
+S-matrix cell readers that ``gw`` kept before the weight-z rule moved into
+``series._regroup``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from qlefschetz import (
@@ -168,6 +172,7 @@ class FractionScalar:
 
     Terms below the floor or past the log cap are dropped after each result is
     summed, and the drop of a nonzero term sets the sticky ``truncated`` flag.
+    A product with an exact zero (no term, no flag) is an exact zero.
     """
 
     def __init__(self, desc, coeffs=None, truncated=False):
@@ -187,6 +192,9 @@ class FractionScalar:
 
     def is_zero(self):
         return not self.coeffs
+
+    def is_exact_zero(self):
+        return not self.coeffs and not self.truncated
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -208,7 +216,8 @@ class FractionScalar:
             for (a2, b2), c2 in other.coeffs.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return FractionScalar(self.desc, out, self.truncated or other.truncated)
+        exact = self.is_exact_zero() or other.is_exact_zero()
+        return FractionScalar(self.desc, out, not exact and (self.truncated or other.truncated))
 
     def scale(self, value):
         return FractionScalar(
@@ -244,11 +253,13 @@ def scalar_coh_mul(desc, a, b):
 
     One scalar product per pair of nonzero components, summed per slot.  A
     zero but truncated component of either factor marks every slot at or
-    above its own degree in P.
+    above its own degree in P, unless the other factor is an exact zero (no
+    term, no flag): then the product is an exact zero.
     """
     n = desc.n
     lost = [k for comps in (a, b) for k, c in enumerate(comps) if c.is_zero() and c.truncated]
-    tainted = min(lost, default=n)
+    exact = any(all(c.is_zero() and not c.truncated for c in comps) for comps in (a, b))
+    tainted = n if exact else min(lost, default=n)
     out = [LambdaScalar.zero(desc) for _ in range(n)]
     for i, x in enumerate(a):
         if x.is_zero():
@@ -661,3 +672,67 @@ def compose_novikov_per_product(f: ZSeries, inner: QSeries) -> ZSeries:
                 if not c.is_zero() or c.truncated:
                     add_scaled_row(out.setdefault(m, {}), f.slices[d], c)
     return f._like(out)
+
+
+# -- the z-readers that series._regroup replaced ------------------------------------
+
+
+def at_z(f: ZSeries, d: int, z_exp: int) -> tuple[dict, int, int]:
+    """The terms of slice d at z^z_exp, read straight from the weight classes.
+
+    Returns their numerators over the lcm of the row's denominators and the
+    flag mask: the union of the row's flags when a term sits at z^z_exp, or
+    when the row holds no term and z_exp = 0; no flag otherwise.
+    """
+    row = f.slices.get(d, {})
+    den = lcm(*(el._den for el in row.values()))
+    nums, mask, held = {}, 0, False
+    for w, el in row.items():
+        mask |= el._trunc
+        held = held or bool(el._nums)
+        k = den // el._den
+        for key, c in el._nums.items():
+            if key[0] + key[1] == w - z_exp:
+                nums[key] = c * k
+    return nums, den, mask if nums or (z_exp == 0 and not held) else 0
+
+
+def coefficient_at_z(f: ZSeries, d: int, z_exp: int) -> CohElement:
+    return CohElement._make(f.desc, *at_z(f, d, z_exp))
+
+
+def scalar_slot_at_z(f: ZSeries, d: int, z_exp: int, p_exp: int) -> LambdaScalar:
+    nums, den, mask = at_z(f, d, z_exp)
+    nums = {(0, a, b): c for (p, a, b), c in nums.items() if p == p_exp}
+    return LambdaScalar._make(f.desc, nums, den, mask >> p_exp & 1)
+
+
+def slot_series(f: ZSeries, z_exp: int, p_exp: int) -> QSeries:
+    """sum_d [z^z_exp P^p_exp] slice_d q^d, one slot read per degree; zero slots dropped."""
+    coeffs = {}
+    for d in f.slices:
+        c = scalar_slot_at_z(f, d, z_exp, p_exp)
+        if not c.is_zero():
+            coeffs[d] = c
+    return QSeries(f.desc, f.max_degree, coeffs)
+
+
+def cell_z_view(series: Mapping[int, QSeries], shift: int, n: int) -> dict[int, QSeries]:
+    """S-matrix series by offset k, re-keyed by z_exp = shift + k - n*d - l; pieces keep all flags."""
+    mask, den = 0, lcm(*(s._den for s in series.values()))
+    parts: dict[int, dict] = {}
+    proto = None
+    for k, s in series.items():
+        proto = s
+        mask |= s._trunc
+        f = den // s._den
+        for key, c in s._nums.items():
+            parts.setdefault(shift + k - n * key[0] - key[1], {})[key] = c * f
+    return {ze: proto._like(nums, den, mask) for ze, nums in parts.items()}
+
+
+def cell_at_minus_z(s: QSeries, shift: int) -> QSeries:
+    """Cell (b, a) at offset k at -z (shift = a - b + k): odd z-exponents shift - n*d - l flip."""
+    n = s.desc.n
+    nums = {key: -c if (shift - n * key[0] - key[1]) % 2 else c for key, c in s._nums.items()}
+    return s._like(nums, s._den, s._trunc)

@@ -98,6 +98,23 @@ def test_a_sum_of_scalar_products_equals_the_fold(pairs):
     assert got._trunc in (0, 1)
 
 
+@settings(max_examples=100)
+@given(st.one_of(classes(), qseries(), scalars()))
+@example(CohElement(DESC, [LambdaScalar.one(DESC), ZERO_FLAGGED, LambdaScalar.zero(DESC)]))
+@example(ZERO_FLAGGED)
+def test_an_exact_zero_factor_gives_an_exact_zero(y):
+    # A factor with no term and no flag is exactly zero, so the product is
+    # too, whatever the flags of the other factor.
+    zeros = {LambdaScalar: LambdaScalar.zero(DESC), CohElement: CohElement.zero(DESC),
+             QSeries: QSeries.zero(DESC, D)}
+    zero = zeros[type(y)]
+    products = [zero * y, y * zero, y * zeros[LambdaScalar], zero._dot([(zero, y), (zero, y)])]
+    if type(y) is LambdaScalar:
+        products += [zeros[CohElement] * y, zeros[QSeries].scale_scalar(y)]
+    for got in products:
+        assert got.is_zero() and not got.truncated
+
+
 # -- the z-series operations, row by row ----------------------------------------------
 
 

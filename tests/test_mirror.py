@@ -278,15 +278,6 @@ def test_degree_zero_truncation_passes_through():
         assert M.tau_of_q.is_zero()
 
 
-def test_birkhoff_accepts_precomputed_frame():
-    J = j_reduced(5, 3)
-    I = i_function(J, QUINTIC)
-    M1 = birkhoff(I, bundle=QUINTIC)
-    M2 = birkhoff(I, frame=frame_series(I, 5), bundle=QUINTIC)
-    assert M1.J_out == M2.J_out
-    assert M1.tau_of_q == M2.tau_of_q
-
-
 def test_birkhoff_rejects_bad_leading_slice():
     desc = RingDescriptor(n=3)
     f = ZSeries(desc, 2, {0: {0: CohElement.p_power(desc, 1)}})

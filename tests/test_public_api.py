@@ -55,3 +55,31 @@ def test_scalars_classes_and_q_series_share_one_kernel():
         ("ring.py", None, "_add_nums"),
         ("ring.py", None, "_lowest"),
     }
+
+
+def test_only_series_reads_the_storage_fields_and_re_keys_by_z():
+    # The _Terms storage fields are read in ring.py and series.py only (a
+    # module may read the fields its own classes declare in __slots__), and
+    # the one rule between weight and z, series._regroup, is defined there
+    # and called nowhere else: other modules read z through its readers.
+    storage = {"_nums", "_den", "_trunc"}
+    readers, rules = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {
+            elt.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+            for elt in ast.walk(node.value)
+            if isinstance(elt, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in storage - own:
+                readers.append(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "_regroup":
+                rules.append(path.name)
+            if isinstance(node, ast.Name) and node.id == "_regroup" and path.name != "series.py":
+                rules.append(path.name)
+    assert set(readers) <= {"ring.py", "series.py"}
+    assert rules == ["series.py"]

@@ -117,9 +117,11 @@ def test_coh_product_matches_the_fraction_kernel(xs, ys):
     b = CohElement(DESC, [s for s, _ in ys])
     want = fraction_coh_mul(DESC, [f for _, f in xs], [f for _, f in ys])
     # The old product skipped zero components, so the flag of a zero but
-    # truncated factor was lost; now it reaches every slot at or above its own.
+    # truncated factor was lost; now it reaches every slot at or above its own,
+    # unless the other factor is an exact zero (no term, no flag).
     lost = [k for k, c in enumerate(a.components + b.components) if c.is_zero() and c.truncated]
-    tainted = min(k % DESC.n for k in lost) if lost else DESC.n
+    exact = any(el.is_zero() and not el.truncated for el in (a, b))
+    tainted = min(k % DESC.n for k in lost) if lost and not exact else DESC.n
     for slot, (got, old) in enumerate(zip((a * b).components, want)):
         assert got.to_json_dict() == old.to_json_dict()
         assert got.truncated == (old.truncated or slot >= tainted)

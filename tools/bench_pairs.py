@@ -10,9 +10,13 @@ in which the change read lower, and next to ``peak_rss_mb`` the number of
 passes of every run, since the peak grows with the passes that fit into
 ``--seconds``.  It also records, for each checkout, the
 commit it is at (``git rev-parse HEAD``), whether its code differs from that
-commit, and a sha256 over the files the harness runs (``src/``, ``perfbench/``
+commit, a sha256 over the files the harness runs (``src/``, ``perfbench/``
 and ``configs/``), which ties the file to the tree it measured even when the
-change is not committed yet.
+change is not committed yet, the line count of the ``.py`` files in ``src/``,
+and the best of ``COMPILE_ROUNDS`` ``compile()`` timings of those files, the
+two checkouts timed in turn (most of the harness's ``setup_s`` is this
+compile).  Only the timing is left out of the check that the checkouts did
+not change while they were measured.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload equivariant_birkhoff --pairs 10 --seconds 25 --out BENCH_11.json
@@ -31,10 +35,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 METRICS = ("setup_s", "wall_s", "job_p50_ms", "job_tail_ms", "peak_rss_mb")
 RUN_DIRS = ("src", "perfbench", "configs")
 SKIP_DIRS = {"__pycache__", "_work", ".pytest_cache", ".hypothesis"}
+COMPILE_ROUNDS = 50
 
 
 def source_digest(checkout: str) -> str:
@@ -52,8 +58,34 @@ def source_digest(checkout: str) -> str:
     return h.hexdigest()
 
 
+def src_sources(checkout: str) -> list[tuple[str, str]]:
+    """(path, text) of every .py file under the checkout's src/, in path order."""
+    paths = []
+    for root, dirs, files in os.walk(os.path.join(checkout, "src")):
+        dirs[:] = [d for d in dirs if d not in SKIP_DIRS]
+        paths += [os.path.join(root, name) for name in files if name.endswith(".py")]
+    out = []
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            out.append((path, fh.read()))
+    return out
+
+
+def compile_seconds(checkouts: dict[str, str]) -> dict[str, float]:
+    """Best of COMPILE_ROUNDS timings of compile() over each checkout's src/ files, in turn."""
+    sources = {side: src_sources(path) for side, path in checkouts.items()}
+    best = {side: float("inf") for side in checkouts}
+    for _ in range(COMPILE_ROUNDS):
+        for side, files in sources.items():
+            start = time.perf_counter()
+            for path, text in files:
+                compile(text, path, "exec", dont_inherit=True)
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best
+
+
 def describe(checkout: str) -> dict:
-    """The commit a checkout is at, whether its run files differ from it, and their digest."""
+    """The commit a checkout is at, whether its run files differ from it, their digest and src/ lines."""
     def git(*args: str) -> str:
         return subprocess.run(
             ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
@@ -63,6 +95,7 @@ def describe(checkout: str) -> dict:
         "commit": git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(git("status", "--porcelain", "--", *RUN_DIRS)),
         "source_sha256": source_digest(checkout),
+        "src_lines": sum(text.count("\n") for _, text in src_sources(checkout)),
     }
 
 
@@ -103,6 +136,8 @@ def compare(workload: str, parent: str, change: str, pairs: int, seed: int, seco
                   f"wall_s={out['metrics'].get('wall_s', {}).get('value')}", file=sys.stderr)
     if checkouts != {"parent": describe(parent), "change": describe(change)}:
         raise RuntimeError(f"{workload}: a checkout changed while it was measured")
+    for side, seconds_best in compile_seconds({"parent": parent, "change": change}).items():
+        checkouts[side]["src_compile_s"] = seconds_best
     metrics = {}
     for name in METRICS:
         base = [r["metrics"][name]["value"] for r in runs["parent"]]

@@ -14,7 +14,8 @@ one place a MirrorResult is built.  The z^(-1) slots of the normalized
 series are the components of the projection to the parameter space (string
 direction at P^0, divisor direction at P^1); ``ZSeries.z_row`` reads them
 off in one pass over the slices, and one product with exp(-(tau0 + tau P)/z)
-peels them off.
+peels them off.  Each row is read once: small_mirror hands its F to the tail
+and takes its small-projection check from the tail's tau_higher.
 The inverse change of Novikov variable q' = q exp(tau - t), computed by
 Lagrange inversion, then produces the J-series in its own chart.
 """
@@ -136,28 +137,18 @@ def _violations(row: dict[int, CohElement], d: int) -> list[tuple[int, int]]:
 
 def _eliminate(
     f: ZSeries, frame: list[ZSeries]
-) -> tuple[ZSeries, list[dict[tuple[int, int], LambdaScalar]]]:
-    """Kill all non-negative z-powers of f (except the leading 1) frame-triangularly."""
+) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScalar]]]]:
+    """Kill all non-negative z-powers of f (except the leading 1) frame-triangularly.
+
+    The lead of frame[p], its z^0 q^0 P^p scalar, is that of f at P^0 (at
+    degree 0, z D_P multiplies by P), whose lam^0 coefficient both callers
+    require to be 1.  The corrections come back keyed [p][z-exponent][d].
+    """
     desc = f.desc
     D = f.max_degree
-    n = desc.n
     one = LambdaScalar.one(desc)
-
-    for p in range(n):
-        lead = frame[p].scalar_slot(0, 0, p)
-        if (lead - one).is_zero():
-            continue
-        if lead.is_zero():
-            raise TransversalityError(
-                f"frame element {p} has no leading z^0 q^0 term"
-            )
-        if lead.coefficient(0, 0) != 1:
-            raise TransversalityError(
-                f"frame element {p} has non-unit leading coefficient {lead}"
-            )
-
     work = {d: dict(row) for d, row in f.slices.items()}
-    corrections: list[dict[tuple[int, int], LambdaScalar]] = [dict() for _ in range(n)]
+    corrections: list[dict[int, dict[int, LambdaScalar]]] = [{} for _ in range(desc.n)]
     zero = CohElement.zero(desc)
 
     for d in range(D + 1):
@@ -173,10 +164,9 @@ def _eliminate(
                 if beta.is_zero():
                     continue
                 _subtract_scaled(work, frame[p], d, ze, beta, D)
-                key = (d, ze)
-                cell = corrections[p]
-                old = cell.get(key)
-                cell[key] = -beta if old is None else old - beta
+                cell = corrections[p].setdefault(ze, {})
+                old = cell.get(d)
+                cell[d] = -beta if old is None else old - beta
         else:
             raise EngineError(
                 f"elimination did not stabilize at Novikov degree {d}"
@@ -189,17 +179,15 @@ def _eliminate(
 
 
 def _prefactor(desc, D, h: list[QSeries]) -> ZSeries:
-    """exp(-(sum_j h_j P^j)/z) as a reduced ZSeries."""
-    slices: dict[int, dict[int, CohElement]] = {}
+    """exp(-(sum_j h_j P^j)/z) as a reduced ZSeries.
+
+    -P^j/z is one class of weight j - 1; ``scale_qseries`` moves each lam
+    power of h_j to its own weight.
+    """
+    argument = ZSeries.zero(desc, D)
     for j, hj in enumerate(h):
-        for d, c in hj.coeffs.items():
-            el = CohElement.p_power(desc, j).scale_scalar(c)
-            if el.is_zero():
-                continue
-            tgt = slices.setdefault(d, {})
-            old = tgt.get(-1)
-            tgt[-1] = -el if old is None else old - el
-    argument = ZSeries(desc, D, slices, REDUCED)
+        term = ZSeries._of(desc, D, {0: {j - 1: CohElement.p_power(desc, j, -1)}}, REDUCED)
+        argument = argument + term.scale_qseries(hj)
     return argument.exp()
 
 
@@ -263,25 +251,17 @@ def invert_series(h: QSeries) -> QSeries:
 
 def _assemble(
     I: ZSeries,
+    F: QSeries,
     normalized: ZSeries,
     corrections,
     bundle: BundleSpec | None,
 ) -> MirrorResult:
+    """The MirrorResult of I, its z^0 P^0 series F, its factored form and its corrections."""
     desc = I.desc
     D = I.max_degree
     tau0, tau, u, J_out, tau_higher = _extract_chart(normalized)
-    F = I.z_row(0)[0]
     G = I.z_row(-1)[1]
-
-    c_coeffs: list[dict[int, QSeries]] = []
-    for cell in corrections:
-        by_z: dict[int, dict[int, LambdaScalar]] = {}
-        for (d, ze), val in cell.items():
-            by_z.setdefault(ze, {})[d] = val
-        c_coeffs.append(
-            {ze: QSeries(desc, D, coeffs) for ze, coeffs in sorted(by_z.items())}
-        )
-
+    c_coeffs = [{ze: QSeries(desc, D, cell[ze]) for ze in sorted(cell)} for cell in corrections]
     return MirrorResult(
         desc=desc,
         max_degree=D,
@@ -310,7 +290,7 @@ def birkhoff(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
     if not (lead - CohElement.one(I.desc)).is_zero() or len(I.slice(0)) != 1:
         raise ValueError("degree-0 slice must be the identity class")
     normalized, corrections = _eliminate(I, frame_series(I, I.desc.n))
-    return _assemble(I, normalized, corrections, bundle)
+    return _assemble(I, I.z_row(0)[0], normalized, corrections, bundle)
 
 
 def tangency_solve(
@@ -327,9 +307,8 @@ def tangency_solve(
         raise ValueError("factorization expects a reduced series")
     if f.scalar_slot(0, 0, 0).coefficient(0, 0) != 1:
         raise TransversalityError("leading z^0 q^0 P^0 coefficient must be 1")
-    frame = frame_series(f, f.desc.n)
-    normalized, corrections = _eliminate(f, frame)
-    return _assemble(f, normalized, corrections, bundle)
+    normalized, corrections = _eliminate(f, frame_series(f, f.desc.n))
+    return _assemble(f, f.z_row(0)[0], normalized, corrections, bundle)
 
 
 def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
@@ -354,14 +333,15 @@ def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
             )
     F, *above = I.z_row(0)
     if not all(qs.is_zero() for qs in above):
-        raise UnitError("z^0 slot carries classes above degree 2")
+        raise UnitError("z^0 slot carries classes above P^0")
 
+    # After dividing by F the z^0 row is 1, so the chart's z^(-1) slots at
+    # P^(j>=2), its tau_higher, are those of J1: they must vanish.
     J1 = I.scale_qseries(F.invert())
-
-    # After dividing by F the remaining z^(-1) slots are the mirror map.
-    if not all(qs.is_zero() for qs in J1.z_row(-1)[2:]):
+    M = _assemble(I, F, J1, [{} for _ in range(desc.n)], bundle)
+    if not M.small_projection:
         raise UnitError("projection leaves the small parameter space")
-    return _assemble(I, J1, [{} for _ in range(desc.n)], bundle)
+    return M
 
 
 # -- instanton extraction ----------------------------------------------------------------

@@ -16,9 +16,9 @@ takes a list of pairs and accumulates the numerators of every product x*y in
 one map over one common denominator, so a sum of products is reduced once,
 with one gcd, and builds no scalar objects; a single product is the one-pair
 case.  The pairs' flags are ORed: a product with an exact zero (no term, no
-flag) is an exact zero, a product with a scalar flags every slot when the
-scalar is truncated and the other factor's slots otherwise, and a graded
-product flags the slots ``_Graded._spread`` gives.
+flag) is an exact zero, a product with a scalar flags the other factor's
+flagged slots and, when the scalar is truncated, its slots that hold a term,
+and a graded product flags the slots ``_Graded._spread`` gives.
 """
 
 from __future__ import annotations
@@ -240,15 +240,19 @@ class _Terms:
                 nums[key] = c
         return nums, dropped
 
+    def _slots(self) -> int:
+        """Mask of the nonzero slots."""
+        return sum(1 << p for p in {key[0] for key in self._nums})
+
     def _dot(self, pairs):
         """The sum of the products x*y over pairs [(x, y)], shaped like self, reduced once.
 
         The numerators go over the lcm of the x._den * y._den.  Each pair's
         flags are ORed into the result: a pair with an exact zero factor (no
-        term, no flag) adds none; a product with a scalar y flags every slot
-        when y is truncated (an unknown term below the floor) and x's own
-        slots otherwise; a graded product flags the slots ``_Graded._spread``
-        gives.
+        term, no flag) adds none; a product with a scalar y flags x's flagged
+        slots, and when y is truncated (an unknown term below the floor) also
+        the slots where x has a term, since an exact zero slot stays exact; a
+        graded product flags the slots ``_Graded._spread`` gives.
         """
         den, trunc = 1, 0
         for x, y in pairs:
@@ -257,7 +261,7 @@ class _Terms:
             if not (x._nums or x._trunc) or not (y._nums or y._trunc):
                 continue  # an exact zero factor: the product is an exact zero
             if type(y) is LambdaScalar:
-                trunc |= (1 << self._span()) - 1 if y._trunc else x._trunc
+                trunc |= x._slots() | x._trunc if y._trunc else x._trunc
             elif x._trunc or y._trunc:
                 trunc |= x._spread(y)
         nums, dropped = self._times(pairs, den)
@@ -412,8 +416,8 @@ class _Graded(_Terms):
     with i + j = k drops a term below the floor or past the log cap, or has
     a truncated member, and also when a factor has a zero but truncated slot
     at or below k: that zero stands for an unknown term below the floor.  A
-    truncated scalar factor marks every slot.  A product with an exact zero
-    (no term, no flag) is an exact zero.
+    truncated scalar factor marks the slots that hold a term or a flag.  A
+    product with an exact zero (no term, no flag) is an exact zero.
     """
 
     __slots__ = ()
@@ -444,10 +448,6 @@ class _Graded(_Terms):
             p: LambdaScalar._make(self.desc, part, self._den, trunc >> p & 1)
             for p, part in sorted(parts.items())
         }
-
-    def _slots(self) -> int:
-        """Mask of the nonzero slots."""
-        return sum(1 << p for p in {key[0] for key in self._nums})
 
     def _spread(self, other) -> int:
         """Product slots that inherit a flag from the factors' truncated slots."""

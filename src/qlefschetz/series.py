@@ -273,13 +273,13 @@ class ZSeries:
         """The n q-series sum_d [z^z_exp P^p] slice_d q^d, p < n, in one pass over the slices.
 
         Slice d is read once, as ``coefficient(d, z_exp)``: the q^d term of
-        series p is ``scalar_slot(d, z_exp, p)``, kept with its flag if nonzero.
+        series p is ``scalar_slot(d, z_exp, p)``, kept with its flag, also
+        when it is a flagged zero.
         """
         coeffs: list[dict[int, LambdaScalar]] = [{} for _ in range(self.desc.n)]
         for d in self.slices:
             for p, c in self.coefficient(d, z_exp)._split().items():
-                if not c.is_zero():
-                    coeffs[p][d] = c
+                coeffs[p][d] = c
         return [QSeries(self.desc, self.max_degree, slot) for slot in coeffs]
 
     def is_zero(self) -> bool:
@@ -537,8 +537,9 @@ def _regroup(row: Mapping[int, _Graded], sign: int, weight: int = 1, shift: int 
     meet, so values are unchanged; with ``at`` only the terms that land at key
     ``at`` move, so a one-key read builds one value.  A flag does not say
     which term was lost, so every value of the result carries the union of
-    the row's flags, and a flagged row without terms becomes a flagged zero at
-    key 0, whatever ``at`` says: it holds no term, so it has no key to test.
+    the row's flags.  A flagged row without terms becomes a flagged zero at
+    key 0, and with ``at`` a flagged row always holds a value at ``at``, a
+    flagged zero when no term lands there: the lost term may sit at any key.
     """
     den = lcm(*(el._den for el in row.values()))
     parts: dict[int, dict] = {}
@@ -550,8 +551,8 @@ def _regroup(row: Mapping[int, _Graded], sign: int, weight: int = 1, shift: int 
             key = k + shift + sign * (weight * t[0] + t[1])
             if at is None or key == at:
                 parts.setdefault(key, {})[t] = c * f
-    if mask and not any(value._nums for value in row.values()):
-        return {0: el._like({}, 1, mask)}
+    if mask and (at is not None or not parts):
+        parts.setdefault(0 if at is None else at, {})
     return {key: el._like(nums, den, mask) for key, nums in parts.items()}
 
 

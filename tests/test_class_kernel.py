@@ -114,12 +114,10 @@ def test_scalings_match_the_scalar_kernel(x, value, s):
     agree(a.scale(value), [c.scale(value) for c in ca])
     agree(a * value, [c.scale(value) for c in ca])
     agree(value * a, [c.scale(value) for c in ca])
-    # A truncated scalar marks every slot of a class that is not an exact zero
-    # (no term, no flag), also the slots where the class is an exact zero.
-    marks = s.truncated and not (a.is_zero() and not a.truncated)
-    flag = LambdaScalar(DESC, truncated=marks)
-    agree(a.scale_scalar(s), [c * s + flag for c in ca])
-    agree(a * s, [c * s + flag for c in ca])
+    # A truncated scalar marks the slots of a class that hold a term or a flag,
+    # as it marks each such scalar; a slot that is an exact zero stays exact.
+    agree(a.scale_scalar(s), [c * s for c in ca])
+    agree(a * s, [c * s for c in ca])
 
 
 @given(classes(), classes(), classes())

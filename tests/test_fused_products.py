@@ -115,6 +115,14 @@ def test_an_exact_zero_factor_gives_an_exact_zero(y):
         assert got.is_zero() and not got.truncated
 
 
+def test_a_truncated_scalar_leaves_the_exact_zero_slots_of_a_class_exact():
+    one, zero = LambdaScalar.one(DESC), LambdaScalar.zero(DESC)
+    got = CohElement(DESC, [one, zero, zero]).scale_scalar(lam(0, 1, True))
+    assert got._trunc == 0b1
+    flagged = CohElement(DESC, [zero, ZERO_FLAGGED, lam(1)]).scale_scalar(lam(0, 1, True))
+    assert flagged._trunc == 0b110
+
+
 # -- the z-series operations, row by row ----------------------------------------------
 
 
@@ -155,9 +163,14 @@ def test_z_series_products_match_the_per_product_rows(data):
                                1: CohElement(DESC, [lam(-1), lam(0), lam(2)])}}))
 def test_a_slot_read_matches_the_z_view(f):
     for d in range(D + 1):
-        view = _by_z(f.slices.get(d, {}))
+        row = f.slices.get(d, {})
+        view = _by_z(row)
+        # Where no term lands, a read of a flagged row is a zero with the row's flags.
+        mask = 0
+        for el in row.values():
+            mask |= el._trunc
         for z in range(-6, 6):
-            want = view.get(z, CohElement.zero(DESC))
+            want = view.get(z, CohElement._make(DESC, {}, 1, mask))
             same(f.coefficient(d, z), want)
             for p in range(DESC.n):
                 same(f.scalar_slot(d, z, p), want.component(p))

@@ -1,6 +1,9 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlefschetz import (
     BundleSpec,
@@ -19,6 +22,7 @@ from qlefschetz import (
     invert_series,
     j_reduced,
     small_mirror,
+    tangency_solve,
 )
 
 from qlefschetz.mirror import calabi_yau_degree
@@ -283,3 +287,54 @@ def test_birkhoff_rejects_bad_leading_slice():
     f = ZSeries(desc, 2, {0: {0: CohElement.p_power(desc, 1)}})
     with pytest.raises(ValueError):
         birkhoff(f)
+
+
+# -- paths the configs do not reach ---------------------------------------------------
+
+
+def test_small_mirror_refuses_z0_content_above_p0():
+    desc = RingDescriptor(n=3)
+    I = ZSeries(desc, 2, {0: {0: CohElement.one(desc)}, 1: {0: CohElement.p_power(desc, 1)}})
+    with pytest.raises(UnitError, match=r"z\^0 slot"):
+        small_mirror(I)
+
+
+def test_small_mirror_refuses_a_projection_outside_the_small_parameter_space():
+    # F = 1 and the z^(-1) slots at P^0 and P^1 vanish; only P^2/z is left.
+    desc = RingDescriptor(n=3)
+    I = ZSeries(desc, 2, {0: {0: CohElement.one(desc)}, 1: {-1: CohElement.p_power(desc, 2)}})
+    with pytest.raises(UnitError, match="small parameter space"):
+        small_mirror(I)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5), st.data())
+def test_each_frame_lead_is_the_lead_of_the_series(n, data):
+    # At degree 0, z D_P multiplies by P, so the z^0 q^0 P^p scalar of frame
+    # element p is the z^0 q^0 P^0 scalar of the series.
+    desc = RingDescriptor(n, lambda_floor=2, log_cap=1)
+    terms = st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(0, 1)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        max_size=3,
+    )
+    scalars = st.builds(LambdaScalar, st.just(desc), terms, st.booleans())
+    classes = st.lists(scalars, min_size=n, max_size=n).map(lambda c: CohElement(desc, c))
+    rows = st.dictionaries(st.integers(-3, 3), classes, max_size=3)
+    f = ZSeries(desc, 2, data.draw(st.dictionaries(st.integers(0, 2), rows, max_size=3)))
+    frame = frame_series(f, n)
+    for p in range(n):
+        assert frame[p].scalar_slot(0, 0, p) == f.scalar_slot(0, 0, 0)
+
+
+def test_tangency_solve_normalizes_a_lambda_lead():
+    # The lead 1 + 3/lam is eliminated at degree 0 itself: the corrections at
+    # z^0 q^0 are -3/lam, then +9/lam^2, and lam^-3 falls below the floor.
+    desc = RingDescriptor(n=3, lambda_floor=2)
+    J = j_reduced(3, 3, desc=desc)
+    lead = CohElement.from_scalar(LambdaScalar(desc, {(0, 0): 1, (-1, 0): 3}))
+    M = tangency_solve(J * ZSeries(desc, 3, {0: {0: lead}}))
+    assert M.J_out == J and M.small_projection
+    assert M.c_coeffs[0][0].coefficient(0) == LambdaScalar(desc, {(-1, 0): -3, (-2, 0): 9})
+    digest = hashlib.sha256(json.dumps(M.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "bd5612b4bf4d80266e81f1650f8a124276a825d1d4b77cc319335fce8f9223d8"

@@ -1,0 +1,142 @@
+"""Time the factorization pipeline of several checkouts at the sizes of the north star.
+
+For each checkout and each size, one fresh ``python3`` process with the
+checkout's ``src/`` first on its path runs the library pipeline
+``j_reduced`` -> ``i_function`` -> factorization ``ROUNDS`` times and reports
+the best wall time, so no size or checkout sees another's caches.  The
+pipelines are the non-equivariant quintic through ``small_mirror`` and the
+equivariant quintic (``lambda_floor`` 2) through ``birkhoff``, the two
+factorizations of the benchmark harness, at sizes the harness does not run.
+From D = 5 on, each quintic run's first five instanton numbers are checked
+against the literature (Candelas, de la Ossa, Green and Parkes); a run that
+disagrees, fails or outlives ``TIMEOUT_S`` is recorded with ``ok`` false.
+
+    python3 tools/size_sweep.py 7bdfb0f=../pr5 parent=../parent change=. \\
+        --out sizes.json
+
+Each checkout is given as LABEL=DIR; the checkouts run in the order given at
+each size, smallest sizes first.  The JSON records the host, each checkout's
+line count of ``src/`` (and its commit, when it is a git checkout), and one
+row per (pipeline, D) with every checkout's best time in seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+
+ROUNDS = 3
+TIMEOUT_S = 1800
+SIZES = {
+    "quintic_small_mirror": (12, 20, 30, 60, 100),
+    "equivariant_birkhoff": (5, 7, 9, 15, 20),
+}
+QUINTIC_COUNTS = [2875, 609250, 317206375, 242467530000, 229305888887625]
+
+# Runs inside the checkout's interpreter; argv: pipeline, D, rounds.
+CHILD = """
+import json, sys, time
+from qlefschetz import gw, mirror, ring, twist
+pipeline, D, rounds = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+if pipeline == "quintic_small_mirror":
+    desc, bundle, factor = None, ring.BundleSpec((5,), equivariant=False), mirror.small_mirror
+else:
+    desc, bundle, factor = ring.RingDescriptor(n=5, lambda_floor=2), ring.BundleSpec((5,)), mirror.birkhoff
+best = float("inf")
+for _ in range(rounds):
+    start = time.perf_counter()
+    M = factor(twist.i_function(gw.j_reduced(5, D, desc=desc), bundle), bundle=bundle)
+    best = min(best, time.perf_counter() - start)
+counts = mirror.extract_instantons(M, 5) if pipeline == "quintic_small_mirror" and D >= 5 else None
+print(json.dumps({"best_s": best, "counts": counts}))
+"""
+
+
+def git_state(checkout: str) -> dict:
+    """The commit of a git checkout and whether its src/ differs from it; empty for an export."""
+    if not os.path.isdir(os.path.join(checkout, ".git")):
+        return {}
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    return {"commit": git("rev-parse", "HEAD"),
+            "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))}
+
+
+def src_lines(checkout: str) -> int:
+    total = 0
+    for root, dirs, files in os.walk(os.path.join(checkout, "src")):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    total += fh.read().count("\n")
+    return total
+
+
+def time_size(checkout: str, pipeline: str, D: int) -> dict:
+    """One fresh process: the best of ROUNDS pipeline runs, and whether its counts hold."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, pipeline, str(D), str(ROUNDS)],
+            cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=False,
+        )
+    except subprocess.TimeoutExpired:
+        return {"best_s": None, "ok": False, "error": f"timed out after {TIMEOUT_S} s"}
+    if proc.returncode:
+        return {"best_s": None, "ok": False, "error": proc.stderr.strip().splitlines()[-1]}
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    counts = out.pop("counts")
+    out["ok"] = counts is None or counts == QUINTIC_COUNTS
+    if counts is not None:
+        out["counts_checked"] = len(counts)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkouts", nargs="+", metavar="LABEL=DIR")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    checkouts = {}
+    for item in args.checkouts:
+        label, sep, path = item.partition("=")
+        if not sep:
+            ap.error(f"expected LABEL=DIR, got {item!r}")
+        checkouts[label] = os.path.abspath(path)
+
+    rows = []
+    for pipeline, sizes in SIZES.items():
+        for D in sizes:
+            row = {"pipeline": pipeline, "D": D}
+            for label, path in checkouts.items():
+                row[label] = time_size(path, pipeline, D)
+                print(f"{pipeline} D={D} {label}: {row[label]}", file=sys.stderr, flush=True)
+            rows.append(row)
+
+    report = {
+        "tool": "tools/size_sweep.py",
+        "rounds": ROUNDS,
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "checkouts": {
+            label: {**git_state(path), "src_lines": src_lines(path)}
+            for label, path in checkouts.items()
+        },
+        "rows": rows,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

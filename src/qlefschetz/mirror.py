@@ -14,10 +14,12 @@ one place a MirrorResult is built.  The z^(-1) slots of the normalized
 series are the components of the projection to the parameter space (string
 direction at P^0, divisor direction at P^1); ``ZSeries.z_row`` reads them
 off in one pass over the slices, and one product with exp(-(tau0 + tau P)/z)
-peels them off.  Each row is read once: small_mirror hands its F to the tail
-and takes its small-projection check from the tail's tau_higher.
-The inverse change of Novikov variable q' = q exp(tau - t), computed by
-Lagrange inversion, then produces the J-series in its own chart.
+peels them off.  That prefactor is expanded in closed form from the powers
+of the q-series tau0 and tau, not as the exponential of a z-series.  Each
+row is read once: small_mirror hands its F to the tail and takes its
+small-projection check from the tail's tau_higher.  The inverse change of
+Novikov variable q' = q exp(tau - t), computed by Lagrange inversion from the
+powers of the exponent's tail, then produces the J-series in its own chart.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .errors import (
 )
 from .gw import frame_series
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, _by_z, exp_constant_scalar, queue_scaled_row, summed
+from .series import QSeries, REDUCED, ZSeries, _by_z, lagrange_sum, log_lambda_multiple
+from .series import queue_scaled_row, summed
 
 _MAX_SWEEPS = 400
 
@@ -178,17 +181,39 @@ def _eliminate(
 # -- chart extraction ----------------------------------------------------------------
 
 
-def _prefactor(desc, D, h: list[QSeries]) -> ZSeries:
-    """exp(-(sum_j h_j P^j)/z) as a reduced ZSeries.
+def _prefactor(tau0: QSeries, tau: QSeries) -> ZSeries:
+    """exp(-(tau0 + tau P)/z) as a reduced ZSeries, built from q-series powers.
 
-    -P^j/z is one class of weight j - 1; ``scale_qseries`` moves each lam
-    power of h_j to its own weight.
+    It is sum_{j,k} (-tau0)^j (-tau)^k / (j! k!) P^k z^(-(j+k)).  The sum over
+    k ends at P^n = 0: P^k z^(-k) has weight 0, so at each degree the k-sum
+    is one class per lam power, one sum of products.  The sum over j ends at
+    the q-valuation of tau0^j (tau0 has no constant term): each j adds that
+    row times the coefficients of (-tau0)^j / j!, j weights down.  A power
+    that is a flagged zero stands for unknown terms below the floor, whose
+    products reach higher degrees, so only an exact zero ends the sum early.
     """
-    argument = ZSeries.zero(desc, D)
-    for j, hj in enumerate(h):
-        term = ZSeries._of(desc, D, {0: {j - 1: CohElement.p_power(desc, j, -1)}}, REDUCED)
-        argument = argument + term.scale_qseries(hj)
-    return argument.exp()
+    desc, D = tau.desc, tau.max_degree
+    row: dict[int, dict[int, list]] = {}
+    power = QSeries.one(desc, D)
+    for k in range(desc.n):
+        if k:
+            power = (power * -tau).scale(Fraction(1, k))
+        p_k = {0: CohElement.p_power(desc, k)}
+        for d, c in power._split().items():
+            queue_scaled_row(row.setdefault(d, {}), p_k, c)
+    diagonal = {d: summed(classes) for d, classes in row.items()}
+    out: dict[int, dict[int, list]] = {}
+    power = QSeries.one(desc, D)
+    for j in range(D + 1):
+        if j:
+            power = (power * -tau0).scale(Fraction(1, j))
+        for d1, c in power._split().items():
+            for d2, classes in diagonal.items():
+                if d1 + d2 <= D:
+                    queue_scaled_row(out.setdefault(d1 + d2, {}), classes, c, -j)
+        if power.is_zero() and not power.truncated:
+            break
+    return ZSeries._of(desc, D, {d: summed(classes) for d, classes in out.items()}, REDUCED)
 
 
 def _extract_chart(series: ZSeries):
@@ -209,7 +234,7 @@ def _extract_chart(series: ZSeries):
     tau0, tau, *_ = series.z_row(-1)
     if not tau0.coefficient(0).is_zero():
         raise EngineError("string-direction projection has a constant term")
-    chart = _prefactor(series.desc, series.max_degree, [tau0, tau]) * series
+    chart = _prefactor(tau0, tau) * series
     string, divisor, *higher = chart.z_row(-1)
     if not (string.is_zero() and divisor.is_zero()):
         raise EngineError("chart extraction failed to clear a z^(-1) slot")
@@ -223,23 +248,25 @@ def _inverse_novikov_map(tau_of_q: QSeries) -> QSeries:
 
     The constant term of tau_of_q may be an integer multiple k of log(lam); it
     exponentiates to an exact monomial rescaling of the Novikov variable.  With
-    q = q' * phi(q) and phi = lam^(-k) * exp(-tail), Lagrange inversion gives
-    [q'^m] u = (1/m) [q^(m-1)] phi^m: one exp and D - 1 products of powers of
-    phi, all truncated at degree D - 1.
+    q = q' * phi(q) and phi = lam^(-k) * exp(T), T = -tail, Lagrange inversion
+    gives [q'^m] u = (1/m) [q^(m-1)] phi^m = lam^(-k m)/m [q^(m-1)] V with
+    V = sum_j (theta + 1)^j T^j / j!, where theta = q d/dq scales q^j by j.
+    The only products are the powers T^j, truncated at degree D - 1; T^j has
+    valuation at least j, so each costs about (D - j)^2 / 2 term pairs, and
+    ``series.lagrange_sum`` reads the coefficients off the powers in one pass.
     """
     desc = tau_of_q.desc
     D = tau_of_q.max_degree
-    lam_shift = exp_constant_scalar(-tau_of_q.coefficient(0))
-    coeffs: dict[int, LambdaScalar] = {}
-    if D:
-        tail = QSeries(desc, D - 1, {d: c for d, c in tau_of_q.coeffs.items() if d})
-        phi = (-tail).exp() * lam_shift
-        power = phi
-        for m in range(1, D + 1):
-            coeffs[m] = power.coefficient(m - 1).scale(Fraction(1, m))
-            if m < D:
-                power = power * phi
-    return QSeries(desc, D, coeffs)
+    const = tau_of_q.coefficient(0)
+    lam_step = -log_lambda_multiple(const)
+    if not D:
+        return QSeries.zero(desc, D)
+    # A flag on the constant stays at q^0 of T and so reaches every power.
+    T = (QSeries(desc, D, {0: const}) - tau_of_q).truncate(D - 1)
+    powers = [T]
+    for _ in range(D - 2):
+        powers.append(powers[-1] * T)
+    return lagrange_sum(powers, lam_step, D)
 
 
 def invert_series(h: QSeries) -> QSeries:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DescriptorMismatchError, InsufficientFloorError
@@ -503,6 +503,26 @@ class CohElement(_Graded):
         if not (num and 0 <= k < desc.n):
             return cls._make(desc, {}, 1, 0)
         return cls._make(desc, {(k, 0, 0): num}, den, 0)
+
+    @classmethod
+    def root_polynomial(
+        cls, desc: RingDescriptor, l: int, coeffs: Iterable[int], equivariant: bool
+    ) -> "CohElement":
+        """sum_j coeffs[j] t^j at the Chern root t = lam + l P, or l P, as one class.
+
+        (lam + l P)^j = sum_{p < n} C(j, p) l^p P^p lam^(j - p), so each (j, p)
+        fills its own key (p, j - p, 0); without the circle action only p = j
+        is left.  No lam exponent is negative, so nothing is truncated.
+        """
+        n = desc.n
+        nums = {
+            (p, j - p, 0): c * comb(j, p) * l**p
+            for j, c in enumerate(coeffs)
+            if c
+            for p in range(min(j + 1, n))
+            if equivariant or p == j
+        }
+        return cls._make(desc, nums, 1, 0)
 
     @classmethod
     def from_scalar(cls, scalar: LambdaScalar) -> "CohElement":

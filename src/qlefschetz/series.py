@@ -19,7 +19,7 @@ R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
@@ -112,6 +112,12 @@ class QSeries(_Graded):
     def __hash__(self):
         return hash((super().__hash__(), self.max_degree))
 
+    def truncate(self, max_degree: int) -> "QSeries":
+        """The series modulo q^(max_degree + 1), with the flags of the kept coefficients."""
+        nums = {key: c for key, c in self._nums.items() if key[0] <= max_degree}
+        out = QSeries(self.desc, max_degree)
+        return out._like(nums, self._den, self._trunc & ((1 << max_degree + 1) - 1))
+
     def valuation_at_least(self, v: int) -> bool:
         return all(key[0] >= v for key in self._nums)
 
@@ -174,25 +180,54 @@ class QSeries(_Graded):
         return " + ".join(f"({c})*q^{d}" for d, c in sorted(self.coeffs.items()))
 
 
-def exp_constant_scalar(c: LambdaScalar) -> LambdaScalar:
-    """Exponential of a q-independent scalar of the special form k*log(lam).
+def log_lambda_multiple(c: LambdaScalar) -> int:
+    """The integer k of a q-independent scalar of the special form k*log(lam).
 
     This is the only constant exponent the engine ever needs: it arises as the
     degree-0 value of equivariant mirror maps, where exp(k*log(lam)) is the
     exact monomial lam^k.  Anything else would force an infinite series and is
     rejected.
     """
-    desc = c.desc
-    if c.is_zero():
-        return LambdaScalar.one(desc)
     log_coeff = c.coefficient(0, 1)
-    if not (c - LambdaScalar.log_lambda(desc, log_coeff)).is_zero():
+    if c != LambdaScalar.log_lambda(c.desc, log_coeff):
         raise EngineError(
             "constant exponent is not a multiple of log(lam); cannot exponentiate exactly"
         )
     if log_coeff.denominator != 1:
         raise EngineError("log(lam) multiple in constant exponent is not an integer")
-    return LambdaScalar.lam_power(desc, int(log_coeff))
+    return int(log_coeff)
+
+
+def lagrange_sum(powers: list[QSeries], lam_step: int, max_degree: int) -> QSeries:
+    """The series u with [q^m] u = (1/m) [q^(m-1)] phi^m, phi = lam^lam_step exp(T).
+
+    ``powers`` are T, T^2, ... (T of valuation >= 1, truncated below
+    max_degree).  Expanding phi^m = lam^(lam_step m) sum_j m^j T^j / j!, the
+    j = 0 term gives lam^lam_step at q^1, and the q^i term of T^j / j!
+    reaches q^(i+1) with the factor (i+1)^(j-1) / j!, an integer over j! since
+    j >= 1: one pass over the numerators of the powers, over one common
+    denominator.  The flag of slot i of a power flags slot i + 1, and a term
+    that the lam shift moves below the floor is dropped with a flag.  A flag
+    at q^0 of T means the constant of the exponent, and with it the lam shift,
+    was truncated: it flags every slot past q^0.
+    """
+    desc = powers[0].desc
+    den = lcm(*(power._den * factorial(j) for j, power in enumerate(powers, 1)))
+    out = {(1, lam_step, 0): den}
+    trunc = (1 << max_degree + 1) - 2 if powers[0]._trunc & 1 else 0
+    for j, power in enumerate(powers, 1):
+        f = den // (power._den * factorial(j))
+        trunc |= power._trunc << 1
+        for (i, a, b), c in power._nums.items():
+            key = (i + 1, a + lam_step * (i + 1), b)
+            out[key] = out.get(key, 0) + c * f * (i + 1) ** (j - 1)
+    nums = {}
+    for key, c in out.items():
+        if key[1] < -desc.lambda_floor:
+            trunc |= 1 << key[0]
+        elif c:
+            nums[key] = c
+    return QSeries(desc, max_degree)._like(nums, den, trunc)
 
 
 class ZSeries:
@@ -293,8 +328,13 @@ class ZSeries:
         )
 
     def z_exponents(self, d: int) -> list[int]:
-        """The z-exponents of slice d that hold terms."""
-        return sorted(ze for ze, el in self.slice(d).items() if not el.is_zero())
+        """The z-exponents of slice d that hold terms, read off the weight row.
+
+        By the rule of ``_regroup`` the term (p, a, b) of the class at weight w
+        sits at z^(w - p - a); no class is built, and flagged zeros hold no term.
+        """
+        row = self.slices.get(d, {})
+        return sorted({w - key[0] - key[1] for w, el in row.items() for key in el._nums})
 
     def first_nonzero_slot(self):
         """Smallest (d, z_exp, P_exp) with a nonzero scalar, or None."""

@@ -6,9 +6,10 @@ exponent that transforms the untwisted cone into the twisted one, the
 hypergeometric modification of the J-function, and the Serre-dual twist with
 its finite product identity.  The two twists multiply slice d of J by the same
 product prod_i prod_k (lam + l_i P + k z) over k = 1..l_i d and k = 0..l_i d - 1;
-they share one generator that carries that product from degree to degree
-(over all roots at once for the hypergeometric twist, root by root for the
-Serre twist), and the Serre identity is checked against the carried product.
+they share one generator that carries each root's product from degree to
+degree as the integer coefficients of prod_k (t + k) in the root t, expanded
+into one class by the binomial theorem, and the Serre identity checks the
+carried product against a product of linear factors built class by class.
 
 Conventions for the multiplier exponent attached to a Chern root rho = l*P:
 
@@ -230,47 +231,50 @@ def _linear_factor_product(poly: dict[int, CohElement], factors) -> dict[int, Co
     return poly
 
 
-def _twisted_slices(J: ZSeries, groups, start: int):
-    """Yield (d, twisted slice, group products) for the slices of J in increasing degree.
+def _extend_product(coeffs: list[int], ks, cap: int | None) -> list[int]:
+    """coeffs * prod_{k in ks} (t + k), integer coefficients of t^j, kept below t^cap."""
+    for k in ks:
+        coeffs = [k * a + b for a, b in zip(coeffs + [0], [0] + coeffs)][:cap]
+    return coeffs
 
-    groups partitions the Chern roots, given as pairs (l, root).  The product
-    of a group at degree d is prod_{(l, root)} prod_{k=start}^{l d - 1 + start}
-    (root + k z).  It contains the product of every lower degree, so it is
-    carried along the slices: passing from degree d0 to d multiplies in only
-    the factors k = l d0 + start .. l d - 1 + start, and degrees missing from J
-    cost nothing extra.  The slice of J is multiplied by the fold of the group
-    products; one group holding every root needs no fold.
+
+def _twisted_slices(J: ZSeries, bundle: BundleSpec, start: int):
+    """Yield (d, twisted slice, root products) for the slices of J in increasing degree.
+
+    The product of the root t = lam + l P (l P without the circle action) at
+    degree d is prod_{k=start}^{l d - 1 + start} (t + k z).  z and t have
+    weight 1, so it is one class at weight l d: the polynomial prod (t + k) in
+    t, expanded at the root.  Its integer coefficients are carried along the
+    slices: passing from degree d0 to d multiplies in only the factors
+    k = l d0 + start .. l d - 1 + start, degrees missing from J cost nothing
+    extra, and without the circle action t^n = 0 keeps them below t^n.  The
+    slice of J is multiplied by the product of the root products.
     """
     desc = J.desc
-    products = [{0: CohElement.one(desc)} for _ in groups]
+    cap = None if bundle.equivariant else desc.n
+    carried = [[1] for _ in bundle.degrees]
     reached = 0
     for d in sorted(J.slices):
-        products = [
-            _linear_factor_product(
-                poly,
-                [
-                    (root, Fraction(k))
-                    for l, root in group
-                    for k in range(l * reached + start, l * d + start)
-                ],
-            )
-            for group, poly in zip(groups, products)
+        carried = [
+            _extend_product(coeffs, range(l * reached + start, l * d + start), cap)
+            for l, coeffs in zip(bundle.degrees, carried)
         ]
         reached = d
-        multiplier = products[0] if products else {0: CohElement.one(desc)}
-        for poly in products[1:]:
-            folded: dict[int, list] = {}
-            queue_row_product(folded, multiplier, poly)
-            multiplier = summed(folded)
+        products = [
+            CohElement.root_polynomial(desc, l, coeffs, bundle.equivariant)
+            for l, coeffs in zip(bundle.degrees, carried)
+        ]
+        multiplier, *others = products or [CohElement.one(desc)]
+        for root_product in others:
+            multiplier = multiplier * root_product
         twisted: dict[int, list] = {}
-        queue_row_product(twisted, J.slices[d], multiplier)
+        queue_row_product(twisted, J.slices[d], {sum(bundle.degrees) * d: multiplier})
         yield d, summed(twisted), products
 
 
 def i_function(J: ZSeries, bundle: BundleSpec) -> ZSeries:
     """Hypergeometric modification: slice d picks up prod_i prod_{k=1}^{l_i d} (lam + l_i P + k z)."""
-    roots = list(zip(bundle.degrees, bundle.chern_roots(J.desc)))
-    out = {d: twisted for d, twisted, _ in _twisted_slices(J, [roots], 1)}
+    out = {d: twisted for d, twisted, _ in _twisted_slices(J, bundle, 1)}
     result = ZSeries._of(J.desc, J.max_degree, out, REDUCED)
     for d in result.slices:
         bound = (sum(bundle.degrees) - J.desc.n) * d
@@ -288,7 +292,8 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
         prod_{k=1-l_i d}^{0} (-lam - l_i P + k z) = (-1)^(l_i d) prod_{k=0}^{l_i d - 1} (lam + l_i P + k z)
 
     is checked for every root and degree of J: its right side is the root
-    product that the twist carries, its left side is carried alongside.
+    product that the twist carries as integer coefficients, its left side is
+    carried alongside as class products, an independent construction.
     Returns (series, ok, first_failure), where first_failure is the first
     failing (root index, degree) in increasing degree, or None.
     """
@@ -298,12 +303,11 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
     first_failure = None
     reached = 0
     out: dict[int, dict[int, CohElement]] = {}
-    for d, twisted, rhs in _twisted_slices(J, [[root] for root in roots], 0):
+    for d, twisted, rhs in _twisted_slices(J, bundle, 0):
         for i, (l, root) in enumerate(roots):
             new = [(-root, Fraction(k)) for k in range(1 - l * d, 1 - l * reached)]
             lhs[i] = _linear_factor_product(lhs[i], new)
-            rhs_signed = {w: el.scale((-1) ** (l * d)) for w, el in rhs[i].items()}
-            if first_failure is None and lhs[i] != rhs_signed:
+            if first_failure is None and lhs[i] != {l * d: rhs[i].scale((-1) ** (l * d))}:
                 first_failure = (i, d)
         reached = d
         sign = (-1) ** (sum(bundle.degrees) * d)

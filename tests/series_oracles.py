@@ -3,9 +3,11 @@
 Each function computes the same quantity as an engine kernel by the plain
 definition that the kernel replaces: power sums for exp and 1/f, the
 fixed-point iteration u = q' * lam^(-k) * exp(-tail(u)) for the inverse
-Novikov map, and a from-scratch product of all linear factors for every slice
-of the hypergeometric modification and of the Serre-dual twist, whose finite
-product identity is expanded on both sides for every root and degree.  The
+Novikov map, the exponential of the whole argument for the chart prefactor
+exp(-(tau0 + tau P)/z), and a from-scratch product of all linear factors for
+every slice of the hypergeometric modification and of the Serre-dual twist,
+whose finite product identity is expanded on both sides for every root and
+degree.  The
 scalar kernel is checked against ``FractionScalar`` and ``fraction_coh_mul``,
 the Fraction-dict arithmetic that the fraction-free ``LambdaScalar`` replaced,
 and the flat class kernel against ``scalar_coh_mul``, the slot-by-slot
@@ -42,7 +44,7 @@ from qlefschetz import (
     ZSeries,
 )
 from qlefschetz.ring import poincare_pairing
-from qlefschetz.series import REDUCED, exp_constant_scalar
+from qlefschetz.series import REDUCED, log_lambda_multiple
 
 
 def exp_power_sum(f: QSeries) -> QSeries:
@@ -72,11 +74,21 @@ def inverse_map_fixed_point(tau: QSeries) -> QSeries:
     desc, D = tau.desc, tau.max_degree
     const = tau.coefficient(0)
     tail = tau - QSeries(desc, D, {0: const})
-    shift = QSeries(desc, D, {1: exp_constant_scalar(-const)})
+    shift = QSeries(desc, D, {1: LambdaScalar.lam_power(desc, -log_lambda_multiple(const))})
     u = shift
     for _ in range(D + 1):
         u = shift * exp_power_sum(-tail.compose(u))
     return u
+
+
+def prefactor_exp(tau0: QSeries, tau: QSeries) -> ZSeries:
+    """exp(-(tau0 + tau P)/z) as ``ZSeries.exp`` of its argument, one z-row per term."""
+    desc, D = tau.desc, tau.max_degree
+    argument = ZSeries.zero(desc, D)
+    for j, h in enumerate((tau0, tau)):
+        term = ZSeries(desc, D, {0: {-1: CohElement.p_power(desc, j, -1)}}, REDUCED)
+        argument = argument + term.scale_qseries(h)
+    return argument.exp()
 
 
 def compose_novikov_per_degree(f: ZSeries, inner: QSeries) -> ZSeries:

@@ -21,7 +21,6 @@ from qlefschetz import (
     serre_dual_i,
 )
 from qlefschetz.mirror import _inverse_novikov_map
-from qlefschetz.series import exp_constant_scalar
 
 from series_oracles import (
     exp_power_sum,
@@ -104,7 +103,7 @@ def test_lagrange_inverse_solves_the_fixed_point_equation(tail, k):
     assert not u.truncated
     assert u == inverse_map_fixed_point(tau)
     # u * exp(tau(u)) = q', with exp(k log lam) = lam^k
-    check = u * tail.compose(u).exp() * exp_constant_scalar(log_term)
+    check = u * tail.compose(u).exp() * LambdaScalar.lam_power(desc, k)
     assert check == q_prime(desc, D)
     assert not check.truncated
 

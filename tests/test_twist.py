@@ -127,17 +127,18 @@ def test_serre_product_identity_examples(l, d):
 
 
 def test_serre_identity_is_checked_on_the_carried_product(monkeypatch):
-    # Drop the factor k = 3 from every carried product.  Only the right side
-    # prod_{k=0}^{l d - 1} (root + k z) contains it; for the bundle (2, 1) it
-    # first enters root 0 at degree 2 and root 1 only at degree 4.
+    # Drop the factor k = 3 from the carried integer products.  Only the right
+    # side prod_{k=0}^{l d - 1} (root + k z) is carried that way, and only it
+    # contains k = 3; for the bundle (2, 1) the factor first enters root 0 at
+    # degree 2 and root 1 only at degree 4.
     from qlefschetz import twist
 
-    carry = twist._linear_factor_product
+    carry = twist._extend_product
 
-    def drop_k3(poly, factors):
-        return carry(poly, [(a, k) for a, k in factors if k != 3])
+    def drop_k3(coeffs, ks, cap):
+        return carry(coeffs, [k for k in ks if k != 3], cap)
 
-    monkeypatch.setattr(twist, "_linear_factor_product", drop_k3)
+    monkeypatch.setattr(twist, "_extend_product", drop_k3)
     J = j_reduced(4, 3, lambda_floor=1)
     _, ok, failure = serre_dual_i(J, BundleSpec((2, 1)))
     assert not ok

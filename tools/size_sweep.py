@@ -6,9 +6,11 @@ checkout's ``src/`` first on its path runs the library pipeline
 the best wall time, so no size or checkout sees another's caches.  The
 pipelines are the non-equivariant quintic through ``small_mirror`` and the
 equivariant quintic (``lambda_floor`` 2) through ``birkhoff``, the two
-factorizations of the benchmark harness, at sizes the harness does not run.
-From D = 5 on, each quintic run's first five instanton numbers are checked
-against the literature (Candelas, de la Ossa, Green and Parkes); a run that
+factorizations of the benchmark harness, at sizes the harness does not run,
+and ``s_matrix`` of P^9 (the ``compute`` config (10, [1], D) of that task),
+``j_reduced`` -> ``s_matrix``.  From D = 5 on, each quintic run's first five
+instanton numbers are checked against the literature (Candelas, de la Ossa,
+Green and Parkes), and each S-matrix must pass its unitarity check; a run that
 disagrees, fails or outlives ``TIMEOUT_S`` is recorded with ``ok`` false.
 
     python3 tools/size_sweep.py 7bdfb0f=../pr5 parent=../parent change=. \\
@@ -34,6 +36,7 @@ TIMEOUT_S = 1800
 SIZES = {
     "quintic_small_mirror": (12, 20, 30, 60, 100),
     "equivariant_birkhoff": (5, 7, 9, 15, 20),
+    "s_matrix": (10, 20, 30),
 }
 QUINTIC_COUNTS = [2875, 609250, 317206375, 242467530000, 229305888887625]
 
@@ -46,13 +49,16 @@ if pipeline == "quintic_small_mirror":
     desc, bundle, factor = None, ring.BundleSpec((5,), equivariant=False), mirror.small_mirror
 else:
     desc, bundle, factor = ring.RingDescriptor(n=5, lambda_floor=2), ring.BundleSpec((5,)), mirror.birkhoff
-best = float("inf")
+best, unitary = float("inf"), None
 for _ in range(rounds):
     start = time.perf_counter()
-    M = factor(twist.i_function(gw.j_reduced(5, D, desc=desc), bundle), bundle=bundle)
+    if pipeline == "s_matrix":
+        _, unitary, _ = gw.s_matrix(gw.j_reduced(10, D), 10, D)
+    else:
+        M = factor(twist.i_function(gw.j_reduced(5, D, desc=desc), bundle), bundle=bundle)
     best = min(best, time.perf_counter() - start)
 counts = mirror.extract_instantons(M, 5) if pipeline == "quintic_small_mirror" and D >= 5 else None
-print(json.dumps({"best_s": best, "counts": counts}))
+print(json.dumps({"best_s": best, "counts": counts, "unitary": unitary}))
 """
 
 
@@ -94,8 +100,8 @@ def time_size(checkout: str, pipeline: str, D: int) -> dict:
     if proc.returncode:
         return {"best_s": None, "ok": False, "error": proc.stderr.strip().splitlines()[-1]}
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    counts = out.pop("counts")
-    out["ok"] = counts is None or counts == QUINTIC_COUNTS
+    counts, unitary = out.pop("counts"), out.pop("unitary")
+    out["ok"] = (counts is None or counts == QUINTIC_COUNTS) and unitary is not False
     if counts is not None:
         out["counts_checked"] = len(counts)
     return out

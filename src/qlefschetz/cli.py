@@ -258,7 +258,9 @@ def _emit(payload: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="qlefschetz",
         description="Exact mirror-symmetry computations for projective hypersurfaces.",
@@ -281,8 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         help="which suite to run",
     )
     p_verify.add_argument("--output", default=None, help="output path (default stdout)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "compute":
         try:

@@ -75,17 +75,21 @@ def _multiply_inverse_factor(
 def qde_verify(J: ZSeries, n: int):
     """Check the quantum differential equation (z D_P)^n J = q J.
 
+    The left side is one z*D_P of the last element of ``frame_series(J, n)``,
+    the frame ``s_matrix`` builds and guards with the same ``_qde_failure``.
     Returns (True, None) on success, otherwise (False, (d, z_exp, P_exp)) for
     the first slot of the residual that fails to vanish.
     """
     if J.desc.n != n:
         raise ValueError("series does not match the requested dimension")
-    lhs = J
-    for _ in range(n):
-        lhs = directional_derivative(lhs)
-    residual = lhs - J.novikov_shift(1)
-    slot = residual.first_nonzero_slot()
+    slot = _qde_failure(frame_series(J, n))
     return (slot is None), slot
+
+
+def _qde_failure(frame: list[ZSeries]):
+    """First nonzero slot (d, z_exp, P_exp) of z*D_P frame[-1] - q frame[0], or None."""
+    residual = directional_derivative(frame[-1]) - frame[0].novikov_shift(1)
+    return residual.first_nonzero_slot()
 
 
 def frame_series(J: ZSeries, n: int) -> list[ZSeries]:
@@ -160,8 +164,12 @@ def _unitarity(S: SMatrix):
     entry (a, b) is sum_i T_{i,a}(-z) T_{n-1-i,b}(z) - delta_{a+b,n-1}: one
     sum of q-series products per offset, with the delta as the product
     (-1)*1, read by z like a cell with a - b
-    replaced by a + b - (n - 1).  first_failure is (a, b, z_exp, d) at the
-    lowest z_exp, then lowest d, of the first nonzero entry.
+    replaced by a + b - (n - 1).  Only the entries a <= b are built: the
+    pairs of entry (b, a) are those of (a, b) with the factors swapped and
+    read at -z, so (b, a) is nonzero, or flagged, exactly when (a, b) is,
+    and (a, b) comes first in loop order.  first_failure is (a, b, z_exp, d)
+    at the lowest z_exp, then lowest d, of the first nonzero entry; it and
+    the flag are those of the full n x n residual.
     """
     n, one, first_failure = S.size, QSeries.one(S.desc, S.max_degree), None
     delta = (-one, one)
@@ -170,7 +178,7 @@ def _unitarity(S: SMatrix):
         minus = [
             {k: _at_minus_z(s, a - i + k, n) for k, s in S.cells[i][a].items()} for i in range(n)
         ]
-        for b in range(n):
+        for b in range(a, n):
             queued: dict[int, list] = {0: [delta]} if a + b == n - 1 else {}
             for i in range(n):
                 queue_row_product(queued, minus[i], S.cells[n - 1 - i][b])
@@ -186,16 +194,20 @@ def _unitarity(S: SMatrix):
 def s_matrix(J: ZSeries, n: int, max_degree: int):
     """Assemble the S-matrix from the frame and test its unitarity.
 
-    The residual is T^t(-z) g^(-1) T(z) - g with g the Poincare Gram matrix;
-    unitarity of the fundamental solution makes it vanish identically through
-    the Novikov truncation.  Returns (SMatrix, residual_ok, first_failure).
+    The frame is built once on the whole of J, and the guard of
+    ``qde_verify`` reads it there; each element is then truncated at
+    max_degree.  The residual is T^t(-z) g^(-1) T(z) - g with g the Poincare
+    Gram matrix, built by ``_unitarity`` for the entries a <= b; unitarity of
+    the fundamental solution makes it vanish identically through the Novikov
+    truncation.  Returns (SMatrix, residual_ok, first_failure).
     """
     if J.desc.n != n or J.max_degree < max_degree:
         raise ValueError("series does not match the requested parameters")
-    holds, slot = qde_verify(J, n)
-    if not holds:
+    frame = frame_series(J, n)
+    slot = _qde_failure(frame)
+    if slot is not None:
         raise ValueError(f"input fails the quantum differential equation at {slot}")
-    S = _matrix_from_frame(frame_series(J.truncate_novikov(max_degree), n))
+    S = _matrix_from_frame([T.truncate_novikov(max_degree) for T in frame])
     one, zero = LambdaScalar.one(J.desc), LambdaScalar.zero(J.desc)
     if S._block() != [[one if a == b else zero for a in range(n)] for b in range(n)]:
         raise TransversalityError("frame z^0 q^0 block is not the identity")

@@ -126,25 +126,27 @@ class QSeries(_Graded):
 
         With g = 1/f, comparing q^n coefficients of f*g = 1 gives the recurrence
         g_n = -(1/f_0) sum_{k=1}^{n} f_k g_(n-k), one pass over the degrees.
+        The coefficients are read with their flags, flagged zeros included.
         """
         c0 = self.coefficient(0)
         if not c0.is_rational() or c0.as_rational() == 0:
             raise UnitError("q-series constant term is not a nonzero rational")
         neg_inv_lead = Fraction(-1, c0.as_rational())
-        tail = {k: c for k, c in self.coeffs.items() if k}
-        first = LambdaScalar.from_rational(self.desc, -neg_inv_lead)
+        tail = {k: c for k, c in self._split().items() if k}
+        first = LambdaScalar(self.desc, {(0, 0): -neg_inv_lead}, c0.truncated)
         return self._recurrence(first, tail, lambda n: neg_inv_lead)
 
     def exp(self) -> "QSeries":
         """Exponential of a series with zero constant term.
 
         g = exp(f) solves q*g' = (q*f')*g, so n*g_n = sum_{k=1}^{n} k f_k g_(n-k)
-        with g_0 = 1: each coefficient costs one pass over f.
+        with g_0 = 1, flagged when f_0 is a flagged zero: each coefficient
+        costs one pass over f, read with its flags.
         """
         if not self.valuation_at_least(1):
             raise ValueError("exp requires q-valuation >= 1")
-        weighted = {k: c.scale(k) for k, c in self.coeffs.items()}
-        one = LambdaScalar.one(self.desc)
+        weighted = {k: c.scale(k) for k, c in self._split().items() if k}
+        one = LambdaScalar(self.desc, {(0, 0): 1}, self._trunc & 1)
         return self._recurrence(one, weighted, lambda n: Fraction(1, n))
 
     def _recurrence(self, first, weights, factor) -> "QSeries":
@@ -158,17 +160,21 @@ class QSeries(_Graded):
         return QSeries(self.desc, self.max_degree, dict(enumerate(g)))
 
     def compose(self, inner: "QSeries") -> "QSeries":
-        """Substitute q = inner(q'), where inner has valuation >= 1."""
+        """Substitute q = inner(q'), where inner has valuation >= 1.
+
+        Flagged coefficients, zeros included, keep their flags; the powers of
+        inner stop only at an exact zero (no term, no flag).
+        """
         self._check(inner)
         if not inner.valuation_at_least(1):
             raise ValueError("composition requires inner valuation >= 1")
         out = QSeries(self.desc, self.max_degree, {0: self.coefficient(0)})
-        coeffs = self.coeffs
+        coeffs = self._split()
         power = QSeries.one(self.desc, self.max_degree)
         pairs = []
         for d in range(1, self.max_degree + 1):
             power = power * inner
-            if power.is_zero():
+            if power.is_zero() and not power.truncated:
                 break
             if d in coeffs:
                 pairs.append((power, coeffs[d]))
@@ -472,7 +478,11 @@ class ZSeries:
         monomial either carries a positive power of P (nilpotent), a negative
         power of lam (killed by the floor), a positive power of log(lam)
         (killed by the cap), or positive Novikov degree (killed by the
-        truncation).  The hard iteration bound guards against misuse.
+        truncation).  A flagged zero term stands for lost terms whose
+        products still reach higher degrees, and its successor depends only
+        on its flags: the sum stops at a zero term whose set of (degree,
+        weight, flag mask) is empty or seen before.  The hard iteration bound
+        guards against misuse.
         """
         bound = (
             (self.max_degree + 1)
@@ -481,12 +491,18 @@ class ZSeries:
         )
         out = ZSeries.unit(self.desc, self.max_degree, self.convention)
         term = ZSeries.unit(self.desc, self.max_degree, self.convention)
+        seen = set()
         for j in range(1, bound + 1):
             term = term * self
             term = term.scale(Fraction(1, j))
             out = out + term
             if term.is_zero():
-                return out
+                flags = frozenset(
+                    (d, w, el._trunc) for d, row in term.slices.items() for w, el in row.items()
+                )
+                if not flags or flags in seen:
+                    return out
+                seen.add(flags)
         raise EngineError("exponential did not terminate; argument is not small")
 
     def compose_novikov(self, inner: QSeries) -> "ZSeries":

@@ -4,6 +4,9 @@ Each cell is a map z_exp -> QSeries, built from the z-view ``slice(d)`` of
 every frame element, and the unitarity residual T^t(-z) g T(z) - g is summed
 one product of two z-power pieces at a time.  ``tests/test_s_matrix_cells.py``
 compares ``gw.SMatrix``, which keeps one q-series per weight offset, with it.
+
+``full_unitarity`` is the residual of ``gw._unitarity`` built on all n x n
+entries, where ``gw`` builds only the entries a <= b.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qlefschetz import QSeries, ZSeries
+from qlefschetz.series import _at_minus_z, queue_row_product, summed
 
 
 def zkeyed_matrix_from_frame(frame: list[ZSeries]) -> list[list[dict[int, QSeries]]]:
@@ -80,3 +84,28 @@ def zkeyed_to_json_dict(entries, D) -> dict:
         for row in entries
     ]
     return {"size": len(entries), "max_degree": D, "entries": data}
+
+
+def full_unitarity(S):
+    """(ok, first_failure, truncated) of the residual of ``gw.SMatrix`` S, every entry built.
+
+    Entry (a, b) is sum_i T_{i,a}(-z) T_{n-1-i,b}(z) - delta_{a+b,n-1}, one sum
+    of q-series products per weight offset, in the loop order a, then b.
+    """
+    n, one, first_failure = S.size, QSeries.one(S.desc, S.max_degree), None
+    truncated = any(s.truncated for row in S.cells for cell in row for s in cell.values())
+    for a in range(n):
+        minus = [
+            {k: _at_minus_z(s, a - i + k, n) for k, s in S.cells[i][a].items()} for i in range(n)
+        ]
+        for b in range(n):
+            queued: dict[int, list] = {0: [(-one, one)]} if a + b == n - 1 else {}
+            for i in range(n):
+                queue_row_product(queued, minus[i], S.cells[n - 1 - i][b])
+            res = summed(queued)
+            truncated |= any(s.truncated for s in res.values())
+            view = S._z_view(res, a + b - n + 1)
+            if view and first_failure is None:
+                ze = min(view)
+                first_failure = (a, b, ze, min(view[ze].coeffs))
+    return first_failure is None, first_failure, truncated

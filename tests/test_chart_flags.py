@@ -4,8 +4,12 @@ An unflagged read must be exact: it must equal the same read at a floor
 three steps lower and a log cap three steps higher.  The inputs are
 lam-Laurent tails whose terms reach below the floor, with a k log(lam)
 constant, so the truncation is exercised; on exact inputs the closed forms
-must also agree with the plain exponential they replaced.
+must also agree with the plain exponential they replaced.  The kernels under
+them are held to the same rule: ``QSeries.exp``, ``invert`` and ``compose``,
+and ``ZSeries.exp``, whose sum goes on through a term that is a flagged zero.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +95,52 @@ def test_unflagged_inverse_map_coefficients_are_exact(case):
 def test_unflagged_prefactor_slots_are_exact(case):
     low, high = (_prefactor(*pair) for pair in both(case))
     assert changed_unflagged(z_reads(low, high), z_reads(high, low)) == []
+
+
+@settings(max_examples=80)
+@given(inputs())
+def test_unflagged_q_series_kernel_coefficients_are_exact(case):
+    def kernels(tau0, tau):
+        one = QSeries.one(tau0.desc, tau0.max_degree)
+        return tau0.exp(), (one + tau0).invert(), tau.compose(tau0)
+
+    for low, high in zip(*(kernels(*pair) for pair in both(case))):
+        assert changed_unflagged(q_reads(low), q_reads(high)) == []
+
+
+@settings(max_examples=80)
+@given(inputs())
+def test_unflagged_exponential_slots_are_exact(case):
+    low, high = (prefactor_exp(*pair) for pair in both(case))
+    assert changed_unflagged(z_reads(low, high), z_reads(high, low)) == []
+
+
+def test_a_flagged_zero_coefficient_flags_the_q_series_kernels():
+    d = RingDescriptor(2, 1)
+    one, lost = LambdaScalar.one(d), LambdaScalar(d, {(-3, 0): 1})
+    q = QSeries(d, 3, {1: one})
+    assert lost.is_zero() and lost.truncated
+    assert QSeries(d, 3, {0: one, 1: lost}).invert()._trunc == 0b1110
+    assert QSeries(d, 3, {1: lost}).exp()._trunc == 0b1110
+    assert QSeries(d, 3, {1: lost}).compose(q)._trunc == 0b0010
+    # A flagged zero power of the inner series does not end the composition,
+    # and a flagged zero constant flags every coefficient of exp and 1/f.
+    assert QSeries(d, 3, {1: one, 2: one}).compose(QSeries(d, 3, {1: lost}))._trunc == 0b1110
+    assert QSeries(d, 3, {0: lost, 1: one}).exp()._trunc == 0b1111
+    assert QSeries(d, 3, {0: one + lost, 2: one}).invert()._trunc == 0b0101
+
+
+def test_the_exponential_goes_on_through_a_flagged_zero_term():
+    # exp(-tau0/z), tau0 = lam^-1 q: the slot (q^3, z^-3, P^0) is -lam^-3/6,
+    # below a floor of 0, where it reads as a flagged zero.
+    reads = []
+    for floor in (0, 4):
+        desc = RingDescriptor(2, floor, 0)
+        tau0 = QSeries(desc, 3, {1: LambdaScalar.lam_power(desc, -1)})
+        reads.append(prefactor_exp(tau0, QSeries.zero(desc, 3)).scalar_slot(3, -3, 0))
+    assert reads[0].is_zero() and reads[0].truncated
+    assert reads[1] == LambdaScalar.lam_power(reads[1].desc, -3, Fraction(-1, 6))
+    assert not reads[1].truncated
 
 
 @settings(max_examples=60)

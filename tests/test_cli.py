@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -145,6 +148,26 @@ def test_overrides(tmp_path):
     data = json.loads(out.read_text())
     assert data["config"]["max_degree"] == 1
     assert data["results"]["instantons"]["counts"] == ["2875"]
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert cli._parser() is cli._parser()
+    cfg = write_config(tmp_path, dict(QUINTIC_CONFIG, max_degree=2))
+    out = tmp_path / "out.json"
+    assert main(["compute", "--config", cfg, "--output", str(out), "--degree", "3"]) == 0
+    assert json.loads(out.read_text())["config"]["max_degree"] == 3
+    assert main(["compute", "--config", cfg, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["max_degree"] == 2
+    assert main(["verify", "--suite", "gw", "--output", str(out)]) == 0
+    assert main(["verify", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["suites"] == sorted(cli.SUITES)
+
+
+def test_the_parser_is_not_built_at_import():
+    code = "import qlefschetz.cli as c; print(c._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout.strip() == "0", proc.stderr
 
 
 def test_equivariant_modes_and_series_roundtrip(tmp_path):

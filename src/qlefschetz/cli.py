@@ -18,7 +18,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import EngineError
-from .gw import j_reduced, qde_verify, s_matrix
+from .gw import _guarded_frame, _s_matrix, j_reduced
 from .mirror import birkhoff, calabi_yau_degree, extract_instantons, small_mirror
 from .ring import BundleSpec, RingDescriptor
 from .twist import i_function, serre_dual_i
@@ -123,7 +123,8 @@ def load_config(data: dict) -> dict:
 def run_compute(config: dict) -> dict:
     """Execute the configured tasks; output is a pure function of the config.
 
-    Each (mode, bundle) is twisted and factored at most once per call.
+    Each (mode, bundle) is twisted and factored at most once per call, and
+    the frame of J and its QDE guard once, for ``qde_check`` and ``s_matrix``.
     """
     n = config["ambient_dim"]
     D = config["max_degree"]
@@ -138,6 +139,8 @@ def run_compute(config: dict) -> dict:
     @cache
     def base(equivariant: bool):
         return J if equivariant else J.lambda_zero_part()
+
+    guarded = cache(lambda: _guarded_frame(J, n))
 
     @cache
     def twisted(bundle: BundleSpec):
@@ -174,14 +177,14 @@ def run_compute(config: dict) -> dict:
                 results[task][mode], truncated = per_mode[task](bundle)
                 flags[task] |= truncated
         elif task == "qde_check":
-            ok, slot = qde_verify(J, n)
+            slot = guarded()[1]
             results[task] = {
-                "holds": ok,
+                "holds": slot is None,
                 "first_failure": None if slot is None else list(slot),
             }
             flags[task] = J.truncated
         elif task == "s_matrix":
-            S, ok, failure = s_matrix(J, n, D)
+            S, ok, failure = _s_matrix(*guarded(), D)
             results[task] = {
                 "unitary": ok,
                 "first_failure": None if failure is None else list(failure),

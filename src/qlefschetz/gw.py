@@ -76,20 +76,21 @@ def qde_verify(J: ZSeries, n: int):
     """Check the quantum differential equation (z D_P)^n J = q J.
 
     The left side is one z*D_P of the last element of ``frame_series(J, n)``,
-    the frame ``s_matrix`` builds and guards with the same ``_qde_failure``.
+    the frame ``s_matrix`` builds and guards with the same ``_guarded_frame``.
     Returns (True, None) on success, otherwise (False, (d, z_exp, P_exp)) for
     the first slot of the residual that fails to vanish.
     """
     if J.desc.n != n:
         raise ValueError("series does not match the requested dimension")
-    slot = _qde_failure(frame_series(J, n))
+    slot = _guarded_frame(J, n)[1]
     return (slot is None), slot
 
 
-def _qde_failure(frame: list[ZSeries]):
-    """First nonzero slot (d, z_exp, P_exp) of z*D_P frame[-1] - q frame[0], or None."""
+def _guarded_frame(J: ZSeries, n: int):
+    """The frame of J and the first nonzero slot (d, z_exp, P_exp) of (z D_P)^n J - q J, or None."""
+    frame = frame_series(J, n)
     residual = directional_derivative(frame[-1]) - frame[0].novikov_shift(1)
-    return residual.first_nonzero_slot()
+    return frame, residual.first_nonzero_slot()
 
 
 def frame_series(J: ZSeries, n: int) -> list[ZSeries]:
@@ -203,13 +204,16 @@ def s_matrix(J: ZSeries, n: int, max_degree: int):
     """
     if J.desc.n != n or J.max_degree < max_degree:
         raise ValueError("series does not match the requested parameters")
-    frame = frame_series(J, n)
-    slot = _qde_failure(frame)
+    return _s_matrix(*_guarded_frame(J, n), max_degree)
+
+
+def _s_matrix(frame: list[ZSeries], slot, max_degree: int):
+    """``s_matrix`` on a frame and its QDE failure slot from ``_guarded_frame``."""
     if slot is not None:
         raise ValueError(f"input fails the quantum differential equation at {slot}")
     S = _matrix_from_frame([T.truncate_novikov(max_degree) for T in frame])
-    one, zero = LambdaScalar.one(J.desc), LambdaScalar.zero(J.desc)
-    if S._block() != [[one if a == b else zero for a in range(n)] for b in range(n)]:
+    one, zero, span = LambdaScalar.one(S.desc), LambdaScalar.zero(S.desc), range(S.size)
+    if S._block() != [[one if a == b else zero for a in span] for b in span]:
         raise TransversalityError("frame z^0 q^0 block is not the identity")
     ok, first_failure, S.truncated = _unitarity(S)
     return S, ok, first_failure

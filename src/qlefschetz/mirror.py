@@ -6,8 +6,10 @@ non-negative z-power of its slices (beyond the leading identity) by adding
 z-polynomial multiples of the derivative frame {(z D_P)^a I}, order by order
 in the Novikov variable.  The corrections are unique because at each degree
 they act through the q^0 block of the frame, which is unit-triangular in the
-monomial basis.  The direct one (small_mirror) divides by the scalar series
-F when I has no positive z-powers.  Each route checks the other.
+monomial basis.  A correction changes its own slice at once and queues its
+products with the higher frame slices; each slice is summed once, when its
+degree is reached.  The direct one (small_mirror) divides by the scalar
+series F when I has no positive z-powers.  Each route checks the other.
 
 Every entry point ends in one tail, _assemble (through _extract_chart), the
 one place a MirrorResult is built.  The z^(-1) slots of the normalized
@@ -28,12 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .errors import (
-    EngineError,
-    ExtractionError,
-    TransversalityError,
-    UnitError,
-)
+from .errors import EngineError, ExtractionError, TransversalityError, UnitError
 from .gw import frame_series
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
 from .series import QSeries, REDUCED, ZSeries, _by_z, lagrange_sum, log_lambda_multiple
@@ -71,9 +68,7 @@ class MirrorResult:
     bundle: BundleSpec | None = None
 
     def corrections_vanish(self) -> bool:
-        return all(
-            qs.is_zero() for cell in self.c_coeffs for qs in cell.values()
-        )
+        return all(qs.is_zero() for cell in self.c_coeffs for qs in cell.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,30 +93,15 @@ class MirrorResult:
 # -- elimination core --------------------------------------------------------------
 
 
-def _subtract_scaled(
-    work: dict[int, dict[int, CohElement]],
-    frame_el: ZSeries,
-    d_shift: int,
-    z_shift: int,
-    beta: LambdaScalar,
-    max_degree: int,
-) -> None:
-    """work -= beta * z^z_shift * q^d_shift * frame_el, in place, on rows keyed by weight.
+def _settle(row: dict[int, CohElement], queued: dict[int, list], one: LambdaScalar) -> None:
+    """Add the pairs queued at each weight to row's class there: one sum of products.
 
-    Each class of work it touches becomes one sum of products: the old class
-    times 1 and the products with -beta.
+    The old class enters as the pair (class, 1), which drops no key and keeps its flags.
     """
-    neg, one = -beta, LambdaScalar.one(beta.desc)
-    queued: dict[int, dict[int, list]] = {}
-    for d, row in frame_el.slices.items():
-        if d + d_shift <= max_degree:
-            queue_scaled_row(queued.setdefault(d + d_shift, {}), row, neg, z_shift)
-    for d, row in queued.items():
-        tgt = work.setdefault(d, {})
-        for w, pairs in row.items():
-            if w in tgt:
-                pairs.append((tgt[w], one))
-        tgt.update(summed(row))
+    for w, pairs in queued.items():
+        if w in row:
+            pairs.append((row[w], one))
+    row.update(summed(queued))
 
 
 def _violations(row: dict[int, CohElement], d: int) -> list[tuple[int, int]]:
@@ -145,37 +125,43 @@ def _eliminate(
 
     The lead of frame[p], its z^0 q^0 P^p scalar, is that of f at P^0 (at
     degree 0, z D_P multiplies by P), whose lam^0 coefficient both callers
-    require to be 1.  The corrections come back keyed [p][z-exponent][d].
+    require to be 1.  A correction -beta z^ze q^d frame[p] changes slice d at
+    once, through frame[p]'s slice 0, so the next violation reads it, and
+    queues its products with the slices dd >= 1 at d + dd.  A slice is summed
+    when the loop reaches it: each class of f times 1 plus the pairs queued at
+    its weight.  The corrections come back keyed [p][z-exponent][d].
     """
-    desc = f.desc
-    D = f.max_degree
-    one = LambdaScalar.one(desc)
-    work = {d: dict(row) for d, row in f.slices.items()}
+    desc, D, one = f.desc, f.max_degree, LambdaScalar.one(f.desc)
+    work: dict[int, dict[int, CohElement]] = {}
+    pending: dict[int, dict[int, list]] = {}
     corrections: list[dict[int, dict[int, LambdaScalar]]] = [{} for _ in range(desc.n)]
     zero = CohElement.zero(desc)
 
     for d in range(D + 1):
+        row = work[d] = dict(f.slices.get(d, {}))
+        _settle(row, pending.pop(d, {}), one)
         for _sweep in range(_MAX_SWEEPS):
-            viols = _violations(work.get(d, {}), d)
+            viols = _violations(row, d)
             if not viols:
                 break
             for ze, p in viols:
-                # work as it stands: an earlier correction of this sweep may reach the slot
-                beta = _by_z(work.get(d, {}), at=ze).get(ze, zero).component(p)
+                # row as it stands: an earlier correction of this sweep may reach the slot
+                beta = _by_z(row, at=ze).get(ze, zero).component(p)
                 if d == 0 and ze == 0 and p == 0:
                     beta = beta - one
                 if beta.is_zero():
                     continue
-                _subtract_scaled(work, frame[p], d, ze, beta, D)
+                neg = -beta
+                for dd, frame_row in frame[p].slices.items():
+                    if d + dd <= D:
+                        queue_scaled_row(pending.setdefault(d + dd, {}), frame_row, neg, ze)
+                _settle(row, pending.pop(d, {}), one)
                 cell = corrections[p].setdefault(ze, {})
                 old = cell.get(d)
-                cell[d] = -beta if old is None else old - beta
+                cell[d] = neg if old is None else old + neg
         else:
-            raise EngineError(
-                f"elimination did not stabilize at Novikov degree {d}"
-            )
-    normalized = ZSeries._of(desc, D, work, f.convention)
-    return normalized, corrections
+            raise EngineError(f"elimination did not stabilize at Novikov degree {d}")
+    return ZSeries._of(desc, D, work, f.convention), corrections
 
 
 # -- chart extraction ----------------------------------------------------------------

@@ -463,6 +463,25 @@ class _Graded(_Terms):
             out |= -(lost & -lost)
         return out & ((1 << span) - 1)
 
+    def _times_t_plus(self, d: int):
+        """self * (t + d) for an integer d, as one numerator map over self's denominator.
+
+        Slot i moves to i + 1 (t^span = 0 drops the top slot) and adds d times
+        itself.  t + d has no lam or log(lam) term, so no key leaves the floor
+        or the log cap; the flags are those ``_spread`` gives against t + d.
+        """
+        span, trunc = self._span(), 0
+        nums = {(i + 1, a, b): c for (i, a, b), c in self._nums.items() if i + 1 < span}
+        if d:
+            get = nums.get
+            for key, c in self._nums.items():
+                nums[key] = get(key, 0) + c * d
+        if self._trunc:
+            # t + d as numerators; it is an exact zero at span 1 with d = 0
+            step = {k: c for k, c in (((1, 0, 0), int(span > 1)), ((0, 0, 0), d)) if c}
+            trunc = self._spread(self._like(step, 1, 0)) if step else 0
+        return self._like({k: c for k, c in nums.items() if c}, self._den, trunc)
+
     def scale_scalar(self, scalar: LambdaScalar):
         _Terms._check(self, scalar)
         return self._dot([(self, scalar)])

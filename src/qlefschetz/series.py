@@ -717,14 +717,11 @@ def directional_derivative(f: ZSeries) -> ZSeries:
     """The operator z*D_P on a reduced series: slice_d goes to (P + d z) * slice_d.
 
     P and z both have weight 1, so the class at weight w goes to w + 1 as
-    the class product with P + d.
+    the class times P + d, a slot shift plus d times the class
+    (``_Graded._times_t_plus``).
     """
     if f.convention != REDUCED:
         raise ConventionError("z*D_P acts on reduced series")
-    desc = f.desc
-    p_class = CohElement.p_power(desc, 1)
-    out: dict[int, dict[int, CohElement]] = {}
-    for d, row in f.slices.items():
-        step = p_class + CohElement.p_power(desc, 0, d) if d else p_class
-        out[d] = {w + 1: el * step for w, el in row.items()}
-    return f._like(out)
+    return f._like(
+        {d: {w + 1: el._times_t_plus(d) for w, el in row.items()} for d, row in f.slices.items()}
+    )

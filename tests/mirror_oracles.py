@@ -1,0 +1,58 @@
+"""The eager frame elimination, kept as a test oracle.
+
+``eager_eliminate`` is ``mirror._eliminate`` as it was before the deferred
+slices: each correction beta * z^ze * q^d * frame[p] is subtracted at once
+from every slice it reaches (``subtract_scaled``), so a high slice is
+rebuilt once per correction that reaches it, each time as the old class
+times 1 plus the new products.  The deferred elimination must return the
+same normalized series, class by class with its flags, and the same
+corrections.
+"""
+
+from qlefschetz.errors import EngineError
+from qlefschetz.mirror import _violations
+from qlefschetz.ring import CohElement, LambdaScalar
+from qlefschetz.series import ZSeries, _by_z, queue_scaled_row, summed
+
+MAX_SWEEPS = 400
+
+
+def subtract_scaled(work, frame_el, d_shift, z_shift, beta, max_degree):
+    """work -= beta * z^z_shift * q^d_shift * frame_el, in place, on rows keyed by weight."""
+    neg, one = -beta, LambdaScalar.one(beta.desc)
+    queued = {}
+    for d, row in frame_el.slices.items():
+        if d + d_shift <= max_degree:
+            queue_scaled_row(queued.setdefault(d + d_shift, {}), row, neg, z_shift)
+    for d, row in queued.items():
+        tgt = work.setdefault(d, {})
+        for w, pairs in row.items():
+            if w in tgt:
+                pairs.append((tgt[w], one))
+        tgt.update(summed(row))
+
+
+def eager_eliminate(f, frame):
+    """(normalized, corrections) of f, every correction applied to all slices at once."""
+    desc, D = f.desc, f.max_degree
+    one, zero = LambdaScalar.one(desc), CohElement.zero(desc)
+    work = {d: dict(row) for d, row in f.slices.items()}
+    corrections = [{} for _ in range(desc.n)]
+    for d in range(D + 1):
+        for _sweep in range(MAX_SWEEPS):
+            viols = _violations(work.get(d, {}), d)
+            if not viols:
+                break
+            for ze, p in viols:
+                beta = _by_z(work.get(d, {}), at=ze).get(ze, zero).component(p)
+                if d == 0 and ze == 0 and p == 0:
+                    beta = beta - one
+                if beta.is_zero():
+                    continue
+                subtract_scaled(work, frame[p], d, ze, beta, D)
+                cell = corrections[p].setdefault(ze, {})
+                old = cell.get(d)
+                cell[d] = -beta if old is None else old - beta
+        else:
+            raise EngineError(f"elimination did not stabilize at Novikov degree {d}")
+    return ZSeries._of(desc, D, work, f.convention), corrections

@@ -6,7 +6,9 @@ is entry (a, b) read at -z, so it is nonzero, or flagged, exactly when entry
 two must give the same (ok, first_failure, truncated) on unitary and
 non-unitary inputs, on a corrupted cell on either side of the diagonal and on
 a flagged cell.  ``gw.s_matrix`` takes the guard of ``qde_verify`` from one
-more z*D_P of the last frame element, so it makes n derivatives of J.
+more z*D_P of the last frame element, so it makes n derivatives of J, and a
+``compute`` job that asks for ``qde_check`` and ``s_matrix`` builds that
+frame and guard once for both tasks.
 """
 
 import re
@@ -24,7 +26,8 @@ from qlefschetz import (
     qde_verify,
     s_matrix,
 )
-from qlefschetz import gw
+from qlefschetz import cli, gw
+from qlefschetz.series import directional_derivative
 
 from gw_oracles import full_unitarity
 
@@ -118,3 +121,21 @@ def test_the_guard_reads_the_whole_series_above_max_degree():
     with pytest.raises(ValueError, match=re.escape(f"equation at {slot}")):
         s_matrix(J, n, 1)
     assert qde_verify(J.truncate_novikov(1), n) == (True, None)
+
+
+@pytest.mark.parametrize("n, D", [(2, 3), (5, 2), (7, 1)])
+def test_a_compute_job_builds_one_frame_for_both_tasks(monkeypatch, n, D):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return directional_derivative(f)
+
+    monkeypatch.setattr(gw, "directional_derivative", counted)
+    config = cli.load_config({
+        "ambient_dim": n, "degrees": [1], "max_degree": D, "lambda_floor": 2,
+        "mode": "equivariant", "tasks": ["s_matrix", "qde_check"],
+    })
+    results = cli.run_compute(config)["results"]
+    assert results["qde_check"]["holds"] and results["s_matrix"]["unitary"]
+    assert len(calls) == n

@@ -1,9 +1,11 @@
 """Time the factorization pipeline of several checkouts at the sizes of the north star.
 
-For each checkout and each size, one fresh ``python3`` process with the
-checkout's ``src/`` first on its path runs the library pipeline
-``j_reduced`` -> ``i_function`` -> factorization ``ROUNDS`` times and reports
-the best wall time, so no size or checkout sees another's caches.  The
+Each run is one fresh ``python3`` process with a checkout's ``src/`` first on
+its path; it runs the library pipeline ``j_reduced`` -> ``i_function`` ->
+factorization ``REPEATS`` times and reports the best wall time, so no size or
+checkout sees another's caches.  Every size is run in ``ROUNDS`` rounds of
+one run per checkout, and the checkout that runs first moves by one place
+each round, so slow drift of a shared host hits every checkout alike.  The
 pipelines are the non-equivariant quintic through ``small_mirror`` and the
 equivariant quintic (``lambda_floor`` 2) through ``birkhoff``, the two
 factorizations of the benchmark harness, at sizes the harness does not run,
@@ -11,15 +13,17 @@ and ``s_matrix`` of P^9 (the ``compute`` config (10, [1], D) of that task),
 ``j_reduced`` -> ``s_matrix``.  From D = 5 on, each quintic run's first five
 instanton numbers are checked against the literature (Candelas, de la Ossa,
 Green and Parkes), and each S-matrix must pass its unitarity check; a run that
-disagrees, fails or outlives ``TIMEOUT_S`` is recorded with ``ok`` false.
+disagrees, fails or outlives ``TIMEOUT_S`` makes the checkout's row ``ok``
+false.
 
-    python3 tools/size_sweep.py 7bdfb0f=../pr5 parent=../parent change=. \\
-        --out sizes.json
+    python3 tools/size_sweep.py parent=../parent change=. --out sizes.json
 
-Each checkout is given as LABEL=DIR; the checkouts run in the order given at
-each size, smallest sizes first.  The JSON records the host, each checkout's
-line count of ``src/`` (and its commit, when it is a git checkout), and one
-row per (pipeline, D) with every checkout's best time in seconds.
+Each checkout is given as LABEL=DIR; sizes run smallest first.  The JSON
+records the host, each checkout's line count of ``src/`` (and its commit,
+when it is a git checkout), and one row per (pipeline, D) with every
+checkout's median and quartiles over the rounds of its best times, in
+seconds, the times themselves in round order, and the number of rounds in
+which it read lower than the first checkout.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
-ROUNDS = 3
+ROUNDS = 7
+REPEATS = 3
 TIMEOUT_S = 1800
 SIZES = {
     "quintic_small_mirror": (12, 20, 30, 60, 100),
@@ -40,17 +46,17 @@ SIZES = {
 }
 QUINTIC_COUNTS = [2875, 609250, 317206375, 242467530000, 229305888887625]
 
-# Runs inside the checkout's interpreter; argv: pipeline, D, rounds.
+# Runs inside the checkout's interpreter; argv: pipeline, D, repeats.
 CHILD = """
 import json, sys, time
 from qlefschetz import gw, mirror, ring, twist
-pipeline, D, rounds = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+pipeline, D, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 if pipeline == "quintic_small_mirror":
     desc, bundle, factor = None, ring.BundleSpec((5,), equivariant=False), mirror.small_mirror
 else:
     desc, bundle, factor = ring.RingDescriptor(n=5, lambda_floor=2), ring.BundleSpec((5,)), mirror.birkhoff
 best, unitary = float("inf"), None
-for _ in range(rounds):
+for _ in range(repeats):
     start = time.perf_counter()
     if pipeline == "s_matrix":
         _, unitary, _ = gw.s_matrix(gw.j_reduced(10, D), 10, D)
@@ -88,11 +94,11 @@ def src_lines(checkout: str) -> int:
 
 
 def time_size(checkout: str, pipeline: str, D: int) -> dict:
-    """One fresh process: the best of ROUNDS pipeline runs, and whether its counts hold."""
+    """One fresh process: the best of REPEATS pipeline runs, and whether its counts hold."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, pipeline, str(D), str(ROUNDS)],
+            [sys.executable, "-c", CHILD, pipeline, str(D), str(REPEATS)],
             cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=False,
         )
     except subprocess.TimeoutExpired:
@@ -104,6 +110,22 @@ def time_size(checkout: str, pipeline: str, D: int) -> dict:
     out["ok"] = (counts is None or counts == QUINTIC_COUNTS) and unitary is not False
     if counts is not None:
         out["counts_checked"] = len(counts)
+    return out
+
+
+def summary(runs: list[dict]) -> dict:
+    """Median and quartiles of the best times of a checkout's rounds; ok when every run was."""
+    times = [run["best_s"] for run in runs]
+    out = {"ok": all(run["ok"] for run in runs)}
+    if None not in times:
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out.update(median_s=median, q1_s=q1, q3_s=q3)
+    out["runs_s"] = times
+    errors = [run["error"] for run in runs if "error" in run]
+    if errors:
+        out["error"] = errors[0]
+    if "counts_checked" in runs[0]:
+        out["counts_checked"] = runs[0]["counts_checked"]
     return out
 
 
@@ -120,17 +142,30 @@ def main() -> None:
         checkouts[label] = os.path.abspath(path)
 
     rows = []
+    labels = list(checkouts)
     for pipeline, sizes in SIZES.items():
         for D in sizes:
+            runs: dict[str, list] = {label: [] for label in labels}
+            for r in range(ROUNDS):
+                for label in labels[r % len(labels):] + labels[:r % len(labels)]:
+                    run = time_size(checkouts[label], pipeline, D)
+                    runs[label].append(run)
+                    print(f"{pipeline} D={D} round {r} {label}: {run}", file=sys.stderr, flush=True)
             row = {"pipeline": pipeline, "D": D}
-            for label, path in checkouts.items():
-                row[label] = time_size(path, pipeline, D)
-                print(f"{pipeline} D={D} {label}: {row[label]}", file=sys.stderr, flush=True)
+            for label in labels:
+                row[label] = summary(runs[label])
+            for label in labels[1:]:
+                # a round's runs share the host's load, so the count is steadier than the medians
+                row[label][f"rounds_lower_than_{labels[0]}"] = sum(
+                    None not in (a["best_s"], b["best_s"]) and b["best_s"] < a["best_s"]
+                    for a, b in zip(runs[labels[0]], runs[label])
+                )
             rows.append(row)
 
     report = {
         "tool": "tools/size_sweep.py",
         "rounds": ROUNDS,
+        "repeats": REPEATS,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "checkouts": {

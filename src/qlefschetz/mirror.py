@@ -6,10 +6,11 @@ non-negative z-power of its slices (beyond the leading identity) by adding
 z-polynomial multiples of the derivative frame {(z D_P)^a I}, order by order
 in the Novikov variable.  The corrections are unique because at each degree
 they act through the q^0 block of the frame, which is unit-triangular in the
-monomial basis.  A correction changes its own slice at once and queues its
-products with the higher frame slices; each slice is summed once, when its
-degree is reached.  The direct one (small_mirror) divides by the scalar
-series F when I has no positive z-powers.  Each route checks the other.
+monomial basis.  A sweep over a slice reads it by z once and queues a
+correction for every slot it finds, the part in the slice itself included;
+the next sweep starts by summing the slice once, and a higher slice is summed
+when its degree is reached.  The direct one (small_mirror) divides by the
+scalar series F when I has no positive z-powers.  Each route checks the other.
 
 Every entry point ends in one tail, _assemble (through _extract_chart), the
 one place a MirrorResult is built.  The z^(-1) slots of the normalized
@@ -104,20 +105,6 @@ def _settle(row: dict[int, CohElement], queued: dict[int, list], one: LambdaScal
     row.update(summed(queued))
 
 
-def _violations(row: dict[int, CohElement], d: int) -> list[tuple[int, int]]:
-    """The (z-exponent, P-exponent) slots with z >= 0 to eliminate from row d, keyed by weight."""
-    zrow = _by_z(row)
-    out = []
-    for ze in sorted((ze for ze in zrow if ze >= 0), reverse=True):
-        for p, c in enumerate(zrow[ze].components):
-            if d == 0 and ze == 0 and p == 0:
-                if not (c - LambdaScalar.one(c.desc)).is_zero():
-                    out.append((ze, p))
-            elif not c.is_zero():
-                out.append((ze, p))
-    return out
-
-
 def _eliminate(
     f: ZSeries, frame: list[ZSeries]
 ) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScalar]]]]:
@@ -125,42 +112,42 @@ def _eliminate(
 
     The lead of frame[p], its z^0 q^0 P^p scalar, is that of f at P^0 (at
     degree 0, z D_P multiplies by P), whose lam^0 coefficient both callers
-    require to be 1.  A correction -beta z^ze q^d frame[p] changes slice d at
-    once, through frame[p]'s slice 0, so the next violation reads it, and
-    queues its products with the slices dd >= 1 at d + dd.  A slice is summed
-    when the loop reaches it: each class of f times 1 plus the pairs queued at
-    its weight.  The corrections come back keyed [p][z-exponent][d].
+    require to be 1.  The leading 1 is queued out of slice 0 before the loop
+    and back in after it, so every slot with z >= 0 is a violation.  A sweep
+    is one Jacobi step: it sums slice d once, reads it by z once, and for each
+    nonzero slot beta z^ze P^p queues the correction -beta z^ze q^d frame[p],
+    its products with frame[p]'s slice dd at d + dd (dd = 0 included, which
+    the next sweep reads).  A sweep that queues nothing at d ends the degree.
+    The corrections come back keyed [p][z-exponent][d].
     """
     desc, D, one = f.desc, f.max_degree, LambdaScalar.one(f.desc)
+    unit = CohElement.one(desc)
     work: dict[int, dict[int, CohElement]] = {}
-    pending: dict[int, dict[int, list]] = {}
+    pending: dict[int, dict[int, list]] = {0: {0: [(unit, -one)]}}
     corrections: list[dict[int, dict[int, LambdaScalar]]] = [{} for _ in range(desc.n)]
-    zero = CohElement.zero(desc)
 
     for d in range(D + 1):
         row = work[d] = dict(f.slices.get(d, {}))
-        _settle(row, pending.pop(d, {}), one)
         for _sweep in range(_MAX_SWEEPS):
-            viols = _violations(row, d)
-            if not viols:
-                break
-            for ze, p in viols:
-                # row as it stands: an earlier correction of this sweep may reach the slot
-                beta = _by_z(row, at=ze).get(ze, zero).component(p)
-                if d == 0 and ze == 0 and p == 0:
-                    beta = beta - one
-                if beta.is_zero():
+            _settle(row, pending.pop(d, {}), one)
+            for ze, el in _by_z(row).items():
+                if ze < 0:
                     continue
-                neg = -beta
-                for dd, frame_row in frame[p].slices.items():
-                    if d + dd <= D:
-                        queue_scaled_row(pending.setdefault(d + dd, {}), frame_row, neg, ze)
-                _settle(row, pending.pop(d, {}), one)
-                cell = corrections[p].setdefault(ze, {})
-                old = cell.get(d)
-                cell[d] = neg if old is None else old + neg
+                for p, beta in enumerate(el.components):
+                    if beta.is_zero():
+                        continue
+                    neg = -beta
+                    for dd, frame_row in frame[p].slices.items():
+                        if d + dd <= D:
+                            queue_scaled_row(pending.setdefault(d + dd, {}), frame_row, neg, ze)
+                    cell = corrections[p].setdefault(ze, {})
+                    old = cell.get(d)
+                    cell[d] = neg if old is None else old + neg
+            if d not in pending:  # every correction queues a part at d, through its lead
+                break
         else:
             raise EngineError(f"elimination did not stabilize at Novikov degree {d}")
+    _settle(work[0], {0: [(unit, one)]}, one)
     return ZSeries._of(desc, D, work, f.convention), corrections
 
 
@@ -292,6 +279,11 @@ def _assemble(
     )
 
 
+def _factor(f: ZSeries, bundle: BundleSpec | None) -> MirrorResult:
+    """The MirrorResult of f eliminated against its own derivative frame."""
+    return _assemble(f, f.z_row(0)[0], *_eliminate(f, frame_series(f, f.desc.n)), bundle)
+
+
 # -- public entry points --------------------------------------------------------------
 
 
@@ -302,8 +294,7 @@ def birkhoff(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:
     lead = I.coefficient(0, 0)
     if not (lead - CohElement.one(I.desc)).is_zero() or len(I.slice(0)) != 1:
         raise ValueError("degree-0 slice must be the identity class")
-    normalized, corrections = _eliminate(I, frame_series(I, I.desc.n))
-    return _assemble(I, I.z_row(0)[0], normalized, corrections, bundle)
+    return _factor(I, bundle)
 
 
 def tangency_solve(
@@ -320,8 +311,7 @@ def tangency_solve(
         raise ValueError("factorization expects a reduced series")
     if f.scalar_slot(0, 0, 0).coefficient(0, 0) != 1:
         raise TransversalityError("leading z^0 q^0 P^0 coefficient must be 1")
-    normalized, corrections = _eliminate(f, frame_series(f, f.desc.n))
-    return _assemble(f, f.z_row(0)[0], normalized, corrections, bundle)
+    return _factor(f, bundle)
 
 
 def small_mirror(I: ZSeries, bundle: BundleSpec | None = None) -> MirrorResult:

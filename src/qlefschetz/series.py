@@ -510,6 +510,8 @@ class ZSeries:
 
         Each slice_d * [q'^m] inner^d is queued into row m of the result, next
         to slice 0 times 1, and every class of the result is one sum of products.
+        A power that is a flagged zero stands for unknown terms below the floor,
+        so only an exact zero ends the sum early.
         """
         if self.desc != inner.desc or self.max_degree != inner.max_degree:
             raise DescriptorMismatchError("substitution series does not match")
@@ -520,7 +522,7 @@ class ZSeries:
         power = QSeries.one(self.desc, self.max_degree)
         for d in range(1, self.max_degree + 1):
             power = power * inner
-            if power.is_zero():
+            if power.is_zero() and not power.truncated:
                 break
             row = self.slices.get(d)
             if row is None:

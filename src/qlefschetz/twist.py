@@ -69,21 +69,14 @@ class BSeriesExponent:
     z_zero_part: CohElement
     positive_z_part: dict[int, CohElement]
 
-    def z_slots(self, sign: int) -> dict[int, CohElement]:
-        """All z-slots of the exponent evaluated at sign*z.
-
-        Every stored z-power is odd, so substituting -z negates the 1/z slot
-        and every positive slot while fixing the z-independent one.
-        """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def z_slots(self) -> dict[int, CohElement]:
+        """All nonzero z-slots of the exponent, as z-exponent -> CohElement."""
         out: dict[int, CohElement] = {}
         if not self.one_over_z_part.is_zero():
-            out[-1] = self.one_over_z_part.scale(sign)
+            out[-1] = self.one_over_z_part
         if not self.z_zero_part.is_zero():
             out[0] = self.z_zero_part
-        for ze, el in self.positive_z_part.items():
-            out[ze] = el.scale(sign)
+        out.update(self.positive_z_part)
         return out
 
 
@@ -318,39 +311,25 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
 # -- cone transformation -----------------------------------------------------------
 
 
-def bundle_exponent_slots(
-    bundle: BundleSpec, desc: RingDescriptor, z_cap: int, sign: int
-) -> dict[int, CohElement]:
-    """Summed multiplier exponent of a bundle, as z-slot -> CohElement."""
-    slots: dict[int, CohElement] = {}
-    for l in bundle.degrees:
-        for ze, el in b_series(l, desc, z_cap).z_slots(sign).items():
-            old = slots.get(ze)
-            slots[ze] = el if old is None else old + el
-    return slots
-
-
-def cone_transform(
-    f: ZSeries,
-    bundle: BundleSpec,
-    sign: int = 1,
-    invert: bool = False,
-    z_cap: int | None = None,
-) -> ZSeries:
+def cone_transform(f: ZSeries, bundle: BundleSpec, invert: bool = False) -> ZSeries:
     """Multiply by the exponentiated asymptotic-expansion multiplier of the bundle.
 
-    sign substitutes z -> sign*z in the exponent; invert negates the whole
-    exponent, so transforming and inverse-transforming is exactly the
-    identity at any truncation.  The empty bundle gives the identity map.
+    The exponent is the sum of the roots' b_series, whose positive z-powers
+    stop at 2D + 1, beyond which no term can reach Novikov degrees <= D.
+    invert negates the whole exponent, so transforming and inverse-transforming
+    is exactly the identity at any truncation.  The empty bundle gives the
+    identity map.
     """
     if not bundle.degrees:
         return f
     if not bundle.equivariant:
         raise EngineError("the cone transform requires the equivariant parameter")
     desc = f.desc
-    if z_cap is None:
-        z_cap = 2 * f.max_degree + 1
-    slots = bundle_exponent_slots(bundle, desc, z_cap, sign)
+    slots: dict[int, CohElement] = {}
+    for l in bundle.degrees:
+        for ze, el in b_series(l, desc, 2 * f.max_degree + 1).z_slots().items():
+            old = slots.get(ze)
+            slots[ze] = el if old is None else old + el
     if invert:
         slots = {ze: -el for ze, el in slots.items()}
     exponent = ZSeries(desc, f.max_degree, {0: slots}, f.convention)

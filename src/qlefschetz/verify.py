@@ -216,7 +216,7 @@ def twist_suite() -> list[Check]:
     desc = RingDescriptor(n=2, lambda_floor=8, log_cap=10)
     J = j_reduced(2, 2, desc=desc)
     E = BundleSpec((1,))
-    f = cone_transform(i_function(J, E), E, sign=1)
+    f = cone_transform(i_function(J, E), E)
     M = tangency_solve(f, bundle=E)
     checks.append(Check("twist.cone_transform_tangency_n2", M.J_out == J))
     return checks

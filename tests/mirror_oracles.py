@@ -1,20 +1,39 @@
 """The eager frame elimination, kept as a test oracle.
 
 ``eager_eliminate`` is ``mirror._eliminate`` as it was before the deferred
-slices: each correction beta * z^ze * q^d * frame[p] is subtracted at once
-from every slice it reaches (``subtract_scaled``), so a high slice is
-rebuilt once per correction that reaches it, each time as the old class
-times 1 plus the new products.  The deferred elimination must return the
+slices and the whole sweeps: a sweep visits the slots of ``violations`` in
+order, reads each one from the slice as the earlier corrections of the
+sweep left it, and subtracts each correction beta * z^ze * q^d * frame[p]
+at once from every slice it reaches (``subtract_scaled``), so a high slice
+is rebuilt once per correction that reaches it, each time as the old class
+times 1 plus the new products.  The engine's elimination must return the
 same normalized series, class by class with its flags, and the same
 corrections.
 """
 
 from qlefschetz.errors import EngineError
-from qlefschetz.mirror import _violations
 from qlefschetz.ring import CohElement, LambdaScalar
 from qlefschetz.series import ZSeries, _by_z, queue_scaled_row, summed
 
 MAX_SWEEPS = 400
+
+
+def violations(row, d):
+    """The (z-exponent, P-exponent) slots with z >= 0 to eliminate from row d, keyed by weight.
+
+    They come in the order the eager sweep visits them: z-exponents from the
+    top down, P-exponents from the bottom up, the leading 1 of slice 0 left out.
+    """
+    zrow = _by_z(row)
+    out = []
+    for ze in sorted((ze for ze in zrow if ze >= 0), reverse=True):
+        for p, c in enumerate(zrow[ze].components):
+            if d == 0 and ze == 0 and p == 0:
+                if not (c - LambdaScalar.one(c.desc)).is_zero():
+                    out.append((ze, p))
+            elif not c.is_zero():
+                out.append((ze, p))
+    return out
 
 
 def subtract_scaled(work, frame_el, d_shift, z_shift, beta, max_degree):
@@ -40,7 +59,7 @@ def eager_eliminate(f, frame):
     corrections = [{} for _ in range(desc.n)]
     for d in range(D + 1):
         for _sweep in range(MAX_SWEEPS):
-            viols = _violations(work.get(d, {}), d)
+            viols = violations(work.get(d, {}), d)
             if not viols:
                 break
             for ze, p in viols:

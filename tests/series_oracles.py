@@ -98,7 +98,7 @@ def compose_novikov_per_degree(f: ZSeries, inner: QSeries) -> ZSeries:
     power = QSeries.one(desc, D)
     for d in range(1, D + 1):
         power = power * inner
-        if power.is_zero():
+        if power.is_zero() and not power.truncated:
             break
         if d in f.slices:
             piece = ZSeries(desc, D, {0: f.slice(d)}, f.convention)
@@ -539,7 +539,7 @@ class ZKeyedSeries:
         power = QSeries.one(self.desc, self.max_degree)
         for d in range(1, self.max_degree + 1):
             power = power * inner
-            if power.is_zero():
+            if power.is_zero() and not power.truncated:
                 break
             if d in self.slices:
                 for m, c in power.coeffs.items():
@@ -676,7 +676,7 @@ def compose_novikov_per_product(f: ZSeries, inner: QSeries) -> ZSeries:
     power = QSeries.one(f.desc, f.max_degree)
     for d in range(1, f.max_degree + 1):
         power = power * inner
-        if power.is_zero():
+        if power.is_zero() and not power.truncated:
             break
         if d in f.slices:
             for m in range(f.max_degree + 1):

@@ -1,15 +1,18 @@
-"""The deferred elimination gives what the eager one gave, and a stalled one ends cleanly.
+"""The sweeping elimination gives what the eager one gave, and a stalled one ends cleanly.
 
-``mirror._eliminate`` queues a correction's products with the higher frame
-slices and sums each slice once, when the loop reaches it.
-``mirror_oracles.eager_eliminate`` subtracts every correction from every
-slice at once.  The two must return the same normalized series, class by
-class with its flags, and the same corrections, with their flags, on the
-benchmark's equivariant chain at smoke size and the equivariant ``mirror``
-shapes of its config mix, on every equivariant ``mirror`` config in
-``configs/``, on the flagged cone transforms of ``test_chart_flags.py``, and
-on a hypothesis grid.  An elimination that does not stabilize raises
-``EngineError``, which ``compute`` reports with exit code 3.
+``mirror._eliminate`` works in whole sweeps: a sweep sums slice d once,
+reads it by z once, and queues a correction for every nonzero slot with
+z >= 0, its part in slice d included; a higher slice is summed once, when
+the loop reaches it.  ``mirror_oracles.eager_eliminate`` visits the slots one
+at a time, each read from the slice as the earlier corrections left it, and
+subtracts every correction from every slice at once.  The two must return
+the same normalized series, class by class with its flags, and the same
+corrections, with their flags, on the benchmark's equivariant chain at smoke
+size and the equivariant ``mirror`` shapes of its config mix, on every
+equivariant ``mirror`` config in ``configs/``, on the flagged cone transforms
+of ``test_chart_flags.py``, and on a hypothesis grid.  A sweep reads its
+slice by z once and makes no one-key read.  An elimination that does not
+stabilize raises ``EngineError``, which ``compute`` reports with exit code 3.
 """
 
 import json
@@ -124,6 +127,20 @@ def test_the_flagged_cone_transforms(n, l):
 def test_the_eager_route_on_a_grid(n, degrees, D, floor, cone):
     f = twisted(n, degrees, D, floor + cone)  # the cone transform needs a floor >= 1
     corrected(cone_transform(f, BundleSpec(tuple(degrees))) if cone else f)
+
+
+def test_a_sweep_reads_its_slice_by_z_once(monkeypatch):
+    # Slice 0 of a birkhoff input is 1, so each correction clears its own slot
+    # and a degree with corrections needs one sweep more to see it clean.
+    reads = []
+    by_z = mirror._by_z
+    monkeypatch.setattr(mirror, "_by_z", lambda row, **kw: reads.append(kw) or by_z(row, **kw))
+    I = twisted(5, (5,), 3, 2)
+    _, corrections = mirror._eliminate(I, frame_series(I, I.desc.n))
+    degrees = {d for by_p in corrections for cell in by_p.values() for d in cell}
+    assert degrees == {1, 2, 3}
+    assert len(reads) == I.max_degree + 1 + len(degrees) == 7
+    assert not any(reads)  # every read is a whole row: no one-key read
 
 
 def test_a_stalled_elimination_raises_and_compute_exits_3(monkeypatch, tmp_path, capsys):

@@ -238,3 +238,24 @@ def test_qseries_keeps_the_flag_of_a_zero_coefficient(desc):
         head, linear = prod.coefficient(0), prod.coefficient(1)
         assert head.is_zero() and head.truncated
         assert linear == inv_lam and not linear.truncated
+
+
+def test_a_substitution_past_a_flagged_zero_power_keeps_its_slices():
+    # f = sum_d (lam q / z)^d under q = q'/lam: every slice reads (q'/z)^d exactly,
+    # but at floor 1 the power (q'/lam)^2 is a flagged zero, not an end of the sum.
+    def composed(floor):
+        desc = RingDescriptor(n=2, lambda_floor=floor)
+        lam = lambda k: CohElement.from_scalar(LambdaScalar.lam_power(desc, k))
+        f = ZSeries(desc, 3, {d: {-d: lam(d)} for d in range(4)})
+        return f.compose_novikov(QSeries(desc, 3, {1: LambdaScalar.lam_power(desc, -1)}))
+
+    exact = composed(6)
+    assert not exact.truncated
+    assert {d: exact.slice(d) for d in range(4)} == {
+        d: {-d: CohElement.one(exact.desc)} for d in range(4)
+    }
+    lossy = composed(1)
+    assert lossy.truncated
+    assert lossy.slice(1) == {-1: CohElement.one(lossy.desc)}
+    for d in (2, 3):
+        assert lossy.slice(d) and all(el.truncated for el in lossy.slice(d).values())

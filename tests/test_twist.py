@@ -64,6 +64,42 @@ def test_b_series_string_constant_removed():
     assert exponent.one_over_z_part.component(2) == LambdaScalar.lam_power(desc, -1, 2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_b_series_slots_are_the_closed_forms(n, l):
+    # With the floor n + 8 no term of the slots (m <= 4) falls below it.
+    desc = RingDescriptor(n=n, lambda_floor=n + 8)
+    exponent = b_series(l, desc, z_cap=7)
+    one, rho = CohElement.one(desc), CohElement.p_power(desc, 1, l)
+    lam = CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
+    inv_lam = CohElement.from_scalar(LambdaScalar.lam_power(desc, -1))
+    results = []
+    # z^0 slot: (1/2) log(1 + l P / lam), a nilpotent class
+    twice = exponent.z_zero_part.scale(2)
+    power, exp_twice = one, one
+    for k in range(1, n):
+        power = (power * twice).scale(F(1, k))
+        exp_twice = exp_twice + power
+    results.append(exp_twice)
+    assert exp_twice == one + rho * inv_lam
+    # 1/z slot: (lam + l P) log(lam + l P) - l P - lam log(lam), with log(lam + l P)
+    # = log(lam) + 2 * (z^0 slot)
+    log_part = rho.scale_scalar(LambdaScalar.log_lambda(desc))
+    rest = exponent.one_over_z_part - log_part
+    results.append(rest)
+    assert rest == (lam + rho) * twice - rho
+    # z^(2m-1) slot: B_2m / (2m (2m-1)) (lam + l P)^(1-2m)
+    assert sorted(exponent.positive_z_part) == [1, 3, 5, 7]
+    root_power = one
+    for m in range(1, 5):
+        root_power = root_power * (lam + rho)
+        product = exponent.positive_z_part[2 * m - 1] * root_power
+        root_power = root_power * (lam + rho)
+        results.append(product)
+        assert product == one.scale(bernoulli(2 * m) / (2 * m * (2 * m - 1)))
+    assert not any(el.truncated for el in results)
+
+
 def test_b_series_floor_guard():
     desc = RingDescriptor(n=3, lambda_floor=0)
     with pytest.raises(InsufficientFloorError):
@@ -236,7 +272,7 @@ def test_cone_transform_tangency_consistency_n2():
     desc = RingDescriptor(n=2, lambda_floor=8, log_cap=10)
     J = j_reduced(2, D, desc=desc)
     E = BundleSpec((1,))
-    f = cone_transform(i_function(J, E), E, sign=1)
+    f = cone_transform(i_function(J, E), E)
     M = tangency_solve(f, bundle=E)
     assert M.small_projection
     assert M.J_out == J
@@ -252,7 +288,7 @@ def test_cone_transform_tangency_classical_limit_quintic():
     desc = RingDescriptor(n=5, lambda_floor=2, log_cap=8)
     J = j_reduced(5, 1, desc=desc)
     E = BundleSpec((5,))
-    f = cone_transform(i_function(J, E), E, sign=1)
+    f = cone_transform(i_function(J, E), E)
     M = tangency_solve(f, bundle=E)
     assert not M.small_projection
     assert sorted(M.tau_higher) == [2, 3]

@@ -2,17 +2,22 @@
 
 Each run is one fresh ``python3`` process with a checkout's ``src/`` first on
 its path; it runs the library pipeline ``j_reduced`` -> ``i_function`` ->
-factorization ``REPEATS`` times and reports the best wall time, so no size or
-checkout sees another's caches.  Every size is run in ``ROUNDS`` rounds of
-one run per checkout, and the checkout that runs first moves by one place
-each round, so slow drift of a shared host hits every checkout alike.  The
-pipelines are the non-equivariant quintic through ``small_mirror`` and the
-equivariant quintic (``lambda_floor`` 2) through ``birkhoff``, the two
-factorizations of the benchmark harness, at sizes the harness does not run,
-and ``s_matrix`` of P^9 (the ``compute`` config (10, [1], D) of that task),
-``j_reduced`` -> ``s_matrix``.  From D = 5 on, each quintic run's first five
-instanton numbers are checked against the literature (Candelas, de la Ossa,
-Green and Parkes), and each S-matrix must pass its unitarity check; a run that
+factorization at least ``REPEATS`` times, and on until the runs add up to
+``MIN_MEASURED_S``, and reports the best wall time and the number of runs,
+so no size or checkout sees another's caches and a row of a few milliseconds
+is the best of a hundred runs or more.  Every size is run in ``ROUNDS``
+rounds of one run per checkout, and the checkout that runs first moves by
+one place each round, so slow drift of a shared host hits every checkout
+alike.  The pipelines are the non-equivariant quintic through
+``small_mirror`` and the equivariant quintic (``lambda_floor`` 2) through
+``birkhoff``, the two factorizations of the benchmark harness, at sizes the
+harness does not run; the equivariant O(3) + O(2) on P^3 (``lambda_floor``
+2) through ``birkhoff``, whose degrees each need several frame corrections
+(sum l_i > n), where the quintic's need one; and ``s_matrix`` of P^9 (the
+``compute`` config (10, [1], D) of that task), ``j_reduced`` ->
+``s_matrix``.  From D = 5 on, each quintic run's first five instanton
+numbers are checked against the literature (Candelas, de la Ossa, Green and
+Parkes), and each S-matrix must pass its unitarity check; a run that
 disagrees, fails or outlives ``TIMEOUT_S`` makes the checkout's row ``ok``
 false.
 
@@ -22,8 +27,9 @@ Each checkout is given as LABEL=DIR; sizes run smallest first.  The JSON
 records the host, each checkout's line count of ``src/`` (and its commit,
 when it is a git checkout), and one row per (pipeline, D) with every
 checkout's median and quartiles over the rounds of its best times, in
-seconds, the times themselves in round order, and the number of rounds in
-which it read lower than the first checkout.
+seconds, the times themselves and the run counts behind them in round
+order, and the number of rounds in which it read lower than the first
+checkout.
 """
 
 from __future__ import annotations
@@ -38,33 +44,40 @@ import sys
 
 ROUNDS = 7
 REPEATS = 3
+MIN_MEASURED_S = 0.5
 TIMEOUT_S = 1800
 SIZES = {
     "quintic_small_mirror": (12, 20, 30, 60, 100),
     "equivariant_birkhoff": (5, 7, 9, 15, 20),
+    "p3_o3_o2_birkhoff": (3, 5, 7, 9),
     "s_matrix": (10, 20, 30),
 }
 QUINTIC_COUNTS = [2875, 609250, 317206375, 242467530000, 229305888887625]
 
-# Runs inside the checkout's interpreter; argv: pipeline, D, repeats.
+# Runs inside the checkout's interpreter; argv: pipeline, D, repeats, minimum measured seconds.
 CHILD = """
 import json, sys, time
 from qlefschetz import gw, mirror, ring, twist
-pipeline, D, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-if pipeline == "quintic_small_mirror":
-    desc, bundle, factor = None, ring.BundleSpec((5,), equivariant=False), mirror.small_mirror
-else:
-    desc, bundle, factor = ring.RingDescriptor(n=5, lambda_floor=2), ring.BundleSpec((5,)), mirror.birkhoff
-best, unitary = float("inf"), None
-for _ in range(repeats):
+pipeline, D, repeats, min_s = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+n, floor, degrees, factor = {
+    "quintic_small_mirror": (5, None, (5,), mirror.small_mirror),
+    "equivariant_birkhoff": (5, 2, (5,), mirror.birkhoff),
+    "p3_o3_o2_birkhoff": (4, 2, (3, 2), mirror.birkhoff),
+    "s_matrix": (10, None, (1,), None),
+}[pipeline]
+desc = None if floor is None else ring.RingDescriptor(n=n, lambda_floor=floor)
+bundle = ring.BundleSpec(degrees, equivariant=desc is not None)
+best, measured, runs, unitary = float("inf"), 0.0, 0, None
+while runs < repeats or measured < min_s:
     start = time.perf_counter()
-    if pipeline == "s_matrix":
-        _, unitary, _ = gw.s_matrix(gw.j_reduced(10, D), 10, D)
+    if factor is None:
+        _, unitary, _ = gw.s_matrix(gw.j_reduced(n, D), n, D)
     else:
-        M = factor(twist.i_function(gw.j_reduced(5, D, desc=desc), bundle), bundle=bundle)
-    best = min(best, time.perf_counter() - start)
+        M = factor(twist.i_function(gw.j_reduced(n, D, desc=desc), bundle), bundle=bundle)
+    elapsed = time.perf_counter() - start
+    best, measured, runs = min(best, elapsed), measured + elapsed, runs + 1
 counts = mirror.extract_instantons(M, 5) if pipeline == "quintic_small_mirror" and D >= 5 else None
-print(json.dumps({"best_s": best, "counts": counts, "unitary": unitary}))
+print(json.dumps({"best_s": best, "runs": runs, "counts": counts, "unitary": unitary}))
 """
 
 
@@ -94,11 +107,11 @@ def src_lines(checkout: str) -> int:
 
 
 def time_size(checkout: str, pipeline: str, D: int) -> dict:
-    """One fresh process: the best of REPEATS pipeline runs, and whether its counts hold."""
+    """One fresh process: the best of its pipeline runs, their count, and whether its counts hold."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, pipeline, str(D), str(REPEATS)],
+            [sys.executable, "-c", CHILD, pipeline, str(D), str(REPEATS), str(MIN_MEASURED_S)],
             cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=False,
         )
     except subprocess.TimeoutExpired:
@@ -121,6 +134,7 @@ def summary(runs: list[dict]) -> dict:
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         out.update(median_s=median, q1_s=q1, q3_s=q3)
     out["runs_s"] = times
+    out["repeats"] = [run.get("runs") for run in runs]
     errors = [run["error"] for run in runs if "error" in run]
     if errors:
         out["error"] = errors[0]
@@ -166,6 +180,7 @@ def main() -> None:
         "tool": "tools/size_sweep.py",
         "rounds": ROUNDS,
         "repeats": REPEATS,
+        "min_measured_s": MIN_MEASURED_S,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "checkouts": {

@@ -48,7 +48,6 @@ from .series import (
     symplectic_form,
 )
 from .twist import (
-    BSeriesExponent,
     b_series,
     bernoulli,
     cone_transform,
@@ -61,7 +60,6 @@ from .twist import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSeriesExponent",
     "BundleSpec",
     "CohElement",
     "ConventionError",

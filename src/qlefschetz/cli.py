@@ -5,8 +5,9 @@ Two subcommands:
     compute --config cfg.json [--output out.json] [--degree D] [--lambda-floor L]
     verify  [--suite NAME] [--output out.json]
 
-Exit codes: 0 success; 1 failing verification check; 2 invalid configuration;
-3 mathematical error raised by an engine module.
+Exit codes: 0 success; 1 failing verification check; 2 invalid configuration,
+or an output that cannot be written; 3 mathematical error raised by an engine
+module.
 """
 
 from __future__ import annotations
@@ -250,15 +251,21 @@ def _canonical(value, indent: str, out: list) -> None:
         raise TypeError(f"{type(value).__name__} is not written by the canonical writer")
 
 
-def _emit(payload: dict, output: str | None) -> None:
+def _emit(payload: dict, output: str | None, code: int) -> int:
+    """Write the payload and return code; if it cannot be written, one line on stderr and 2."""
     out: list = []
     _canonical(payload, "", out)
     text = "".join(out) + "\n"
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        if output is None or output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"qlefschetz: cannot write the output: {exc}\n")
+        return 2
+    return code
 
 
 @cache
@@ -289,40 +296,35 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(kind: str, exc: Exception) -> dict:
+    return {"error": {"type": kind, "message": str(exc)}}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
-    if args.command == "compute":
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _emit({"error": {"type": "ConfigError", "message": str(exc)}}, args.output)
-            return 2
-        try:
-            _require(isinstance(raw, dict), "config must be a JSON object")
-            if args.degree is not None:
-                raw["max_degree"] = args.degree
-            if args.lambda_floor is not None:
-                raw["lambda_floor"] = args.lambda_floor
-            config = load_config(raw)
-        except ConfigError as exc:
-            _emit({"error": {"type": "ConfigError", "message": str(exc)}}, args.output)
-            return 2
-        try:
-            bundle = run_compute(config)
-        except EngineError as exc:
-            _emit(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                args.output,
-            )
-            return 3
-        _emit(bundle, args.output)
-        return 0
+    if args.command == "verify":
+        report = run_verify(args.suite)
+        return _emit(report, args.output, 0 if report["passed"] else 1)
 
-    report = run_verify(args.suite)
-    _emit(report, args.output)
-    return 0 if report["passed"] else 1
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        _require(isinstance(raw, dict), "config must be a JSON object")
+        if args.degree is not None:
+            raw["max_degree"] = args.degree
+        if args.lambda_floor is not None:
+            raw["lambda_floor"] = args.lambda_floor
+        config = load_config(raw)
+    except (OSError, ValueError, RecursionError, ConfigError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and integers
+        # too long to convert; RecursionError covers too deep a nesting.
+        return _emit(_error("ConfigError", exc), args.output, 2)
+    try:
+        bundle = run_compute(config)
+    except EngineError as exc:
+        return _emit(_error(type(exc).__name__, exc), args.output, 3)
+    return _emit(bundle, args.output, 0)
 
 
 if __name__ == "__main__":

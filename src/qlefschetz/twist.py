@@ -11,22 +11,27 @@ degree as the integer coefficients of prod_k (t + k) in the root t, expanded
 into one class by the binomial theorem, and the Serre identity checks the
 carried product against a product of linear factors built class by class.
 
-Conventions for the multiplier exponent attached to a Chern root rho = l*P:
+Conventions for the multiplier exponent of E.  Give z, P and lam weight 1;
+the exponent of Theorem 1, sum_{m,l} B_{2m}/(2m)! ch_l(E) z^(2m-1), then has
+weight 0 in every z-slot, so it is one class of weight 0 whose term
+P^j lam^a log(lam)^b is the coefficient of z^(-j-a).  It reads E only through
+ch(E), that is through the power sums p_j = sum_i l_i^j = j! ch_j(E) / P^j of
+the roots rho_i = l_i P; for one root its slots are
 
     1/z slot:    rho*log(lam) + sum_{k>=1} (-1)^(k-1) rho^(k+1) / (k (k+1) lam^k)
     z^0 slot:    (1/2) log(1 + rho/lam) expanded in 1/lam
     z^(2m-1):    B_{2m} / (2m (2m-1)) * (lam + rho)^(1-2m)
 
-The 1/z slot is the antiderivative of log(lam + x) with its x-independent
-part removed (the removed constant generates the string flow, which fixes
-the cone).  The z^0 slot is the lam^(1/2)-free remainder of the square-root
-normalization; carrying it keeps the whole multiplier inside the Laurent
-ring while still mapping the untwisted cone onto the twisted one.
+and over E each rho^j becomes p_j P^j.  The 1/z slot is the antiderivative of
+log(lam + x) with its x-independent part removed (the removed constant
+generates the string flow, which fixes the cone).  The z^0 slot is the
+lam^(1/2)-free remainder of the square-root normalization; carrying it keeps
+the whole multiplier inside the Laurent ring while still mapping the
+untwisted cone onto the twisted one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -59,84 +64,41 @@ def todd_series(order: int) -> list[Fraction]:
     return [bernoulli(r) / factorial(r) for r in range(order + 1)]
 
 
-@dataclass
-class BSeriesExponent:
-    """Exponent of the cone-transform multiplier for a single Chern root l*P."""
+def b_series(bundle: BundleSpec, desc: RingDescriptor, z_cap: int) -> CohElement:
+    """Exponent of the cone-transform multiplier of the bundle, as one class of weight 0.
 
-    desc: RingDescriptor
-    degree: int
-    one_over_z_part: CohElement
-    z_zero_part: CohElement
-    positive_z_part: dict[int, CohElement]
-
-    def z_slots(self) -> dict[int, CohElement]:
-        """All nonzero z-slots of the exponent, as z-exponent -> CohElement."""
-        out: dict[int, CohElement] = {}
-        if not self.one_over_z_part.is_zero():
-            out[-1] = self.one_over_z_part
-        if not self.z_zero_part.is_zero():
-            out[0] = self.z_zero_part
-        out.update(self.positive_z_part)
-        return out
-
-
-def _lam_inverse_power_expansion(
-    desc: RingDescriptor, l: int, exponent: int
-) -> CohElement:
-    """(lam + l*P)^exponent for negative exponent, expanded modulo P^n.
-
-    Terms below the Laurent floor are dropped (and flagged on the scalars).
+    Its term P^j lam^a log(lam)^b is the coefficient of z^(-j-a).  Slot P^j
+    reads E through p_j = j! ch_j(E) / P^j: it holds the P^j terms of the 1/z
+    and z^0 slots and, for every 2m-1 <= z_cap, the term
+    B_{2m}/(2m (2m-1)) C(1-2m, j) p_j lam^(1-2m-j).  Each P-slot is built as
+    one scalar, so a term below the floor or past the log cap flags its slot,
+    also when a whole z-slot falls below the floor.
     """
-    comps = [LambdaScalar.zero(desc) for _ in range(desc.n)]
-    for j in range(desc.n):
-        binom = Fraction(1)
-        for i in range(j):
-            binom *= Fraction(exponent - i, i + 1)
-        comps[j] = LambdaScalar(
-            desc, {(exponent - j, 0): binom * Fraction(l) ** j}
-        )
-    return CohElement(desc, comps)
-
-
-def b_series(l: int, desc: RingDescriptor, z_cap: int) -> BSeriesExponent:
-    """Multiplier exponent for the line bundle O(l) on P^(n-1).
-
-    z_cap bounds the stored positive z-powers; the default downstream choice
-    is 2*D + 1, beyond which no term can influence Novikov degrees <= D.
-    """
-    if l < 1:
-        raise ValueError("line bundle degree must be >= 1")
+    if not bundle.equivariant:
+        raise EngineError("the cone transform requires the equivariant parameter")
     if z_cap < 1:
         raise ValueError("z_cap must be >= 1")
     if desc.lambda_floor < 1:
         raise InsufficientFloorError(
             "the multiplier exponent needs lambda_floor >= 1"
         )
-    n = desc.n
-
-    one_over_z = CohElement.p_power(desc, 1, l).scale_scalar(
-        LambdaScalar.log_lambda(desc)
-    )
-    for k in range(1, n - 1):
-        coeff = Fraction((-1) ** (k - 1), k * (k + 1)) * Fraction(l) ** (k + 1)
-        term = CohElement.p_power(desc, k + 1, coeff)
-        one_over_z = one_over_z + term.scale_scalar(LambdaScalar.lam_power(desc, -k))
-
-    z_zero = CohElement.zero(desc)
-    for k in range(1, n):
-        coeff = Fraction((-1) ** (k - 1), 2 * k) * Fraction(l) ** k
-        term = CohElement.p_power(desc, k, coeff)
-        z_zero = z_zero + term.scale_scalar(LambdaScalar.lam_power(desc, -k))
-
-    positive: dict[int, CohElement] = {}
-    m = 1
-    while 2 * m - 1 <= z_cap:
-        coeff = bernoulli(2 * m) / Fraction(2 * m * (2 * m - 1))
-        el = _lam_inverse_power_expansion(desc, l, 1 - 2 * m).scale(coeff)
-        if not el.is_zero():
-            positive[2 * m - 1] = el
-        m += 1
-    return BSeriesExponent(desc, l, one_over_z, z_zero, positive)
+    comps = []
+    for j in range(desc.n):
+        p = sum(l**j for l in bundle.degrees)
+        # z^(2m-1), with C(1-2m, j) = (-1)^j C(2m-2+j, j)
+        terms = {
+            (1 - 2 * m - j, 0): bernoulli(2 * m) / (2 * m * (2 * m - 1))
+            * (-1) ** j * comb(2 * m - 2 + j, j) * p
+            for m in range(1, (z_cap + 1) // 2 + 1)
+        }
+        if j > 0:  # z^0
+            terms[(-j, 0)] = Fraction((-1) ** (j - 1) * p, 2 * j)
+        if j == 1:  # 1/z
+            terms[(0, 1)] = p
+        elif j > 1:
+            terms[(1 - j, 0)] = Fraction((-1) ** j * p, (j - 1) * j)
+        comps.append(LambdaScalar(desc, terms))
+    return CohElement(desc, comps)
 
 
 def stirling_oracle(m_max: int) -> list[Fraction]:
@@ -199,11 +161,10 @@ def stirling_check(z_cap: int) -> tuple[bool, int | None]:
     m_max = (z_cap + 1) // 2
     oracle = stirling_oracle(m_max)
     desc = RingDescriptor(n=2, lambda_floor=2 * m_max + 2)
-    exponent = b_series(1, desc, z_cap)
+    scalar = b_series(BundleSpec((1,)), desc, z_cap).component(0)
     for m in range(1, m_max + 1):
-        slot = exponent.positive_z_part.get(2 * m - 1, CohElement.zero(desc))
-        got = slot.component(0).coefficient(1 - 2 * m)
-        if got != oracle[m - 1]:
+        # only the z^(2m-1) slot has a P^0 lam^(1-2m) term
+        if scalar.coefficient(1 - 2 * m) != oracle[m - 1]:
             return False, 2 * m
     return True, None
 
@@ -312,25 +273,17 @@ def serre_dual_i(J: ZSeries, bundle: BundleSpec):
 
 
 def cone_transform(f: ZSeries, bundle: BundleSpec, invert: bool = False) -> ZSeries:
-    """Multiply by the exponentiated asymptotic-expansion multiplier of the bundle.
+    """Multiply by exp of the bundle's multiplier exponent, ``b_series``.
 
-    The exponent is the sum of the roots' b_series, whose positive z-powers
-    stop at 2D + 1, beyond which no term can reach Novikov degrees <= D.
-    invert negates the whole exponent, so transforming and inverse-transforming
+    The exponent is one class of weight 0 read off ch(E); its positive
+    z-powers stop at 2D + 1, beyond which no term can reach Novikov degrees
+    <= D.  invert negates the exponent, so transforming and inverse-transforming
     is exactly the identity at any truncation.  The empty bundle gives the
     identity map.
     """
     if not bundle.degrees:
         return f
-    if not bundle.equivariant:
-        raise EngineError("the cone transform requires the equivariant parameter")
-    desc = f.desc
-    slots: dict[int, CohElement] = {}
-    for l in bundle.degrees:
-        for ze, el in b_series(l, desc, 2 * f.max_degree + 1).z_slots().items():
-            old = slots.get(ze)
-            slots[ze] = el if old is None else old + el
+    exponent = b_series(bundle, f.desc, 2 * f.max_degree + 1)
     if invert:
-        slots = {ze: -el for ze, el in slots.items()}
-    exponent = ZSeries(desc, f.max_degree, {0: slots}, f.convention)
-    return f * exponent.exp()
+        exponent = -exponent
+    return f * ZSeries._of(f.desc, f.max_degree, {0: {0: exponent}}, f.convention).exp()

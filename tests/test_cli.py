@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlefschetz import cli
 from qlefschetz.cli import (
@@ -316,3 +317,69 @@ def test_equivariant_cost_bound_is_inclusive():
     # the bound is on equivariant bundle work only
     assert load_config(dict(over, mode="nonequivariant"))["max_degree"] == 5
     assert load_config(dict(over, tasks=["qde_check"]))["max_degree"] == 5
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (b"\xff\xfe{}", "utf-8"),
+        (b"[" * 200_000 + b"]" * 200_000, "recursion"),
+        (b'{"ambient_dim": ' + b"1" * 5000 + b"}", "digits"),
+    ],
+    ids=["not-utf8", "nested-200000-deep", "5000-digit-integer"],
+)
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, text, message):
+    cfg, out = tmp_path / "config.json", tmp_path / "out.json"
+    cfg.write_bytes(text)
+    assert main(["compute", "--config", str(cfg), "--output", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert message in error["message"].lower()
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_an_output_in_a_missing_directory_exits_2_with_one_line(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.json"
+    if command == "compute":
+        argv = ["compute", "--config", write_config(tmp_path, QUINTIC_CONFIG), "--degree", "1"]
+    else:
+        argv = ["verify", "--suite", "ring"]
+    assert main(argv + ["--output", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("qlefschetz: cannot write the output: ")
+    assert stderr.count("\n") == 1 and str(out) in stderr
+    assert not out.parent.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(
+    key=st.sampled_from(
+        ["ambient_dim", "degrees", "max_degree", "lambda_floor", "mode", "tasks", "unknown"]
+    ),
+    value=JSON_VALUES,
+)
+def test_any_json_value_of_a_config_key_loads_or_is_a_config_error(key, value):
+    try:
+        load_config(dict(QUINTIC_CONFIG, **{key: value}))
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=200)
+@given(text=st.binary(max_size=64))
+def test_any_bytes_as_a_config_exit_2_with_an_error_payload(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("bytes")
+    cfg, out = tmp / "config.json", tmp / "out.json"
+    cfg.write_bytes(text)
+    assert main(["compute", "--config", str(cfg), "--output", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["type"] == "ConfigError"

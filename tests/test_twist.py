@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,8 @@ from qlefschetz import (
     tangency_solve,
     todd_series,
 )
+from qlefschetz.errors import EngineError
+from qlefschetz.series import _by_z
 from qlefschetz.twist import stirling_oracle
 
 
@@ -44,24 +48,24 @@ def test_todd_series():
 
 def test_b_series_positive_slots():
     desc = RingDescriptor(n=5, lambda_floor=6)
-    exponent = b_series(5, desc, z_cap=3)
-    z1 = exponent.positive_z_part[1]
+    slots = _by_z({0: b_series(BundleSpec((5,)), desc, z_cap=3)})
+    z1 = slots[1]
     # coefficient of z^1 is (1/12) (lam + 5P)^(-1); top Laurent term 1/12 lam^(-1)
     assert z1.component(0).coefficient(-1) == F(1, 12)
     assert z1.component(1).coefficient(-2) == F(-5, 12)
-    z3 = exponent.positive_z_part[3]
+    z3 = slots[3]
     assert z3.component(0).coefficient(-3) == F(-1, 360)
 
 
 def test_b_series_string_constant_removed():
     desc = RingDescriptor(n=4, lambda_floor=4)
-    exponent = b_series(2, desc, z_cap=1)
+    one_over_z = _by_z({0: b_series(BundleSpec((2,)), desc, z_cap=1)})[-1]
     # the 1/z slot has no scalar (P^0) component: the constant was dropped
-    assert exponent.one_over_z_part.component(0).is_zero()
+    assert one_over_z.component(0).is_zero()
     # P^1 slot carries the formal log(lam)
-    assert exponent.one_over_z_part.component(1) == LambdaScalar.log_lambda(desc, 2)
+    assert one_over_z.component(1) == LambdaScalar.log_lambda(desc, 2)
     # P^2 slot: 2^2/(1*2) / lam = 2/lam
-    assert exponent.one_over_z_part.component(2) == LambdaScalar.lam_power(desc, -1, 2)
+    assert one_over_z.component(2) == LambdaScalar.lam_power(desc, -1, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -69,13 +73,13 @@ def test_b_series_string_constant_removed():
 def test_b_series_slots_are_the_closed_forms(n, l):
     # With the floor n + 8 no term of the slots (m <= 4) falls below it.
     desc = RingDescriptor(n=n, lambda_floor=n + 8)
-    exponent = b_series(l, desc, z_cap=7)
+    slots = _by_z({0: b_series(BundleSpec((l,)), desc, z_cap=7)})
     one, rho = CohElement.one(desc), CohElement.p_power(desc, 1, l)
     lam = CohElement.from_scalar(LambdaScalar.lam_power(desc, 1))
     inv_lam = CohElement.from_scalar(LambdaScalar.lam_power(desc, -1))
     results = []
     # z^0 slot: (1/2) log(1 + l P / lam), a nilpotent class
-    twice = exponent.z_zero_part.scale(2)
+    twice = slots[0].scale(2)
     power, exp_twice = one, one
     for k in range(1, n):
         power = (power * twice).scale(F(1, k))
@@ -85,15 +89,15 @@ def test_b_series_slots_are_the_closed_forms(n, l):
     # 1/z slot: (lam + l P) log(lam + l P) - l P - lam log(lam), with log(lam + l P)
     # = log(lam) + 2 * (z^0 slot)
     log_part = rho.scale_scalar(LambdaScalar.log_lambda(desc))
-    rest = exponent.one_over_z_part - log_part
+    rest = slots[-1] - log_part
     results.append(rest)
     assert rest == (lam + rho) * twice - rho
     # z^(2m-1) slot: B_2m / (2m (2m-1)) (lam + l P)^(1-2m)
-    assert sorted(exponent.positive_z_part) == [1, 3, 5, 7]
+    assert sorted(ze for ze in slots if ze > 0) == [1, 3, 5, 7]
     root_power = one
     for m in range(1, 5):
         root_power = root_power * (lam + rho)
-        product = exponent.positive_z_part[2 * m - 1] * root_power
+        product = slots[2 * m - 1] * root_power
         root_power = root_power * (lam + rho)
         results.append(product)
         assert product == one.scale(bernoulli(2 * m) / (2 * m * (2 * m - 1)))
@@ -103,7 +107,31 @@ def test_b_series_slots_are_the_closed_forms(n, l):
 def test_b_series_floor_guard():
     desc = RingDescriptor(n=3, lambda_floor=0)
     with pytest.raises(InsufficientFloorError):
-        b_series(1, desc, z_cap=1)
+        b_series(BundleSpec((1,)), desc, z_cap=1)
+
+
+def test_b_series_requires_equivariant():
+    with pytest.raises(EngineError):
+        b_series(BundleSpec((1,), equivariant=False), RingDescriptor(n=3, lambda_floor=2), 1)
+
+
+def test_b_series_flags_a_z_slot_wholly_below_the_floor():
+    # The z^5 slot, lam^-5/1260 - lam^-6 P/252, lies wholly below the floor 4:
+    # each dropped term flags its P-slot.
+    exponent = b_series(BundleSpec((1,)), RingDescriptor(n=2, lambda_floor=4), 5)
+    assert exponent.component(0).truncated and exponent.component(1).truncated
+    assert sorted(_by_z({0: exponent})) == [-1, 0, 1, 3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("degrees", [(1,), (4,), (1, 3), (2, 2), (1, 2, 4), (3, 3, 3)])
+def test_b_series_is_additive_over_the_roots(n, degrees):
+    # The exponent reads E through ch(E), so it is the sum of its roots' exponents.
+    desc = RingDescriptor(n=n, lambda_floor=n + 8)
+    total = b_series(BundleSpec(degrees), desc, z_cap=7)
+    parts = [b_series(BundleSpec((l,)), desc, z_cap=7) for l in degrees]
+    assert total == sum(parts[1:], parts[0])
+    assert not total.truncated
 
 
 def test_stirling_oracle_values():
@@ -259,10 +287,34 @@ def test_cone_transform_empty_is_identity():
 
 def test_cone_transform_requires_equivariant():
     J = j_reduced(3, 1, lambda_floor=2)
-    from qlefschetz.errors import EngineError
-
     with pytest.raises(EngineError):
         cone_transform(J, BundleSpec((2,), equivariant=False))
+
+
+# sha256 of the canonical JSON of the transform and its inverse, each with its
+# flagged (d, z, p) slots, as computed before the exponent was one class.
+CONE_TRANSFORM_SHA256 = {
+    (3, (1, 2), 2, 4): "83c79f398868e4ffb82066539ea00d7bb94d79d4d1b9cd3fcadad37c2a25221a",
+    (2, (1,), 2, 8): "9c7628d842e48d9e28eba8f18cd6885c95b84ac2e1ec0ec9d22bd2a12573e2a6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONE_TRANSFORM_SHA256))
+def test_cone_transform_output_bytes_are_pinned(case):
+    n, degrees, D, floor = case
+    J, E = j_reduced(n, D, desc=RingDescriptor(n, floor)), BundleSpec(degrees)
+    out = []
+    for g in (cone_transform(J, E), cone_transform(J, E, invert=True)):
+        flagged = sorted(
+            (d, ze, p)
+            for d in g.slices
+            for ze, el in g.slice(d).items()
+            for p in range(n)
+            if el.component(p).truncated
+        )
+        out.append([g.to_json_dict(), flagged])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == CONE_TRANSFORM_SHA256[case]
 
 
 def test_cone_transform_tangency_consistency_n2():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -302,6 +303,12 @@ def _error(kind: str, exc: Exception) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # A missing output directory fails before the job.  The file is not opened
+    # (--config may name it); _emit reports any later write error.
+    folder = os.path.dirname(args.output or "") or "."
+    if args.output != "-" and not os.path.isdir(folder):
+        sys.stderr.write(f"qlefschetz: cannot write the output: {args.output}: no such directory\n")
+        return 2
 
     if args.command == "verify":
         report = run_verify(args.suite)

@@ -20,7 +20,7 @@ from math import comb
 from .errors import TransversalityError
 from .ring import CohElement, LambdaScalar, RingDescriptor
 from .series import QSeries, REDUCED, ZSeries, _at_minus_z, _by_z, directional_derivative
-from .series import queue_row_product, summed
+from .series import queue_row_product, summed, z_json
 
 
 def j_reduced(
@@ -137,9 +137,9 @@ class SMatrix:
         return [[c.as_rational() for c in row] for row in self._block()]
 
     def to_json_dict(self) -> dict:
-        span = range(self.size)
-        views = [[self.entry(b, a).items() for a in span] for b in span]
-        data = [[{str(ze): s.to_json_dict() for ze, s in view} for view in row] for row in views]
+        """Each entry read by z and rendered from the numerators of its cell (``series.z_json``)."""
+        n, span = self.desc.n, range(self.size)
+        data = [[z_json(self.cells[b][a], n, a - b) for a in span] for b in span]
         return {"size": self.size, "max_degree": self.max_degree, "entries": data}
 
 

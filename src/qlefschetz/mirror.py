@@ -4,21 +4,23 @@ Two independent routes bring a reduced hypergeometric series I to the form
 1 + O(1/z).  The general one (birkhoff, tangency_solve) eliminates every
 non-negative z-power of its slices (beyond the leading identity) by adding
 z-polynomial multiples of the derivative frame {(z D_P)^a I}, order by order
-in the Novikov variable.  The corrections are unique because at each degree
+in the Novikov variable; each frame element is built the first time a
+correction reads it.  The corrections are unique because at each degree
 they act through the q^0 block of the frame, which is unit-triangular in the
-monomial basis.  A sweep over a slice reads it by z once and queues a
-correction for every slot it finds, the part in the slice itself included;
-the next sweep starts by summing the slice once, and a higher slice is summed
-when its degree is reached.  The direct one (small_mirror) divides by the
-scalar series F when I has no positive z-powers.  Each route checks the other.
+monomial basis.  A sweep over a slice reads its z >= 0 part by z once and
+queues a correction for every slot it finds, the part in the slice itself
+included; the next sweep starts by summing the slice once, and a higher
+slice is summed when its degree is reached.  The direct one (small_mirror)
+divides by the scalar series F when I has no positive z-powers.  Each route
+checks the other.
 
 Every entry point ends in one tail, _assemble (through _extract_chart), the
 one place a MirrorResult is built.  The z^(-1) slots of the normalized
 series are the components of the projection to the parameter space (string
 direction at P^0, divisor direction at P^1); ``ZSeries.z_row`` reads them
-off in one pass over the slices, and one product with exp(-(tau0 + tau P)/z)
-peels them off.  That prefactor is expanded in closed form from the powers
-of the q-series tau0 and tau, not as the exponential of a z-series.  Each
+off in one pass over the slices, and a product with exp(-tau P/z) and then
+one with exp(-tau0/z) peel them off.  Each factor is expanded in closed form
+from the powers of its q-series, not as the exponential of a z-series.  Each
 row is read once: small_mirror hands its F to the tail and takes its
 small-projection check from the tail's tau_higher.  The inverse change of
 Novikov variable q' = q exp(tau - t), computed by Lagrange inversion from the
@@ -32,10 +34,9 @@ from fractions import Fraction
 from math import prod
 
 from .errors import EngineError, ExtractionError, TransversalityError, UnitError
-from .gw import frame_series
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
 from .series import QSeries, REDUCED, ZSeries, _by_z, lagrange_sum, log_lambda_multiple
-from .series import queue_scaled_row, summed
+from .series import directional_derivative, queue_scaled_row, summed
 
 _MAX_SWEEPS = 400
 
@@ -105,23 +106,24 @@ def _settle(row: dict[int, CohElement], queued: dict[int, list], one: LambdaScal
     row.update(summed(queued))
 
 
-def _eliminate(
-    f: ZSeries, frame: list[ZSeries]
-) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScalar]]]]:
+def _eliminate(f: ZSeries) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScalar]]]]:
     """Kill all non-negative z-powers of f (except the leading 1) frame-triangularly.
 
-    The lead of frame[p], its z^0 q^0 P^p scalar, is that of f at P^0 (at
-    degree 0, z D_P multiplies by P), whose lam^0 coefficient both callers
-    require to be 1.  The leading 1 is queued out of slice 0 before the loop
-    and back in after it, so every slot with z >= 0 is a violation.  A sweep
-    is one Jacobi step: it sums slice d once, reads it by z once, and for each
-    nonzero slot beta z^ze P^p queues the correction -beta z^ze q^d frame[p],
-    its products with frame[p]'s slice dd at d + dd (dd = 0 included, which
-    the next sweep reads).  A sweep that queues nothing at d ends the degree.
-    The corrections come back keyed [p][z-exponent][d].
+    The frame is frame[p] = (z D_P)^p f, and each element is built the first
+    time a correction at P^p reads it, so a series corrected only at P^0
+    builds none.  The lead of frame[p], its z^0 q^0 P^p scalar, is that of f
+    at P^0 (at degree 0, z D_P multiplies by P), whose lam^0 coefficient both
+    callers require to be 1.  The leading 1 is queued out of slice 0 before
+    the loop and back in after it, so every slot with z >= 0 is a violation.
+    A sweep is one Jacobi step: it sums slice d once, reads its z >= 0 part
+    by z once, and for each nonzero slot beta z^ze P^p queues the correction
+    -beta z^ze q^d frame[p], its products with frame[p]'s slice dd at d + dd
+    (dd = 0 included, which the next sweep reads).  A sweep that queues
+    nothing at d ends the degree.  The corrections come back keyed
+    [p][z-exponent][d].
     """
     desc, D, one = f.desc, f.max_degree, LambdaScalar.one(f.desc)
-    unit = CohElement.one(desc)
+    unit, frame = CohElement.one(desc), [f]
     work: dict[int, dict[int, CohElement]] = {}
     pending: dict[int, dict[int, list]] = {0: {0: [(unit, -one)]}}
     corrections: list[dict[int, dict[int, LambdaScalar]]] = [{} for _ in range(desc.n)]
@@ -130,12 +132,12 @@ def _eliminate(
         row = work[d] = dict(f.slices.get(d, {}))
         for _sweep in range(_MAX_SWEEPS):
             _settle(row, pending.pop(d, {}), one)
-            for ze, el in _by_z(row).items():
-                if ze < 0:
-                    continue
+            for ze, el in _by_z(row, low=0).items():
                 for p, beta in enumerate(el.components):
                     if beta.is_zero():
                         continue
+                    while len(frame) <= p:
+                        frame.append(directional_derivative(frame[-1]))
                     neg = -beta
                     for dd, frame_row in frame[p].slices.items():
                         if d + dd <= D:
@@ -196,18 +198,24 @@ def _extract_chart(series: ZSeries):
     series at P^0 and P^1 are the string and divisor components tau0 and tau of
     the projection; tau0 must have no constant term.  Multiplying by
     exp(-(tau0 + tau P)/z) clears them, because the z^(-1) slot of
-    exp(-H/z) * (1 + N_(-1)/z + ...) is N_(-1) - H; the product is built once
-    and checked to have no z^(-1) content left at P^0 and P^1.  Its z^(-1)
-    slots at P^(j>=2), nonzero only when the projection leaves the small
-    parameter space, are returned as tau_higher.  The inverse change of
-    Novikov variable u then re-expands the product as J_out.
+    exp(-H/z) * (1 + N_(-1)/z + ...) is N_(-1) - H.  The series is multiplied
+    by exp(-tau P/z) and then by exp(-tau0/z), whose expansions are much
+    smaller than that of their product; the second product is skipped when
+    tau0 is an exact zero.  The chart is checked to have no z^(-1) content
+    left at P^0 and P^1.  Its z^(-1) slots at P^(j>=2), nonzero only when the
+    projection leaves the small parameter space, are returned as tau_higher.
+    The inverse change of Novikov variable u then re-expands the chart as
+    J_out.
 
     Returns (tau0, tau, u, J_out, tau_higher).
     """
     tau0, tau, *_ = series.z_row(-1)
     if not tau0.coefficient(0).is_zero():
         raise EngineError("string-direction projection has a constant term")
-    chart = _prefactor(tau0, tau) * series
+    zero = QSeries.zero(tau.desc, tau.max_degree)
+    chart = _prefactor(zero, tau) * series
+    if tau0.truncated or not tau0.is_zero():
+        chart = _prefactor(tau0, zero) * chart
     string, divisor, *higher = chart.z_row(-1)
     if not (string.is_zero() and divisor.is_zero()):
         raise EngineError("chart extraction failed to clear a z^(-1) slot")
@@ -280,8 +288,8 @@ def _assemble(
 
 
 def _factor(f: ZSeries, bundle: BundleSpec | None) -> MirrorResult:
-    """The MirrorResult of f eliminated against its own derivative frame."""
-    return _assemble(f, f.z_row(0)[0], *_eliminate(f, frame_series(f, f.desc.n)), bundle)
+    """The MirrorResult of f eliminated against its own derivative frame, built as read."""
+    return _assemble(f, f.z_row(0)[0], *_eliminate(f), bundle)
 
 
 # -- public entry points --------------------------------------------------------------

@@ -117,6 +117,14 @@ def _render(terms, den: int) -> dict[str, str]:
     }
 
 
+def _render_slots(nums: dict, den: int) -> dict[str, dict[str, str]]:
+    """Numerators keyed (slot, a, b) over den as JSON: each slot that holds a term, rendered."""
+    slots: dict[int, list] = {}
+    for key, c in nums.items():
+        slots.setdefault(key[0], []).append((key, c))
+    return {str(p): _render(terms, den) for p, terms in slots.items()}
+
+
 class _Terms:
     """The storage format shared by scalars, classes and q-series.
 
@@ -488,10 +496,7 @@ class _Graded(_Terms):
 
     def to_json_dict(self) -> dict[str, dict[str, str]]:
         """Canonical rendering: each nonzero slot's exponent to the rendering of its scalar."""
-        slots: dict[int, list] = {}
-        for key, c in self._nums.items():
-            slots.setdefault(key[0], []).append((key, c))
-        return {str(p): _render(terms, self._den) for p, terms in slots.items()}
+        return _render_slots(self._nums, self._den)
 
 
 class CohElement(_Graded):

@@ -23,7 +23,8 @@ from math import factorial, lcm
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
-from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _stacked, poincare_pairing
+from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _render_slots, _stacked
+from .ring import poincare_pairing
 
 REDUCED = "reduced"
 RAW = "raw"
@@ -534,15 +535,8 @@ class ZSeries:
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        slices: dict[str, dict] = {}
-        for d in self.slices:
-            row: dict[str, dict] = {}
-            for ze, el in self.slice(d).items():
-                pmap = el.to_json_dict()
-                if pmap:
-                    row[str(ze)] = pmap
-            if row:
-                slices[str(d)] = row
+        rows = ((str(d), z_json(row)) for d, row in self.slices.items())
+        slices = {d: row for d, row in rows if row}
         return {
             "convention": self.convention,
             "max_degree": self.max_degree,
@@ -585,7 +579,7 @@ class ZSeries:
 # -- module operations ------------------------------------------------------------
 
 
-def _regroup(row: Mapping[int, _Graded], sign: int, weight: int = 1, shift: int = 0, at=None):
+def _regroup(row: Mapping, sign: int, weight=1, shift=0, at=None, low=None, values=True):
     """Re-key a row: term (t, a, b) of the value at key k moves to k + shift + sign*(weight*t + a).
 
     This is the one rule between weight and z (t is the slot, a the lam
@@ -593,11 +587,14 @@ def _regroup(row: Mapping[int, _Graded], sign: int, weight: int = 1, shift: int 
     z-exponent to weight, sign -1 back.  With weight n and sign -1 it reads
     the series of an S-matrix cell by z, since q has weight n.  No two terms
     meet, so values are unchanged; with ``at`` only the terms that land at key
-    ``at`` move, so a one-key read builds one value.  A flag does not say
-    which term was lost, so every value of the result carries the union of
-    the row's flags.  A flagged row without terms becomes a flagged zero at
-    key 0, and with ``at`` a flagged row always holds a value at ``at``, a
-    flagged zero when no term lands there: the lost term may sit at any key.
+    ``at`` move, so a one-key read builds one value, and with ``low`` only
+    those that land at a key >= low.  A flag does not say which term was
+    lost, so every value of the result carries the union of the row's flags.
+    A flagged row without terms in range becomes a flagged zero at key 0 (at
+    ``low``, when set), and with ``at`` a flagged row always holds a value at
+    ``at``, a flagged zero when no term lands there: the lost term may sit at
+    any key.  Without ``values`` no value is built: it returns the numerators
+    per key over one denominator, and the flags are left out.
     """
     den = lcm(*(el._den for el in row.values()))
     parts: dict[int, dict] = {}
@@ -607,10 +604,12 @@ def _regroup(row: Mapping[int, _Graded], sign: int, weight: int = 1, shift: int 
         f = den // el._den
         for t, c in el._nums.items():
             key = k + shift + sign * (weight * t[0] + t[1])
-            if at is None or key == at:
+            if (at is None or key == at) and (low is None or key >= low):
                 parts.setdefault(key, {})[t] = c * f
+    if not values:
+        return parts, den
     if mask and (at is not None or not parts):
-        parts.setdefault(0 if at is None else at, {})
+        parts.setdefault((low or 0) if at is None else at, {})
     return {key: el._like(nums, den, mask) for key, nums in parts.items()}
 
 
@@ -619,9 +618,19 @@ def _by_weight(row: Mapping[int, CohElement]) -> dict[int, CohElement]:
     return _regroup(row, 1)
 
 
-def _by_z(row: Mapping[int, _Graded], weight: int = 1, shift: int = 0, at=None) -> dict:
-    """A row keyed by weight, re-keyed by z = shift + w - weight*t - a (only z = at, if set)."""
-    return _regroup(row, -1, weight, shift, at)
+def _by_z(row: Mapping, weight=1, shift=0, at=None, low=None) -> dict:
+    """A weight-keyed row re-keyed by z = shift + w - weight*t - a (only z = at, or z >= low)."""
+    return _regroup(row, -1, weight, shift, at, low)
+
+
+def z_json(row: Mapping[int, _Graded], weight: int = 1, shift: int = 0) -> dict:
+    """The JSON of a weight-keyed row read by z (as ``_by_z``), rendered without building a value.
+
+    One ``_regroup`` pass gives the numerators per z-exponent over one
+    denominator, and ``ring._render_slots`` renders each term from them.
+    """
+    parts, den = _regroup(row, -1, weight, shift, values=False)
+    return {str(ze): _render_slots(nums, den) for ze, nums in parts.items()}
 
 
 def _at_minus_z(value: _Graded, shift: int, weight: int) -> _Graded:

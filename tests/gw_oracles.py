@@ -6,7 +6,10 @@ one product of two z-power pieces at a time.  ``tests/test_s_matrix_cells.py``
 compares ``gw.SMatrix``, which keeps one q-series per weight offset, with it.
 
 ``full_unitarity`` is the residual of ``gw._unitarity`` built on all n x n
-entries, where ``gw`` builds only the entries a <= b.
+entries, where ``gw`` builds only the entries a <= b.  ``entry_to_json_dict``
+is ``SMatrix.to_json_dict`` as it was before it rendered each term from the
+cells' numerators: it builds one q-series per z-exponent with ``entry(b, a)``
+and renders each.
 """
 
 from __future__ import annotations
@@ -84,6 +87,14 @@ def zkeyed_to_json_dict(entries, D) -> dict:
         for row in entries
     ]
     return {"size": len(entries), "max_degree": D, "entries": data}
+
+
+def entry_to_json_dict(S) -> dict:
+    """The JSON of ``gw.SMatrix`` S, one q-series per entry and z-exponent, each rendered."""
+    span = range(S.size)
+    views = [[S.entry(b, a).items() for a in span] for b in span]
+    data = [[{str(ze): s.to_json_dict() for ze, s in view} for view in row] for row in views]
+    return {"size": S.size, "max_degree": S.max_degree, "entries": data}
 
 
 def full_unitarity(S):

@@ -25,7 +25,9 @@ written on them.  ``at_z`` is the direct (z, p) read of a weight-keyed slice
 and ``slot_series`` the per-(degree, slot) q-series reader built on it, which
 ``ZSeries.z_row`` replaced; ``cell_z_view`` and ``cell_at_minus_z`` are the
 S-matrix cell readers that ``gw`` kept before the weight-z rule moved into
-``series._regroup``.
+``series._regroup``.  ``slice_to_json_dict`` is ``ZSeries.to_json_dict`` as
+it was before it rendered each term from the weight rows: it builds and
+reduces one class per z-exponent with ``slice(d)`` and renders each class.
 """
 
 from __future__ import annotations
@@ -45,6 +47,27 @@ from qlefschetz import (
 )
 from qlefschetz.ring import poincare_pairing
 from qlefschetz.series import REDUCED, log_lambda_multiple
+
+
+def slice_to_json_dict(f: ZSeries) -> dict:
+    """The JSON of f, one class per z-exponent built by ``slice(d)`` and rendered."""
+    slices: dict[str, dict] = {}
+    for d in f.slices:
+        row: dict[str, dict] = {}
+        for ze, el in f.slice(d).items():
+            pmap = el.to_json_dict()
+            if pmap:
+                row[str(ze)] = pmap
+        if row:
+            slices[str(d)] = row
+    ring = {"n": f.desc.n, "lambda_floor": f.desc.lambda_floor, "log_cap": f.desc.log_cap}
+    return {
+        "convention": f.convention,
+        "max_degree": f.max_degree,
+        "ring": ring,
+        "slices": slices,
+        "truncated": f.truncated,
+    }
 
 
 def exp_power_sum(f: QSeries) -> QSeries:

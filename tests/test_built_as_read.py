@@ -1,0 +1,150 @@
+"""The factorization builds only what it reads, and reads the same as before.
+
+Four replacements, each against the code it replaced:
+
+- ``mirror._eliminate`` builds frame[p] = (z D_P)^p f the first time a
+  correction at P^p reads it.  ``test_deferred_elimination.py`` compares it
+  with ``mirror_oracles.eager_eliminate`` given the whole frame
+  (``frame_series``) on its grid; here the number of z*D_P calls is pinned.
+- A sweep reads only the z >= 0 classes of its slice (``_by_z(row, low=0)``);
+  ``test_deferred_elimination.py`` pins the reads.
+- ``mirror._extract_chart`` multiplies by exp(-tau P/z) and then by
+  exp(-tau0/z), not by the expanded exp(-(tau0 + tau P)/z).  The chart must
+  hold the value of the single product at every slot that either side leaves
+  unflagged, and every flag of it; its unflagged slots must read the same at
+  a floor and a log cap three steps further out.
+- ``ZSeries.to_json_dict`` and ``SMatrix.to_json_dict`` render each term from
+  the weight rows (``series.z_json``); they must equal the renderers that
+  built one value per z-exponent first (``series_oracles.slice_to_json_dict``
+  and ``gw_oracles.entry_to_json_dict``).
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+
+from qlefschetz import BundleSpec, CohElement, LambdaScalar, RingDescriptor, ZSeries
+from qlefschetz import cone_transform, i_function, j_reduced
+from qlefschetz import gw, mirror, s_matrix
+from qlefschetz.mirror import _prefactor
+from qlefschetz.series import REDUCED
+
+from gw_oracles import entry_to_json_dict
+from series_oracles import slice_to_json_dict
+from test_chart_flags import RAISE, changed_unflagged, z_reads
+from test_s_matrix_half import one_over_z
+from test_weight_rows import pairs
+
+
+def twisted(n, degrees, D, floor, log_cap=8):
+    desc = RingDescriptor(n=n, lambda_floor=floor, log_cap=log_cap)
+    return i_function(j_reduced(n, D, desc=desc), BundleSpec(degrees))
+
+
+def derivatives_made(monkeypatch, I) -> tuple[int, int]:
+    """(z*D_P calls made by the elimination of I, the largest p with a nonzero correction)."""
+    calls = []
+    made = mirror.directional_derivative
+    monkeypatch.setattr(mirror, "directional_derivative", lambda f: calls.append(1) or made(f))
+    _, corrections = mirror._eliminate(I)
+    monkeypatch.undo()
+    corrected = [p for p, by_z in enumerate(corrections) for cell in by_z.values()
+                 for c in cell.values() if not c.is_zero()]
+    return len(calls), max(corrected)
+
+
+def test_the_frame_is_built_as_far_as_the_corrections_read(monkeypatch):
+    # The equivariant quintic is corrected at P^0 only; O(3) + O(2) on P^3
+    # needs corrections through P^3, so it builds the whole frame.
+    assert derivatives_made(monkeypatch, twisted(5, (5,), 3, 2)) == (0, 0)
+    assert derivatives_made(monkeypatch, twisted(4, (3, 2), 3, 2)) == (3, 3)
+
+
+def chart_and_product(monkeypatch, n, degrees, D, floor, cone, raised=0):
+    """The chart ``_extract_chart`` builds from the eliminated series, and the single product.
+
+    The chart is one z-series product, or two when tau0 is not an exact zero.
+    """
+    I = twisted(n, degrees, D, floor + raised, 8 + raised)
+    if cone:
+        I = cone_transform(I, BundleSpec(degrees))
+    normalized, _ = mirror._eliminate(I)
+    charts, products = [], []
+    compose, mul = ZSeries.compose_novikov, ZSeries.__mul__
+    monkeypatch.setattr(ZSeries, "compose_novikov", lambda s, u: charts.append(s) or compose(s, u))
+    monkeypatch.setattr(ZSeries, "__mul__", lambda s, o: products.append(1) or mul(s, o))
+    tau0, tau, *_ = mirror._extract_chart(normalized)
+    monkeypatch.undo()
+    assert len(products) == 1 + (tau0.truncated or not tau0.is_zero())
+    return charts[-1], _prefactor(tau0, tau) * normalized, tau0
+
+
+def holds_the_product(chart: ZSeries, product: ZSeries) -> dict:
+    """Every flag of the product, and its value wherever it is unflagged; the chart's reads."""
+    got, want = z_reads(chart, product), z_reads(product, chart)
+    for key, c in want.items():
+        assert c.truncated <= got[key].truncated
+        if not c.truncated:
+            assert got[key] == c
+    return got
+
+
+def test_the_two_factor_chart_holds_the_single_product(monkeypatch):
+    tau0_kinds = set()
+    grid = product((2, 3, 5), ((1,), (2,), (5,), (3, 2)), (1, 2, 3), (1, 3), (False, True))
+    for n, degrees, D, floor, cone in grid:
+        if sum(degrees) * D > 15 or (cone and n * D > 9):
+            continue
+        chart, single, tau0 = chart_and_product(monkeypatch, n, degrees, D, floor, cone)
+        tau0_kinds.add((tau0.is_zero(), tau0.truncated))
+        got = holds_the_product(chart, single)
+        # Unflagged slots are exact: they read the same further out.
+        high = chart_and_product(monkeypatch, n, degrees, D, floor, cone, RAISE)[0]
+        assert changed_unflagged(got, z_reads(high, chart)) == []
+    # tau0 an exact zero (the second product skipped), nonzero, and flagged
+    assert {(True, False), (False, False), (False, True)} <= tau0_kinds
+
+
+@settings(max_examples=60)
+@given(pairs())
+def test_the_series_json_renders_each_term_from_the_weight_rows(x):
+    _, [(f, _)] = x
+    assert f.to_json_dict() == slice_to_json_dict(f)
+
+
+def test_the_s_matrix_json_renders_each_term_from_the_cells():
+    flagged = 0
+    for n in range(2, 7):
+        for D in range(5):
+            for floor in range(3):
+                desc = RingDescriptor(n=n, lambda_floor=floor)
+                J = j_reduced(n, D, desc=desc)
+                for K in (J, J * one_over_z(desc, D), J * one_over_z(desc, D, 1, -2)):
+                    S = s_matrix(K, n, D)[0]
+                    flagged += S.truncated
+                    assert S.to_json_dict() == entry_to_json_dict(S)
+    # The frame of a twisted series has several weight offsets and lam terms.
+    I = twisted(4, (3, 2), 2, 1)
+    S = gw._matrix_from_frame(gw.frame_series(I, 4))
+    assert any(len(cell) > 1 for row in S.cells for cell in row)
+    assert S.to_json_dict() == entry_to_json_dict(S)
+    assert flagged
+
+
+def test_a_flagged_zero_tau0_is_still_multiplied_in(monkeypatch):
+    # Slice 1 holds P z^-1 and a flagged 1 at z^-2, each class with its own
+    # flags (weights 0 and -2), so tau0 = z^-1 P^0 is a flagged zero at q^1.
+    # exp(-tau0/z) then flags the slot (q^1, z^-2, P^1), which the product
+    # with exp(-tau P/z) alone leaves clean.
+    desc = RingDescriptor(n=2, lambda_floor=1)
+    flagged_one = CohElement.from_scalar(LambdaScalar(desc, {(0, 0): 1}, truncated=True))
+    series = ZSeries._of(desc, 2, {
+        0: {0: CohElement.one(desc)},
+        1: {-2: flagged_one, 0: CohElement.p_power(desc, 1)},
+    }, REDUCED)
+    charts = []
+    compose = ZSeries.compose_novikov
+    monkeypatch.setattr(ZSeries, "compose_novikov", lambda s, u: charts.append(s) or compose(s, u))
+    tau0, tau, *_ = mirror._extract_chart(series)
+    assert tau0.is_zero() and tau0.truncated
+    assert holds_the_product(charts[-1], _prefactor(tau0, tau) * series)[(1, -2, 1)].truncated

@@ -339,7 +339,15 @@ def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, text, message)
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
-def test_an_output_in_a_missing_directory_exits_2_with_one_line(tmp_path, capsys, command):
+def test_an_output_in_a_missing_directory_exits_2_with_one_line(
+    tmp_path, capsys, monkeypatch, command
+):
+    # The directory is checked before the job: neither job may run.
+    def ran(*args):
+        raise AssertionError("the job ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_compute", ran)
+    monkeypatch.setattr(cli, "run_suites", ran)
     out = tmp_path / "missing" / "out.json"
     if command == "compute":
         argv = ["compute", "--config", write_config(tmp_path, QUINTIC_CONFIG), "--degree", "1"]
@@ -383,3 +391,49 @@ def test_any_bytes_as_a_config_exit_2_with_an_error_payload(tmp_path_factory, te
     cfg.write_bytes(text)
     assert main(["compute", "--config", str(cfg), "--output", str(out)]) == 2
     assert json.loads(out.read_text())["error"]["type"] == "ConfigError"
+
+
+def verdicts(value):
+    """Every holds, unitary and identity_holds flag in a compute result."""
+    if isinstance(value, dict):
+        own = [v for k, v in value.items() if k in ("holds", "unitary", "identity_holds")]
+        return own + [flag for v in value.values() for flag in verdicts(v)]
+    return []
+
+
+def small_configs(n, degrees, D, modes, tasks):
+    return st.fixed_dictionaries({
+        "ambient_dim": n,
+        "degrees": degrees,
+        "max_degree": D,
+        "lambda_floor": st.integers(0, 4),
+        "mode": st.sampled_from(modes),
+        "tasks": st.lists(st.sampled_from(tasks), min_size=1, max_size=3, unique=True),
+    })
+
+
+# instantons is admitted for the non-equivariant quintic from max_degree 1 on
+SMALL_CONFIGS = small_configs(
+    st.integers(2, 5),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    st.integers(0, 3),
+    cli.MODES,
+    [t for t in cli.TASKS if t != "instantons"],
+) | small_configs(
+    st.just(5), st.just([5]), st.integers(1, 3), ["nonequivariant"], cli.TASKS
+).map(lambda c: dict(c, tasks=sorted({"instantons", *c["tasks"]})))
+
+
+@settings(max_examples=300)
+@given(config=SMALL_CONFIGS)
+def test_a_small_admitted_config_computes_or_exits_2_or_3(tmp_path_factory, config):
+    load_config(config)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = tmp / "out.json"
+    code = main(["compute", "--config", write_config(tmp, config), "--output", str(out)])
+    assert code in (0, 2, 3)
+    payload = json.loads(out.read_text())
+    if code:
+        assert set(payload) == {"error"}
+    else:
+        assert all(flag is True for flag in verdicts(payload["results"]))

@@ -1,18 +1,20 @@
 """The sweeping elimination gives what the eager one gave, and a stalled one ends cleanly.
 
 ``mirror._eliminate`` works in whole sweeps: a sweep sums slice d once,
-reads it by z once, and queues a correction for every nonzero slot with
-z >= 0, its part in slice d included; a higher slice is summed once, when
-the loop reaches it.  ``mirror_oracles.eager_eliminate`` visits the slots one
-at a time, each read from the slice as the earlier corrections left it, and
-subtracts every correction from every slice at once.  The two must return
-the same normalized series, class by class with its flags, and the same
-corrections, with their flags, on the benchmark's equivariant chain at smoke
-size and the equivariant ``mirror`` shapes of its config mix, on every
-equivariant ``mirror`` config in ``configs/``, on the flagged cone transforms
-of ``test_chart_flags.py``, and on a hypothesis grid.  A sweep reads its
-slice by z once and makes no one-key read.  An elimination that does not
-stabilize raises ``EngineError``, which ``compute`` reports with exit code 3.
+reads its z >= 0 part by z once, and queues a correction for every nonzero
+slot there, its part in slice d included; a higher slice is summed once,
+when the loop reaches it, and a frame element is built when a correction
+first reads it.  ``mirror_oracles.eager_eliminate``, given the whole frame,
+visits the slots one at a time, each read from the slice as the earlier
+corrections left it, and subtracts every correction from every slice at
+once.  The two must return the same normalized series, class by class with
+its flags, and the same corrections, with their flags, on the benchmark's
+equivariant chain at smoke size and the equivariant ``mirror`` shapes of
+its config mix, on every equivariant ``mirror`` config in ``configs/``, on
+the flagged cone transforms of ``test_chart_flags.py``, and on a hypothesis
+grid.  A sweep reads the z >= 0 part of its slice by z once and makes no
+one-key read.  An elimination that does not stabilize raises
+``EngineError``, which ``compute`` reports with exit code 3.
 """
 
 import json
@@ -43,10 +45,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 
+def eager(f):
+    return eager_eliminate(f, frame_series(f, f.desc.n))
+
+
 def outcome(eliminate, f):
     """The normalized rows and the corrections, every value with its flag mask, or the error."""
     try:
-        normalized, corrections = eliminate(f, frame_series(f, f.desc.n))
+        normalized, corrections = eliminate(f)
     except EngineError as exc:
         return str(exc)
     rows = {
@@ -61,7 +67,7 @@ def outcome(eliminate, f):
 
 def corrected(f) -> int:
     """How many corrections the eager elimination makes on f, after checking both routes agree."""
-    want = outcome(eager_eliminate, f)
+    want = outcome(eager, f)
     assert outcome(mirror._eliminate, f) == want
     return 0 if isinstance(want, str) else sum(len(cell) for by_p in want[2] for cell in by_p.values())
 
@@ -136,11 +142,11 @@ def test_a_sweep_reads_its_slice_by_z_once(monkeypatch):
     by_z = mirror._by_z
     monkeypatch.setattr(mirror, "_by_z", lambda row, **kw: reads.append(kw) or by_z(row, **kw))
     I = twisted(5, (5,), 3, 2)
-    _, corrections = mirror._eliminate(I, frame_series(I, I.desc.n))
+    _, corrections = mirror._eliminate(I)
     degrees = {d for by_p in corrections for cell in by_p.values() for d in cell}
     assert degrees == {1, 2, 3}
     assert len(reads) == I.max_degree + 1 + len(degrees) == 7
-    assert not any(reads)  # every read is a whole row: no one-key read
+    assert reads == [{"low": 0}] * 7  # every read is the z >= 0 part of a row: no one-key read
 
 
 def test_a_stalled_elimination_raises_and_compute_exits_3(monkeypatch, tmp_path, capsys):

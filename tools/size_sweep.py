@@ -8,11 +8,14 @@ so no size or checkout sees another's caches and a row of a few milliseconds
 is the best of a hundred runs or more.  Every size is run in ``ROUNDS``
 rounds of one run per checkout, and the checkout that runs first moves by
 one place each round, so slow drift of a shared host hits every checkout
-alike.  The pipelines are the non-equivariant quintic through
-``small_mirror`` and the equivariant quintic (``lambda_floor`` 2) through
-``birkhoff``, the two factorizations of the benchmark harness, at sizes the
-harness does not run; the equivariant O(3) + O(2) on P^3 (``lambda_floor``
-2) through ``birkhoff``, whose degrees each need several frame corrections
+alike.  A size whose first round reads a best time under ``SHORT_S`` for
+some checkout runs ``SHORT_ROUND_FACTOR`` times as many rounds, since a
+row of a few milliseconds moves with the host's load.  The pipelines are
+the non-equivariant quintic through ``small_mirror`` and the equivariant
+quintic (``lambda_floor`` 2) through ``birkhoff``, the two factorizations
+of the benchmark harness, at sizes the harness does not run; the
+equivariant O(3) + O(2) on P^3 (``lambda_floor`` 2) through ``birkhoff``,
+whose degrees each need several frame corrections
 (sum l_i > n), where the quintic's need one; and ``s_matrix`` of P^9 (the
 ``compute`` config (10, [1], D) of that task), ``j_reduced`` ->
 ``s_matrix``.  From D = 5 on, each quintic run's first five instanton
@@ -25,11 +28,11 @@ false.
 
 Each checkout is given as LABEL=DIR; sizes run smallest first.  The JSON
 records the host, each checkout's line count of ``src/`` (and its commit,
-when it is a git checkout), and one row per (pipeline, D) with every
-checkout's median and quartiles over the rounds of its best times, in
-seconds, the times themselves and the run counts behind them in round
-order, and the number of rounds in which it read lower than the first
-checkout.
+when it is a git checkout), and one row per (pipeline, D) with its number
+of rounds and every checkout's median and quartiles over the rounds of its
+best times, in seconds, the times themselves and the run counts behind
+them in round order, and the number of rounds in which it read lower than
+the first checkout.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ import subprocess
 import sys
 
 ROUNDS = 7
+SHORT_S = 0.01
+SHORT_ROUND_FACTOR = 3
 REPEATS = 3
 MIN_MEASURED_S = 0.5
 TIMEOUT_S = 1800
@@ -160,12 +165,16 @@ def main() -> None:
     for pipeline, sizes in SIZES.items():
         for D in sizes:
             runs: dict[str, list] = {label: [] for label in labels}
-            for r in range(ROUNDS):
+            rounds, r = ROUNDS, 0
+            while r < rounds:
                 for label in labels[r % len(labels):] + labels[:r % len(labels)]:
                     run = time_size(checkouts[label], pipeline, D)
                     runs[label].append(run)
                     print(f"{pipeline} D={D} round {r} {label}: {run}", file=sys.stderr, flush=True)
-            row = {"pipeline": pipeline, "D": D}
+                if r == 0 and any((run[0]["best_s"] or SHORT_S) < SHORT_S for run in runs.values()):
+                    rounds *= SHORT_ROUND_FACTOR
+                r += 1
+            row = {"pipeline": pipeline, "D": D, "rounds": rounds}
             for label in labels:
                 row[label] = summary(runs[label])
             for label in labels[1:]:
@@ -179,6 +188,8 @@ def main() -> None:
     report = {
         "tool": "tools/size_sweep.py",
         "rounds": ROUNDS,
+        "short_s": SHORT_S,
+        "short_round_factor": SHORT_ROUND_FACTOR,
         "repeats": REPEATS,
         "min_measured_s": MIN_MEASURED_S,
         "host": {"python": platform.python_version(), "machine": platform.machine(),

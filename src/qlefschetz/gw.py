@@ -129,9 +129,10 @@ class SMatrix:
         return {ze: s for ze, s in _by_z(series, self.desc.n, shift).items() if not s.is_zero()}
 
     def _block(self) -> list[list[LambdaScalar]]:
-        """The q^0 z^0 scalar of every cell."""
-        zero, span = QSeries.zero(self.desc, self.max_degree), range(self.size)
-        return [[self.entry(b, a).get(0, zero).coefficient(0) for a in span] for b in span]
+        """The q^0 z^0 scalar of every cell, each read off the one series at z^0 of the cell."""
+        zero, span = LambdaScalar.zero(self.desc), range(self.size)
+        z0 = [[_by_z(self.cells[b][a], self.desc.n, a - b, at=0).get(0) for a in span] for b in span]
+        return [[zero if s is None or s.is_zero() else s.coefficient(0) for s in row] for row in z0]
 
     def q_zero_z_zero(self) -> list[list[Fraction]]:
         return [[c.as_rational() for c in row] for row in self._block()]

@@ -19,12 +19,13 @@ one place a MirrorResult is built.  The z^(-1) slots of the normalized
 series are the components of the projection to the parameter space (string
 direction at P^0, divisor direction at P^1); ``ZSeries.z_row`` reads them
 off in one pass over the slices, and a product with exp(-tau P/z) and then
-one with exp(-tau0/z) peel them off.  Each factor is expanded in closed form
-from the powers of its q-series, not as the exponential of a z-series.  Each
-row is read once: small_mirror hands its F to the tail and takes its
-small-projection check from the tail's tau_higher.  The inverse change of
-Novikov variable q' = q exp(tau - t), computed by Lagrange inversion from the
-powers of the exponent's tail, then produces the J-series in its own chart.
+one with exp(-tau0/z) peel them off.  Each factor is stacked from the
+numerators of the powers of its q-series, so it costs those powers and no
+other product.  Each row is read once: small_mirror hands its F to the tail
+and takes its small-projection check from the tail's tau_higher.  The
+inverse change of Novikov variable q' = q exp(tau - t), computed by Lagrange
+inversion from the powers of the exponent's tail, then produces the J-series
+in its own chart.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import prod
 from .errors import EngineError, ExtractionError, TransversalityError, UnitError
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
 from .series import QSeries, REDUCED, ZSeries, _by_z, lagrange_sum, log_lambda_multiple
-from .series import directional_derivative, queue_scaled_row, summed
+from .series import directional_derivative, queue_scaled_row, stacked_powers, summed
 
 _MAX_SWEEPS = 400
 
@@ -156,39 +157,39 @@ def _eliminate(f: ZSeries) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScal
 # -- chart extraction ----------------------------------------------------------------
 
 
+def _exp_terms(x: QSeries, count: int) -> list[QSeries]:
+    """x^k / k! for k < count, up to the first exact zero (no term, no flag); a flagged
+    zero stands for terms below the floor, whose products reach higher degrees."""
+    terms = [QSeries.one(x.desc, x.max_degree)]
+    while len(terms) < count:
+        term = (terms[-1] * x).scale(Fraction(1, len(terms)))
+        if term.is_zero() and not term.truncated:
+            break
+        terms.append(term)
+    return terms
+
+
 def _prefactor(tau0: QSeries, tau: QSeries) -> ZSeries:
-    """exp(-(tau0 + tau P)/z) as a reduced ZSeries, built from q-series powers.
+    """exp(-(tau0 + tau P)/z) as a reduced ZSeries, stacked from q-series powers.
 
     It is sum_{j,k} (-tau0)^j (-tau)^k / (j! k!) P^k z^(-(j+k)).  The sum over
-    k ends at P^n = 0: P^k z^(-k) has weight 0, so at each degree the k-sum
-    is one class per lam power, one sum of products.  The sum over j ends at
-    the q-valuation of tau0^j (tau0 has no constant term): each j adds that
-    row times the coefficients of (-tau0)^j / j!, j weights down.  A power
-    that is a flagged zero stands for unknown terms below the floor, whose
-    products reach higher degrees, so only an exact zero ends the sum early.
+    k ends at P^n = 0, and the term q^d lam^a of (-tau)^k / k! is the term
+    P^k lam^a of the class at weight a, so exp(-tau P/z) is stacked from its
+    powers (``series.stacked_powers``); so is exp(-tau0/z), whose term of
+    (-tau0)^j / j! sits at weight a - j.  Either factor alone costs only its
+    q-series powers.  When neither argument is an exact zero, the stacked
+    exp(-tau P/z) is scaled by each power of -tau0, j weights down, and the
+    products are summed: the flags are those of class-by-scalar products.
     """
     desc, D = tau.desc, tau.max_degree
-    row: dict[int, dict[int, list]] = {}
-    power = QSeries.one(desc, D)
-    for k in range(desc.n):
-        if k:
-            power = (power * -tau).scale(Fraction(1, k))
-        p_k = {0: CohElement.p_power(desc, k)}
-        for d, c in power._split().items():
-            queue_scaled_row(row.setdefault(d, {}), p_k, c)
-    diagonal = {d: summed(classes) for d, classes in row.items()}
-    out: dict[int, dict[int, list]] = {}
-    power = QSeries.one(desc, D)
-    for j in range(D + 1):
-        if j:
-            power = (power * -tau0).scale(Fraction(1, j))
-        for d1, c in power._split().items():
-            for d2, classes in diagonal.items():
-                if d1 + d2 <= D:
-                    queue_scaled_row(out.setdefault(d1 + d2, {}), classes, c, -j)
-        if power.is_zero() and not power.truncated:
-            break
-    return ZSeries._of(desc, D, {d: summed(classes) for d, classes in out.items()}, REDUCED)
+    diagonal = stacked_powers(_exp_terms(-tau, desc.n), 1)
+    if tau0.is_zero() and not tau0.truncated:
+        return diagonal
+    powers = _exp_terms(-tau0, D + 1)
+    if tau.is_zero() and not tau.truncated:
+        return stacked_powers(powers, 0)
+    scaled = (diagonal.z_shift(-j).scale_qseries(power) for j, power in enumerate(powers))
+    return sum(scaled, ZSeries.zero(desc, D))
 
 
 def _extract_chart(series: ZSeries):

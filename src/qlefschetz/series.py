@@ -13,7 +13,10 @@ per slice, and a product of two slices is one class product.
 
 Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
-R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).
+R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  A scalar
+q-series acts on a ZSeries by column: the P^p slots of the classes at one
+weight, over all degrees, form one QSeries, and each column is multiplied
+once, not each class by each coefficient.
 """
 
 from __future__ import annotations
@@ -402,16 +405,59 @@ class ZSeries:
         return self._summed(out)
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
-        """Multiply by a scalar q-series."""
+        """Multiply by a scalar q-series, one (weight, P-slot) column at a time.
+
+        Column (w, p) is the q-series of the P^p slots of the classes at
+        weight w.  The lam^a part of f moves a column a weights up, as in
+        ``queue_scaled_row``, so output column (w, p) is the sum of the
+        products of the columns (w - a, p) with the parts: one kernel call
+        (``_Terms._times``), over one denominator per output weight.  A class
+        is flagged as the class-by-scalar products of ``_Terms._dot`` flag it
+        (the scalar being the q^d coefficient of f), and at the slots of its
+        keys that fell below the floor or past the log cap.
+        """
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
-        coeffs = f._split()
-        out: dict[int, dict[int, list]] = {}
+        D = self.max_degree
+        lams: dict[int, set] = {}  # the lam exponents of each q^d coefficient of f
+        split: dict[int, dict] = {}
+        for key, c in f._nums.items():
+            lams.setdefault(key[0], set()).add(key[1])
+            split.setdefault(key[1], {})[key] = c
+        parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
+        flagged = {d: lams.setdefault(d, {0}) for d in range(D + 1) if f._trunc >> d & 1}
+        columns: dict[tuple[int, int], dict] = {}
+        trunc: dict[tuple[int, int], int] = {}
         for d1, row in self.slices.items():
-            for d2, c in coeffs.items():
-                if d1 + d2 <= self.max_degree:
-                    queue_scaled_row(out.setdefault(d1 + d2, {}), row, c)
-        return self._summed(out)
+            for w, el in row.items():
+                for (p, a, b), c in el._nums.items():
+                    columns.setdefault((w, p), {})[d1, a, b] = (c, el._den)
+                for d2, exps in (lams if el._trunc else flagged).items():
+                    mask = el._slots() | el._trunc if d2 in flagged else el._trunc
+                    for a in exps if d1 + d2 <= D else ():  # as queue_scaled_row places them
+                        trunc[d1 + d2, w + a] = trunc.get((d1 + d2, w + a), 0) | mask
+        queued: dict[int, dict[int, list]] = {}
+        for (w, p), terms in columns.items():
+            den = lcm(*(e for _, e in terms.values()))
+            col = f._like({k: c * (den // e) for k, (c, e) in terms.items()}, den, 0)
+            for a, part in parts.items():
+                queued.setdefault(w + a, {}).setdefault(p, []).append((col, part))
+        out: dict[tuple[int, int], dict] = {}
+        dens: dict[int, int] = {}
+        for w, by_slot in queued.items():
+            den = dens[w] = lcm(*(x._den * y._den for pairs in by_slot.values() for x, y in pairs))
+            for p, pairs in by_slot.items():
+                nums, dropped = f._times(pairs, den)
+                for (d, a, b), c in nums.items():
+                    out.setdefault((d, w), {})[p, a, b] = c
+                for d in range(dropped.bit_length()):
+                    if dropped >> d & 1:
+                        trunc[d, w] = trunc.get((d, w), 0) | 1 << p
+        rows: dict[int, dict[int, CohElement]] = {}
+        for d, w in [*out, *(key for key in trunc if key not in out)]:
+            nums, mask = out.get((d, w), {}), trunc.get((d, w), 0)
+            rows.setdefault(d, {})[w] = CohElement._make(self.desc, nums, dens.get(w, 1), mask)
+        return self._like(rows)
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
@@ -672,6 +718,34 @@ def queue_scaled_row(
         part = c if len(parts) <= 1 else LambdaScalar._make(c.desc, nums, c._den, c._trunc)
         for w, el in row.items():
             tgt.setdefault(w + a + shift, []).append((el, part))
+
+
+def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
+    """The reduced series sum_i powers[i] P^(slot_step i) z^(-i), stacked from the numerators.
+
+    The term q^d lam^a log(lam)^b of powers[i] is the term P^p lam^a
+    log(lam)^b, p = slot_step i < n, of the class at weight a + p - i of
+    slice d, so no product is formed and no two terms meet.  A flagged
+    coefficient flags slot p of each class it lands in, and a flagged zero
+    lands as a flagged zero at weight p - i, as its class-by-scalar product
+    with P^p z^(-i) (``queue_scaled_row``) would.
+    """
+    desc, D = powers[0].desc, powers[0].max_degree
+    den = lcm(*(s._den for s in powers))
+    rows: dict[int, dict[int, list]] = {}
+    for i, s in enumerate(powers):
+        p, f, lams = slot_step * i, den // s._den, {}
+        for (d, a, b), c in s._nums.items():
+            rows.setdefault(d, {}).setdefault(a + p - i, [{}, 0])[0][p, a, b] = c * f
+            lams.setdefault(d, set()).add(a)
+        for d in range(s._trunc.bit_length()):
+            for a in lams.get(d, {0}) if s._trunc >> d & 1 else ():
+                rows.setdefault(d, {}).setdefault(a + p - i, [{}, 0])[1] |= 1 << p
+    classes = {
+        d: {w: CohElement._make(desc, nums, den, trunc) for w, (nums, trunc) in row.items()}
+        for d, row in rows.items()
+    }
+    return ZSeries._of(desc, D, classes, REDUCED)
 
 
 def summed(queued: Mapping[int, list]) -> dict:

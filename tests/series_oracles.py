@@ -21,9 +21,11 @@ before ``ZSeries`` keyed them by weight.  ``add_row_product`` and
 products (``series.queue_row_product``, ``queue_scaled_row`` and ``summed``)
 replaced: each product is built as its own value and added into the target
 at once.  The ``*_per_product`` functions are the ``ZSeries`` operations
-written on them.  ``at_z`` is the direct (z, p) read of a weight-keyed slice
-and ``slot_series`` the per-(degree, slot) q-series reader built on it, which
-``ZSeries.z_row`` replaced; ``cell_z_view`` and ``cell_at_minus_z`` are the
+written on them, and ``scale_qseries_queued`` is the queued row-by-scalar
+``ZSeries.scale_qseries`` that the column product replaced.  ``at_z`` is
+the direct (z, p) read of a weight-keyed slice and ``slot_series`` the
+per-(degree, slot) q-series reader built on it, which ``ZSeries.z_row``
+replaced; ``cell_z_view`` and ``cell_at_minus_z`` are the
 S-matrix cell readers that ``gw`` kept before the weight-z rule moved into
 ``series._regroup``.  ``slice_to_json_dict`` is ``ZSeries.to_json_dict`` as
 it was before it rendered each term from the weight rows: it builds and
@@ -46,7 +48,7 @@ from qlefschetz import (
     ZSeries,
 )
 from qlefschetz.ring import poincare_pairing
-from qlefschetz.series import REDUCED, log_lambda_multiple
+from qlefschetz.series import REDUCED, log_lambda_multiple, queue_scaled_row, summed
 
 
 def slice_to_json_dict(f: ZSeries) -> dict:
@@ -691,6 +693,21 @@ def scale_qseries_per_product(f: ZSeries, h: QSeries) -> ZSeries:
             if not c.is_zero() or c.truncated:
                 add_scaled_row(out.setdefault(d1 + d2, {}), row, c)
     return f._like(out)
+
+
+def scale_qseries_queued(f: ZSeries, h: QSeries) -> ZSeries:
+    """f * h as ``ZSeries.scale_qseries`` built it before it worked on columns.
+
+    Every class of f is queued against every coefficient of h, so each class of
+    the result is one sum of class-by-scalar products.
+    """
+    coeffs = h._split()
+    out = {}
+    for d1, row in f.slices.items():
+        for d2, c in coeffs.items():
+            if d1 + d2 <= f.max_degree:
+                queue_scaled_row(out.setdefault(d1 + d2, {}), row, c)
+    return f._like({d: summed(row) for d, row in out.items()})
 
 
 def compose_novikov_per_product(f: ZSeries, inner: QSeries) -> ZSeries:

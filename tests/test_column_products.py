@@ -1,0 +1,197 @@
+"""Scalar q-series act on columns, and the chart factors are stacked from their powers.
+
+Three replacements, each against the code it replaced:
+
+- ``ZSeries.scale_qseries`` multiplies each (weight, P-slot) column by the
+  lam-parts of the q-series, one kernel call per output column, where it
+  queued every class against every coefficient.  ``test_fused_products.py``
+  holds it to ``series_oracles.scale_qseries_queued``; here the kernel calls
+  are counted on the quintic at D = 30.
+- ``mirror._prefactor`` stacks exp(-tau P/z) and exp(-tau0/z) from the
+  numerators of their q-series powers.  It must equal
+  ``mirror_oracles.queued_prefactor`` class by class, flags included, on a
+  seeded grid, and a factor alone must cost no product beyond its powers.
+- ``gw.SMatrix._block`` reads only the z^0 series of each cell.  It must
+  read what ``entry`` read, flagged zeros as unflagged zeros included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+from qlefschetz import (
+    BundleSpec,
+    LambdaScalar,
+    QSeries,
+    RingDescriptor,
+    frame_series,
+    i_function,
+    j_reduced,
+)
+from qlefschetz import gw, mirror, ring
+
+from mirror_oracles import queued_prefactor
+from test_s_matrix_cells import inputs
+from test_s_matrix_half import bumped, one_over_z
+
+
+def same_rows(got, want) -> None:
+    """Equal rows: the same classes at the same (degree, weight), numerators, denominator, flags."""
+    assert {d: set(row) for d, row in got.slices.items()} == {
+        d: set(row) for d, row in want.slices.items()
+    }
+    for d, row in want.slices.items():
+        for w, el in row.items():
+            mine = got.slices[d][w]
+            assert (mine._nums, mine._den, mine._trunc) == (el._nums, el._den, el._trunc)
+
+
+# -- the prefactor against the queued products -------------------------------------
+
+
+def grid_scalar(rng, desc):
+    """A scalar with lam and log(lam) terms, one lam exponent below the floor, flagged at times."""
+    if rng.random() < 0.08:
+        return LambdaScalar(desc, {}, True)  # a flagged zero
+    floor = desc.lambda_floor
+    terms = {
+        (rng.randint(-floor - 1, 2), rng.randint(0, 2)):
+        Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        for _ in range(rng.randint(1, 3))
+    }
+    return LambdaScalar(desc, terms, rng.random() < 0.08)
+
+
+def grid_tail(rng, desc, D):
+    """A q-series without constant term; one time in four its terms start above D/2,
+    so its square is an exact zero."""
+    low = D // 2 + 1 if rng.random() < 0.25 else 1
+    coeffs = {d: grid_scalar(rng, desc) for d in range(low, D + 1) if rng.random() < 0.6}
+    return QSeries(desc, D, coeffs)
+
+
+def prefactor_grid():
+    """(tau0, tau) for n 2-4, floors 0-3, D 0-4, log caps 0-2; tau has a k log(lam) constant
+    at times."""
+    rng = random.Random(2024)
+    for n in (2, 3, 4):
+        for floor in range(4):
+            for D in range(5):
+                for _ in range(4):
+                    desc = RingDescriptor(n=n, lambda_floor=floor, log_cap=rng.randint(0, 2))
+                    tau = grid_tail(rng, desc, D)
+                    if rng.random() < 0.3:
+                        k = LambdaScalar.log_lambda(desc, rng.randint(-2, 2))
+                        tau = tau + QSeries(desc, D, {0: k})
+                    yield grid_tail(rng, desc, D), tau
+
+
+def exact_zero(x) -> bool:
+    return x.is_zero() and not x.truncated
+
+
+def test_the_stacked_prefactor_equals_the_queued_products():
+    kinds, squares = set(), set()
+    for tau0, tau in prefactor_grid():
+        zero = QSeries.zero(tau.desc, tau.max_degree)
+        for pair in ((tau0, tau), (zero, tau), (tau0, zero), (zero, zero)):
+            got = mirror._prefactor(*pair)
+            same_rows(got, queued_prefactor(*pair))
+            kinds.add((exact_zero(pair[0]), exact_zero(pair[1]), got.truncated))
+        square = tau0 * tau0
+        squares.add((square.is_zero(), square.truncated))
+    # Each shape of the arguments gives flagged and unflagged results, and
+    # the squares of tau0 are nonzero, exact zeros and flagged zeros.
+    both = (False, True)
+    assert kinds == {(z0, z, t) for z0 in both for z in both for t in both} - {(True, True, True)}
+    assert {(False, False), (True, False), (True, True)} <= squares
+
+
+# -- the work each replacement does -------------------------------------------------
+
+
+def quintic(D):
+    desc = RingDescriptor(n=5)
+    I = i_function(j_reduced(5, D, desc=desc), BundleSpec((5,), equivariant=False))
+    return I, I.z_row(0)[0].invert()
+
+
+def test_scaling_by_a_q_series_makes_one_kernel_call_per_output_column(monkeypatch):
+    I, f = quintic(30)
+    calls = []
+    times = ring._Terms._times
+    monkeypatch.setattr(
+        ring._Terms, "_times", lambda s, pairs, den: calls.append(1) or times(s, pairs, den)
+    )
+    J1 = I.scale_qseries(f)
+    monkeypatch.undo()
+    columns = {(w, key[0]) for row in J1.slices.values() for w, el in row.items()
+               for key in el._nums}
+    # Every class of the quintic's I sits at weight 0, so the five P-slots are the columns.
+    assert len(calls) == len(columns) == 5
+
+
+def test_a_factor_alone_makes_no_product_beyond_its_powers(monkeypatch):
+    I, f = quintic(30)
+    tau = I.scale_qseries(f).z_row(-1)[1]
+    zero = QSeries.zero(tau.desc, tau.max_degree)
+    tau0 = tau.scale(Fraction(1, 3))
+    # The powers of the other argument stop at the first, an exact zero.
+    for pair, powers in (((zero, tau), tau.desc.n - 1), ((tau0, zero), 1 + tau.max_degree)):
+        products = []
+        dot = ring._Terms._dot
+        monkeypatch.setattr(
+            ring._Terms, "_dot", lambda s, pairs: products.append(pairs) or dot(s, pairs)
+        )
+        mirror._prefactor(*pair)
+        monkeypatch.undo()
+        # Only the powers, each one q-series product: no class meets a scalar.
+        assert len(products) == powers
+        assert all(type(x) is QSeries and type(y) is QSeries for p in products for x, y in p)
+
+
+# -- the z^0 block of an S-matrix ---------------------------------------------------
+
+
+def entry_block(S):
+    """The q^0 z^0 scalar of every cell, read through ``entry`` as before."""
+    zero, span = QSeries.zero(S.desc, S.max_degree), range(S.size)
+    return [[S.entry(b, a).get(0, zero).coefficient(0) for a in span] for b in span]
+
+
+def same_block(S) -> None:
+    got, want = S._block(), entry_block(S)
+    assert [[(c._nums, c._den, c._trunc) for c in row] for row in got] == [
+        [(c._nums, c._den, c._trunc) for c in row] for row in want
+    ]
+
+
+@settings(max_examples=60)
+@given(inputs())
+def test_the_block_reads_what_the_entries_read(x):
+    J, n, D = x
+    same_block(gw._matrix_from_frame(frame_series(J.truncate_novikov(D), n)))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_the_block_reads_what_the_entries_read_on_bumped_and_flagged_cells(n):
+    flagged = 0
+    for D in range(3):
+        for floor in range(3):
+            desc = RingDescriptor(n=n, lambda_floor=floor)
+            J = j_reduced(n, D, desc=desc)
+            for K in (J, J * one_over_z(desc, D), J * one_over_z(desc, D, 1, -2)):
+                same_block(gw._matrix_from_frame(frame_series(K, n)))
+            for b in range(n):
+                for a in range(n):
+                    for d in range(D + 1):
+                        for e in (-3, -1, 0):
+                            # lam^-3 is below every floor here: a flagged zero
+                            bump = QSeries(desc, D, {d: LambdaScalar.lam_power(desc, e, 2)})
+                            S = bumped(n, D, b, a, bump)
+                            same_block(S)
+                            cells = (c for row in S.cells for c in row)
+                            flagged += any(s.truncated for c in cells for s in c.values())
+    assert flagged

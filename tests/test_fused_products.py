@@ -8,7 +8,11 @@ cap, and factors arrive truncated, zero or not, so the per-pair scaling and
 both flag rules are compared: numerators, denominator and flag mask must
 agree exactly.  The ``ZSeries`` operations built on the queued sums are
 compared row by row with the per-product row kernels of ``series_oracles``,
-and the direct (z, p) slot read with the z-view of ``_by_z``.
+and the direct (z, p) slot read with the z-view of ``_by_z``.  The column
+product of ``ZSeries.scale_qseries`` is compared with the queued class-by-scalar
+sums it replaced (``series_oracles.scale_qseries_queued``) on rows of several
+weights and multipliers whose coefficients mix lam exponents, flagged zeros
+among them.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +24,7 @@ from series_oracles import (
     compose_novikov_per_product,
     mul_per_product,
     scale_qseries_per_product,
+    scale_qseries_queued,
     scale_scalar_per_product,
 )
 
@@ -154,6 +159,42 @@ def test_z_series_products_match_the_per_product_rows(data):
     rows_agree(f.scale_qseries(h), scale_qseries_per_product(f, h))
     inner = QSeries(DESC, D, data.draw(st.dictionaries(st.integers(1, D), scalars(), max_size=3)))
     rows_agree(f.compose_novikov(inner), compose_novikov_per_product(f, inner))
+
+
+def mixed_scalars():
+    """Scalars with two or more lam exponents, flagged one time in four."""
+    terms = st.dictionaries(KEYS, VALUES, min_size=2, max_size=4).filter(
+        lambda t: len({a for a, _ in t}) > 1
+    )
+    return st.builds(LambdaScalar, st.just(DESC), terms, FLAGS)
+
+
+def multipliers():
+    """q-series whose coefficients mix several lam exponents, with flagged zeros among them."""
+    coeffs = st.one_of(mixed_scalars(), mixed_scalars(), scalars(), st.just(ZERO_FLAGGED))
+    return st.dictionaries(st.integers(0, D), coeffs, min_size=1, max_size=D + 1).map(
+        lambda c: QSeries(DESC, D, c)
+    )
+
+
+@st.composite
+def several_weights(draw):
+    """A reduced series with rows of two or three z-exponents, so most rows hold several weights."""
+    rows = st.dictionaries(st.integers(-3, 2), classes(), min_size=2, max_size=3)
+    return ZSeries(DESC, D, draw(st.dictionaries(st.integers(0, D), rows, min_size=1, max_size=3)))
+
+
+@settings(max_examples=150)
+@given(several_weights(), multipliers())
+@example(  # keys below the floor and past the log cap at two weights, a flagged zero at q^1
+    ZSeries(DESC, D, {0: {0: CohElement(DESC, [lam(-2), HALF, lam(1)]),
+                          -1: CohElement(DESC, [lam(-1, 3), ZERO_FLAGGED, lam(0)])}}),
+    QSeries(DESC, D, {0: HALF + lam(-2, 2), 1: ZERO_FLAGGED, 2: lam(-1, 1, True) + lam(2)}),
+)
+def test_a_q_series_scales_column_by_column_as_class_by_class(f, h):
+    want = scale_qseries_queued(f, h)
+    rows_agree(f.scale_qseries(h), want)
+    rows_agree(want, scale_qseries_per_product(f, h))
 
 
 @settings(max_examples=80)

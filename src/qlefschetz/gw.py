@@ -8,7 +8,8 @@ with each factor (P + k z)^(-n) expanded binomially modulo P^n.  The single
 quantum-cohomology relation behind it, (z D_P)^n J = q J, is certified by
 qde_verify rather than hardcoded, and the fundamental solution frame
 {(z D_P)^a J} assembles into an S-matrix whose unitarity is checked against
-the Poincare Gram matrix.
+the Poincare Gram matrix.  Its cells are the frame's classes at one weight
+offset, one q-series per P-slot (``series._columns``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from math import comb
 
 from .errors import TransversalityError
 from .ring import CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, _at_minus_z, _by_z, directional_derivative
-from .series import queue_row_product, summed, z_json
+from .series import QSeries, REDUCED, ZSeries, _at_minus_z, _by_z, _columns
+from .series import directional_derivative, queue_row_product, summed, z_json
 
 
 def j_reduced(
@@ -146,16 +147,16 @@ class SMatrix:
 
 def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
     desc, D = frame[0].desc, frame[0].max_degree
-    n = desc.n
-    # coefficients per cell and weight offset, {d: c}, before any series is built
-    coeffs: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
+    n, like = desc.n, QSeries.zero(desc, D)
+    cells: list[list[dict[int, QSeries]]] = [[{} for _ in range(n)] for _ in range(n)]
     for a, T in enumerate(frame):
+        by_offset: dict[int, dict] = {}
         for d, row in T.slices.items():
             for w, el in row.items():
-                for b, c in enumerate(el.components):
-                    if not c.is_zero() or c.truncated:
-                        coeffs[b][a].setdefault(w - a + n * d, {})[d] = c
-    cells = [[{k: QSeries(desc, D, c) for k, c in cell.items()} for cell in row] for row in coeffs]
+                by_offset.setdefault(w - a + n * d, {})[d] = el
+        for k, values in by_offset.items():
+            for b, series in _columns(values, like).items():
+                cells[b][a][k] = series
     return SMatrix(desc, D, cells)
 
 

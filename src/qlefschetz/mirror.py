@@ -19,11 +19,11 @@ one place a MirrorResult is built.  The z^(-1) slots of the normalized
 series are the components of the projection to the parameter space (string
 direction at P^0, divisor direction at P^1); ``ZSeries.z_row`` reads them
 off in one pass over the slices, and a product with exp(-tau P/z) and then
-one with exp(-tau0/z) peel them off.  Each factor is stacked from the
-numerators of the powers of its q-series, so it costs those powers and no
-other product.  Each row is read once: small_mirror hands its F to the tail
-and takes its small-projection check from the tail's tau_higher.  The
-inverse change of Novikov variable q' = q exp(tau - t), computed by Lagrange
+one with exp(-tau0/z) peel them off.  Each factor is built alone by
+``_prefactor`` from the powers of its q-series, so it costs those powers and
+no other q-series product.  Each row is read once: small_mirror hands its F
+to the tail and takes its small-projection check from the tail's tau_higher.
+The inverse change of Novikov variable q' = q exp(tau - t), computed by Lagrange
 inversion from the powers of the exponent's tail, then produces the J-series
 in its own chart.
 """
@@ -169,27 +169,15 @@ def _exp_terms(x: QSeries, count: int) -> list[QSeries]:
     return terms
 
 
-def _prefactor(tau0: QSeries, tau: QSeries) -> ZSeries:
-    """exp(-(tau0 + tau P)/z) as a reduced ZSeries, stacked from q-series powers.
+def _prefactor(x: QSeries, slot_step: int, count: int) -> ZSeries:
+    """exp(-x P^slot_step/z) as a reduced ZSeries, stacked from the powers of -x.
 
-    It is sum_{j,k} (-tau0)^j (-tau)^k / (j! k!) P^k z^(-(j+k)).  The sum over
-    k ends at P^n = 0, and the term q^d lam^a of (-tau)^k / k! is the term
-    P^k lam^a of the class at weight a, so exp(-tau P/z) is stacked from its
-    powers (``series.stacked_powers``); so is exp(-tau0/z), whose term of
-    (-tau0)^j / j! sits at weight a - j.  Either factor alone costs only its
-    q-series powers.  When neither argument is an exact zero, the stacked
-    exp(-tau P/z) is scaled by each power of -tau0, j weights down, and the
-    products are summed: the flags are those of class-by-scalar products.
+    It is sum_k (-x)^k / k! P^(slot_step k) z^(-k) over k < count: n for
+    tau P (P^n = 0), D + 1 for tau0, which has no constant term.  The powers
+    stop at the first exact zero (``_exp_terms``), and ``series.stacked_powers``
+    stacks them, so the factor costs only its powers.
     """
-    desc, D = tau.desc, tau.max_degree
-    diagonal = stacked_powers(_exp_terms(-tau, desc.n), 1)
-    if tau0.is_zero() and not tau0.truncated:
-        return diagonal
-    powers = _exp_terms(-tau0, D + 1)
-    if tau.is_zero() and not tau.truncated:
-        return stacked_powers(powers, 0)
-    scaled = (diagonal.z_shift(-j).scale_qseries(power) for j, power in enumerate(powers))
-    return sum(scaled, ZSeries.zero(desc, D))
+    return stacked_powers(_exp_terms(-x, count), slot_step)
 
 
 def _extract_chart(series: ZSeries):
@@ -200,8 +188,8 @@ def _extract_chart(series: ZSeries):
     the projection; tau0 must have no constant term.  Multiplying by
     exp(-(tau0 + tau P)/z) clears them, because the z^(-1) slot of
     exp(-H/z) * (1 + N_(-1)/z + ...) is N_(-1) - H.  The series is multiplied
-    by exp(-tau P/z) and then by exp(-tau0/z), whose expansions are much
-    smaller than that of their product; the second product is skipped when
+    by exp(-tau P/z) and then by exp(-tau0/z), two ``_prefactor`` calls whose
+    expansions are much smaller than their product; the second is skipped when
     tau0 is an exact zero.  The chart is checked to have no z^(-1) content
     left at P^0 and P^1.  Its z^(-1) slots at P^(j>=2), nonzero only when the
     projection leaves the small parameter space, are returned as tau_higher.
@@ -213,10 +201,9 @@ def _extract_chart(series: ZSeries):
     tau0, tau, *_ = series.z_row(-1)
     if not tau0.coefficient(0).is_zero():
         raise EngineError("string-direction projection has a constant term")
-    zero = QSeries.zero(tau.desc, tau.max_degree)
-    chart = _prefactor(zero, tau) * series
+    chart = _prefactor(tau, 1, tau.desc.n) * series
     if tau0.truncated or not tau0.is_zero():
-        chart = _prefactor(tau0, zero) * chart
+        chart = _prefactor(tau0, 0, tau0.max_degree + 1) * chart
     string, divisor, *higher = chart.z_row(-1)
     if not (string.is_zero() and divisor.is_zero()):
         raise EngineError("chart extraction failed to clear a z^(-1) slot")

@@ -96,9 +96,11 @@ def _add_nums(an: dict, ad: int, bn: dict, bd: int) -> tuple[dict, int]:
     return out, ad * fa
 
 
-def _stacked(slots) -> tuple[dict, int, int]:
-    """Scalars [(slot, scalar)] as one value's numerators, denominator and flag mask."""
+def _stacked(desc: RingDescriptor, slots) -> tuple[dict, int, int]:
+    """Scalars [(slot, scalar)] over desc as one value's numerators, denominator and flag mask."""
     slots = list(slots)
+    if any(s.desc is not desc and s.desc != desc for _, s in slots):
+        raise DescriptorMismatchError("scalars over a different ring descriptor")
     # Over the lcm of lowest-terms denominators the numerators are coprime to it.
     den = lcm(*(s._den for _, s in slots))
     nums = {(k, a, b): c * (den // s._den) for k, s in slots for (_, a, b), c in s._nums.items()}
@@ -516,7 +518,7 @@ class CohElement(_Graded):
         if len(comps) != desc.n:
             raise ValueError(f"expected {desc.n} components, got {len(comps)}")
         self.desc = desc
-        self._nums, self._den, self._trunc = _stacked(enumerate(comps))
+        self._nums, self._den, self._trunc = _stacked(desc, enumerate(comps))
 
     # -- constructors --------------------------------------------------------
 

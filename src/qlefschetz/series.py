@@ -13,10 +13,10 @@ per slice, and a product of two slices is one class product.
 
 Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
-R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  A scalar
-q-series acts on a ZSeries by column: the P^p slots of the classes at one
-weight, over all degrees, form one QSeries, and each column is multiplied
-once, not each class by each coefficient.
+R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  Where the
+two meet there is one transposition, ``_columns`` (classes keyed by degree
+to one QSeries per P-slot), and one product kernel, ``_scaled``: rows times
+q-series, each column multiplied once, not each class by each coefficient.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from math import factorial, lcm
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
-from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _render_slots, _stacked
-from .ring import poincare_pairing
+from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _lowest, _render_slots
+from .ring import _stacked, poincare_pairing
 
 REDUCED = "reduced"
 RAW = "raw"
@@ -61,7 +61,7 @@ class QSeries(_Graded):
                 slots.append((d, c))
         self.desc = desc
         self.max_degree = max_degree
-        self._nums, self._den, self._trunc = _stacked(slots)
+        self._nums, self._den, self._trunc = _stacked(desc, slots)
 
     def _like(self, nums: dict, den: int, trunc: int) -> "QSeries":
         out = self._make(self.desc, nums, den, trunc)
@@ -315,17 +315,14 @@ class ZSeries:
         return self.coefficient(d, z_exp).component(p_exp)
 
     def z_row(self, z_exp: int) -> list[QSeries]:
-        """The n q-series sum_d [z^z_exp P^p] slice_d q^d, p < n, in one pass over the slices.
+        """The n q-series sum_d [z^z_exp P^p] slice_d q^d, p < n, flags and flagged zeros kept.
 
-        Slice d is read once, as ``coefficient(d, z_exp)``: the q^d term of
-        series p is ``scalar_slot(d, z_exp, p)``, kept with its flag, also
-        when it is a flagged zero.
+        Slice d is read once, as one class (``_by_z(..., at=z_exp)``), and ``_columns`` splits them.
         """
-        coeffs: list[dict[int, LambdaScalar]] = [{} for _ in range(self.desc.n)]
-        for d in self.slices:
-            for p, c in self.coefficient(d, z_exp)._split().items():
-                coeffs[p][d] = c
-        return [QSeries(self.desc, self.max_degree, slot) for slot in coeffs]
+        zero = QSeries.zero(self.desc, self.max_degree)
+        at = {d: el for d, row in self.slices.items() for el in _by_z(row, at=z_exp).values()}
+        columns = _columns(at, zero)
+        return [columns.get(p, zero) for p in range(self.desc.n)]
 
     def is_zero(self) -> bool:
         """True when every value is zero; flags are not looked at."""
@@ -399,65 +396,13 @@ class ZSeries:
         return self._map(lambda el: el.scale(value))
 
     def scale_scalar(self, scalar: LambdaScalar) -> "ZSeries":
-        out: dict[int, dict[int, list]] = {}
-        for d, row in self.slices.items():
-            queue_scaled_row(out.setdefault(d, {}), row, scalar)
-        return self._summed(out)
+        return self.scale_qseries(QSeries(self.desc, self.max_degree, {0: scalar}))
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
-        """Multiply by a scalar q-series, one (weight, P-slot) column at a time.
-
-        Column (w, p) is the q-series of the P^p slots of the classes at
-        weight w.  The lam^a part of f moves a column a weights up, as in
-        ``queue_scaled_row``, so output column (w, p) is the sum of the
-        products of the columns (w - a, p) with the parts: one kernel call
-        (``_Terms._times``), over one denominator per output weight.  A class
-        is flagged as the class-by-scalar products of ``_Terms._dot`` flag it
-        (the scalar being the q^d coefficient of f), and at the slots of its
-        keys that fell below the floor or past the log cap.
-        """
+        """Multiply by a scalar q-series, one (weight, P-slot) column at a time (``_scaled``)."""
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
-        D = self.max_degree
-        lams: dict[int, set] = {}  # the lam exponents of each q^d coefficient of f
-        split: dict[int, dict] = {}
-        for key, c in f._nums.items():
-            lams.setdefault(key[0], set()).add(key[1])
-            split.setdefault(key[1], {})[key] = c
-        parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
-        flagged = {d: lams.setdefault(d, {0}) for d in range(D + 1) if f._trunc >> d & 1}
-        columns: dict[tuple[int, int], dict] = {}
-        trunc: dict[tuple[int, int], int] = {}
-        for d1, row in self.slices.items():
-            for w, el in row.items():
-                for (p, a, b), c in el._nums.items():
-                    columns.setdefault((w, p), {})[d1, a, b] = (c, el._den)
-                for d2, exps in (lams if el._trunc else flagged).items():
-                    mask = el._slots() | el._trunc if d2 in flagged else el._trunc
-                    for a in exps if d1 + d2 <= D else ():  # as queue_scaled_row places them
-                        trunc[d1 + d2, w + a] = trunc.get((d1 + d2, w + a), 0) | mask
-        queued: dict[int, dict[int, list]] = {}
-        for (w, p), terms in columns.items():
-            den = lcm(*(e for _, e in terms.values()))
-            col = f._like({k: c * (den // e) for k, (c, e) in terms.items()}, den, 0)
-            for a, part in parts.items():
-                queued.setdefault(w + a, {}).setdefault(p, []).append((col, part))
-        out: dict[tuple[int, int], dict] = {}
-        dens: dict[int, int] = {}
-        for w, by_slot in queued.items():
-            den = dens[w] = lcm(*(x._den * y._den for pairs in by_slot.values() for x, y in pairs))
-            for p, pairs in by_slot.items():
-                nums, dropped = f._times(pairs, den)
-                for (d, a, b), c in nums.items():
-                    out.setdefault((d, w), {})[p, a, b] = c
-                for d in range(dropped.bit_length()):
-                    if dropped >> d & 1:
-                        trunc[d, w] = trunc.get((d, w), 0) | 1 << p
-        rows: dict[int, dict[int, CohElement]] = {}
-        for d, w in [*out, *(key for key in trunc if key not in out)]:
-            nums, mask = out.get((d, w), {}), trunc.get((d, w), 0)
-            rows.setdefault(d, {})[w] = CohElement._make(self.desc, nums, dens.get(w, 1), mask)
-        return self._like(rows)
+        return self._like(_scaled([(self.slices, f)]))
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
@@ -487,11 +432,7 @@ class ZSeries:
                 if d > self.max_degree:
                     continue
                 queue_row_product(out.setdefault(d, {}), row1, row2)
-        return self._summed(out)
-
-    def _summed(self, queued: dict[int, dict[int, list]]) -> "ZSeries":
-        """The series whose class at (d, w) sums the products queued there."""
-        return self._like({d: summed(row) for d, row in queued.items()})
+        return self._like({d: summed(row) for d, row in out.items()})
 
     def _values(self) -> dict[int, dict[int, CohElement]]:
         """The rows without their flagged zeros."""
@@ -555,8 +496,8 @@ class ZSeries:
     def compose_novikov(self, inner: QSeries) -> "ZSeries":
         """Substitute q = inner(q') and re-expand; inner must have valuation >= 1.
 
-        Each slice_d * [q'^m] inner^d is queued into row m of the result, next
-        to slice 0 times 1, and every class of the result is one sum of products.
+        Slice d, placed at degree 0, is scaled by inner^d (``_scaled``), next
+        to slice 0 times 1, so every class of the result is one sum of products.
         A power that is a flagged zero stands for unknown terms below the floor,
         so only an exact zero ends the sum early.
         """
@@ -564,19 +505,15 @@ class ZSeries:
             raise DescriptorMismatchError("substitution series does not match")
         if not inner.valuation_at_least(1):
             raise ValueError("substitution requires valuation >= 1")
-        one = LambdaScalar.one(self.desc)
-        out = {0: {w: [(el, one)] for w, el in self.slices.get(0, {}).items()}}
-        power = QSeries.one(self.desc, self.max_degree)
-        for d in range(1, self.max_degree + 1):
-            power = power * inner
-            if power.is_zero() and not power.truncated:
-                break
-            row = self.slices.get(d)
-            if row is None:
-                continue
-            for m, c in power._split().items():
-                queue_scaled_row(out.setdefault(m, {}), row, c)
-        return self._summed(out)
+        power, family = QSeries.one(self.desc, self.max_degree), []
+        for d in range(self.max_degree + 1):
+            if d:
+                power = power * inner
+                if power.is_zero() and not power.truncated:
+                    break
+            if d in self.slices:
+                family.append(({0: self.slices[d]}, power))
+        return self._like(_scaled(family))
 
     # -- serialization ------------------------------------------------------------
 
@@ -721,31 +658,92 @@ def queue_scaled_row(
 
 
 def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
-    """The reduced series sum_i powers[i] P^(slot_step i) z^(-i), stacked from the numerators.
+    """The reduced series sum_i powers[i] P^(slot_step i) z^(-i), p = slot_step i < n.
 
-    The term q^d lam^a log(lam)^b of powers[i] is the term P^p lam^a
-    log(lam)^b, p = slot_step i < n, of the class at weight a + p - i of
-    slice d, so no product is formed and no two terms meet.  A flagged
-    coefficient flags slot p of each class it lands in, and a flagged zero
-    lands as a flagged zero at weight p - i, as its class-by-scalar product
-    with P^p z^(-i) (``queue_scaled_row``) would.
+    P^p z^(-i) is one class at weight p - i, so this is one ``_scaled`` family;
+    no two terms meet.
     """
     desc, D = powers[0].desc, powers[0].max_degree
-    den = lcm(*(s._den for s in powers))
-    rows: dict[int, dict[int, list]] = {}
-    for i, s in enumerate(powers):
-        p, f, lams = slot_step * i, den // s._den, {}
-        for (d, a, b), c in s._nums.items():
-            rows.setdefault(d, {}).setdefault(a + p - i, [{}, 0])[0][p, a, b] = c * f
-            lams.setdefault(d, set()).add(a)
-        for d in range(s._trunc.bit_length()):
-            for a in lams.get(d, {0}) if s._trunc >> d & 1 else ():
-                rows.setdefault(d, {}).setdefault(a + p - i, [{}, 0])[1] |= 1 << p
-    classes = {
-        d: {w: CohElement._make(desc, nums, den, trunc) for w, (nums, trunc) in row.items()}
-        for d, row in rows.items()
-    }
-    return ZSeries._of(desc, D, classes, REDUCED)
+    family = [({0: {(slot_step - 1) * i: CohElement.p_power(desc, slot_step * i)}}, power)
+              for i, power in enumerate(powers)]
+    return ZSeries._of(desc, D, _scaled(family), REDUCED)
+
+
+def _columns(values: Mapping[int, _Graded], like: QSeries, lowest=True) -> dict[int, QSeries]:
+    """Values keyed by degree as one q-series per slot that holds a term or a flag.
+
+    Term (p, a, b) of the value at degree d becomes term (d, a, b) of series p,
+    and bit p of the flags of value d becomes bit d of series p; the series
+    are shaped like ``like``, over the lcm of the values' denominators, which
+    is left unreduced without ``lowest`` (``_scaled`` reads them only in sums).
+    """
+    den = lcm(*(v._den for v in values.values()))
+    nums: dict[int, dict] = {}
+    trunc: dict[int, int] = {}
+    for d, v in values.items():
+        f = den // v._den
+        for (p, a, b), c in v._nums.items():
+            nums.setdefault(p, {})[d, a, b] = c * f
+        for p in range(v._trunc.bit_length()):
+            if v._trunc >> p & 1:
+                trunc[p] = trunc.get(p, 0) | 1 << d
+    out = {p: like._like({}, 1, trunc.get(p, 0)) for p in {*nums, *trunc}}
+    for p, col in out.items():
+        col._nums, col._den = _lowest(nums.get(p, {}), den) if lowest else (nums.get(p, {}), den)
+    return out
+
+
+def _scaled(family) -> dict[int, dict[int, CohElement]]:
+    """The rows of sum_k rows_k * f_k, for weight-keyed rows of classes and scalar q-series f_k.
+
+    The classes of rows_k at a weight are split into P-slot columns (``_columns``),
+    and the lam^a part of f_k moves a column a weights up: output column (w, p)
+    is one ``_Terms._times`` call, over one denominator per output weight.  Here
+    alone is the class-by-scalar flag rule of ``_Terms._dot`` written for a
+    q-series: at each lam exponent of the q^d coefficient of f_k (lam^0 for a
+    flagged zero), an unflagged coefficient passes on the class's flags, a flagged
+    one also its slots that hold a term.  Keys dropped by ``_times`` flag their slots.
+    """
+    queued: dict[int, dict[int, list]] = {}  # output weight -> slot -> pairs
+    flags: dict[tuple[int, int], int] = {}  # output (weight, slot) -> mask of degrees
+    for rows, f in family:
+        split: dict[int, dict] = {}
+        lams = {0: f._trunc and f._trunc & ~f._slots()}  # lam exponent -> mask of degrees
+        for key, c in f._nums.items():
+            split.setdefault(key[1], {})[key] = c
+            lams[key[1]] = lams.get(key[1], 0) | 1 << key[0]
+        parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
+        for w in {w for row in rows.values() for w in row}:
+            at_w = {d: row[w] for d, row in rows.items() if w in row}
+            for p, col in _columns(at_w, f, lowest=False).items():
+                for a, part in parts.items() if col._nums else ():
+                    queued.setdefault(w + a, {}).setdefault(p, []).append((part, col))
+                held = col._slots() | col._trunc if f._trunc else 0
+                for a, degrees in lams.items() if col._trunc or f._trunc else ():
+                    mask = flags.get((w + a, p), 0)
+                    for d in range(degrees.bit_length()):
+                        if degrees >> d & 1:
+                            mask |= (held if f._trunc >> d & 1 else col._trunc) << d
+                    flags[w + a, p] = mask
+    out: dict[tuple[int, int], dict] = {}
+    dens: dict[int, int] = {}
+    for w, by_slot in queued.items():  # f is the last f_k; all share a descriptor and a span
+        den = dens[w] = lcm(*(x._den * y._den for pairs in by_slot.values() for x, y in pairs))
+        for p, pairs in by_slot.items():
+            nums, dropped = f._times(pairs, den)
+            flags[w, p] = flags.get((w, p), 0) | dropped
+            for (d, a, b), c in nums.items():
+                out.setdefault((d, w), {})[p, a, b] = c
+    trunc: dict[tuple[int, int], int] = {}
+    for (w, p), mask in flags.items():
+        for d in range(mask.bit_length()):
+            if mask >> d & 1:
+                trunc[d, w] = trunc.get((d, w), 0) | 1 << p
+    rows: dict[int, dict[int, CohElement]] = {}
+    for d, w in [*out, *(key for key in trunc if key not in out)]:
+        nums, mask = out.get((d, w), {}), trunc.get((d, w), 0)
+        rows.setdefault(d, {})[w] = CohElement._make(f.desc, nums, dens.get(w, 1), mask)
+    return rows
 
 
 def summed(queued: Mapping[int, list]) -> dict:

@@ -9,7 +9,9 @@ compares ``gw.SMatrix``, which keeps one q-series per weight offset, with it.
 entries, where ``gw`` builds only the entries a <= b.  ``entry_to_json_dict``
 is ``SMatrix.to_json_dict`` as it was before it rendered each term from the
 cells' numerators: it builds one q-series per z-exponent with ``entry(b, a)``
-and renders each.
+and renders each.  ``cells_by_components`` is ``gw._matrix_from_frame`` as
+it was before it read the frame through ``series._columns``: it splits every
+class into its components and stacks each cell's scalars into q-series.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ def zkeyed_matrix_from_frame(frame: list[ZSeries]) -> list[list[dict[int, QSerie
         [{ze: QSeries(desc, D, coeffs) for ze, coeffs in cell.items()} for cell in row]
         for row in cells
     ]
+
+
+def cells_by_components(frame: list[ZSeries]) -> list[list[dict[int, QSeries]]]:
+    """cells[b][a]: the P^b components of frame element a by weight offset, as q-series."""
+    desc, D = frame[0].desc, frame[0].max_degree
+    n = desc.n
+    # coefficients per cell and weight offset, {d: c}, before any series is built
+    coeffs: list[list[dict[int, dict]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for a, T in enumerate(frame):
+        for d, row in T.slices.items():
+            for w, el in row.items():
+                for b, c in enumerate(el.components):
+                    if not c.is_zero() or c.truncated:
+                        coeffs[b][a].setdefault(w - a + n * d, {})[d] = c
+    return [[{k: QSeries(desc, D, c) for k, c in cell.items()} for cell in row] for row in coeffs]
 
 
 def zkeyed_add_cell_product(acc: dict[int, QSeries], x: dict[int, QSeries], y: dict[int, QSeries]):

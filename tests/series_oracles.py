@@ -25,7 +25,10 @@ written on them, and ``scale_qseries_queued`` is the queued row-by-scalar
 ``ZSeries.scale_qseries`` that the column product replaced.  ``at_z`` is
 the direct (z, p) read of a weight-keyed slice and ``slot_series`` the
 per-(degree, slot) q-series reader built on it, which ``ZSeries.z_row``
-replaced; ``cell_z_view`` and ``cell_at_minus_z`` are the
+replaced, and ``z_row_by_split`` is ``z_row`` as it was before it read its
+classes through ``series._columns``: each slice's class at z^z_exp is split
+into scalars and the scalars stacked again.  ``cell_z_view`` and
+``cell_at_minus_z`` are the
 S-matrix cell readers that ``gw`` kept before the weight-z rule moved into
 ``series._regroup``.  ``slice_to_json_dict`` is ``ZSeries.to_json_dict`` as
 it was before it rendered each term from the weight rows: it builds and
@@ -767,6 +770,20 @@ def slot_series(f: ZSeries, z_exp: int, p_exp: int) -> QSeries:
         if not c.is_zero():
             coeffs[d] = c
     return QSeries(f.desc, f.max_degree, coeffs)
+
+
+def z_row_by_split(f: ZSeries, z_exp: int) -> list[QSeries]:
+    """The n q-series sum_d [z^z_exp P^p] slice_d q^d, p < n, in one pass over the slices.
+
+    Slice d is read once, as ``coefficient(d, z_exp)``: the q^d term of
+    series p is ``scalar_slot(d, z_exp, p)``, kept with its flag, also
+    when it is a flagged zero.
+    """
+    coeffs: list[dict[int, LambdaScalar]] = [{} for _ in range(f.desc.n)]
+    for d in f.slices:
+        for p, c in f.coefficient(d, z_exp)._split().items():
+            coeffs[p][d] = c
+    return [QSeries(f.desc, f.max_degree, slot) for slot in coeffs]
 
 
 def cell_z_view(series: Mapping[int, QSeries], shift: int, n: int) -> dict[int, QSeries]:

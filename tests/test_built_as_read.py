@@ -9,8 +9,9 @@ Four replacements, each against the code it replaced:
 - A sweep reads only the z >= 0 classes of its slice (``_by_z(row, low=0)``);
   ``test_deferred_elimination.py`` pins the reads.
 - ``mirror._extract_chart`` multiplies by exp(-tau P/z) and then by
-  exp(-tau0/z), not by the expanded exp(-(tau0 + tau P)/z).  The chart must
-  hold the value of the single product at every slot that either side leaves
+  exp(-tau0/z), not by the expanded exp(-(tau0 + tau P)/z)
+  (``mirror_oracles.queued_prefactor``).  The chart must hold the value of
+  that single product at every slot that either side leaves
   unflagged, and every flag of it; its unflagged slots must read the same at
   a floor and a log cap three steps further out.
 - ``ZSeries.to_json_dict`` and ``SMatrix.to_json_dict`` render each term from
@@ -26,10 +27,10 @@ from hypothesis import given, settings
 from qlefschetz import BundleSpec, CohElement, LambdaScalar, RingDescriptor, ZSeries
 from qlefschetz import cone_transform, i_function, j_reduced
 from qlefschetz import gw, mirror, s_matrix
-from qlefschetz.mirror import _prefactor
 from qlefschetz.series import REDUCED
 
 from gw_oracles import entry_to_json_dict
+from mirror_oracles import queued_prefactor
 from series_oracles import slice_to_json_dict
 from test_chart_flags import RAISE, changed_unflagged, z_reads
 from test_s_matrix_half import one_over_z
@@ -76,7 +77,7 @@ def chart_and_product(monkeypatch, n, degrees, D, floor, cone, raised=0):
     tau0, tau, *_ = mirror._extract_chart(normalized)
     monkeypatch.undo()
     assert len(products) == 1 + (tau0.truncated or not tau0.is_zero())
-    return charts[-1], _prefactor(tau0, tau) * normalized, tau0
+    return charts[-1], queued_prefactor(tau0, tau) * normalized, tau0
 
 
 def holds_the_product(chart: ZSeries, product: ZSeries) -> dict:
@@ -147,4 +148,4 @@ def test_a_flagged_zero_tau0_is_still_multiplied_in(monkeypatch):
     monkeypatch.setattr(ZSeries, "compose_novikov", lambda s, u: charts.append(s) or compose(s, u))
     tau0, tau, *_ = mirror._extract_chart(series)
     assert tau0.is_zero() and tau0.truncated
-    assert holds_the_product(charts[-1], _prefactor(tau0, tau) * series)[(1, -2, 1)].truncated
+    assert holds_the_product(charts[-1], queued_prefactor(tau0, tau) * series)[(1, -2, 1)].truncated

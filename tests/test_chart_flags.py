@@ -4,7 +4,9 @@ An unflagged read must be exact: it must equal the same read at a floor
 three steps lower and a log cap three steps higher.  The inputs are
 lam-Laurent tails whose terms reach below the floor, with a k log(lam)
 constant, so the truncation is exercised; on exact inputs the closed forms
-must also agree with the plain exponential they replaced.  The kernels under
+must also agree with the plain exponential they replaced.  The prefactor
+exp(-(tau0 + tau P)/z) is read as the chart builds it, the product of
+``mirror._prefactor``'s two factors.  The kernels under
 them are held to the same rule: ``QSeries.exp``, ``invert`` and ``compose``,
 and ``ZSeries.exp``, whose sum goes on through a term that is a flagged zero.
 """
@@ -73,6 +75,11 @@ def q_reads(f: QSeries) -> dict:
     return {d: f.coefficient(d) for d in range(f.max_degree + 1)}
 
 
+def prefactor(tau0: QSeries, tau: QSeries):
+    """exp(-(tau0 + tau P)/z) as the chart builds it: exp(-tau0/z) times exp(-tau P/z)."""
+    return _prefactor(tau0, 0, tau0.max_degree + 1) * _prefactor(tau, 1, tau.desc.n)
+
+
 def z_reads(f, other) -> dict:
     """Every (d, z, p) slot of f, over the z-exponents where f or other holds a class."""
     return {
@@ -93,7 +100,7 @@ def test_unflagged_inverse_map_coefficients_are_exact(case):
 @settings(max_examples=80)
 @given(inputs())
 def test_unflagged_prefactor_slots_are_exact(case):
-    low, high = (_prefactor(*pair) for pair in both(case))
+    low, high = (prefactor(*pair) for pair in both(case))
     assert changed_unflagged(z_reads(low, high), z_reads(high, low)) == []
 
 
@@ -150,7 +157,7 @@ def test_prefactor_equals_the_exponential_of_its_argument(case):
     n, D, _, _, k, tau0, tau = case
     desc = RingDescriptor(n=n, lambda_floor=60, log_cap=20)
     pair = (build(desc, D, 0, tau0), build(desc, D, k, tau))
-    got = _prefactor(*pair)
+    got = prefactor(*pair)
     assert got == prefactor_exp(*pair)
     assert not got.truncated
 

@@ -7,10 +7,11 @@ Three replacements, each against the code it replaced:
   queued every class against every coefficient.  ``test_fused_products.py``
   holds it to ``series_oracles.scale_qseries_queued``; here the kernel calls
   are counted on the quintic at D = 30.
-- ``mirror._prefactor`` stacks exp(-tau P/z) and exp(-tau0/z) from the
-  numerators of their q-series powers.  It must equal
-  ``mirror_oracles.queued_prefactor`` class by class, flags included, on a
-  seeded grid, and a factor alone must cost no product beyond its powers.
+- ``mirror._prefactor`` builds exp(-tau P/z) or exp(-tau0/z) alone from
+  its q-series powers.  Each factor must equal
+  ``mirror_oracles.queued_prefactor`` with the other argument zero, class by
+  class, flags included, on a seeded grid, and must cost no product beyond
+  its powers.
 - ``gw.SMatrix._block`` reads only the z^0 series of each cell.  It must
   read what ``entry`` read, flagged zeros as unflagged zeros included.
 """
@@ -95,17 +96,21 @@ def exact_zero(x) -> bool:
 def test_the_stacked_prefactor_equals_the_queued_products():
     kinds, squares = set(), set()
     for tau0, tau in prefactor_grid():
-        zero = QSeries.zero(tau.desc, tau.max_degree)
-        for pair in ((tau0, tau), (zero, tau), (tau0, zero), (zero, zero)):
-            got = mirror._prefactor(*pair)
-            same_rows(got, queued_prefactor(*pair))
-            kinds.add((exact_zero(pair[0]), exact_zero(pair[1]), got.truncated))
+        D, zero = tau.max_degree, QSeries.zero(tau.desc, tau.max_degree)
+        for x in (tau0, zero):
+            got = mirror._prefactor(x, 0, D + 1)
+            same_rows(got, queued_prefactor(x, zero))
+            kinds.add((0, exact_zero(x), got.truncated))
+        for x in (tau, zero):
+            got = mirror._prefactor(x, 1, tau.desc.n)
+            same_rows(got, queued_prefactor(zero, x))
+            kinds.add((1, exact_zero(x), got.truncated))
         square = tau0 * tau0
         squares.add((square.is_zero(), square.truncated))
-    # Each shape of the arguments gives flagged and unflagged results, and
-    # the squares of tau0 are nonzero, exact zeros and flagged zeros.
+    # Each factor gives flagged and unflagged results, the unit for an exact
+    # zero, and the squares of tau0 are nonzero, exact zeros and flagged zeros.
     both = (False, True)
-    assert kinds == {(z0, z, t) for z0 in both for z in both for t in both} - {(True, True, True)}
+    assert kinds == {(s, z, t) for s in (0, 1) for z in both for t in both if not (z and t)}
     assert {(False, False), (True, False), (True, True)} <= squares
 
 
@@ -136,16 +141,15 @@ def test_scaling_by_a_q_series_makes_one_kernel_call_per_output_column(monkeypat
 def test_a_factor_alone_makes_no_product_beyond_its_powers(monkeypatch):
     I, f = quintic(30)
     tau = I.scale_qseries(f).z_row(-1)[1]
-    zero = QSeries.zero(tau.desc, tau.max_degree)
-    tau0 = tau.scale(Fraction(1, 3))
-    # The powers of the other argument stop at the first, an exact zero.
-    for pair, powers in (((zero, tau), tau.desc.n - 1), ((tau0, zero), 1 + tau.max_degree)):
+    D, tau0 = tau.max_degree, tau.scale(Fraction(1, 3))
+    # exp(-tau P/z) has n - 1 powers of tau, exp(-tau0/z) the D powers of tau0.
+    for args, powers in (((tau, 1, tau.desc.n), tau.desc.n - 1), ((tau0, 0, 1 + D), D)):
         products = []
         dot = ring._Terms._dot
         monkeypatch.setattr(
             ring._Terms, "_dot", lambda s, pairs: products.append(pairs) or dot(s, pairs)
         )
-        mirror._prefactor(*pair)
+        mirror._prefactor(*args)
         monkeypatch.undo()
         # Only the powers, each one q-series product: no class meets a scalar.
         assert len(products) == powers

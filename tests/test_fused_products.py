@@ -12,7 +12,10 @@ and the direct (z, p) slot read with the z-view of ``_by_z``.  The column
 product of ``ZSeries.scale_qseries`` is compared with the queued class-by-scalar
 sums it replaced (``series_oracles.scale_qseries_queued``) on rows of several
 weights and multipliers whose coefficients mix lam exponents, flagged zeros
-among them.
+among them; so are the other operations of that kernel (``series._scaled``),
+``compose_novikov`` and ``scale_scalar``, against their per-product rows.
+``ZSeries.z_row``, which reads its classes through ``series._columns``, is
+compared with ``series_oracles.z_row_by_split``, the scalar split it replaced.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +29,7 @@ from series_oracles import (
     scale_qseries_per_product,
     scale_qseries_queued,
     scale_scalar_per_product,
+    z_row_by_split,
 )
 
 DESC = RingDescriptor(n=3, lambda_floor=2, log_cap=1)
@@ -195,6 +199,51 @@ def test_a_q_series_scales_column_by_column_as_class_by_class(f, h):
     want = scale_qseries_queued(f, h)
     rows_agree(f.scale_qseries(h), want)
     rows_agree(want, scale_qseries_per_product(f, h))
+
+
+def coefficients():
+    return st.one_of(mixed_scalars(), mixed_scalars(), scalars(), st.just(ZERO_FLAGGED))
+
+
+def inners():
+    """q-series of valuation >= 1 whose coefficients mix lam exponents, flagged zeros among them."""
+    terms = st.dictionaries(st.integers(1, D), coefficients(), min_size=1, max_size=D)
+    return terms.map(lambda c: QSeries(DESC, D, c))
+
+
+# lam^-2 q squares to lam^-4 q^2, below the floor: the square is a flagged zero.
+SQUARE_FLAGGED = QSeries(DESC, D, {1: lam(-2), 3: lam(-1) + lam(1, 2)})
+
+
+@settings(max_examples=150)
+@given(several_weights(), inners(), coefficients())
+@example(
+    ZSeries(DESC, D, {0: {0: CohElement(DESC, [lam(-2), HALF, lam(1)])},
+                      1: {0: CohElement(DESC, [lam(-1, 3), ZERO_FLAGGED, lam(0)]),
+                          -2: CohElement(DESC, [HALF, lam(2), ZERO_FLAGGED])},
+                      2: {-1: CohElement(DESC, [lam(0), lam(-2, 1, True), HALF])}}),
+    SQUARE_FLAGGED,
+    lam(-1, 1, True) + lam(2),
+)
+def test_a_substitution_and_a_scalar_scale_column_by_column_as_class_by_class(f, inner, c):
+    rows_agree(f.compose_novikov(inner), compose_novikov_per_product(f, inner))
+    rows_agree(f.scale_scalar(c), scale_scalar_per_product(f, c))
+
+
+def test_the_example_inner_squares_to_a_flagged_zero():
+    square = SQUARE_FLAGGED * SQUARE_FLAGGED
+    assert square.is_zero() and square.truncated
+
+
+@settings(max_examples=80)
+@given(st.one_of(zseries(REDUCED), several_weights()))
+@example(ZSeries(DESC, D, {1: {0: CohElement(DESC, [ZERO_FLAGGED] * DESC.n)}}))
+@example(ZSeries(DESC, D, {2: {-1: CohElement(DESC, [lam(1), ZERO_FLAGGED, lam(0)]),
+                               1: CohElement(DESC, [lam(-1), lam(0), lam(2)])}}))
+def test_a_z_row_reads_what_the_scalar_split_read(f):
+    for z in range(-6, 6):
+        for got, want in zip(f.z_row(z), z_row_by_split(f, z), strict=True):
+            same(got, want)
 
 
 @settings(max_examples=80)

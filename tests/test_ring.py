@@ -9,7 +9,9 @@ from qlefschetz import (
     DescriptorMismatchError,
     InsufficientFloorError,
     LambdaScalar,
+    QSeries,
     RingDescriptor,
+    ZSeries,
     euler_expansion_check,
     gram_matrix,
     integrate,
@@ -77,6 +79,24 @@ def test_descriptor_mismatch():
     b = CohElement.one(RingDescriptor(n=4))
     with pytest.raises(DescriptorMismatchError):
         a * b
+
+
+# lam^-3 lies inside the floor of A but below that of B, so a value of B
+# built from it unchecked would store it unflagged, or lose it to a flag.
+A, B = RingDescriptor(3, 4), RingDescriptor(3, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda lost: CohElement(B, [lost, LambdaScalar.zero(B), LambdaScalar.zero(B)]),
+    lambda lost: QSeries(B, 2, {0: lost}),
+    lambda lost: ZSeries.unit(B, 2).scale_scalar(lost),
+], ids=["class", "q_series", "scale_scalar"])
+def test_a_value_built_from_another_descriptors_scalar_raises(build):
+    with pytest.raises(DescriptorMismatchError):
+        build(LambdaScalar.lam_power(A, -3))
+    # An equal descriptor that is another object is the same ring.
+    same = LambdaScalar.lam_power(RingDescriptor(3, 1), 1)
+    assert build(same) == build(LambdaScalar.lam_power(B, 1))
 
 
 def test_twisted_pairing_quintic():

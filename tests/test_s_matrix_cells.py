@@ -6,7 +6,10 @@ in ``gw_oracles`` keeps each cell as a map z_exp -> QSeries and sums the
 residual one product of two z-power pieces at a time.  The inputs are the
 J-function, J * (1 + c lam^e / z), which carries lam and has a second offset
 unless e = 1, and J + J/z; the last two are not unitary, so the residual and
-its first failure are compared where they are nonzero too.
+its first failure are compared where they are nonzero too.  The cells that
+``gw._matrix_from_frame`` reads through ``series._columns`` are compared,
+numerators, denominator and flags, with ``gw_oracles.cells_by_components``,
+which split every class into its components.
 """
 
 import json
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlefschetz import (
+    BundleSpec,
     CohElement,
     LambdaScalar,
     QSeries,
@@ -24,6 +28,7 @@ from qlefschetz import (
     TransversalityError,
     ZSeries,
     frame_series,
+    i_function,
     j_reduced,
     s_matrix,
 )
@@ -31,6 +36,7 @@ from qlefschetz import cli, gw
 from qlefschetz.cli import load_config, run_compute
 
 from gw_oracles import (
+    cells_by_components,
     zkeyed_matrix_from_frame,
     zkeyed_q_zero_z_zero,
     zkeyed_to_json_dict,
@@ -70,6 +76,44 @@ def test_s_matrix_matches_the_z_keyed_oracle(x):
     assert S.to_json_dict() == zkeyed_to_json_dict(entries, D)
     assert S.q_zero_z_zero() == zkeyed_q_zero_z_zero(entries)
     assert (ok, failure) == zkeyed_unitarity(entries, J.desc, D)
+
+
+def cells_agree(frame) -> None:
+    """The cells of the frame hold the oracle's offsets, numerators, denominators and flags."""
+    got, want = gw._matrix_from_frame(frame).cells, cells_by_components(frame)
+    assert [[set(cell) for cell in row] for row in got] == [[set(cell) for cell in row] for row in want]
+    for got_row, want_row in zip(got, want):
+        for mine, cell in zip(got_row, want_row):
+            for k, s in cell.items():
+                assert (mine[k]._nums, mine[k]._den, mine[k]._trunc) == (s._nums, s._den, s._trunc)
+
+
+@settings(max_examples=60)
+@given(inputs())
+def test_the_cells_read_what_the_components_read(x):
+    J, n, _ = x
+    cells_agree(frame_series(J, n))
+
+
+def test_the_cells_read_what_the_components_read_on_flagged_and_twisted_frames():
+    flagged = 0
+    for n in range(2, 6):
+        for D in range(4):
+            for floor in range(3):
+                desc = RingDescriptor(n=n, lambda_floor=floor)
+                J = j_reduced(n, D, desc=desc)
+                # lam^-2 and lam^-3 fall below these floors: flagged zeros at z^-1
+                for K in (J, times_one_plus(J, 2, -2), times_one_plus(J, 1, -3)):
+                    frame = frame_series(K, n)
+                    cells_agree(frame)
+                    flagged += any(el.truncated for T in frame for row in T.slices.values()
+                                   for el in row.values())
+    # Twisted frames hold several weight offsets, lam and log(lam) terms.
+    for n, degrees, floor in ((4, (3, 2), 1), (5, (5,), 2), (3, (1,), 0)):
+        I = i_function(j_reduced(n, 2, desc=RingDescriptor(n=n, lambda_floor=floor)),
+                       BundleSpec(degrees))
+        cells_agree(frame_series(I, n))
+    assert flagged
 
 
 @settings(max_examples=80)

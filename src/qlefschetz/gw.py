@@ -68,9 +68,8 @@ def _multiply_inverse_factor(
             for j in range(n)
         ],
     )
-    out: dict[int, list] = {}
-    queue_row_product(out, poly, {-n: factor})
-    return {w: el for w, el in summed(out).items() if not el.is_zero()}
+    out = {w - n: el * factor for w, el in poly.items()}
+    return {w: el for w, el in out.items() if not el.is_zero()}
 
 
 def qde_verify(J: ZSeries, n: int):

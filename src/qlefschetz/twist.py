@@ -38,7 +38,7 @@ from math import comb, factorial
 
 from .errors import EngineError, InsufficientFloorError
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
-from .series import REDUCED, ZSeries, queue_row_product, summed
+from .series import REDUCED, ZSeries
 
 
 @lru_cache(maxsize=None)
@@ -221,9 +221,8 @@ def _twisted_slices(J: ZSeries, bundle: BundleSpec, start: int):
         multiplier, *others = products or [CohElement.one(desc)]
         for root_product in others:
             multiplier = multiplier * root_product
-        twisted: dict[int, list] = {}
-        queue_row_product(twisted, J.slices[d], {sum(bundle.degrees) * d: multiplier})
-        yield d, summed(twisted), products
+        shift = sum(bundle.degrees) * d
+        yield d, {w + shift: el * multiplier for w, el in J.slices[d].items()}, products
 
 
 def i_function(J: ZSeries, bundle: BundleSpec) -> ZSeries:

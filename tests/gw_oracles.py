@@ -6,7 +6,8 @@ one product of two z-power pieces at a time.  ``tests/test_s_matrix_cells.py``
 compares ``gw.SMatrix``, which keeps one q-series per weight offset, with it.
 
 ``full_unitarity`` is the residual of ``gw._unitarity`` built on all n x n
-entries, where ``gw`` builds only the entries a <= b.  ``entry_to_json_dict``
+entries, where ``gw`` builds only the entries a <= b, with the q-series' own
+``*`` and ``+`` in place of the engine's queued sums of products.  ``entry_to_json_dict``
 is ``SMatrix.to_json_dict`` as it was before it rendered each term from the
 cells' numerators: it builds one q-series per z-exponent with ``entry(b, a)``
 and renders each.  ``cells_by_components`` is ``gw._matrix_from_frame`` as
@@ -19,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qlefschetz import QSeries, ZSeries
-from qlefschetz.series import _at_minus_z, queue_row_product, summed
 
 
 def zkeyed_matrix_from_frame(frame: list[ZSeries]) -> list[list[dict[int, QSeries]]]:
@@ -114,23 +114,29 @@ def entry_to_json_dict(S) -> dict:
     return {"size": S.size, "max_degree": S.max_degree, "entries": data}
 
 
+def at_minus_z(s: QSeries, shift: int) -> QSeries:
+    """A cell's series at offset k read at -z (shift = a - b + k): odd z-exponents flip sign."""
+    n = s.desc.n
+    nums = {key: -c if (shift - n * key[0] - key[1]) % 2 else c for key, c in s._nums.items()}
+    return s._like(nums, s._den, s._trunc)
+
+
 def full_unitarity(S):
     """(ok, first_failure, truncated) of the residual of ``gw.SMatrix`` S, every entry built.
 
-    Entry (a, b) is sum_i T_{i,a}(-z) T_{n-1-i,b}(z) - delta_{a+b,n-1}, one sum
-    of q-series products per weight offset, in the loop order a, then b.
+    Entry (a, b) is sum_i T_{i,a}(-z) T_{n-1-i,b}(z) - delta_{a+b,n-1}, one
+    q-series per pair of weight offsets, in the loop order a, then b.
     """
     n, one, first_failure = S.size, QSeries.one(S.desc, S.max_degree), None
     truncated = any(s.truncated for row in S.cells for cell in row for s in cell.values())
     for a in range(n):
-        minus = [
-            {k: _at_minus_z(s, a - i + k, n) for k, s in S.cells[i][a].items()} for i in range(n)
-        ]
+        minus = [{k: at_minus_z(s, a - i + k) for k, s in S.cells[i][a].items()} for i in range(n)]
         for b in range(n):
-            queued: dict[int, list] = {0: [(-one, one)]} if a + b == n - 1 else {}
+            res = {0: -one} if a + b == n - 1 else {}
             for i in range(n):
-                queue_row_product(queued, minus[i], S.cells[n - 1 - i][b])
-            res = summed(queued)
+                for k1, x in minus[i].items():
+                    for k2, y in S.cells[n - 1 - i][b].items():
+                        res[k1 + k2] = res[k1 + k2] + x * y if k1 + k2 in res else x * y
             truncated |= any(s.truncated for s in res.values())
             view = S._z_view(res, a + b - n + 1)
             if view and first_failure is None:

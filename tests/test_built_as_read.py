@@ -9,32 +9,32 @@ Four replacements, each against the code it replaced:
 - A sweep reads only the z >= 0 classes of its slice (``_by_z(row, low=0)``);
   ``test_deferred_elimination.py`` pins the reads.
 - ``mirror._extract_chart`` multiplies by exp(-tau P/z) and then by
-  exp(-tau0/z), not by the expanded exp(-(tau0 + tau P)/z)
-  (``mirror_oracles.queued_prefactor``).  The chart must hold the value of
-  that single product at every slot that either side leaves
-  unflagged, and every flag of it; its unflagged slots must read the same at
-  a floor and a log cap three steps further out.
+  exp(-tau0/z), not by the expanded exp(-(tau0 + tau P)/z).  Every slot the
+  chart leaves unflagged must hold the value of that single product, taken
+  exactly by the reference model on the values the chart was built from,
+  and must read the same at a floor and a log cap three steps further out.
 - ``ZSeries.to_json_dict`` and ``SMatrix.to_json_dict`` render each term from
-  the weight rows (``series.z_json``); they must equal the renderers that
-  built one value per z-exponent first (``series_oracles.slice_to_json_dict``
-  and ``gw_oracles.entry_to_json_dict``).
+  the weight rows (``series.z_json``).  A series renders the terms of the
+  reference model's copy of its exact input; an S-matrix renders what the
+  renderer that built one value per z-exponent first rendered
+  (``gw_oracles.entry_to_json_dict``).
 """
 
 from itertools import product
-
-from hypothesis import given, settings
 
 from qlefschetz import BundleSpec, CohElement, LambdaScalar, RingDescriptor, ZSeries
 from qlefschetz import cone_transform, i_function, j_reduced
 from qlefschetz import gw, mirror, s_matrix
 from qlefschetz.series import REDUCED
 
+import model
 from gw_oracles import entry_to_json_dict
-from mirror_oracles import queued_prefactor
-from series_oracles import slice_to_json_dict
+from model import Model
 from test_chart_flags import RAISE, changed_unflagged, z_reads
+import test_fused_products as fused
+import test_weight_rows as rows
+from test_model import read, zseries
 from test_s_matrix_half import one_over_z
-from test_weight_rows import pairs
 
 
 def twisted(n, degrees, D, floor, log_cap=8):
@@ -61,8 +61,8 @@ def test_the_frame_is_built_as_far_as_the_corrections_read(monkeypatch):
     assert derivatives_made(monkeypatch, twisted(4, (3, 2), 3, 2)) == (3, 3)
 
 
-def chart_and_product(monkeypatch, n, degrees, D, floor, cone, raised=0):
-    """The chart ``_extract_chart`` builds from the eliminated series, and the single product.
+def chart_of(monkeypatch, n, degrees, D, floor, cone, raised=0):
+    """The chart ``_extract_chart`` builds from the eliminated series; tau0, tau and that series.
 
     The chart is one z-series product, or two when tau0 is not an exact zero.
     """
@@ -77,17 +77,15 @@ def chart_and_product(monkeypatch, n, degrees, D, floor, cone, raised=0):
     tau0, tau, *_ = mirror._extract_chart(normalized)
     monkeypatch.undo()
     assert len(products) == 1 + (tau0.truncated or not tau0.is_zero())
-    return charts[-1], queued_prefactor(tau0, tau) * normalized, tau0
+    return charts[-1], tau0, tau, normalized
 
 
-def holds_the_product(chart: ZSeries, product: ZSeries) -> dict:
-    """Every flag of the product, and its value wherever it is unflagged; the chart's reads."""
-    got, want = z_reads(chart, product), z_reads(product, chart)
-    for key, c in want.items():
-        assert c.truncated <= got[key].truncated
-        if not c.truncated:
-            assert got[key] == c
-    return got
+def single_product(tau0, tau, series) -> dict:
+    """exp(-(tau0 + tau P)/z) * series, exact, on the values of its factors."""
+    argument = {(d, -1, p, a, b): -c for p, x in enumerate((tau0, tau))
+                for (d, a, b), c in read(x)[0].items()}
+    exact, D, n = Model(), series.max_degree, series.desc.n
+    return exact.z_times(exact.z_exp(argument, D, n), read(series)[0], D, n)
 
 
 def test_the_two_factor_chart_holds_the_single_product(monkeypatch):
@@ -96,21 +94,30 @@ def test_the_two_factor_chart_holds_the_single_product(monkeypatch):
     for n, degrees, D, floor, cone in grid:
         if sum(degrees) * D > 15 or (cone and n * D > 9):
             continue
-        chart, single, tau0 = chart_and_product(monkeypatch, n, degrees, D, floor, cone)
+        chart, tau0, tau, normalized = chart_of(monkeypatch, n, degrees, D, floor, cone)
         tau0_kinds.add((tau0.is_zero(), tau0.truncated))
-        got = holds_the_product(chart, single)
-        # Unflagged slots are exact: they read the same further out.
-        high = chart_and_product(monkeypatch, n, degrees, D, floor, cone, RAISE)[0]
-        assert changed_unflagged(got, z_reads(high, chart)) == []
+        high = chart_of(monkeypatch, n, degrees, D, floor, cone, RAISE)[0]
+        reads = z_reads(chart, high)
+        # Each unflagged slot holds the single product's value ...
+        single = single_product(tau0, tau, normalized)
+        for slot in {key[:3] for key in single} | set(reads):
+            read_off = reads[slot] if slot in reads else chart.scalar_slot(*slot)
+            if not read_off.truncated:
+                assert read(read_off)[0] == model.scalar_slot(single, *slot)
+        # ... and is exact: it reads the same further out.
+        assert changed_unflagged(reads, z_reads(high, chart)) == []
     # tau0 an exact zero (the second product skipped), nonzero, and flagged
     assert {(True, False), (False, False), (False, True)} <= tau0_kinds
 
 
-@settings(max_examples=60)
-@given(pairs())
-def test_the_series_json_renders_each_term_from_the_weight_rows(x):
-    _, [(f, _)] = x
-    assert f.to_json_dict() == slice_to_json_dict(f)
+def test_the_series_json_renders_each_term_from_the_weight_rows():
+    for desc, D, exact in ((rows.DESC, rows.D, rows.F), (rows.DESC, rows.D, rows.G),
+                           (fused.DESC, fused.D, fused.THREE_SLICES),
+                           (fused.DESC, fused.D, fused.TWO_WEIGHTS)):
+        low = Model(desc.lambda_floor, desc.log_cap)
+        f = zseries(desc, D, exact)
+        assert read(f)[0] == low.cut(exact)
+        assert f.to_json_dict()["truncated"] == bool(low.lost)
 
 
 def test_the_s_matrix_json_renders_each_term_from_the_cells():
@@ -148,4 +155,4 @@ def test_a_flagged_zero_tau0_is_still_multiplied_in(monkeypatch):
     monkeypatch.setattr(ZSeries, "compose_novikov", lambda s, u: charts.append(s) or compose(s, u))
     tau0, tau, *_ = mirror._extract_chart(series)
     assert tau0.is_zero() and tau0.truncated
-    assert holds_the_product(charts[-1], queued_prefactor(tau0, tau) * series)[(1, -2, 1)].truncated
+    assert charts[-1].scalar_slot(1, -2, 1).truncated

@@ -1,17 +1,16 @@
 """Scalar q-series act on columns, and the chart factors are stacked from their powers.
 
-Three replacements, each against the code it replaced:
+Three replacements:
 
 - ``ZSeries.scale_qseries`` multiplies each (weight, P-slot) column by the
   lam-parts of the q-series, one kernel call per output column, where it
-  queued every class against every coefficient.  ``test_fused_products.py``
-  holds it to ``series_oracles.scale_qseries_queued``; here the kernel calls
-  are counted on the quintic at D = 30.
+  queued every class against every coefficient.  Here the kernel calls are
+  counted on the quintic at D = 30.
 - ``mirror._prefactor`` builds exp(-tau P/z) or exp(-tau0/z) alone from
-  its q-series powers.  Each factor must equal
-  ``mirror_oracles.queued_prefactor`` with the other argument zero, class by
-  class, flags included, on a seeded grid, and must cost no product beyond
-  its powers.
+  its q-series powers.  Each factor is held to the exponential of the
+  reference model (``test_model.sound``) on a seeded grid of exact tails
+  whose terms reach below the floor and past the log cap, and must cost no
+  product beyond its powers.
 - ``gw.SMatrix._block`` reads only the z^0 series of each cell.  It must
   read what ``entry`` read, flagged zeros as unflagged zeros included.
 """
@@ -33,49 +32,41 @@ from qlefschetz import (
 )
 from qlefschetz import gw, mirror, ring
 
-from mirror_oracles import queued_prefactor
+from test_model import qseries, sound
 from test_s_matrix_cells import inputs
 from test_s_matrix_half import bumped, one_over_z
 
 
-def same_rows(got, want) -> None:
-    """Equal rows: the same classes at the same (degree, weight), numerators, denominator, flags."""
-    assert {d: set(row) for d, row in got.slices.items()} == {
-        d: set(row) for d, row in want.slices.items()
-    }
-    for d, row in want.slices.items():
-        for w, el in row.items():
-            mine = got.slices[d][w]
-            assert (mine._nums, mine._den, mine._trunc) == (el._nums, el._den, el._trunc)
-
-
-# -- the prefactor against the queued products -------------------------------------
+# -- the prefactor against the model's exponential -----------------------------------
 
 
 def grid_scalar(rng, desc):
-    """A scalar with lam and log(lam) terms, one lam exponent below the floor, flagged at times."""
-    if rng.random() < 0.08:
-        return LambdaScalar(desc, {}, True)  # a flagged zero
+    """Exact scalar terms with lam and log(lam) exponents on both sides of the range.
+
+    About one time in twelve the scalar is a single term below the floor, a
+    flagged zero in the engine's copy.
+    """
     floor = desc.lambda_floor
-    terms = {
+    if rng.random() < 0.08:
+        return {(-floor - 1, 0): Fraction(rng.randint(1, 5))}
+    return {
         (rng.randint(-floor - 1, 2), rng.randint(0, 2)):
-        Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 6))
         for _ in range(rng.randint(1, 3))
     }
-    return LambdaScalar(desc, terms, rng.random() < 0.08)
 
 
 def grid_tail(rng, desc, D):
-    """A q-series without constant term; one time in four its terms start above D/2,
-    so its square is an exact zero."""
+    """An exact q-series without constant term; one time in four its terms start above
+    D/2, so its square is an exact zero."""
     low = D // 2 + 1 if rng.random() < 0.25 else 1
-    coeffs = {d: grid_scalar(rng, desc) for d in range(low, D + 1) if rng.random() < 0.6}
-    return QSeries(desc, D, coeffs)
+    return {(d, a, b): c for d in range(low, D + 1) if rng.random() < 0.6
+            for (a, b), c in grid_scalar(rng, desc).items()}
 
 
 def prefactor_grid():
-    """(tau0, tau) for n 2-4, floors 0-3, D 0-4, log caps 0-2; tau has a k log(lam) constant
-    at times."""
+    """(desc, D, tau0, tau) for n 2-4, floors 0-3, D 0-4, log caps 0-2; tau has a k log(lam)
+    constant at times."""
     rng = random.Random(2024)
     for n in (2, 3, 4):
         for floor in range(4):
@@ -84,9 +75,8 @@ def prefactor_grid():
                     desc = RingDescriptor(n=n, lambda_floor=floor, log_cap=rng.randint(0, 2))
                     tau = grid_tail(rng, desc, D)
                     if rng.random() < 0.3:
-                        k = LambdaScalar.log_lambda(desc, rng.randint(-2, 2))
-                        tau = tau + QSeries(desc, D, {0: k})
-                    yield grid_tail(rng, desc, D), tau
+                        tau[(0, 0, 1)] = Fraction(rng.choice([-2, -1, 1, 2]))
+                    yield desc, D, grid_tail(rng, desc, D), tau
 
 
 def exact_zero(x) -> bool:
@@ -95,17 +85,16 @@ def exact_zero(x) -> bool:
 
 def test_the_stacked_prefactor_equals_the_queued_products():
     kinds, squares = set(), set()
-    for tau0, tau in prefactor_grid():
-        D, zero = tau.max_degree, QSeries.zero(tau.desc, tau.max_degree)
-        for x in (tau0, zero):
-            got = mirror._prefactor(x, 0, D + 1)
-            same_rows(got, queued_prefactor(x, zero))
-            kinds.add((0, exact_zero(x), got.truncated))
-        for x in (tau, zero):
-            got = mirror._prefactor(x, 1, tau.desc.n)
-            same_rows(got, queued_prefactor(zero, x))
-            kinds.add((1, exact_zero(x), got.truncated))
-        square = tau0 * tau0
+    for desc, D, tau0, tau in prefactor_grid():
+        for x, step, count in ((tau0, 0, D + 1), (tau, 1, desc.n)):
+            for exact in (x, {}):
+                got = mirror._prefactor(qseries(desc, D, exact), step, count)
+                # exp(-x P^step / z): -x placed at z^-1 P^step, exponentiated by the model
+                sound(got, lambda m, v: m.z_exp(
+                    {(d, -1, step, a, b): -c for (d, a, b), c in v.items()}, D, desc.n),
+                    exact, desc=desc)
+                kinds.add((step, exact_zero(qseries(desc, D, exact)), got.truncated))
+        square = qseries(desc, D, tau0) * qseries(desc, D, tau0)
         squares.add((square.is_zero(), square.truncated))
     # Each factor gives flagged and unflagged results, the unit for an exact
     # zero, and the squares of tau0 are nonzero, exact zeros and flagged zeros.

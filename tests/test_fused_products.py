@@ -1,39 +1,31 @@
-"""Sums of products reduced once, against the per-product path they replaced.
+"""Sums of products reduced once, and the z-series operations built on them, at named inputs.
 
 ``_Terms._dot`` sums the products x*y of a list of pairs in one numerator map
-over one denominator and builds the result once.  The oracle is the fold
-x0*y0 + x1*y1 + ..., one product and one sum per pair.  Denominators differ
-from pair to pair, keys fall on both sides of the Laurent floor and the log
-cap, and factors arrive truncated, zero or not, so the per-pair scaling and
-both flag rules are compared: numerators, denominator and flag mask must
-agree exactly.  The ``ZSeries`` operations built on the queued sums are
-compared row by row with the per-product row kernels of ``series_oracles``,
-and the direct (z, p) slot read with the z-view of ``_by_z``.  The column
-product of ``ZSeries.scale_qseries`` is compared with the queued class-by-scalar
-sums it replaced (``series_oracles.scale_qseries_queued``) on rows of several
-weights and multipliers whose coefficients mix lam exponents, flagged zeros
-among them; so are the other operations of that kernel (``series._scaled``),
-``compose_novikov`` and ``scale_scalar``, against their per-product rows.
-``ZSeries.z_row``, which reads its classes through ``series._columns``, is
-compared with ``series_oracles.z_row_by_split``, the scalar split it replaced.
+over one denominator and builds the result once; ``ZSeries`` products,
+``scale_qseries``, ``scale_scalar``, ``compose_novikov`` and ``z_row`` are
+built on it and on the column kernel ``series._scaled``.  These tests once
+compared each kernel with the per-product code it replaced.  They now hold
+the inputs that pinned its flag rules to the reference model
+(``test_model.sound``): keys below the floor and past the log cap, several
+denominators, flagged zero factors, rows of several weights, and multipliers
+whose coefficients mix lam exponents.  The search over random inputs is in
+``test_model.py``.  In the exact inputs below, a term at lam^-3 lies below
+the floor of 2: the engine's copy drops it and flags its slot.
 """
+
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor, ZSeries
-from qlefschetz.series import RAW, REDUCED, _by_z
+from qlefschetz.series import REDUCED, _by_z
 
-from series_oracles import (
-    compose_novikov_per_product,
-    mul_per_product,
-    scale_qseries_per_product,
-    scale_qseries_queued,
-    scale_scalar_per_product,
-    z_row_by_split,
-)
+import model
+from test_model import cls, qseries, scalar, sound, zseries
 
 DESC = RingDescriptor(n=3, lambda_floor=2, log_cap=1)
 D = 3
+N = DESC.n
 
 KEYS = st.tuples(st.integers(-4, 3), st.integers(0, 2))
 VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -50,21 +42,12 @@ def classes():
     return st.lists(scalars(), min_size=DESC.n, max_size=DESC.n).map(lambda c: CohElement(DESC, c))
 
 
-def qseries():
+def qseries_values():
     return st.dictionaries(st.integers(0, D), scalars(), max_size=3).map(lambda c: QSeries(DESC, D, c))
 
 
 def lam(a, c=1, truncated=False):
     return LambdaScalar(DESC, {(a, 0): c}, truncated)
-
-
-def fold(pairs):
-    """x0*y0 + x1*y1 + ...: one product and one sum per pair."""
-    acc = None
-    for x, y in pairs:
-        prod = x * y
-        acc = prod if acc is None else acc + prod
-    return acc
 
 
 def same(got, want) -> None:
@@ -73,42 +56,60 @@ def same(got, want) -> None:
 
 
 ZERO_FLAGGED = LambdaScalar(DESC, {}, True)
-HALF = LambdaScalar(DESC, {(0, 0): 1, (-1, 1): 1}, False)
+LOST = {(-3, 0): 1}
 
 
-@settings(max_examples=150)
-@given(st.lists(st.tuples(classes(), st.one_of(classes(), scalars())), min_size=1, max_size=4))
-@example([  # keys below the floor and past the log cap, a flagged zero scalar, three denominators
-    (CohElement(DESC, [lam(-2, 1, False), lam(1, 3), lam(0)]), lam(-1, 2)),
-    (CohElement(DESC, [HALF.scale(5), lam(0), lam(-1)]), HALF.scale(7)),
-    (CohElement.p_power(DESC, 1, 1), ZERO_FLAGGED),
-])
-@example([  # a zero but flagged slot reaches every slot above it
-    (CohElement(DESC, [lam(0), ZERO_FLAGGED, lam(0)]), CohElement.p_power(DESC, 0, 2)),
-    (CohElement.p_power(DESC, 0, 3), CohElement.p_power(DESC, 0, 5)),
-])
-def test_a_sum_of_class_products_equals_the_fold(pairs):
-    same(pairs[0][0]._dot(pairs), fold(pairs))
+BUILD = {"scalar": scalar, "class": cls, "q": lambda desc, v: qseries(desc, D, v)}
 
 
-@settings(max_examples=100)
-@given(st.lists(st.tuples(qseries(), st.one_of(qseries(), scalars())), min_size=1, max_size=4))
-def test_a_sum_of_q_series_products_equals_the_fold(pairs):
-    same(pairs[0][0]._dot(pairs), fold(pairs))
+def dot_sound(pairs, left, right, bounds) -> None:
+    """The engine's one sum of the products of exact pairs [(x, y)] against the model's sum.
+
+    left and right name the kinds of x and y; a scalar y of a class or a
+    q-series is its slot 0 in the model.
+    """
+    engine = [(BUILD[left](DESC, x), BUILD[right](DESC, y)) for x, y in pairs]
+    lifted = right == "scalar" and left != "scalar"
+    flat = [v for x, y in pairs for v in (x, model.at(y, 0) if lifted else y)]
+
+    def op(m, *v):
+        return model.plus(*(m.times(v[i], v[i + 1], bounds) for i in range(0, len(v), 2)))
+
+    sound(engine[0][0]._dot(engine), op, *flat, desc=DESC)
 
 
-@settings(max_examples=150)
-@given(st.lists(st.tuples(scalars(), scalars()), min_size=1, max_size=5))
-@example([(lam(-1, 1, True), LambdaScalar.zero(DESC)), (lam(-2), lam(-1))])
-def test_a_sum_of_scalar_products_equals_the_fold(pairs):
+def test_a_sum_of_class_products_equals_the_fold():
+    # Keys below the floor and past the log cap, a flagged zero scalar, three denominators.
+    dot_sound([
+        ({(0, -2, 0): 1, (1, 1, 0): 3, (2, 0, 0): 1}, {(-1, 0): 2}),
+        ({(0, 0, 0): 5, (0, -1, 1): 5, (1, 0, 0): 1, (2, -1, 0): 1}, {(0, 0): 7, (-1, 1): 7}),
+        ({(1, 0, 0): 1}, LOST),
+    ], "class", "scalar", (N,))
+    # A zero but flagged slot reaches every slot above it.
+    dot_sound([
+        ({(0, 0, 0): 1, (1, -3, 0): 1, (2, 0, 0): 1}, {(0, 0, 0): 2}),
+        ({(0, 0, 0): 3}, {(0, 0, 0): 5}),
+    ], "class", "class", (N,))
+
+
+def test_a_sum_of_q_series_products_equals_the_fold():
+    # lam^-2 q times lam^-1 q drops below the floor at q^2; a flagged zero at q^1.
+    dot_sound([
+        ({(1, -2, 0): 1, (0, 0, 1): Fraction(1, 2)}, {(1, -1, 0): 1, (1, -3, 0): 2}),
+        ({(0, 1, 0): 3, (2, -1, 1): 1}, {(0, 0, 0): Fraction(2, 3), (1, 0, 1): 1}),
+    ], "q", "q", (D + 1,))
+
+
+def test_a_sum_of_scalar_products_equals_the_fold():
+    pairs = [({(-1, 0): 1, (-3, 0): 1}, {}), ({(-2, 0): 1}, {(-1, 0): 1})]
+    dot_sound(pairs, "scalar", "scalar", ())
     # The flag of a scalar is bit 0 only, whatever the ring's n.
-    got = pairs[0][0]._dot(pairs)
-    same(got, fold(pairs))
-    assert got._trunc in (0, 1)
+    engine = [(scalar(DESC, x), scalar(DESC, y)) for x, y in pairs]
+    assert engine[0][0]._dot(engine)._trunc in (0, 1)
 
 
 @settings(max_examples=100)
-@given(st.one_of(classes(), qseries(), scalars()))
+@given(st.one_of(classes(), qseries_values(), scalars()))
 @example(CohElement(DESC, [LambdaScalar.one(DESC), ZERO_FLAGGED, LambdaScalar.zero(DESC)]))
 @example(ZERO_FLAGGED)
 def test_an_exact_zero_factor_gives_an_exact_zero(y):
@@ -132,122 +133,86 @@ def test_a_truncated_scalar_leaves_the_exact_zero_slots_of_a_class_exact():
     assert flagged._trunc == 0b110
 
 
-# -- the z-series operations, row by row ----------------------------------------------
+# -- the z-series operations ------------------------------------------------------------
 
 
-@st.composite
-def zseries(draw, convention):
-    """A series from random z-keyed rows: several weights per slice, flagged and zero classes."""
-    rows = st.dictionaries(st.integers(-3, 2), classes(), max_size=3)
-    slices = draw(st.dictionaries(st.integers(0, D), rows, max_size=3))
-    return ZSeries(DESC, D, slices, convention)
-
-
-def rows_agree(got: ZSeries, want: ZSeries) -> None:
-    assert set(got.slices) == set(want.slices)
-    for d, row in want.slices.items():
-        assert set(got.slices[d]) == set(row)
-        for w, el in row.items():
-            same(got.slices[d][w], el)
-
-
-@settings(max_examples=80)
-@given(st.data())
-def test_z_series_products_match_the_per_product_rows(data):
-    convention = data.draw(st.sampled_from([RAW, REDUCED]))
-    f, g = data.draw(zseries(convention)), data.draw(zseries(convention))
-    rows_agree(f * g, mul_per_product(f, g))
-    c = data.draw(scalars())
-    rows_agree(f.scale_scalar(c), scale_scalar_per_product(f, c))
-    h = data.draw(qseries())
-    rows_agree(f.scale_qseries(h), scale_qseries_per_product(f, h))
-    inner = QSeries(DESC, D, data.draw(st.dictionaries(st.integers(1, D), scalars(), max_size=3)))
-    rows_agree(f.compose_novikov(inner), compose_novikov_per_product(f, inner))
-
-
-def mixed_scalars():
-    """Scalars with two or more lam exponents, flagged one time in four."""
-    terms = st.dictionaries(KEYS, VALUES, min_size=2, max_size=4).filter(
-        lambda t: len({a for a, _ in t}) > 1
-    )
-    return st.builds(LambdaScalar, st.just(DESC), terms, FLAGS)
-
-
-def multipliers():
-    """q-series whose coefficients mix several lam exponents, with flagged zeros among them."""
-    coeffs = st.one_of(mixed_scalars(), mixed_scalars(), scalars(), st.just(ZERO_FLAGGED))
-    return st.dictionaries(st.integers(0, D), coeffs, min_size=1, max_size=D + 1).map(
-        lambda c: QSeries(DESC, D, c)
-    )
-
-
-@st.composite
-def several_weights(draw):
-    """A reduced series with rows of two or three z-exponents, so most rows hold several weights."""
-    rows = st.dictionaries(st.integers(-3, 2), classes(), min_size=2, max_size=3)
-    return ZSeries(DESC, D, draw(st.dictionaries(st.integers(0, D), rows, min_size=1, max_size=3)))
-
-
-@settings(max_examples=150)
-@given(several_weights(), multipliers())
-@example(  # keys below the floor and past the log cap at two weights, a flagged zero at q^1
-    ZSeries(DESC, D, {0: {0: CohElement(DESC, [lam(-2), HALF, lam(1)]),
-                          -1: CohElement(DESC, [lam(-1, 3), ZERO_FLAGGED, lam(0)])}}),
-    QSeries(DESC, D, {0: HALF + lam(-2, 2), 1: ZERO_FLAGGED, 2: lam(-1, 1, True) + lam(2)}),
-)
-def test_a_q_series_scales_column_by_column_as_class_by_class(f, h):
-    want = scale_qseries_queued(f, h)
-    rows_agree(f.scale_qseries(h), want)
-    rows_agree(want, scale_qseries_per_product(f, h))
-
-
-def coefficients():
-    return st.one_of(mixed_scalars(), mixed_scalars(), scalars(), st.just(ZERO_FLAGGED))
-
-
-def inners():
-    """q-series of valuation >= 1 whose coefficients mix lam exponents, flagged zeros among them."""
-    terms = st.dictionaries(st.integers(1, D), coefficients(), min_size=1, max_size=D)
-    return terms.map(lambda c: QSeries(DESC, D, c))
-
-
+# Two weights at q^0, a flagged zero slot at z^-1.
+TWO_WEIGHTS = {
+    (0, 0, 0, -2, 0): 1, (0, 0, 1, 0, 0): 1, (0, 0, 1, -1, 1): 1, (0, 0, 2, 1, 0): 1,
+    (0, -1, 0, -1, 0): 3, (0, -1, 1, -3, 0): 1, (0, -1, 2, 0, 0): 1,
+}
+# Rows of one and two weights at q^0 .. q^2, flagged zero and flagged slots among them.
+THREE_SLICES = {
+    (0, 0, 0, -2, 0): 1, (0, 0, 1, 0, 0): 1, (0, 0, 1, -1, 1): 1, (0, 0, 2, 1, 0): 1,
+    (1, 0, 0, -1, 0): 3, (1, 0, 1, -3, 0): 1, (1, 0, 2, 0, 0): 1,
+    (1, -2, 0, 0, 0): 1, (1, -2, 0, -1, 1): 1, (1, -2, 1, 2, 0): 1, (1, -2, 2, -3, 0): 1,
+    (2, -1, 0, 0, 0): 1, (2, -1, 1, -2, 0): 1, (2, -1, 1, -3, 0): 1,
+    (2, -1, 2, 0, 0): 1, (2, -1, 2, -1, 1): 1,
+}
+# Mixed lam exponents at q^0 and q^2, a flagged zero at q^1, a flagged q^2.
+MULTIPLIER = {(0, 0, 0): 1, (0, -1, 1): 1, (0, -2, 0): 2, (1, -3, 0): 1,
+              (2, -1, 0): 1, (2, -3, 0): 1, (2, 2, 0): 1}
 # lam^-2 q squares to lam^-4 q^2, below the floor: the square is a flagged zero.
-SQUARE_FLAGGED = QSeries(DESC, D, {1: lam(-2), 3: lam(-1) + lam(1, 2)})
+SQUARE_FLAGGED = {(1, -2, 0): 1, (3, -1, 0): 1, (3, 1, 0): 2}
+# A flagged scalar with two lam exponents.
+SCALAR = {(-1, 0): 1, (-3, 0): 1, (2, 0): 1}
 
 
-@settings(max_examples=150)
-@given(several_weights(), inners(), coefficients())
-@example(
-    ZSeries(DESC, D, {0: {0: CohElement(DESC, [lam(-2), HALF, lam(1)])},
-                      1: {0: CohElement(DESC, [lam(-1, 3), ZERO_FLAGGED, lam(0)]),
-                          -2: CohElement(DESC, [HALF, lam(2), ZERO_FLAGGED])},
-                      2: {-1: CohElement(DESC, [lam(0), lam(-2, 1, True), HALF])}}),
-    SQUARE_FLAGGED,
-    lam(-1, 1, True) + lam(2),
-)
-def test_a_substitution_and_a_scalar_scale_column_by_column_as_class_by_class(f, inner, c):
-    rows_agree(f.compose_novikov(inner), compose_novikov_per_product(f, inner))
-    rows_agree(f.scale_scalar(c), scale_scalar_per_product(f, c))
+def z_operations_sound(f, g, h, u, c) -> None:
+    F = zseries(DESC, D, f)
+    sound(F * zseries(DESC, D, g), lambda m, a, b: m.z_times(a, b, D, N), f, g, desc=DESC)
+    sound(F.scale_qseries(qseries(DESC, D, h)),
+          lambda m, a, b: m.scale_qseries(a, b, D, N), f, h, desc=DESC)
+    sound(F.compose_novikov(qseries(DESC, D, u)),
+          lambda m, a, b: m.compose_novikov(a, b, D, N), f, u, desc=DESC)
+    sound(F.scale_scalar(scalar(DESC, c)),
+          lambda m, a, b: m.scale_qseries(a, model.at(b, 0), D, N), f, c, desc=DESC)
+
+
+def test_z_series_products_match_the_per_product_rows():
+    z_operations_sound(THREE_SLICES, TWO_WEIGHTS, MULTIPLIER, SQUARE_FLAGGED, SCALAR)
+    z_operations_sound(TWO_WEIGHTS, THREE_SLICES, SQUARE_FLAGGED, {(1, 0, 1): 1, (2, -1, 0): 1}, {(0, 1): 2})
+
+
+def test_a_q_series_scales_column_by_column_as_class_by_class():
+    # Keys below the floor and past the log cap at two weights, a flagged zero at q^1.
+    sound(zseries(DESC, D, TWO_WEIGHTS).scale_qseries(qseries(DESC, D, MULTIPLIER)),
+          lambda m, a, b: m.scale_qseries(a, b, D, N), TWO_WEIGHTS, MULTIPLIER, desc=DESC)
+
+
+def test_a_substitution_and_a_scalar_scale_column_by_column_as_class_by_class():
+    F = zseries(DESC, D, THREE_SLICES)
+    sound(F.compose_novikov(qseries(DESC, D, SQUARE_FLAGGED)),
+          lambda m, a, b: m.compose_novikov(a, b, D, N), THREE_SLICES, SQUARE_FLAGGED, desc=DESC)
+    sound(F.scale_scalar(scalar(DESC, SCALAR)),
+          lambda m, a, b: m.scale_qseries(a, model.at(b, 0), D, N), THREE_SLICES, SCALAR, desc=DESC)
 
 
 def test_the_example_inner_squares_to_a_flagged_zero():
-    square = SQUARE_FLAGGED * SQUARE_FLAGGED
+    inner = qseries(DESC, D, SQUARE_FLAGGED)
+    square = inner * inner
     assert square.is_zero() and square.truncated
 
 
-@settings(max_examples=80)
-@given(st.one_of(zseries(REDUCED), several_weights()))
-@example(ZSeries(DESC, D, {1: {0: CohElement(DESC, [ZERO_FLAGGED] * DESC.n)}}))
-@example(ZSeries(DESC, D, {2: {-1: CohElement(DESC, [lam(1), ZERO_FLAGGED, lam(0)]),
-                               1: CohElement(DESC, [lam(-1), lam(0), lam(2)])}}))
-def test_a_z_row_reads_what_the_scalar_split_read(f):
-    for z in range(-6, 6):
-        for got, want in zip(f.z_row(z), z_row_by_split(f, z), strict=True):
-            same(got, want)
+def test_a_z_row_reads_what_the_scalar_split_read():
+    flagged_slice = {(1, 0, p, -3, 0): 1 for p in range(N)}
+    two_weights = {(2, -1, 0, 1, 0): 1, (2, -1, 1, -3, 0): 1, (2, -1, 2, 0, 0): 1,
+                   (2, 1, 0, -1, 0): 1, (2, 1, 1, 0, 0): 1, (2, 1, 2, 2, 0): 1}
+    for f in (flagged_slice, two_weights, THREE_SLICES):
+        series = zseries(DESC, D, f)
+        for z in range(-6, 6):
+            for p, got in enumerate(series.z_row(z)):
+                sound(got, lambda m, a: model.z_row(a, z, N)[p], f, desc=DESC)
 
 
-@settings(max_examples=80)
-@given(zseries(REDUCED))
+def zseries_values():
+    """A series from random z-keyed rows: several weights per slice, flagged and zero classes."""
+    rows = st.dictionaries(st.integers(-3, 2), classes(), max_size=3)
+    return st.dictionaries(st.integers(0, D), rows, max_size=3).map(lambda s: ZSeries(DESC, D, s, REDUCED))
+
+
+@settings(max_examples=30)
+@given(zseries_values())
 @example(ZSeries(DESC, D, {1: {0: CohElement(DESC, [ZERO_FLAGGED] * DESC.n)}}))
 @example(ZSeries(DESC, D, {2: {-1: CohElement(DESC, [lam(1), ZERO_FLAGGED, lam(0)]),
                                1: CohElement(DESC, [lam(-1), lam(0), lam(2)])}}))

@@ -16,24 +16,33 @@ def test_every_export_resolves_and_the_list_is_sorted():
     assert missing == []
 
 
+def foreign_imports(path: Path) -> list[str]:
+    """The absolute imports of a source file that are not from the standard library."""
+    foreign = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        foreign += [
+            f"{path.name}: {module}"
+            for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return foreign
+
+
 def test_runtime_imports_are_stdlib_only():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    foreign = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            foreign += [
-                f"{path.name}: {module}"
-                for module in modules
-                if module.split(".")[0] not in sys.stdlib_module_names
-            ]
-    assert foreign == []
+    assert [name for path in sources for name in foreign_imports(path)] == []
+
+
+def test_the_reference_model_imports_only_the_stdlib():
+    # The model must not share code, or conventions, with the engine it checks.
+    assert foreign_imports(Path(__file__).with_name("model.py")) == []
 
 
 def test_scalars_classes_and_q_series_share_one_kernel():

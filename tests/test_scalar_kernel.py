@@ -1,24 +1,30 @@
-"""Property tests of the fraction-free scalar kernel against the Fraction-dict one.
+"""Property tests of the fraction-free scalar kernel.
 
-``LambdaScalar`` keeps integer numerators over one common denominator;
-``FractionScalar`` in ``series_oracles`` keeps one ``Fraction`` per term.
+``LambdaScalar`` keeps integer numerators over one common denominator.
 Keys are drawn on both sides of the Laurent floor and of the log cap, and
-inputs may arrive already truncated, so every route through the truncation
-rules is compared: the two kernels must agree on every coefficient and on
-every ``truncated`` flag.
+inputs may arrive already truncated.  Results are in lowest terms, equal
+values are equal and hash equal, and the JSON form round-trips.  The
+arithmetic was once compared with the Fraction-dict kernel it replaced; its
+named inputs are now held to the reference model (``test_model.sound``), and
+the search over random inputs is in ``test_model.py``.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor
 
-from series_oracles import FractionScalar, fraction_coh_mul
+import model
+from model import Model
+from test_model import cls, sound
 
 DESC = RingDescriptor(n=3, lambda_floor=2, log_cap=1)
+# The laws below run 40 draws each; the values and flags of the arithmetic are
+# searched over random inputs against the reference model in test_model.py.
+LAWS = settings(max_examples=40)
 
 KEYS = st.tuples(st.integers(-4, 3), st.integers(0, 2))
 VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -27,19 +33,9 @@ RATIONALS = st.one_of(st.integers(-5, 5), VALUES)
 
 @st.composite
 def pairs(draw):
-    """The same scalar in both kernels, built from one drawn term map."""
+    """A scalar and the drawn term map it was built from."""
     terms = draw(st.dictionaries(KEYS, VALUES, max_size=4))
-    truncated = draw(st.booleans())
-    return LambdaScalar(DESC, terms, truncated), FractionScalar(DESC, terms, truncated)
-
-
-def both(terms, truncated=False):
-    return LambdaScalar(DESC, terms, truncated), FractionScalar(DESC, terms, truncated)
-
-
-def agree(new, old):
-    assert new.to_json_dict() == old.to_json_dict()
-    assert new.truncated == old.truncated
+    return LambdaScalar(DESC, terms, draw(st.booleans())), terms
 
 
 def assert_canonical(s):
@@ -52,27 +48,33 @@ def assert_canonical(s):
     assert all(a >= -DESC.lambda_floor and 0 <= b <= DESC.log_cap for _, a, b in nums)
 
 
-@given(pairs(), pairs())
 # Unflagged factors whose product drops a term below the floor or past the
 # log cap: through the monomial path, and through the general product.
-@example(both({(-1, 0): 1}), both({(-2, 0): 2}))
-@example(both({(-1, 0): 1, (0, 0): 1}), both({(-2, 0): 1}))
-@example(both({(0, 1): 1, (1, 0): 1}), both({(0, 1): 3}))
-def test_arithmetic_matches_the_fraction_kernel(x, y):
-    (a, fa), (b, fb) = x, y
-    agree(a + b, fa + fb)
-    agree(a - b, fa - fb)
-    agree(-a, -fa)
-    agree(a * b, fa * fb)
+PRODUCTS = [
+    ({(-1, 0): 1}, {(-2, 0): 2}),
+    ({(-1, 0): 1, (0, 0): 1}, {(-2, 0): 1}),
+    ({(0, 1): 1, (1, 0): 1}, {(0, 1): 3}),
+    ({(0, 0): 2, (-4, 1): 1}, {(1, 0): Fraction(1, 3), (0, 2): 1}),  # inputs that lose terms
+]
 
 
-@given(pairs(), RATIONALS)
-def test_scale_matches_the_fraction_kernel(x, value):
-    a, fa = x
-    agree(a.scale(value), fa.scale(value))
-    agree(a * value, fa.scale(value))
+def test_arithmetic_matches_the_fraction_kernel():
+    for x, y in PRODUCTS:
+        a, b = LambdaScalar(DESC, x), LambdaScalar(DESC, y)
+        sound(a + b, lambda m, u, v: model.plus(u, v), x, y, desc=DESC)
+        sound(a - b, lambda m, u, v: model.plus(u, model.scaled(v, -1)), x, y, desc=DESC)
+        sound(-a, lambda m, u: model.scaled(u, -1), x, desc=DESC)
+        sound(a * b, lambda m, u, v: m.times(u, v, ()), x, y, desc=DESC)
 
 
+def test_scale_matches_the_fraction_kernel():
+    for (x, _), value in zip(PRODUCTS, (3, Fraction(-2, 5), 0, Fraction(7, 3))):
+        a = LambdaScalar(DESC, x)
+        for got in (a.scale(value), a * value):
+            sound(got, lambda m, u: model.scaled(u, value), x, desc=DESC)
+
+
+@LAWS
 @given(pairs(), pairs(), RATIONALS)
 def test_results_are_in_canonical_form(x, y, value):
     (a, _), (b, _) = x, y
@@ -80,15 +82,16 @@ def test_results_are_in_canonical_form(x, y, value):
         assert_canonical(s)
 
 
+@LAWS
 @given(pairs(), pairs(), pairs())
 def test_equal_values_are_equal_and_hash_equal(x, y, w):
-    (a, fa), (b, fb), (c, fc) = x, y, w
+    (a, ta), (b, tb), (c, tc) = x, y, w
     built = a * b + c
-    oracle = fa * fb + fc
+    low = Model(DESC.lambda_floor, DESC.log_cap)
     routes = [
         built,
         c + b * a,
-        LambdaScalar(DESC, oracle.coeffs),
+        LambdaScalar(DESC, model.plus(low.times(low.cut(ta), low.cut(tb), ()), low.cut(tc))),
         LambdaScalar.from_json_dict(DESC, built.to_json_dict()),
     ]
     for other in routes:
@@ -98,6 +101,7 @@ def test_equal_values_are_equal_and_hash_equal(x, y, w):
     assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
 
 
+@LAWS
 @given(pairs(), pairs())
 def test_json_round_trip_is_bit_exact(x, y):
     (a, _), (b, _) = x, y
@@ -111,22 +115,21 @@ def test_json_round_trip_is_bit_exact(x, y):
         assert s.coefficient(int(lam), int(log or 0)) == Fraction(value)
 
 
-@given(st.lists(pairs(), min_size=3, max_size=3), st.lists(pairs(), min_size=3, max_size=3))
-def test_coh_product_matches_the_fraction_kernel(xs, ys):
-    a = CohElement(DESC, [s for s, _ in xs])
-    b = CohElement(DESC, [s for s, _ in ys])
-    want = fraction_coh_mul(DESC, [f for _, f in xs], [f for _, f in ys])
+def test_coh_product_matches_the_fraction_kernel():
     # The old product skipped zero components, so the flag of a zero but
-    # truncated factor was lost; now it reaches every slot at or above its own,
+    # truncated factor was lost; it must reach every slot at or above its own,
     # unless the other factor is an exact zero (no term, no flag).
-    lost = [k for k, c in enumerate(a.components + b.components) if c.is_zero() and c.truncated]
-    exact = any(el.is_zero() and not el.truncated for el in (a, b))
-    tainted = min(k % DESC.n for k in lost) if lost and not exact else DESC.n
-    for slot, (got, old) in enumerate(zip((a * b).components, want)):
-        assert got.to_json_dict() == old.to_json_dict()
-        assert got.truncated == (old.truncated or slot >= tainted)
+    lost_p1 = {(0, 0, 0): 1, (1, -4, 0): 1, (2, 1, 1): 2}
+    cases = [(lost_p1, {(0, -1, 0): 3, (1, 0, 0): 1}), (lost_p1, {}),
+             ({(0, -1, 0): 1, (1, -2, 1): 1}, {(0, -1, 0): 1, (1, 0, 1): 5})]
+    for x, y in cases:
+        sound(cls(DESC, x) * cls(DESC, y), lambda m, u, v: m.times(u, v, (DESC.n,)), x, y, desc=DESC)
+    assert [p.truncated for p in (cls(DESC, lost_p1) * cls(DESC, cases[0][1])).components] == [
+        False, True, True]
+    assert not (cls(DESC, lost_p1) * cls(DESC, {})).truncated
 
 
+@LAWS
 @given(pairs())
 def test_a_scalar_is_the_p0_slot_of_a_class(x):
     s, _ = x
@@ -136,6 +139,7 @@ def test_a_scalar_is_the_p0_slot_of_a_class(x):
     assert all(c.component(p).is_zero() for p in range(1, DESC.n))
 
 
+@LAWS
 @given(pairs(), pairs(), pairs())
 def test_a_scalar_on_the_left_of_a_class_or_a_q_series(x, y, w):
     (s, _), (t, _), (u, _) = x, y, w

@@ -1,9 +1,11 @@
-"""Property tests of the one-pass series kernels against their direct definitions.
+"""Property tests of the one-pass series kernels against their defining laws.
 
 Coefficients are drawn both as plain rationals and as lam-Laurent scalars.
 The Laurent floor is set far below anything the drawn series can reach, so
-the arithmetic is exact and every route must agree to the last coefficient;
-each test also asserts that nothing was truncated.
+the arithmetic is exact and every law must hold to the last coefficient;
+each test also asserts that nothing was truncated.  exp is also compared
+with the power sum of the reference model, and the twists with their
+products rebuilt from scratch for every degree.
 """
 
 import pytest
@@ -22,20 +24,16 @@ from qlefschetz import (
 )
 from qlefschetz.mirror import _inverse_novikov_map
 
-from series_oracles import (
-    exp_power_sum,
-    i_function_from_scratch,
-    inverse_map_fixed_point,
-    invert_geometric,
-    serre_dual_i_from_scratch,
-)
+from model import Model
+from series_oracles import i_function_from_scratch, serre_dual_i_from_scratch
+from test_model import read
 
 RATIONAL = RingDescriptor(n=2)
 LAURENT = RingDescriptor(n=2, lambda_floor=60)
 
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
-KERNELS = settings(max_examples=60)
+KERNELS = settings(max_examples=30)
 
 
 def scalars(desc):
@@ -70,7 +68,7 @@ def q_prime(desc, D):
 @given(series())
 def test_exp_matches_power_sum(f):
     g = f.exp()
-    assert g == exp_power_sum(f)
+    assert read(g)[0] == Model().q_exp(read(f)[0], f.max_degree)
     assert not g.truncated
 
 
@@ -89,7 +87,6 @@ def test_invert_is_the_multiplicative_inverse(tail, lead):
     f = tail + QSeries.from_rationals(tail.desc, tail.max_degree, {0: lead})
     g = f.invert()
     assert f * g == QSeries.one(f.desc, f.max_degree)
-    assert g == invert_geometric(f)
     assert not g.truncated
 
 
@@ -101,7 +98,6 @@ def test_lagrange_inverse_solves_the_fixed_point_equation(tail, k):
     tau = tail + QSeries(desc, D, {0: log_term})
     u = _inverse_novikov_map(tau)
     assert not u.truncated
-    assert u == inverse_map_fixed_point(tau)
     # u * exp(tau(u)) = q', with exp(k log lam) = lam^k
     check = u * tail.compose(u).exp() * LambdaScalar.lam_power(desc, k)
     assert check == q_prime(desc, D)
@@ -112,7 +108,6 @@ def test_lagrange_inverse_solves_the_fixed_point_equation(tail, k):
 @given(series(desc=RATIONAL))
 def test_lagrange_inverse_rational(tail):
     u = _inverse_novikov_map(tail)
-    assert u == inverse_map_fixed_point(tail)
     assert u * tail.compose(u).exp() == q_prime(tail.desc, tail.max_degree)
 
 

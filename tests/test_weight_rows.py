@@ -1,18 +1,13 @@
-"""Rows keyed by weight against the z-keyed rows they replaced.
+"""Rows keyed by weight, and the operations on them, at named inputs.
 
 ``ZSeries`` keys row d by the weight w = z + p + lam_exp, so a homogeneous
-slice is one class.  The oracle is ``series_oracles.ZKeyedSeries``, which keys
-each row by z-exponent.  Both are built from the same random z-keyed rows,
-inhomogeneous and with keys on both sides of the Laurent floor and the log
-cap.  Every operation must give the same values read back by z-exponent.
-When no input class holds a zero but truncated slot, every flag of the oracle
-must be set on the new side too: the flags of one weight class are shared by
-all the z-entries it holds, so the new side may flag more.  A zero but
-flagged slot of a z-entry taints every product slot at or above its own,
-while in the weight class that holds the entry the same slot may be nonzero,
-and then its flag only reaches the slots a product can reach, so such inputs
-are compared on values alone.  The last tests pin that every series the
-pipeline builds is homogeneous: one weight class per slice.
+slice is one class.  Its operations were once compared with the z-keyed rows
+they replaced; their named inputs, inhomogeneous and with keys on both sides
+of the Laurent floor and the log cap, are now held to the reference model
+(``test_model.sound``), and the search over random inputs is in
+``test_model.py``.  The projection and the symplectic form are compared on
+values.  The last tests pin that every series the pipeline builds is
+homogeneous: one weight class per slice.
 """
 
 import json
@@ -20,145 +15,73 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor, ZSeries
+from qlefschetz import CohElement, LambdaScalar, RingDescriptor, ZSeries
 from qlefschetz.cli import load_config, run_compute
 from qlefschetz.gw import j_reduced
 from qlefschetz.mirror import birkhoff, extract_instantons, small_mirror
 from qlefschetz.ring import BundleSpec
-from qlefschetz.series import RAW, REDUCED, directional_derivative, project, symplectic_form
+from qlefschetz.series import RAW, directional_derivative, project, symplectic_form
 from qlefschetz.twist import i_function
 
-from series_oracles import (
-    ZKeyedSeries,
-    zkeyed_directional_derivative,
-    zkeyed_project,
-    zkeyed_symplectic_form,
-)
+import model
+from model import Model
+from test_model import qseries, read, sound, zseries
 
 DESC = RingDescriptor(n=3, lambda_floor=1, log_cap=1)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-TERMS = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(0, 2)),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    max_size=3,
-)
-FLAGS = st.integers(0, 4).map(lambda k: k == 0)
+D = 2
+# Several weights per slice; lam^-2 lies below the floor of 1 and log(lam)^2 past the cap.
+F = {(0, 0, 0, 0, 0): 1, (0, -1, 1, -1, 0): 2, (0, 1, 2, 1, 1): 1, (1, -2, 0, -2, 0): 1,
+     (1, 0, 1, 0, 0): Fraction(1, 2), (2, -1, 0, 1, 0): 3, (2, -1, 2, 0, 2): 1}
+G = {(0, 0, 0, 0, 0): 1, (1, -1, 0, 0, 0): -1, (1, 0, 2, -1, 1): 1, (1, 0, 0, -1, 0): 1,
+     (2, 1, 1, 0, 0): 2}
+INNER = {(1, 0, 0): 1, (2, -1, 0): 1, (2, -2, 0): 1}
+FACTOR = {(0, 0, 0): 2, (1, 1, 1): 1, (2, -2, 0): 1}
 
 
-def scalars():
-    return st.builds(lambda terms, flag: LambdaScalar(DESC, terms, flag), TERMS, FLAGS)
+def test_sum_and_product_match_the_z_keyed_rows():
+    for f, g in ((F, G), (G, F), (F, F)):
+        a, b = zseries(DESC, D, f), zseries(DESC, D, g)
+        sound(a + b, lambda m, x, y: model.plus(x, y), f, g, desc=DESC)
+        sound(a * b, lambda m, x, y: m.z_times(x, y, D, DESC.n), f, g, desc=DESC)
 
 
-def classes(clean):
-    """Classes; with clean, a zero slot is never flagged, so the flags are compared."""
-    def build(comps):
-        if clean:
-            comps = [LambdaScalar.zero(DESC) if c.is_zero() else c for c in comps]
-        return CohElement(DESC, comps)
-
-    return st.lists(scalars(), min_size=DESC.n, max_size=DESC.n).map(build)
+def test_directional_derivative_matches_the_z_keyed_rows():
+    for f in (F, G):
+        sound(directional_derivative(zseries(DESC, D, f)),
+              lambda m, x: model.directional_derivative(x, DESC.n), f, desc=DESC)
 
 
-@st.composite
-def pairs(draw, convention=None, count=1):
-    """(D, [(new, oracle)]): series built from the same z-keyed rows both ways."""
-    D = draw(st.integers(0, 3))
-    if convention is None:
-        convention = draw(st.sampled_from([RAW, REDUCED]))
-    rows = st.dictionaries(st.integers(-3, 2), classes(draw(st.booleans())), max_size=3)
-    out = []
-    for _ in range(count):
-        slices = draw(st.dictionaries(st.integers(0, D), rows, max_size=3))
-        out.append((ZSeries(DESC, D, slices, convention), ZKeyedSeries(DESC, D, slices, convention)))
-    return D, out
+def test_novikov_substitution_and_scaling_match_the_z_keyed_rows():
+    for f in (F, G):
+        a = zseries(DESC, D, f)
+        sound(a.compose_novikov(qseries(DESC, D, INNER)),
+              lambda m, x, u: m.compose_novikov(x, u, D, DESC.n), f, INNER, desc=DESC)
+        sound(a.scale_qseries(qseries(DESC, D, FACTOR)),
+              lambda m, x, h: m.scale_qseries(x, h, D, DESC.n), f, FACTOR, desc=DESC)
 
 
-@st.composite
-def qseries(draw, D, low=0):
-    coeffs = draw(st.dictionaries(st.integers(low, D), scalars(), max_size=3)) if low <= D else {}
-    return QSeries(DESC, D, coeffs)
-
-
-def holds_lost_slots(*inputs: ZKeyedSeries) -> bool:
-    """Whether some input class has a zero but truncated slot."""
-    return any(
-        c.is_zero() and c.truncated
-        for s in inputs
-        for row in s.slices.values()
-        for el in row.values()
-        for c in el.components
-    )
-
-
-def agree(new: ZSeries, old: ZKeyedSeries, *inputs: ZKeyedSeries) -> None:
-    """Equal values by z-exponent; without lost input slots, every oracle flag is set on the new side."""
-    flags = not holds_lost_slots(*inputs)
-    for d in set(new.slices) | set(old.slices):
-        got = {ze: el for ze, el in new.slice(d).items() if not el.is_zero()}
-        want = old.slices.get(d, {})
-        assert got == want
-        for ze, el in want.items():
-            for new_c, old_c in zip(got[ze].components, el.components):
-                assert new_c.truncated or not old_c.truncated or not flags
-    assert new.is_zero() == (not old.slices)
-    assert new.truncated or not old.truncated or not flags
-
-
-def agree_q(new: QSeries, old: QSeries, *inputs: ZKeyedSeries) -> None:
-    assert new == old
-    if not holds_lost_slots(*inputs):
-        for d in range(new.max_degree + 1):
-            assert new.coefficient(d).truncated or not old.coefficient(d).truncated
-
-
-@settings(max_examples=60)
-@given(pairs(count=2))
-def test_sum_and_product_match_the_z_keyed_rows(x):
-    D, [(f, F), (g, G)] = x
-    agree(f, F, F)
-    agree(f + g, F + G, F, G)
-    agree(f * g, F * G, F, G)
-
-
-@settings(max_examples=60)
-@given(pairs(REDUCED))
-def test_directional_derivative_matches_the_z_keyed_rows(x):
-    _, [(f, F)] = x
-    agree(directional_derivative(f), zkeyed_directional_derivative(F), F)
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_novikov_substitution_and_scaling_match_the_z_keyed_rows(data):
-    D, [(f, F)] = data.draw(pairs(REDUCED))
-    inner = data.draw(qseries(D, low=1))
-    factor = data.draw(qseries(D))
-    agree(f.compose_novikov(inner), F.compose_novikov(inner), F)
-    agree(f.scale_qseries(factor), F.scale_qseries(factor), F)
-
-
-@settings(max_examples=60)
-@given(pairs(RAW, count=2))
-def test_projection_and_symplectic_form_match_the_z_keyed_rows(x):
-    _, [(f, F), (g, G)] = x
+def test_projection_and_symplectic_form_match_the_z_keyed_rows():
+    low = Model(DESC.lambda_floor, DESC.log_cap)
+    f, g = low.cut(F), low.cut(G)
+    a, b = zseries(DESC, D, F, RAW), zseries(DESC, D, G, RAW)
     for half in ("plus", "minus"):
-        agree(project(f, half), zkeyed_project(F, half), F)
-    agree_q(symplectic_form(f, g), zkeyed_symplectic_form(F, G), F, G)
+        assert read(project(a, half))[0] == model.project(f, half)
+    assert read(symplectic_form(a, b))[0] == low.symplectic_form(f, g, D, DESC.n)
 
 
-@settings(max_examples=60)
-@given(pairs())
-def test_json_matches_the_z_keyed_rows_and_round_trips(x):
-    _, [(f, F)] = x
-    got, want = f.to_json_dict(), F.to_json_dict()
-    assert got["truncated"] or not want["truncated"]
-    assert {**got, "truncated": None} == {**want, "truncated": None}
-    back = ZSeries.from_json_dict(json.loads(json.dumps(got)))
-    assert back == f
-    assert back.to_json_dict() == got
+def test_json_matches_the_z_keyed_rows_and_round_trips():
+    low = Model(DESC.lambda_floor, DESC.log_cap)
+    for f in (F, G):
+        a = zseries(DESC, D, f)
+        got = a.to_json_dict()
+        assert read(a)[0] == low.cut(f)
+        assert got["truncated"] == (f != low.cut(f))
+        back = ZSeries.from_json_dict(json.loads(json.dumps(got)))
+        assert back == a
+        assert back.to_json_dict() == got
 
 
 def test_a_zero_but_truncated_class_keeps_its_flag():

@@ -15,12 +15,15 @@ Four replacements, each against the code it replaced:
   and must read the same at a floor and a log cap three steps further out.
 - ``ZSeries.to_json_dict`` and ``SMatrix.to_json_dict`` render each term from
   the weight rows (``series.z_json``).  A series renders the terms of the
-  reference model's copy of its exact input; an S-matrix renders what the
+  reference model's copy of its exact input, each (degree, z) class as the
+  z-reader reads it; an S-matrix renders what the
   renderer that built one value per z-exponent first rendered
   (``gw_oracles.entry_to_json_dict``).
 """
 
 from itertools import product
+
+from hypothesis import given, settings
 
 from qlefschetz import BundleSpec, CohElement, LambdaScalar, RingDescriptor, ZSeries
 from qlefschetz import cone_transform, i_function, j_reduced
@@ -28,12 +31,10 @@ from qlefschetz import gw, mirror, s_matrix
 from qlefschetz.series import REDUCED
 
 import model
+from against_model import inputs, read, z_series, zseries
 from gw_oracles import entry_to_json_dict
 from model import Model
 from test_chart_flags import RAISE, changed_unflagged, z_reads
-import test_fused_products as fused
-import test_weight_rows as rows
-from test_model import read, zseries
 from test_s_matrix_half import one_over_z
 
 
@@ -110,14 +111,19 @@ def test_the_two_factor_chart_holds_the_single_product(monkeypatch):
     assert {(True, False), (False, False), (False, True)} <= tau0_kinds
 
 
-def test_the_series_json_renders_each_term_from_the_weight_rows():
-    for desc, D, exact in ((rows.DESC, rows.D, rows.F), (rows.DESC, rows.D, rows.G),
-                           (fused.DESC, fused.D, fused.THREE_SLICES),
-                           (fused.DESC, fused.D, fused.TWO_WEIGHTS)):
-        low = Model(desc.lambda_floor, desc.log_cap)
-        f = zseries(desc, D, exact)
-        assert read(f)[0] == low.cut(exact)
-        assert f.to_json_dict()["truncated"] == bool(low.lost)
+@settings(max_examples=60)
+@given(inputs(z_series))
+def test_the_series_json_renders_each_term_from_the_weight_rows(case):
+    desc, D, (exact,) = case
+    low = Model(desc.lambda_floor, desc.log_cap)
+    f = zseries(desc, D, exact)
+    data = f.to_json_dict()
+    assert read(f)[0] == low.cut(exact)
+    assert data["truncated"] == bool(low.lost)
+    # Each rendered (degree, z) class is the one the z-reader reads there.
+    for d, row in data["slices"].items():
+        for z, el in row.items():
+            assert el == f.coefficient(int(d), int(z)).to_json_dict()
 
 
 def test_the_s_matrix_json_renders_each_term_from_the_cells():

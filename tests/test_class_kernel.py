@@ -6,25 +6,26 @@ scalings are compared with the component-wise ``LambdaScalar`` arithmetic.
 Keys are drawn on both sides of the Laurent floor and of the log cap, and
 components may arrive truncated, zero or not, so every route through the
 truncation rules is compared: values and per-slot ``truncated`` flags must
-agree exactly.  The class product and ``compose_novikov`` were once compared
-with the code they replaced; their named inputs are now held to the
-reference model (``test_model.sound``), and the search over random inputs
-is in ``test_model.py``.
+agree exactly.  The products of a class and a scalar, first compared with
+the slot-by-slot products this kernel replaced, whose name the test keeps,
+hold random exact values to the reference model (``against_model``); the
+class product is held to it in ``test_scalar_kernel.py``, and
+``compose_novikov`` in ``test_fused_products.py``, with the input that once
+pinned it to a per-degree sum kept here.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qlefschetz import CohElement, LambdaScalar, RingDescriptor
 
-from test_model import cls, qseries, sound, zseries
+import model
+from against_model import classes as exact_classes, cls, inputs, qseries, scalar, sound, zseries
+from against_model import scalars as exact_scalars
 
 DESC = RingDescriptor(n=3, lambda_floor=2, log_cap=1)
-# The laws below run 40 draws each; the values and flags of the arithmetic are
-# searched over random inputs against the reference model in test_model.py.
-LAWS = settings(max_examples=40)
 
 KEYS = st.tuples(st.integers(-4, 3), st.integers(0, 2))
 VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -80,7 +81,6 @@ def assert_canonical(el) -> None:
     assert 0 <= el._trunc < 1 << span
 
 
-@LAWS
 @given(classes(), classes())
 def test_linear_operations_match_the_scalar_kernel(x, y):
     (a, ca), (b, cb) = x, y
@@ -91,18 +91,17 @@ def test_linear_operations_match_the_scalar_kernel(x, y):
     agree(a.lambda_zero_part(), zero_parts)
 
 
-def test_product_matches_the_scalar_kernel():
-    # Slot 1 gets -lam^-3 + lam^-3: each pair drops a term below the floor, so
-    # the slot is truncated although the sum of the dropped terms cancels.
-    cancel = ({(0, -2, 0): 1, (1, -2, 0): 1}, {(0, -1, 0): 1, (1, -1, 0): -1})
-    # A truncated nonzero component flags the slots of its products.
-    flagged = ({(0, 0, 0): 1, (0, -3, 0): 1}, {(0, 0, 0): 1})
-    for x, y in (cancel, flagged):
-        sound(cls(DESC, x) * cls(DESC, y), lambda m, a, b: m.times(a, b, (DESC.n,)), x, y, desc=DESC)
-    assert (cls(DESC, cancel[0]) * cls(DESC, cancel[1])).component(1).truncated
+@given(inputs(exact_classes, exact_scalars))
+# lam^-1 P times lam^-1 drops lam^-2 P below a floor of 1; a flagged scalar flags the slots with terms.
+@example((RingDescriptor(3, 1, 1), 0, [{(1, -1, 0): 1, (0, 0, 1): 2}, {(-1, 0): 1, (-3, 0): 1}]))
+def test_product_matches_the_scalar_kernel(case):
+    desc, _, (x, s) = case
+    for got in (cls(desc, x) * scalar(desc, s), scalar(desc, s) * cls(desc, x)):
+        sound(got, lambda m, a, b: m.times(a, model.at(b, 0), (desc.n,)), x, s, desc=desc)
+        # A product with an exact zero (no term, no flag) is an unflagged zero.
+        assert not got.truncated or (s and x)
 
 
-@LAWS
 @given(classes(), RATIONALS, scalars())
 def test_scalings_match_the_scalar_kernel(x, value, s):
     a, ca = x
@@ -115,7 +114,6 @@ def test_scalings_match_the_scalar_kernel(x, value, s):
     agree(a * s, [c * s for c in ca])
 
 
-@LAWS
 @given(classes(), classes(), classes())
 def test_equal_values_are_equal_and_hash_equal(x, y, w):
     (a, _), (b, _), (c, _) = x, y, w
@@ -136,7 +134,6 @@ def test_equal_values_are_equal_and_hash_equal(x, y, w):
     assert (a - a).is_zero() and a - a == CohElement.zero(DESC)
 
 
-@LAWS
 @given(classes())
 def test_components_round_trip(x):
     a, ca = x

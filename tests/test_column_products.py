@@ -8,7 +8,7 @@ Three replacements:
   counted on the quintic at D = 30.
 - ``mirror._prefactor`` builds exp(-tau P/z) or exp(-tau0/z) alone from
   its q-series powers.  Each factor is held to the exponential of the
-  reference model (``test_model.sound``) on a seeded grid of exact tails
+  reference model (``against_model.sound``) on a seeded grid of exact tails
   whose terms reach below the floor and past the log cap, and must cost no
   product beyond its powers.
 - ``gw.SMatrix._block`` reads only the z^0 series of each cell.  It must
@@ -32,7 +32,7 @@ from qlefschetz import (
 )
 from qlefschetz import gw, mirror, ring
 
-from test_model import qseries, sound
+from against_model import qseries, sound
 from test_s_matrix_cells import inputs
 from test_s_matrix_half import bumped, one_over_z
 

@@ -1,19 +1,22 @@
-"""Sums of products reduced once, and the z-series operations built on them, at named inputs.
+"""Sums of products reduced once, and the z-series operations built on them.
 
 ``_Terms._dot`` sums the products x*y of a list of pairs in one numerator map
-over one denominator and builds the result once; ``ZSeries`` products,
-``scale_qseries``, ``scale_scalar``, ``compose_novikov`` and ``z_row`` are
-built on it and on the column kernel ``series._scaled``.  These tests once
-compared each kernel with the per-product code it replaced.  They now hold
-the inputs that pinned its flag rules to the reference model
-(``test_model.sound``): keys below the floor and past the log cap, several
-denominators, flagged zero factors, rows of several weights, and multipliers
-whose coefficients mix lam exponents.  The search over random inputs is in
-``test_model.py``.  In the exact inputs below, a term at lam^-3 lies below
-the floor of 2: the engine's copy drops it and flags its slot.
+over one denominator and builds the result once.  It is compared with the
+fold x0*y0 + x1*y1 + ..., one product and one sum per pair.  Denominators
+differ from pair to pair, keys fall on both sides of the Laurent floor and
+the log cap, and factors arrive truncated, zero or not, so the per-pair
+scaling and both flag rules are compared: numerators, denominator and flag
+mask must agree exactly.  The ``ZSeries`` products, ``scale_qseries``,
+``scale_scalar`` and ``compose_novikov``, built on ``_dot`` and on the column
+kernel ``series._scaled``, were first compared with the per-product rows
+they replaced, whose names the tests keep; they now hold random exact values
+to the reference model (``against_model``): rows of several weights, and
+multipliers whose coefficients mix lam exponents, with the inputs that pinned
+their flag rules as examples.  In those, a term at lam^-3 lies below the
+floor of 2: the engine's copy drops it and flags its slot.  The direct
+(z, p) slot read is compared with the z-view of ``_by_z``, and the row
+reader ``ZSeries.z_row`` with the slot read.
 """
-
-from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,7 +24,8 @@ from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor, ZSerie
 from qlefschetz.series import REDUCED, _by_z
 
 import model
-from test_model import cls, qseries, scalar, sound, zseries
+from against_model import inputs, qseries, scalar, scalars as exact_scalars, sound, tails
+from against_model import terms, z_series, zseries
 
 DESC = RingDescriptor(n=3, lambda_floor=2, log_cap=1)
 D = 3
@@ -50,62 +54,53 @@ def lam(a, c=1, truncated=False):
     return LambdaScalar(DESC, {(a, 0): c}, truncated)
 
 
+def fold(pairs):
+    """x0*y0 + x1*y1 + ...: one product and one sum per pair."""
+    acc = None
+    for x, y in pairs:
+        prod = x * y
+        acc = prod if acc is None else acc + prod
+    return acc
+
+
 def same(got, want) -> None:
     assert type(got) is type(want)
     assert (got._nums, got._den, got._trunc) == (want._nums, want._den, want._trunc)
 
 
 ZERO_FLAGGED = LambdaScalar(DESC, {}, True)
-LOST = {(-3, 0): 1}
+HALF = LambdaScalar(DESC, {(0, 0): 1, (-1, 1): 1}, False)
 
 
-BUILD = {"scalar": scalar, "class": cls, "q": lambda desc, v: qseries(desc, D, v)}
+@settings(max_examples=150)
+@given(st.lists(st.tuples(classes(), st.one_of(classes(), scalars())), min_size=1, max_size=4))
+@example([  # keys below the floor and past the log cap, a flagged zero scalar, three denominators
+    (CohElement(DESC, [lam(-2, 1, False), lam(1, 3), lam(0)]), lam(-1, 2)),
+    (CohElement(DESC, [HALF.scale(5), lam(0), lam(-1)]), HALF.scale(7)),
+    (CohElement.p_power(DESC, 1, 1), ZERO_FLAGGED),
+])
+@example([  # a zero but flagged slot reaches every slot above it
+    (CohElement(DESC, [lam(0), ZERO_FLAGGED, lam(0)]), CohElement.p_power(DESC, 0, 2)),
+    (CohElement.p_power(DESC, 0, 3), CohElement.p_power(DESC, 0, 5)),
+])
+def test_a_sum_of_class_products_equals_the_fold(pairs):
+    same(pairs[0][0]._dot(pairs), fold(pairs))
 
 
-def dot_sound(pairs, left, right, bounds) -> None:
-    """The engine's one sum of the products of exact pairs [(x, y)] against the model's sum.
-
-    left and right name the kinds of x and y; a scalar y of a class or a
-    q-series is its slot 0 in the model.
-    """
-    engine = [(BUILD[left](DESC, x), BUILD[right](DESC, y)) for x, y in pairs]
-    lifted = right == "scalar" and left != "scalar"
-    flat = [v for x, y in pairs for v in (x, model.at(y, 0) if lifted else y)]
-
-    def op(m, *v):
-        return model.plus(*(m.times(v[i], v[i + 1], bounds) for i in range(0, len(v), 2)))
-
-    sound(engine[0][0]._dot(engine), op, *flat, desc=DESC)
+@settings(max_examples=100)
+@given(st.lists(st.tuples(qseries_values(), st.one_of(qseries_values(), scalars())), min_size=1, max_size=4))
+def test_a_sum_of_q_series_products_equals_the_fold(pairs):
+    same(pairs[0][0]._dot(pairs), fold(pairs))
 
 
-def test_a_sum_of_class_products_equals_the_fold():
-    # Keys below the floor and past the log cap, a flagged zero scalar, three denominators.
-    dot_sound([
-        ({(0, -2, 0): 1, (1, 1, 0): 3, (2, 0, 0): 1}, {(-1, 0): 2}),
-        ({(0, 0, 0): 5, (0, -1, 1): 5, (1, 0, 0): 1, (2, -1, 0): 1}, {(0, 0): 7, (-1, 1): 7}),
-        ({(1, 0, 0): 1}, LOST),
-    ], "class", "scalar", (N,))
-    # A zero but flagged slot reaches every slot above it.
-    dot_sound([
-        ({(0, 0, 0): 1, (1, -3, 0): 1, (2, 0, 0): 1}, {(0, 0, 0): 2}),
-        ({(0, 0, 0): 3}, {(0, 0, 0): 5}),
-    ], "class", "class", (N,))
-
-
-def test_a_sum_of_q_series_products_equals_the_fold():
-    # lam^-2 q times lam^-1 q drops below the floor at q^2; a flagged zero at q^1.
-    dot_sound([
-        ({(1, -2, 0): 1, (0, 0, 1): Fraction(1, 2)}, {(1, -1, 0): 1, (1, -3, 0): 2}),
-        ({(0, 1, 0): 3, (2, -1, 1): 1}, {(0, 0, 0): Fraction(2, 3), (1, 0, 1): 1}),
-    ], "q", "q", (D + 1,))
-
-
-def test_a_sum_of_scalar_products_equals_the_fold():
-    pairs = [({(-1, 0): 1, (-3, 0): 1}, {}), ({(-2, 0): 1}, {(-1, 0): 1})]
-    dot_sound(pairs, "scalar", "scalar", ())
+@settings(max_examples=150)
+@given(st.lists(st.tuples(scalars(), scalars()), min_size=1, max_size=5))
+@example([(lam(-1, 1, True), LambdaScalar.zero(DESC)), (lam(-2), lam(-1))])
+def test_a_sum_of_scalar_products_equals_the_fold(pairs):
     # The flag of a scalar is bit 0 only, whatever the ring's n.
-    engine = [(scalar(DESC, x), scalar(DESC, y)) for x, y in pairs]
-    assert engine[0][0]._dot(engine)._trunc in (0, 1)
+    got = pairs[0][0]._dot(pairs)
+    same(got, fold(pairs))
+    assert got._trunc in (0, 1)
 
 
 @settings(max_examples=100)
@@ -158,34 +153,56 @@ SQUARE_FLAGGED = {(1, -2, 0): 1, (3, -1, 0): 1, (3, 1, 0): 2}
 SCALAR = {(-1, 0): 1, (-3, 0): 1, (2, 0): 1}
 
 
-def z_operations_sound(f, g, h, u, c) -> None:
-    F = zseries(DESC, D, f)
-    sound(F * zseries(DESC, D, g), lambda m, a, b: m.z_times(a, b, D, N), f, g, desc=DESC)
-    sound(F.scale_qseries(qseries(DESC, D, h)),
-          lambda m, a, b: m.scale_qseries(a, b, D, N), f, h, desc=DESC)
-    sound(F.compose_novikov(qseries(DESC, D, u)),
-          lambda m, a, b: m.compose_novikov(a, b, D, N), f, u, desc=DESC)
-    sound(F.scale_scalar(scalar(DESC, c)),
-          lambda m, a, b: m.scale_qseries(a, model.at(b, 0), D, N), f, c, desc=DESC)
+def rows(desc, D, dirty):
+    """z-series of up to ten terms, so most slices hold several weights."""
+    return terms(desc, dirty, st.integers(0, D), st.integers(-3, 2), st.integers(0, desc.n - 1),
+                 max_size=10)
 
 
-def test_z_series_products_match_the_per_product_rows():
-    z_operations_sound(THREE_SLICES, TWO_WEIGHTS, MULTIPLIER, SQUARE_FLAGGED, SCALAR)
-    z_operations_sound(TWO_WEIGHTS, THREE_SLICES, SQUARE_FLAGGED, {(1, 0, 1): 1, (2, -1, 0): 1}, {(0, 1): 2})
+def multipliers(desc, D, dirty):
+    """q-series of up to eight terms, so coefficients mix lam exponents."""
+    return terms(desc, dirty, st.integers(0, D), max_size=8)
 
 
-def test_a_q_series_scales_column_by_column_as_class_by_class():
-    # Keys below the floor and past the log cap at two weights, a flagged zero at q^1.
-    sound(zseries(DESC, D, TWO_WEIGHTS).scale_qseries(qseries(DESC, D, MULTIPLIER)),
-          lambda m, a, b: m.scale_qseries(a, b, D, N), TWO_WEIGHTS, MULTIPLIER, desc=DESC)
+@settings(max_examples=80)
+@given(inputs(z_series, z_series))
+@example((DESC, D, [THREE_SLICES, TWO_WEIGHTS]))
+@example((DESC, D, [TWO_WEIGHTS, THREE_SLICES]))
+def test_z_series_products_match_the_per_product_rows(case):
+    desc, D, (f, g) = case
+    sound(zseries(desc, D, f) * zseries(desc, D, g),
+          lambda m, a, b: m.z_times(a, b, D, desc.n), f, g, desc=desc)
 
 
-def test_a_substitution_and_a_scalar_scale_column_by_column_as_class_by_class():
-    F = zseries(DESC, D, THREE_SLICES)
-    sound(F.compose_novikov(qseries(DESC, D, SQUARE_FLAGGED)),
-          lambda m, a, b: m.compose_novikov(a, b, D, N), THREE_SLICES, SQUARE_FLAGGED, desc=DESC)
-    sound(F.scale_scalar(scalar(DESC, SCALAR)),
-          lambda m, a, b: m.scale_qseries(a, model.at(b, 0), D, N), THREE_SLICES, SCALAR, desc=DESC)
+@settings(max_examples=150)
+@given(inputs(rows, multipliers))
+@example((DESC, D, [TWO_WEIGHTS, MULTIPLIER]))
+@example((DESC, D, [THREE_SLICES, MULTIPLIER]))
+@example((DESC, D, [TWO_WEIGHTS, SQUARE_FLAGGED]))
+# A flagged zero at q^1 and mixed lam exponents at q^0 and q^2.
+@example((RingDescriptor(3, 2, 1), 3, [
+    {(0, 0, 0, -2, 0): 1, (0, -1, 1, -1, 1): 3, (1, 0, 2, 0, 0): 1},
+    {(0, 0, 0): 1, (0, -1, 1): 1, (0, -4, 0): 2, (1, -3, 0): 1, (2, -4, 0): 1, (2, 2, 0): 1},
+]))
+def test_a_q_series_scales_column_by_column_as_class_by_class(case):
+    desc, D, (f, h) = case
+    sound(zseries(desc, D, f).scale_qseries(qseries(desc, D, h)),
+          lambda m, a, b: m.scale_qseries(a, b, D, desc.n), f, h, desc=desc)
+
+
+@settings(max_examples=150)
+@given(inputs(rows, tails, exact_scalars))
+@example((DESC, D, [THREE_SLICES, SQUARE_FLAGGED, SCALAR]))
+@example((DESC, D, [TWO_WEIGHTS, {(1, 0, 1): 1, (2, -1, 0): 1}, {(0, 1): 2}]))
+# The inner lam^-1 q squares to a flagged zero below a floor of 1.
+@example((RingDescriptor(2, 1, 0), 3, [{(d, 0, 1, 0, 0): 1 for d in range(4)}, {(1, -1, 0): 1}, {}]))
+def test_a_substitution_and_a_scalar_scale_column_by_column_as_class_by_class(case):
+    desc, D, (f, u, c) = case
+    F = zseries(desc, D, f)
+    sound(F.compose_novikov(qseries(desc, D, u)),
+          lambda m, a, b: m.compose_novikov(a, b, D, desc.n), f, u, desc=desc)
+    sound(F.scale_scalar(scalar(desc, c)),
+          lambda m, a, b: m.scale_qseries(a, model.at(b, 0), D, desc.n), f, c, desc=desc)
 
 
 def test_the_example_inner_squares_to_a_flagged_zero():
@@ -194,28 +211,35 @@ def test_the_example_inner_squares_to_a_flagged_zero():
     assert square.is_zero() and square.truncated
 
 
-def test_a_z_row_reads_what_the_scalar_split_read():
-    flagged_slice = {(1, 0, p, -3, 0): 1 for p in range(N)}
-    two_weights = {(2, -1, 0, 1, 0): 1, (2, -1, 1, -3, 0): 1, (2, -1, 2, 0, 0): 1,
-                   (2, 1, 0, -1, 0): 1, (2, 1, 1, 0, 0): 1, (2, 1, 2, 2, 0): 1}
-    for f in (flagged_slice, two_weights, THREE_SLICES):
-        series = zseries(DESC, D, f)
-        for z in range(-6, 6):
-            for p, got in enumerate(series.z_row(z)):
-                sound(got, lambda m, a: model.z_row(a, z, N)[p], f, desc=DESC)
-
-
 def zseries_values():
     """A series from random z-keyed rows: several weights per slice, flagged and zero classes."""
     rows = st.dictionaries(st.integers(-3, 2), classes(), max_size=3)
     return st.dictionaries(st.integers(0, D), rows, max_size=3).map(lambda s: ZSeries(DESC, D, s, REDUCED))
 
 
-@settings(max_examples=30)
+FLAGGED_ZERO_SLICE = ZSeries(DESC, D, {1: {0: CohElement(DESC, [ZERO_FLAGGED] * DESC.n)}})
+TWO_FLAGGED_WEIGHTS = ZSeries(DESC, D, {2: {-1: CohElement(DESC, [lam(1), ZERO_FLAGGED, lam(0)]),
+                                            1: CohElement(DESC, [lam(-1), lam(0), lam(2)])}})
+
+
+@settings(max_examples=80)
 @given(zseries_values())
-@example(ZSeries(DESC, D, {1: {0: CohElement(DESC, [ZERO_FLAGGED] * DESC.n)}}))
-@example(ZSeries(DESC, D, {2: {-1: CohElement(DESC, [lam(1), ZERO_FLAGGED, lam(0)]),
-                               1: CohElement(DESC, [lam(-1), lam(0), lam(2)])}}))
+@example(FLAGGED_ZERO_SLICE)
+@example(TWO_FLAGGED_WEIGHTS)
+def test_a_z_row_reads_what_the_scalar_split_read(f):
+    # The row reader splits each slice once; each of its coefficients is the one-slot read.
+    for z in range(-6, 6):
+        row = f.z_row(z)
+        assert len(row) == DESC.n
+        for p, got in enumerate(row):
+            for d in range(D + 1):
+                same(got.coefficient(d), f.scalar_slot(d, z, p))
+
+
+@settings(max_examples=80)
+@given(zseries_values())
+@example(FLAGGED_ZERO_SLICE)
+@example(TWO_FLAGGED_WEIGHTS)
 def test_a_slot_read_matches_the_z_view(f):
     for d in range(D + 1):
         row = f.slices.get(d, {})

@@ -1,25 +1,13 @@
-"""Every public operation of the storage layer against the reference model of ``model.py``.
+"""The operations that have no kernel test file of their own, against the reference model.
 
-The inputs are exact values, drawn with terms on both sides of the Laurent
-floor and of the log cap.  The engine gets their copies at its precision, as
-its constructors make them: out-of-range terms dropped and their slots
-flagged.  The model runs each operation twice, exactly and at the engine's
-floor and log cap, and each test states ROADMAP aim 3's rule once
-(``sound``):
-
-- every slot that the engine leaves unflagged equals the model's exact value;
-- when the model drops no term at the engine's floor, the engine's result is
-  unflagged and equal to it.
-
-A slot is a P-slot of a class, a degree of a q-series, or a (degree, z, P)
-of a z-series; the engine's values are read back through its JSON renderers
-and its one-slot readers.  The regression inputs of the bugs mended so far
-are explicit examples or cases here.  The kernel tests that once compared a
-kernel with the code it replaced hold their named inputs to ``sound`` too.
-
-``project`` and ``symplectic_form`` are not here: on a row whose flag sits
-on a weight class with terms at other z-exponents they return unflagged
-values that the exact ones differ from (see CHANGES.md).
+Each test draws exact values and holds the engine's result to ROADMAP aim
+3's rule (``against_model.sound``).  The products, the linear operations,
+the q-series kernels, ``scale_qseries``, ``scale_scalar``,
+``compose_novikov``, z·D_P and the z-reader are held to the model in their
+kernel's file; here are the inverse Novikov map, ``ZSeries.exp``, the
+regression cases of a flagged-zero power and of a scalar over another ring
+descriptor, and three known faults, kept as strict expected failures: a
+fix turns them into passes, and the suite then asks for the marker to go.
 """
 
 from fractions import Fraction
@@ -30,182 +18,19 @@ from hypothesis import example, given, settings, strategies as st
 from qlefschetz import (
     CohElement,
     DescriptorMismatchError,
+    EngineError,
     LambdaScalar,
-    REDUCED,
     QSeries,
     RingDescriptor,
-    ZSeries,
-    directional_derivative,
     invert_series,
 )
 from qlefschetz.mirror import _inverse_novikov_map
+from qlefschetz.series import RAW, project, symplectic_form
 
 import model
-from model import Model
+from against_model import VALUES, inputs, qseries, sound, tails, zseries
 
 EXAMPLES = settings(max_examples=50)
-VALUES = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
-
-
-# -- exact values and the engine's copies of them --------------------------------------
-
-
-def terms(desc, dirty, *slots, max_size=4):
-    """Exact values keyed (*slots, a, b); dirty ones reach two steps below the floor and past the cap."""
-    lam = st.integers(-desc.lambda_floor - 2 * dirty, 2)
-    log = st.integers(0, desc.log_cap + dirty)
-    return st.dictionaries(st.tuples(*slots, lam, log), VALUES, max_size=max_size)
-
-
-def scalars(desc, D, dirty):
-    return terms(desc, dirty, max_size=3)
-
-
-def classes(desc, D, dirty):
-    return terms(desc, dirty, st.integers(0, desc.n - 1))
-
-
-def q_series(desc, D, dirty, low=0):
-    return terms(desc, dirty, st.integers(low, D)) if low <= D else st.just({})
-
-
-def tails(desc, D, dirty):
-    """q-series without constant term."""
-    return q_series(desc, D, dirty, 1)
-
-
-def z_series(desc, D, dirty):
-    return terms(desc, dirty, st.integers(0, D), st.integers(-2, 1), st.integers(0, desc.n - 1),
-                 max_size=6)
-
-
-@st.composite
-def inputs(draw, *kinds):
-    """(desc, D, values): a ring, a Novikov order, and one exact value of each kind.
-
-    Half the cases keep every term in range; the others reach out of it.
-    """
-    desc = RingDescriptor(draw(st.integers(2, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 1)))
-    D, dirty = draw(st.integers(0, 3)), draw(st.booleans())
-    return desc, D, [draw(kind(desc, D, dirty)) for kind in kinds]
-
-
-def scalar(desc, v):
-    return LambdaScalar(desc, v)
-
-
-def cls(desc, v):
-    return CohElement(desc, [scalar(desc, model.part(v, (p,))) for p in range(desc.n)])
-
-
-def qseries(desc, D, v):
-    return QSeries(desc, D, {d: scalar(desc, model.part(v, (d,))) for d in {key[0] for key in v}})
-
-
-def zseries(desc, D, v, convention=REDUCED):
-    rows: dict = {}
-    for d, z in {key[:2] for key in v}:
-        rows.setdefault(d, {})[z] = cls(desc, model.part(v, (d, z)))
-    return ZSeries(desc, D, rows, convention)
-
-
-def lam_terms(data: dict) -> dict:
-    """A scalar's JSON ('a' or 'a|b' to a rational) as model terms."""
-    out = {}
-    for key, c in data.items():
-        a, _, b = key.partition("|")
-        out[(int(a), int(b or 0))] = Fraction(c)
-    return out
-
-
-def nested(data: dict, depth: int) -> dict:
-    """JSON nested `depth` levels above the scalars as model terms keyed by those levels."""
-    if not depth:
-        return lam_terms(data)
-    return {(int(k),) + key: c for k, inner in data.items() for key, c in nested(inner, depth - 1).items()}
-
-
-def read(value):
-    """The engine's value as model terms, and its flag at a slot."""
-    if isinstance(value, LambdaScalar):
-        return lam_terms(value.to_json_dict()), lambda slot: value.truncated
-    if isinstance(value, CohElement):
-        return nested(value.to_json_dict(), 1), lambda slot: value.component(*slot).truncated
-    if isinstance(value, QSeries):
-        return nested(value.to_json_dict(), 1), lambda slot: value.coefficient(*slot).truncated
-    return nested(value.to_json_dict()["slices"], 3), lambda slot: value.scalar_slot(*slot).truncated
-
-
-def sound(got, op, *values, desc) -> None:
-    """Aim 3's rule for got, the engine's result of op(model, *values) on exact values."""
-    terms_of, flagged = read(got)
-    exact = op(Model(), *values)
-    low = Model(desc.lambda_floor, desc.log_cap)
-    at_floor = op(low, *map(low.cut, values))
-    for slot in {key[:-2] for key in (*terms_of, *exact)}:
-        if not flagged(slot):
-            assert model.part(terms_of, slot) == model.part(exact, slot), slot
-    if not low.lost:
-        assert terms_of == exact == at_floor
-        assert not got.truncated
-
-
-# -- products ---------------------------------------------------------------------------
-
-
-ZERO_FLAGGED_P = (RingDescriptor(3, 1, 1), 2, [{(1, -2, 0): 1}, {(0, 2, 0): 1, (1, 2, 0): 1}, {}])
-
-
-@EXAMPLES
-@given(inputs(classes, classes, scalars))
-# A zero but flagged P-slot reaches every slot of a product at or above its own,
-# and an exact zero scalar gives an unflagged zero.
-@example(ZERO_FLAGGED_P)
-# lam^-1 P * lam^-1 P drops lam^-2 P^2 below a floor of 1; a flagged scalar flags the slots with terms.
-@example((RingDescriptor(3, 1, 1), 0, [{(1, -1, 0): 1, (0, 0, 1): 2}, {(1, -1, 0): 3}, {(-3, 0): 1}]))
-def test_scalar_and_class_products(case):
-    desc, _, (x, y, s) = case
-    x0 = model.part(x, (0,))
-    sound(scalar(desc, x0) * scalar(desc, s), lambda m, a, b: m.times(a, b, ()), x0, s, desc=desc)
-    sound(cls(desc, x) * cls(desc, y), lambda m, a, b: m.times(a, b, (desc.n,)), x, y, desc=desc)
-    for got in (cls(desc, x) * scalar(desc, s), scalar(desc, s) * cls(desc, x)):
-        sound(got, lambda m, a, b: m.times(a, model.at(b, 0), (desc.n,)), x, s, desc=desc)
-        # A product with an exact zero (no term, no flag) is an unflagged zero.
-        assert not got.truncated or (s and x)
-
-
-@EXAMPLES
-@given(inputs(q_series, q_series, scalars))
-# Degree 0 collects lam^-2 * lam^-1, below a floor of 2: a flagged zero.
-@example((RingDescriptor(3, 2, 1), 2, [{(0, -2, 0): 1, (1, 0, 0): 1}, {(0, -1, 0): 1}, {(-1, 0): 1}]))
-def test_q_series_products(case):
-    desc, D, (f, g, s) = case
-    sound(qseries(desc, D, f) * qseries(desc, D, g),
-          lambda m, a, b: m.times(a, b, (D + 1,)), f, g, desc=desc)
-    for got in (qseries(desc, D, f) * scalar(desc, s), scalar(desc, s) * qseries(desc, D, f)):
-        sound(got, lambda m, a, b: m.times(a, model.at(b, 0), (D + 1,)), f, s, desc=desc)
-
-
-@EXAMPLES
-@given(inputs(z_series, z_series))
-def test_z_series_products(case):
-    desc, D, (f, g) = case
-    sound(zseries(desc, D, f) * zseries(desc, D, g),
-          lambda m, a, b: m.z_times(a, b, D, desc.n), f, g, desc=desc)
-
-
-# -- q-series kernels -------------------------------------------------------------------
-
-
-@EXAMPLES
-@given(inputs(tails, q_series), st.fractions(-3, 3, max_denominator=4).filter(bool))
-def test_q_series_exp_invert_and_compose(case, lead):
-    desc, D, (f, g) = case
-    sound(qseries(desc, D, f).exp(), lambda m, a: m.q_exp(a, D), f, desc=desc)
-    unit = {**f, (0, 0, 0): lead}
-    sound(qseries(desc, D, unit).invert(), lambda m, a: m.q_invert(a, D), unit, desc=desc)
-    sound(qseries(desc, D, g).compose(qseries(desc, D, f)),
-          lambda m, a, b: m.q_compose(a, b, D), g, f, desc=desc)
 
 
 # The inner series lam^-1 q squares to lam^-2 q^2, below a floor of 1: a flagged
@@ -237,14 +62,12 @@ def test_inverse_novikov_map(case, k):
     sound(invert_series(qseries(desc, D, h)), lambda m, a: m.inverse_map(a, D), h, desc=desc)
 
 
-# -- z-series kernels -------------------------------------------------------------------
-
-
 def exponents(desc, D, dirty):
     """z-series of weight z + p + a = 0, as the cone transform's exponent, with d >= 1 or p >= 1.
 
     The second condition makes exp a finite sum.  The weight is 0 because
-    ``ZSeries.exp`` stops at a flagged zero term only when its weights repeat.
+    ``ZSeries.exp`` stops at a flagged zero term only when its weights
+    repeat (``test_z_series_exp_of_a_flagged_nilpotent_of_two_weights``).
     """
     keys = st.tuples(st.integers(0, D), st.integers(0, desc.n - 1),
                      st.integers(-desc.lambda_floor - 2 * dirty, 2), st.integers(0, desc.log_cap + dirty))
@@ -259,69 +82,6 @@ def test_z_series_exp(case):
     sound(zseries(desc, D, f).exp(), lambda m, a: m.z_exp(a, D, desc.n), f, desc=desc)
 
 
-@EXAMPLES
-@given(inputs(z_series, q_series, scalars))
-# A flagged zero at q^1 and mixed lam exponents at q^0 and q^2.
-@example((RingDescriptor(3, 2, 1), 3, [
-    {(0, 0, 0, -2, 0): 1, (0, -1, 1, -1, 1): 3, (1, 0, 2, 0, 0): Fraction(1, 2)},
-    {(0, 0, 0): 1, (0, -1, 1): 1, (0, -4, 0): 2, (1, -3, 0): 1, (2, -4, 0): 1, (2, 2, 0): 1},
-    {(-1, 0): 1, (-3, 0): 1},
-]))
-def test_a_z_series_times_a_q_series_or_a_scalar(case):
-    desc, D, (f, g, s) = case
-    n = desc.n
-    sound(zseries(desc, D, f).scale_qseries(qseries(desc, D, g)),
-          lambda m, a, b: m.scale_qseries(a, b, D, n), f, g, desc=desc)
-    sound(zseries(desc, D, f).scale_scalar(scalar(desc, s)),
-          lambda m, a, b: m.scale_qseries(a, model.at(b, 0), D, n), f, s, desc=desc)
-
-
-@EXAMPLES
-@given(inputs(z_series, tails))
-@example((FLAGGED_POWER[0], 3, [{(d, 0, 1, 0, 0): Fraction(1) for d in range(4)}, {(1, -1, 0): 1}]))
-def test_compose_novikov(case):
-    desc, D, (f, u) = case
-    sound(zseries(desc, D, f).compose_novikov(qseries(desc, D, u)),
-          lambda m, a, b: m.compose_novikov(a, b, D, desc.n), f, u, desc=desc)
-
-
-@EXAMPLES
-@given(inputs(z_series))
-def test_directional_derivative(case):
-    desc, D, (f,) = case
-    sound(directional_derivative(zseries(desc, D, f)),
-          lambda m, a: model.directional_derivative(a, desc.n), f, desc=desc)
-
-
-# -- the z-reader -------------------------------------------------------------------------
-
-
-# Slice 1 holds only a term below the floor: a flagged slice without terms.
-EMPTY_FLAGGED = (RingDescriptor(2, 1, 1), 2, [{(0, 0, 0, 0, 0): 1, (1, -1, 1, -3, 0): 1}])
-
-
-@EXAMPLES
-@given(inputs(z_series))
-@example(EMPTY_FLAGGED)
-def test_the_z_reader(case):
-    desc, D, (f,) = case
-    series, n = zseries(desc, D, f), desc.n
-    for z in range(-4, 3):
-        for p, got in enumerate(series.z_row(z)):
-            sound(got, lambda m, a: model.z_row(a, z, n)[p], f, desc=desc)
-        for d in range(D + 1):
-            sound(series.coefficient(d, z), lambda m, a: model.coefficient(a, d, z), f, desc=desc)
-            for p in range(n):
-                sound(series.scalar_slot(d, z, p), lambda m, a: model.scalar_slot(a, d, z, p), f,
-                      desc=desc)
-    low = Model(desc.lambda_floor, desc.log_cap)
-    kept = low.cut(f)
-    for d in {key[0] for key in f} - {key[0] for key in kept}:
-        # A flagged slice without terms reads as a flagged zero at z^0.
-        (z, el), = series.slice(d).items()
-        assert z == 0 and el.is_zero() and el.truncated
-
-
 def test_a_scalar_over_another_descriptor_is_refused():
     desc, other = RingDescriptor(3, 2, 1), RingDescriptor(3, 1, 1)
     # lam^-2 is in range over other but below desc's floor: it must not be stored unflagged.
@@ -330,3 +90,37 @@ def test_a_scalar_over_another_descriptor_is_refused():
         QSeries(desc, 2, {1: s})
     with pytest.raises(DescriptorMismatchError):
         CohElement(desc, [s, LambdaScalar.zero(desc), LambdaScalar.zero(desc)])
+
+
+# -- known faults: each fails today, and must pass once its fault is mended ---------------
+
+
+NO_LOG = RingDescriptor(2, 1, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="project drops a weight class's flag with the z-entries it drops")
+def test_project_keeps_the_flag_of_a_class_it_splits():
+    # 1 + log(lam) z^-1 at log cap 0: the log term is lost, and the weight-0
+    # class that holds 1 carries the flag; the minus half comes back an unflagged zero.
+    f = {(0, 0, 0, 0, 0): 1, (0, -1, 0, 0, 1): 1}
+    sound(project(zseries(NO_LOG, 0, f, RAW), "minus"), lambda m, a: model.project(a, "minus"), f,
+          desc=NO_LOG)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="symplectic_form pairs z-keyed views, where a flagged empty slice sits at z^0 only")
+def test_symplectic_form_keeps_the_flag_of_a_lost_partner():
+    # f = 1 and g = log(lam) P z^-1 at log cap 0: the pairing is log(lam), lost, but comes back unflagged.
+    f, g = {(0, 0, 0, 0, 0): 1}, {(0, -1, 1, 0, 1): 1}
+    sound(symplectic_form(zseries(NO_LOG, 0, f, RAW), zseries(NO_LOG, 0, g, RAW)),
+          lambda m, a, b: m.symplectic_form(a, b, 0, NO_LOG.n), f, g, desc=NO_LOG)
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="ZSeries.exp waits for repeated weights, and the powers' weights grow")
+def test_z_series_exp_of_a_flagged_nilpotent_of_two_weights():
+    # P log(lam) + P^2 at n = 3, log cap 0: the log term is lost, so P^1 is a flagged zero.
+    desc = RingDescriptor(3, 1, 0)
+    f = {(0, 0, 1, 0, 1): 1, (0, 0, 2, 0, 0): 1}
+    sound(zseries(desc, 0, f).exp(), lambda m, a: m.z_exp(a, 0, desc.n), f, desc=desc)

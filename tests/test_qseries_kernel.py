@@ -3,22 +3,24 @@
 ``QSeries`` stores R[q]/(q^(D+1)) in the class format of ``ring`` and
 multiplies by the class product with span D + 1.  Equal values are equal and
 hash equal, and the errors are those of the dict-of-scalars series it
-replaced.  Its operations were once compared with that series; their named
-inputs are now held to the reference model (``test_model.sound``), and the
-search over random inputs is in ``test_model.py``.  A term at lam^-3 lies
-below the floor of 2: the engine's copy drops it and flags its degree.
+replaced.  Its operations were first compared with that series, whose name
+the tests keep; they now hold random exact values to the reference model
+(``against_model``), with the inputs that pinned its rules as examples.  In
+those, a term at lam^-3 lies below the floor of 2: the engine's copy drops
+it and flags its degree.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qlefschetz import DescriptorMismatchError, LambdaScalar, QSeries, RingDescriptor, UnitError
 
 import model
+from against_model import RATIONALS, inputs, linear_sound, product_flags, q_series, qseries, read
+from against_model import scalar, scalars, sound, tails
 from test_class_kernel import DESC, FLAGS, TERMS, assert_canonical, lam
-from test_model import qseries, read, scalar, sound
 
 DEGREES = st.integers(0, 4)
 COEFFS = st.one_of(st.just({}), TERMS, TERMS)
@@ -44,37 +46,61 @@ TAIL = {(1, -1, 0): 1, (1, -3, 0): 1, (2, 0, 1): Fraction(1, 3), (3, -2, 0): 2}
 CLEAN_TAIL = {(1, -1, 0): 2, (2, 0, 0): Fraction(1, 3), (3, 1, 1): 1}
 
 
-def test_linear_operations_match_the_dict_series():
-    a, b = qseries(DESC, D, F), qseries(DESC, D, G)
-    sound(a + b, lambda m, x, y: model.plus(x, y), F, G, desc=DESC)
-    sound(a - b, lambda m, x, y: model.plus(x, model.scaled(y, -1)), F, G, desc=DESC)
-    sound(-a, lambda m, x: model.scaled(x, -1), F, desc=DESC)
-    for value in (0, 3, Fraction(-2, 5)):
-        for got in (a.scale(value), a * value, value * a):
-            sound(got, lambda m, x: model.scaled(x, value), F, desc=DESC)
+@given(inputs(q_series, q_series), st.one_of(st.integers(-5, 5), RATIONALS))
+@example((DESC, D, [F, G]), Fraction(-2, 5))
+def test_linear_operations_match_the_dict_series(case, value):
+    desc, D, (f, g) = case
+    a, b = qseries(desc, D, f), qseries(desc, D, g)
+    linear_sound(a + b, lambda m, x, y: model.plus(x, y), f, g, desc=desc)
+    linear_sound(a - b, lambda m, x, y: model.plus(x, model.scaled(y, -1)), f, g, desc=desc)
+    linear_sound(-a, lambda m, x: model.scaled(x, -1), f, desc=desc)
+    for got in (a.scale(value), a * value, value * a):
+        linear_sound(got, lambda m, x: model.scaled(x, value), f, desc=desc)
+    # The readers: valuation on the stored terms, and no flag outside 0 .. D.
+    low = model.Model(desc.lambda_floor, desc.log_cap)
+    kept = low.cut(f)
+    assert a.max_degree == D
+    assert [a.valuation_at_least(v) for v in range(D + 2)] == [
+        all(key[0] >= v for key in kept) for v in range(D + 2)]
+    for d in (-1, D + 1):
+        assert a.coefficient(d).is_zero() and not a.coefficient(d).truncated
+    assert a.is_zero() == (not kept)
 
 
-def test_products_match_the_dict_series():
-    # Degree 0 collects lam^-2 * lam^-1, which drops below the floor: a flagged zero.
-    cases = [(F, G, {(-1, 0): 1}), ({(0, -2, 0): 1, (1, 0, 0): 1}, {(0, -1, 0): 1}, {(-3, 0): 1})]
-    for f, g, s in cases:
-        a = qseries(DESC, D, f)
-        sound(a * qseries(DESC, D, g), lambda m, x, y: m.times(x, y, (D + 1,)), f, g, desc=DESC)
-        for got in (a * scalar(DESC, s), scalar(DESC, s) * a):
-            sound(got, lambda m, x, y: m.times(x, model.at(y, 0), (D + 1,)), f, s, desc=DESC)
+@given(inputs(q_series, q_series, scalars))
+@example((DESC, D, [F, G, {(-1, 0): 1}]))
+# Degree 0 collects lam^-2 * lam^-1, which drops below the floor: a flagged zero.
+@example((DESC, D, [{(0, -2, 0): 1, (1, 0, 0): 1}, {(0, -1, 0): 1}, {(-3, 0): 1}]))
+@example((RingDescriptor(3, 2, 1), 2, [{(0, -2, 0): 1, (1, 0, 0): 1}, {(0, -1, 0): 1}, {(-1, 0): 1}]))
+def test_products_match_the_dict_series(case):
+    desc, D, (f, g, s) = case
+    a = qseries(desc, D, f)
+    got = a * qseries(desc, D, g)
+    sound(got, lambda m, x, y: m.times(x, y, (D + 1,)), f, g, desc=desc)
+    flagged = {d for d in range(D + 1) if got.coefficient(d).truncated}
+    assert flagged == product_flags(f, g, desc, D + 1)
+    for got in (a * scalar(desc, s), scalar(desc, s) * a):
+        sound(got, lambda m, x, y: m.times(x, model.at(y, 0), (D + 1,)), f, s, desc=desc)
 
 
-def test_exp_and_invert_match_the_dict_series():
-    for tail in (TAIL, CLEAN_TAIL):
-        sound(qseries(DESC, D, tail).exp(), lambda m, x: m.q_exp(x, D), tail, desc=DESC)
-        unit = {**tail, (0, 0, 0): Fraction(-3, 2)}
-        sound(qseries(DESC, D, unit).invert(), lambda m, x: m.q_invert(x, D), unit, desc=DESC)
+@given(inputs(tails), st.fractions(-3, 3, max_denominator=4).filter(bool))
+@example((DESC, D, [TAIL]), Fraction(-3, 2))
+@example((DESC, D, [CLEAN_TAIL]), Fraction(-3, 2))
+def test_exp_and_invert_match_the_dict_series(case, lead):
+    desc, D, (tail,) = case
+    sound(qseries(desc, D, tail).exp(), lambda m, x: m.q_exp(x, D), tail, desc=desc)
+    unit = {**tail, (0, 0, 0): lead}
+    sound(qseries(desc, D, unit).invert(), lambda m, x: m.q_invert(x, D), unit, desc=desc)
 
 
-def test_compose_matches_the_dict_series():
-    for f, inner in ((F, TAIL), (G, CLEAN_TAIL), (F, {(1, -2, 0): 1})):
-        sound(qseries(DESC, D, f).compose(qseries(DESC, D, inner)),
-              lambda m, x, y: m.q_compose(x, y, D), f, inner, desc=DESC)
+@given(inputs(q_series, tails))
+@example((DESC, D, [F, TAIL]))
+@example((DESC, D, [G, CLEAN_TAIL]))
+@example((DESC, D, [F, {(1, -2, 0): 1}]))
+def test_compose_matches_the_dict_series(case):
+    desc, D, (f, inner) = case
+    sound(qseries(desc, D, f).compose(qseries(desc, D, inner)),
+          lambda m, x, y: m.q_compose(x, y, D), f, inner, desc=desc)
 
 
 def test_compose_flags_a_coefficient_the_dict_series_reports_exact():

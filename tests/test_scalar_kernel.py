@@ -4,27 +4,26 @@
 Keys are drawn on both sides of the Laurent floor and of the log cap, and
 inputs may arrive already truncated.  Results are in lowest terms, equal
 values are equal and hash equal, and the JSON form round-trips.  The
-arithmetic was once compared with the Fraction-dict kernel it replaced; its
-named inputs are now held to the reference model (``test_model.sound``), and
-the search over random inputs is in ``test_model.py``.
+arithmetic, the rational scale and the products of a class were first
+compared with the Fraction-dict kernel this one replaced, whose name the
+tests keep; they now hold random exact values to the reference model
+(``against_model``), with the inputs that pinned its rules as examples.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor
 
 import model
+from against_model import RATIONALS as FRACTIONS, classes, cls, inputs, linear_sound, product_flags
+from against_model import scalar, scalars, sound
 from model import Model
-from test_model import cls, sound
 
 DESC = RingDescriptor(n=3, lambda_floor=2, log_cap=1)
-# The laws below run 40 draws each; the values and flags of the arithmetic are
-# searched over random inputs against the reference model in test_model.py.
-LAWS = settings(max_examples=40)
 
 KEYS = st.tuples(st.integers(-4, 3), st.integers(0, 2))
 VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -58,23 +57,29 @@ PRODUCTS = [
 ]
 
 
-def test_arithmetic_matches_the_fraction_kernel():
-    for x, y in PRODUCTS:
-        a, b = LambdaScalar(DESC, x), LambdaScalar(DESC, y)
-        sound(a + b, lambda m, u, v: model.plus(u, v), x, y, desc=DESC)
-        sound(a - b, lambda m, u, v: model.plus(u, model.scaled(v, -1)), x, y, desc=DESC)
-        sound(-a, lambda m, u: model.scaled(u, -1), x, desc=DESC)
-        sound(a * b, lambda m, u, v: m.times(u, v, ()), x, y, desc=DESC)
+@given(inputs(scalars, scalars))
+@example((DESC, 0, list(PRODUCTS[0])))
+@example((DESC, 0, list(PRODUCTS[1])))
+@example((DESC, 0, list(PRODUCTS[2])))
+@example((DESC, 0, list(PRODUCTS[3])))
+def test_arithmetic_matches_the_fraction_kernel(case):
+    desc, _, (x, y) = case
+    a, b = scalar(desc, x), scalar(desc, y)
+    linear_sound(a + b, lambda m, u, v: model.plus(u, v), x, y, desc=desc)
+    linear_sound(a - b, lambda m, u, v: model.plus(u, model.scaled(v, -1)), x, y, desc=desc)
+    linear_sound(-a, lambda m, u: model.scaled(u, -1), x, desc=desc)
+    sound(a * b, lambda m, u, v: m.times(u, v, ()), x, y, desc=desc)
 
 
-def test_scale_matches_the_fraction_kernel():
-    for (x, _), value in zip(PRODUCTS, (3, Fraction(-2, 5), 0, Fraction(7, 3))):
-        a = LambdaScalar(DESC, x)
-        for got in (a.scale(value), a * value):
-            sound(got, lambda m, u: model.scaled(u, value), x, desc=DESC)
+@given(inputs(scalars), st.one_of(st.integers(-5, 5), FRACTIONS))
+@example((DESC, 0, [PRODUCTS[3][0]]), 0)
+def test_scale_matches_the_fraction_kernel(case, value):
+    desc, _, (x,) = case
+    a = scalar(desc, x)
+    for got in (a.scale(value), a * value, value * a):
+        linear_sound(got, lambda m, u: model.scaled(u, value), x, desc=desc)
 
 
-@LAWS
 @given(pairs(), pairs(), RATIONALS)
 def test_results_are_in_canonical_form(x, y, value):
     (a, _), (b, _) = x, y
@@ -82,7 +87,6 @@ def test_results_are_in_canonical_form(x, y, value):
         assert_canonical(s)
 
 
-@LAWS
 @given(pairs(), pairs(), pairs())
 def test_equal_values_are_equal_and_hash_equal(x, y, w):
     (a, ta), (b, tb), (c, tc) = x, y, w
@@ -101,7 +105,6 @@ def test_equal_values_are_equal_and_hash_equal(x, y, w):
     assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
 
 
-@LAWS
 @given(pairs(), pairs())
 def test_json_round_trip_is_bit_exact(x, y):
     (a, _), (b, _) = x, y
@@ -115,21 +118,32 @@ def test_json_round_trip_is_bit_exact(x, y):
         assert s.coefficient(int(lam), int(log or 0)) == Fraction(value)
 
 
-def test_coh_product_matches_the_fraction_kernel():
-    # The old product skipped zero components, so the flag of a zero but
-    # truncated factor was lost; it must reach every slot at or above its own,
-    # unless the other factor is an exact zero (no term, no flag).
-    lost_p1 = {(0, 0, 0): 1, (1, -4, 0): 1, (2, 1, 1): 2}
-    cases = [(lost_p1, {(0, -1, 0): 3, (1, 0, 0): 1}), (lost_p1, {}),
-             ({(0, -1, 0): 1, (1, -2, 1): 1}, {(0, -1, 0): 1, (1, 0, 1): 5})]
-    for x, y in cases:
-        sound(cls(DESC, x) * cls(DESC, y), lambda m, u, v: m.times(u, v, (DESC.n,)), x, y, desc=DESC)
-    assert [p.truncated for p in (cls(DESC, lost_p1) * cls(DESC, cases[0][1])).components] == [
-        False, True, True]
-    assert not (cls(DESC, lost_p1) * cls(DESC, {})).truncated
+# The old product skipped zero components, so the flag of a zero but
+# truncated factor was lost; it must reach every slot at or above its own,
+# unless the other factor is an exact zero (no term, no flag).
+LOST_P1 = {(0, 0, 0): 1, (1, -4, 0): 1, (2, 1, 1): 2}
+# Slot 1 gets -lam^-3 + lam^-3: each pair drops a term below the floor, so
+# the slot is truncated although the sum of the dropped terms cancels.
+CANCEL = [{(0, -2, 0): 1, (1, -2, 0): 1}, {(0, -1, 0): 1, (1, -1, 0): -1}]
 
 
-@LAWS
+@given(inputs(classes, classes))
+@example((DESC, 0, [LOST_P1, {(0, -1, 0): 3, (1, 0, 0): 1}]))
+@example((DESC, 0, [LOST_P1, {}]))
+@example((DESC, 0, [{(0, -1, 0): 1, (1, -2, 1): 1}, {(0, -1, 0): 1, (1, 0, 1): 5}]))
+@example((DESC, 0, CANCEL))
+# A truncated nonzero component flags the slots of its products.
+@example((DESC, 0, [{(0, 0, 0): 1, (0, -3, 0): 1}, {(0, 0, 0): 1}]))
+# A zero but flagged P-slot reaches every slot of a product at or above its own.
+@example((RingDescriptor(3, 1, 1), 2, [{(1, -2, 0): 1}, {(0, 2, 0): 1, (1, 2, 0): 1}]))
+def test_coh_product_matches_the_fraction_kernel(case):
+    desc, _, (x, y) = case
+    got = cls(desc, x) * cls(desc, y)
+    sound(got, lambda m, u, v: m.times(u, v, (desc.n,)), x, y, desc=desc)
+    flagged = {p for p in range(desc.n) if got.component(p).truncated}
+    assert flagged == product_flags(x, y, desc, desc.n)
+
+
 @given(pairs())
 def test_a_scalar_is_the_p0_slot_of_a_class(x):
     s, _ = x
@@ -139,7 +153,6 @@ def test_a_scalar_is_the_p0_slot_of_a_class(x):
     assert all(c.component(p).is_zero() for p in range(1, DESC.n))
 
 
-@LAWS
 @given(pairs(), pairs(), pairs())
 def test_a_scalar_on_the_left_of_a_class_or_a_q_series(x, y, w):
     (s, _), (t, _), (u, _) = x, y, w

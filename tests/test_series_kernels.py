@@ -24,16 +24,16 @@ from qlefschetz import (
 )
 from qlefschetz.mirror import _inverse_novikov_map
 
+from against_model import read
 from model import Model
 from series_oracles import i_function_from_scratch, serre_dual_i_from_scratch
-from test_model import read
 
 RATIONAL = RingDescriptor(n=2)
 LAURENT = RingDescriptor(n=2, lambda_floor=60)
 
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
-KERNELS = settings(max_examples=30)
+KERNELS = settings(max_examples=60)
 
 
 def scalars(desc):

@@ -46,7 +46,7 @@ def agree(el, step, d):
     return got
 
 
-@settings(max_examples=100)
+@settings(max_examples=400)
 @given(values())
 def test_the_slot_shift_is_the_product_with_t_plus_d(case):
     agree(*case)

@@ -1,13 +1,15 @@
 """Rows keyed by weight, and the operations on them, at named inputs.
 
 ``ZSeries`` keys row d by the weight w = z + p + lam_exp, so a homogeneous
-slice is one class.  Its operations were once compared with the z-keyed rows
-they replaced; their named inputs, inhomogeneous and with keys on both sides
-of the Laurent floor and the log cap, are now held to the reference model
-(``test_model.sound``), and the search over random inputs is in
-``test_model.py``.  The projection and the symplectic form are compared on
-values.  The last tests pin that every series the pipeline builds is
-homogeneous: one weight class per slice.
+slice is one class.  Its operations were first compared with the z-keyed
+rows they replaced, whose name the tests keep; they now hold random exact
+values, inhomogeneous and with keys on both sides of the Laurent floor and
+the log cap, to the reference model (``against_model``), in both
+conventions, with the named inputs below as examples.  The projection and
+the symplectic form are compared on values with the model at the engine's
+floor, since their flags are known to be unsound (the strict expected
+failures of ``test_model.py``).  The last tests pin that every series the
+pipeline builds is homogeneous: one weight class per slice.
 """
 
 import json
@@ -15,18 +17,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qlefschetz import CohElement, LambdaScalar, RingDescriptor, ZSeries
 from qlefschetz.cli import load_config, run_compute
 from qlefschetz.gw import j_reduced
 from qlefschetz.mirror import birkhoff, extract_instantons, small_mirror
 from qlefschetz.ring import BundleSpec
-from qlefschetz.series import RAW, directional_derivative, project, symplectic_form
+from qlefschetz.series import RAW, REDUCED, directional_derivative, project, symplectic_form
 from qlefschetz.twist import i_function
 
 import model
 from model import Model
-from test_model import qseries, read, sound, zseries
+from against_model import RATIONALS, inputs, linear_sound, qseries, read, sound, z_series, zseries
 
 DESC = RingDescriptor(n=3, lambda_floor=1, log_cap=1)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -41,20 +44,33 @@ INNER = {(1, 0, 0): 1, (2, -1, 0): 1, (2, -2, 0): 1}
 FACTOR = {(0, 0, 0): 2, (1, 1, 1): 1, (2, -2, 0): 1}
 
 
-def test_sum_and_product_match_the_z_keyed_rows():
-    for f, g in ((F, G), (G, F), (F, F)):
-        a, b = zseries(DESC, D, f), zseries(DESC, D, g)
-        sound(a + b, lambda m, x, y: model.plus(x, y), f, g, desc=DESC)
-        sound(a * b, lambda m, x, y: m.z_times(x, y, D, DESC.n), f, g, desc=DESC)
+CONVENTIONS = st.sampled_from([RAW, REDUCED])
 
 
-def test_directional_derivative_matches_the_z_keyed_rows():
-    for f in (F, G):
-        sound(directional_derivative(zseries(DESC, D, f)),
-              lambda m, x: model.directional_derivative(x, DESC.n), f, desc=DESC)
+@given(inputs(z_series, z_series), RATIONALS, CONVENTIONS)
+@example((DESC, D, [F, G]), Fraction(-2, 3), REDUCED)
+@example((DESC, D, [G, F]), 0, RAW)
+def test_sum_and_product_match_the_z_keyed_rows(case, value, convention):
+    # The products are held to the model in test_fused_products.py.
+    desc, D, (f, g) = case
+    a, b = zseries(desc, D, f, convention), zseries(desc, D, g, convention)
+    linear_sound(a + b, lambda m, x, y: model.plus(x, y), f, g, desc=desc)
+    linear_sound(a - b, lambda m, x, y: model.plus(x, model.scaled(y, -1)), f, g, desc=desc)
+    linear_sound(-a, lambda m, x: model.scaled(x, -1), f, desc=desc)
+    linear_sound(a.scale(value), lambda m, x: model.scaled(x, value), f, desc=desc)
+
+
+@given(inputs(z_series))
+@example((DESC, D, [F]))
+@example((DESC, D, [G]))
+def test_directional_derivative_matches_the_z_keyed_rows(case):
+    desc, D, (f,) = case
+    sound(directional_derivative(zseries(desc, D, f)),
+          lambda m, x: model.directional_derivative(x, desc.n), f, desc=desc)
 
 
 def test_novikov_substitution_and_scaling_match_the_z_keyed_rows():
+    # Several weights per slice, on a floor of 1; the random search is in test_fused_products.py.
     for f in (F, G):
         a = zseries(DESC, D, f)
         sound(a.compose_novikov(qseries(DESC, D, INNER)),
@@ -63,25 +79,31 @@ def test_novikov_substitution_and_scaling_match_the_z_keyed_rows():
               lambda m, x, h: m.scale_qseries(x, h, D, DESC.n), f, FACTOR, desc=DESC)
 
 
-def test_projection_and_symplectic_form_match_the_z_keyed_rows():
-    low = Model(DESC.lambda_floor, DESC.log_cap)
-    f, g = low.cut(F), low.cut(G)
-    a, b = zseries(DESC, D, F, RAW), zseries(DESC, D, G, RAW)
+@given(inputs(z_series, z_series))
+@example((DESC, D, [F, G]))
+def test_projection_and_symplectic_form_match_the_z_keyed_rows(case):
+    desc, D, (f, g) = case
+    low = Model(desc.lambda_floor, desc.log_cap)
+    a, b = zseries(desc, D, f, RAW), zseries(desc, D, g, RAW)
     for half in ("plus", "minus"):
-        assert read(project(a, half))[0] == model.project(f, half)
-    assert read(symplectic_form(a, b))[0] == low.symplectic_form(f, g, D, DESC.n)
+        assert read(project(a, half))[0] == model.project(low.cut(f), half)
+    assert read(symplectic_form(a, b))[0] == low.symplectic_form(low.cut(f), low.cut(g), D, desc.n)
 
 
-def test_json_matches_the_z_keyed_rows_and_round_trips():
-    low = Model(DESC.lambda_floor, DESC.log_cap)
-    for f in (F, G):
-        a = zseries(DESC, D, f)
-        got = a.to_json_dict()
-        assert read(a)[0] == low.cut(f)
-        assert got["truncated"] == (f != low.cut(f))
-        back = ZSeries.from_json_dict(json.loads(json.dumps(got)))
-        assert back == a
-        assert back.to_json_dict() == got
+@given(inputs(z_series), CONVENTIONS)
+@example((DESC, D, [F]), REDUCED)
+@example((DESC, D, [G]), RAW)
+def test_json_matches_the_z_keyed_rows_and_round_trips(case, convention):
+    desc, D, (f,) = case
+    low = Model(desc.lambda_floor, desc.log_cap)
+    a = zseries(desc, D, f, convention)
+    got = a.to_json_dict()
+    assert read(a)[0] == low.cut(f)
+    assert got["truncated"] == bool(low.lost)
+    assert (got["convention"], got["max_degree"]) == (convention, D)
+    back = ZSeries.from_json_dict(json.loads(json.dumps(got)))
+    assert back == a and back.truncated == a.truncated
+    assert back.to_json_dict() == got
 
 
 def test_a_zero_but_truncated_class_keeps_its_flag():

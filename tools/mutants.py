@@ -14,8 +14,8 @@ derandomized, no shrinking, no example database.  Subprocesses that build
 their own import path from the checkout (the ``perfbench`` harness) do not
 see the mutant.
 
-    python3 tools/mutants.py tests/test_model.py "tests/test_acceptance.py tests/test_mirror.py"
-    python3 tools/mutants.py --only 3 --only 9 tests/test_model.py
+    python3 tools/mutants.py tests/test_qseries_kernel.py "tests/test_acceptance.py tests/test_mirror.py"
+    python3 tools/mutants.py --only 3 --only 9 tests/test_fused_products.py
 
 It prints one row per mutant, one column per selection, and ``caught`` or
 ``missed`` in each cell.

@@ -140,9 +140,10 @@ def _eliminate(f: ZSeries) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScal
                     while len(frame) <= p:
                         frame.append(directional_derivative(frame[-1]))
                     neg = -beta
+                    parts = neg._lam_parts()[0]
                     for dd, frame_row in frame[p].slices.items():
                         if d + dd <= D:
-                            queue_scaled_row(pending.setdefault(d + dd, {}), frame_row, neg, ze)
+                            queue_scaled_row(pending.setdefault(d + dd, {}), frame_row, parts, ze)
                     cell = corrections[p].setdefault(ze, {})
                     old = cell.get(d)
                     cell[d] = neg if old is None else old + neg

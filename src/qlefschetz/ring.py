@@ -15,10 +15,13 @@ share one graded product, ``_Graded``.  The one term loop, ``_Terms._times``,
 takes a list of pairs and accumulates the numerators of every product x*y in
 one map over one common denominator, so a sum of products is reduced once,
 with one gcd, and builds no scalar objects; a single product is the one-pair
-case.  The pairs' flags are ORed: a product with an exact zero (no term, no
-flag) is an exact zero, a product with a scalar flags the other factor's
-flagged slots and, when the scalar is truncated, its slots that hold a term,
-and a graded product flags the slots ``_Graded._spread`` gives.
+case.  Each pair runs its factor with fewer terms outside and scans the other
+in the slot order it keeps: a value never changes after its constructor, so
+its sorted terms are computed once.  The pairs' flags are ORed: a product
+with an exact zero (no term, no flag) is an exact zero, a product with a
+scalar flags the other factor's flagged slots and, when the scalar is
+truncated, its slots that hold a term, and a graded product flags the slots
+``_Graded._spread`` gives.
 """
 
 from __future__ import annotations
@@ -137,12 +140,14 @@ class _Terms:
     ``hash`` depend only on the value.  Slots run over 0 .. ``_span()`` - 1
     and ``_trunc`` is the mask of truncated slots.  Every arithmetic result
     and every constant is built by ``_make``, which reduces once per result;
-    ``_like`` builds a result of the same shape as ``self``.  A subclass adds
-    its constructors, readers, product and truncation rule; values of two
-    different subclasses neither add nor compare equal.
+    ``_like`` builds a result of the same shape as ``self``.  No value changes
+    after its constructor, so ``_order`` keeps its terms sorted by slot once
+    they are read (``_by_slot``).  A subclass adds its constructors, readers,
+    product and truncation rule; values of two different subclasses neither
+    add nor compare equal.
     """
 
-    __slots__ = ("desc", "_nums", "_den", "_trunc")
+    __slots__ = ("desc", "_nums", "_den", "_trunc", "_order")
 
     @classmethod
     def _make(cls, desc: RingDescriptor, nums: dict, den: int, trunc: int):
@@ -150,7 +155,7 @@ class _Terms:
         out = _new(cls)
         out.desc = desc
         out._nums, out._den = _lowest(nums, den)
-        out._trunc = trunc
+        out._trunc, out._order = trunc, None
         return out
 
     def _like(self, nums: dict, den: int, trunc: int):
@@ -218,9 +223,11 @@ class _Terms:
     def _times(self, pairs, den: int) -> tuple[dict, int]:
         """The products x*y over pairs [(x, y)], summed per key as numerators over den.
 
-        den is a common multiple of the x._den * y._den; each pair's factor
-        den // (x._den * y._den) scales x's numerators in the outer loop.  A
-        graded right factor is scanned by slot, so t^span = 0 ends each scan.
+        den is a common multiple of the x._den * y._den.  Every product here
+        commutes (scalars, classes, q-series), so each pair runs its factor with
+        fewer terms in the outer loop, scaled there by den // (x._den * y._den),
+        and scans the other factor by slot (``_by_slot``), so t^span = 0 ends
+        each scan; a scalar has the one slot 0 and is read as stored.
         Returns the kept numerators and the mask of slots that had a key below
         the floor or past the log cap: some product of two components reaching
         such a slot dropped a nonzero term, since its lowest lam and highest
@@ -231,10 +238,12 @@ class _Terms:
         out: dict[tuple[int, int, int], int] = {}
         get = out.get
         for x, y in pairs:
+            if len(x._nums) > len(y._nums):
+                x, y = y, x
             f = den // (x._den * y._den)
-            left = x._nums.items() if f == 1 else [(k, c * f) for k, c in x._nums.items()]
-            right = y._nums.items() if type(y) is LambdaScalar else sorted(y._nums.items())
-            for (i, a1, b1), c1 in left:
+            right = y._nums.items() if type(y) is LambdaScalar else y._by_slot()
+            for (i, a1, b1), c1 in x._nums.items():
+                c1 *= f
                 room = n - i
                 for (j, a2, b2), c2 in right:
                     if j >= room:
@@ -250,6 +259,35 @@ class _Terms:
                 nums[key] = c
         return nums, dropped
 
+    def _by_slot(self) -> list:
+        """The terms ((slot, lam_exp, log_exp), numerator) in key order, so by slot.
+
+        Sorted on the first read and kept on the value, which never changes
+        after its constructor.
+        """
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._nums.items())
+        return order
+
+    def _lam_parts(self) -> dict[int, dict[int, "LambdaScalar"]]:
+        """Each slot that holds a term or a flag, split by lam exponent into scalars in lowest terms.
+
+        Each part carries its slot's flag; a flagged slot without terms is a
+        flagged zero at lam^0.
+        """
+        desc, den, trunc = self.desc, self._den, self._trunc
+        split: dict[tuple[int, int], dict] = {}
+        for (p, a, b), c in self._nums.items():
+            split.setdefault((p, a), {})[0, a, b] = c
+        parts: dict[int, dict[int, LambdaScalar]] = {}
+        for (p, a), nums in split.items():
+            parts.setdefault(p, {})[a] = LambdaScalar._make(desc, nums, den, trunc >> p & 1)
+        for p in range(trunc.bit_length()):
+            if trunc >> p & 1 and p not in parts:
+                parts[p] = {0: LambdaScalar._make(desc, {}, 1, 1)}
+        return parts
+
     def _slots(self) -> int:
         """Mask of the nonzero slots."""
         return sum(1 << p for p in {key[0] for key in self._nums})
@@ -257,23 +295,23 @@ class _Terms:
     def _dot(self, pairs):
         """The sum of the products x*y over pairs [(x, y)], shaped like self, reduced once.
 
-        The numerators go over the lcm of the x._den * y._den.  Each pair's
-        flags are ORed into the result: a pair with an exact zero factor (no
+        The numerators go over the lcm of the x._den * y._den, and ``_times``
+        picks the factor order of each product.  A scalar factor comes second
+        in its pair, since the flag rule reads it there.  Each pair's flags
+        are ORed into the result: a pair with an exact zero factor (no
         term, no flag) adds none; a product with a scalar y flags x's flagged
         slots, and when y is truncated (an unknown term below the floor) also
         the slots where x has a term, since an exact zero slot stays exact; a
         graded product flags the slots ``_Graded._spread`` gives.
         """
-        den, trunc = 1, 0
+        den, trunc = lcm(*[x._den * y._den for x, y in pairs]), 0
         for x, y in pairs:
-            xy = x._den * y._den
-            den = xy if den == 1 else lcm(den, xy)
-            if not (x._nums or x._trunc) or not (y._nums or y._trunc):
-                continue  # an exact zero factor: the product is an exact zero
-            if type(y) is LambdaScalar:
-                trunc |= x._slots() | x._trunc if y._trunc else x._trunc
-            elif x._trunc or y._trunc:
-                trunc |= x._spread(y)
+            # only a flagged pair adds flags, and none when a factor is an exact zero
+            if (x._trunc or y._trunc) and (x._nums or x._trunc) and (y._nums or y._trunc):
+                if type(y) is LambdaScalar:
+                    trunc |= x._slots() | x._trunc if y._trunc else x._trunc
+                else:
+                    trunc |= x._spread(y)
         nums, dropped = self._times(pairs, den)
         return self._like(nums, den, trunc | dropped)
 
@@ -319,7 +357,7 @@ class LambdaScalar(_Terms):
         self.desc = desc
         self._nums = {k: num * (den // d) for k, (num, d) in clean.items()}
         self._den = den
-        self._trunc = 1 if truncated or dropped else 0
+        self._trunc, self._order = 1 if truncated or dropped else 0, None
 
     def _span(self) -> int:
         return 1  # the P^0 slot
@@ -517,7 +555,7 @@ class CohElement(_Graded):
         comps = tuple(components)
         if len(comps) != desc.n:
             raise ValueError(f"expected {desc.n} components, got {len(comps)}")
-        self.desc = desc
+        self.desc, self._order = desc, None
         self._nums, self._den, self._trunc = _stacked(desc, enumerate(comps))
 
     # -- constructors --------------------------------------------------------

@@ -15,8 +15,12 @@ Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
 R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  Where the
 two meet there is one transposition, ``_columns`` (classes keyed by degree
-to one QSeries per P-slot), and one product kernel, ``_scaled``: rows times
-q-series, each column multiplied once, not each class by each coefficient.
+to one QSeries per P-slot), and one product of rows by a q-series,
+``_scaled``, each column multiplied once, not each class by each
+coefficient.  A substitution q = u(q') instead sums each class of its result
+over its own pairs, class by coefficient of the powers of u, so each goes
+over its own denominator (``ZSeries.compose_novikov``), and the chart factors
+are stacked from their powers without a product (``stacked_powers``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import factorial, lcm
 from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
-from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _lowest, _render_slots
+from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _render_slots
 from .ring import _stacked, poincare_pairing
 
 REDUCED = "reduced"
@@ -59,8 +63,7 @@ class QSeries(_Graded):
                 raise ValueError("negative Novikov degree")
             if d <= max_degree:
                 slots.append((d, c))
-        self.desc = desc
-        self.max_degree = max_degree
+        self.desc, self.max_degree, self._order = desc, max_degree, None
         self._nums, self._den, self._trunc = _stacked(desc, slots)
 
     def _like(self, nums: dict, den: int, trunc: int) -> "QSeries":
@@ -402,7 +405,7 @@ class ZSeries:
         """Multiply by a scalar q-series, one (weight, P-slot) column at a time (``_scaled``)."""
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
-        return self._like(_scaled([(self.slices, f)]))
+        return self._like(_scaled(self.slices, f))
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
@@ -496,24 +499,27 @@ class ZSeries:
     def compose_novikov(self, inner: QSeries) -> "ZSeries":
         """Substitute q = inner(q') and re-expand; inner must have valuation >= 1.
 
-        Slice d, placed at degree 0, is scaled by inner^d (``_scaled``), next
-        to slice 0 times 1, so every class of the result is one sum of products.
-        A power that is a flagged zero stands for unknown terms below the floor,
-        so only an exact zero ends the sum early.
+        The class of the result at degree m and weight w is one sum of products
+        (``summed``), over the lcm of its own pairs: each class of slice d times
+        each lam-part of [q^m] inner^d (``queue_scaled_row``), the flagged zero
+        coefficients of the powers included.  A power that is a flagged zero
+        stands for unknown terms below the floor, so only an exact zero ends the
+        sum early.
         """
         if self.desc != inner.desc or self.max_degree != inner.max_degree:
             raise DescriptorMismatchError("substitution series does not match")
         if not inner.valuation_at_least(1):
             raise ValueError("substitution requires valuation >= 1")
-        power, family = QSeries.one(self.desc, self.max_degree), []
+        power, queued = QSeries.one(self.desc, self.max_degree), {}
         for d in range(self.max_degree + 1):
             if d:
                 power = power * inner
                 if power.is_zero() and not power.truncated:
                     break
             if d in self.slices:
-                family.append(({0: self.slices[d]}, power))
-        return self._like(_scaled(family))
+                for m, parts in power._lam_parts().items():
+                    queue_scaled_row(queued.setdefault(m, {}), self.slices[d], parts)
+        return self._like({m: summed(row) for m, row in queued.items()})
 
     # -- serialization ------------------------------------------------------------
 
@@ -641,18 +647,16 @@ def queue_row_product(
 
 
 def queue_scaled_row(
-    tgt: dict[int, list], row: Mapping[int, CohElement], c: LambdaScalar, shift: int = 0
+    tgt: dict[int, list], row: Mapping[int, CohElement], parts: Mapping[int, LambdaScalar],
+    shift: int = 0,
 ) -> None:
     """Queue the pairs of c * z^shift * row into tgt, for rows keyed by weight.
 
-    The lam^a part of c moves a class a + shift weights up, so a scalar whose
-    terms have several lam exponents lands at several weights.
+    c is given by its lam-parts {a: scalar} (one slot of ``_Terms._lam_parts``):
+    the lam^a part moves a class a + shift weights up, so a scalar whose terms
+    have several lam exponents lands at several weights.
     """
-    parts: dict[int, dict] = {}
-    for key, num in c._nums.items():
-        parts.setdefault(key[1], {})[key] = num
-    for a, nums in parts.items() or [(0, {})]:
-        part = c if len(parts) <= 1 else LambdaScalar._make(c.desc, nums, c._den, c._trunc)
+    for a, part in parts.items():
         for w, el in row.items():
             tgt.setdefault(w + a + shift, []).append((el, part))
 
@@ -660,22 +664,45 @@ def queue_scaled_row(
 def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
     """The reduced series sum_i powers[i] P^(slot_step i) z^(-i), p = slot_step i < n.
 
-    P^p z^(-i) is one class at weight p - i, so this is one ``_scaled`` family;
-    no two terms meet.
+    A transposition, no product: P^p z^(-i) has weight p - i, so the term
+    q^d lam^a log^b of powers[i] is the term (p, a, b) of the class at degree d
+    and weight p - i + a, and no two terms meet.  Each class goes over the lcm
+    of the denominators of the powers that reach it.  The flags follow the
+    rule of ``_scaled`` for the exact class P^p: a flagged degree of powers[i]
+    flags slot p of the class at each lam exponent of its terms, at lam^0 when
+    it holds none.
     """
     desc, D = powers[0].desc, powers[0].max_degree
-    family = [({0: {(slot_step - 1) * i: CohElement.p_power(desc, slot_step * i)}}, power)
-              for i, power in enumerate(powers)]
-    return ZSeries._of(desc, D, _scaled(family), REDUCED)
+    terms: dict[tuple[int, int], dict] = {}  # (degree, weight) -> {(p, a, b): (numerator, den)}
+    flags: dict[tuple[int, int], int] = {}  # (degree, weight) -> mask of slots
+    for i, power in enumerate(powers):
+        p, trunc = slot_step * i, power._trunc
+        if p >= desc.n:
+            break
+        held: dict[int, set] = {}  # flagged degree -> the lam exponents of its terms
+        for (d, a, b), c in power._nums.items():
+            terms.setdefault((d, p - i + a), {})[p, a, b] = c, power._den
+            if trunc >> d & 1:
+                held.setdefault(d, set()).add(a)
+        for d in range(trunc.bit_length()):
+            for a in held.get(d, (0,)) if trunc >> d & 1 else ():
+                flags[d, p - i + a] = flags.get((d, p - i + a), 0) | 1 << p
+    rows: dict[int, dict[int, CohElement]] = {}
+    for d, w in {**terms, **flags}:
+        parts = terms.get((d, w), {})
+        den = lcm(*(e for _, e in parts.values()))
+        nums = {key: c * (den // e) for key, (c, e) in parts.items()}
+        rows.setdefault(d, {})[w] = CohElement._make(desc, nums, den, flags.get((d, w), 0))
+    return ZSeries._of(desc, D, rows, REDUCED)
 
 
-def _columns(values: Mapping[int, _Graded], like: QSeries, lowest=True) -> dict[int, QSeries]:
+def _columns(values: Mapping[int, _Graded], like: QSeries) -> dict[int, QSeries]:
     """Values keyed by degree as one q-series per slot that holds a term or a flag.
 
     Term (p, a, b) of the value at degree d becomes term (d, a, b) of series p,
     and bit p of the flags of value d becomes bit d of series p; the series
-    are shaped like ``like``, over the lcm of the values' denominators, which
-    is left unreduced without ``lowest`` (``_scaled`` reads them only in sums).
+    are shaped like ``like``, each built once over the lcm of the values'
+    denominators.
     """
     den = lcm(*(v._den for v in values.values()))
     nums: dict[int, dict] = {}
@@ -687,47 +714,44 @@ def _columns(values: Mapping[int, _Graded], like: QSeries, lowest=True) -> dict[
         for p in range(v._trunc.bit_length()):
             if v._trunc >> p & 1:
                 trunc[p] = trunc.get(p, 0) | 1 << d
-    out = {p: like._like({}, 1, trunc.get(p, 0)) for p in {*nums, *trunc}}
-    for p, col in out.items():
-        col._nums, col._den = _lowest(nums.get(p, {}), den) if lowest else (nums.get(p, {}), den)
-    return out
+    return {p: like._like(nums.get(p, {}), den, trunc.get(p, 0)) for p in {*nums, *trunc}}
 
 
-def _scaled(family) -> dict[int, dict[int, CohElement]]:
-    """The rows of sum_k rows_k * f_k, for weight-keyed rows of classes and scalar q-series f_k.
+def _scaled(rows, f: QSeries) -> dict[int, dict[int, CohElement]]:
+    """The rows of rows * f, for weight-keyed rows of classes and a scalar q-series f.
 
-    The classes of rows_k at a weight are split into P-slot columns (``_columns``),
-    and the lam^a part of f_k moves a column a weights up: output column (w, p)
-    is one ``_Terms._times`` call, over one denominator per output weight.  Here
-    alone is the class-by-scalar flag rule of ``_Terms._dot`` written for a
-    q-series: at each lam exponent of the q^d coefficient of f_k (lam^0 for a
-    flagged zero), an unflagged coefficient passes on the class's flags, a flagged
-    one also its slots that hold a term.  Keys dropped by ``_times`` flag their slots.
+    The classes at a weight are split into P-slot columns (``_columns``), and
+    the lam^a part of f moves a column a weights up: output column (w, p) is
+    one ``_Terms._times`` call, over one denominator per output weight.  Here
+    is the class-by-scalar flag rule of ``_Terms._dot`` written for a q-series
+    (``stacked_powers`` writes it for the exact classes P^p): at each lam
+    exponent of the q^d coefficient of f (lam^0 for a flagged zero), an
+    unflagged coefficient passes on the class's flags, a flagged one also its
+    slots that hold a term.  Keys dropped by ``_times`` flag their slots.
     """
     queued: dict[int, dict[int, list]] = {}  # output weight -> slot -> pairs
     flags: dict[tuple[int, int], int] = {}  # output (weight, slot) -> mask of degrees
-    for rows, f in family:
-        split: dict[int, dict] = {}
-        lams = {0: f._trunc and f._trunc & ~f._slots()}  # lam exponent -> mask of degrees
-        for key, c in f._nums.items():
-            split.setdefault(key[1], {})[key] = c
-            lams[key[1]] = lams.get(key[1], 0) | 1 << key[0]
-        parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
-        for w in {w for row in rows.values() for w in row}:
-            at_w = {d: row[w] for d, row in rows.items() if w in row}
-            for p, col in _columns(at_w, f, lowest=False).items():
-                for a, part in parts.items() if col._nums else ():
-                    queued.setdefault(w + a, {}).setdefault(p, []).append((part, col))
-                held = col._slots() | col._trunc if f._trunc else 0
-                for a, degrees in lams.items() if col._trunc or f._trunc else ():
-                    mask = flags.get((w + a, p), 0)
-                    for d in range(degrees.bit_length()):
-                        if degrees >> d & 1:
-                            mask |= (held if f._trunc >> d & 1 else col._trunc) << d
-                    flags[w + a, p] = mask
+    split: dict[int, dict] = {}
+    lams = {0: f._trunc and f._trunc & ~f._slots()}  # lam exponent -> mask of degrees
+    for key, c in f._nums.items():
+        split.setdefault(key[1], {})[key] = c
+        lams[key[1]] = lams.get(key[1], 0) | 1 << key[0]
+    parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
+    for w in {w for row in rows.values() for w in row}:
+        at_w = {d: row[w] for d, row in rows.items() if w in row}
+        for p, col in _columns(at_w, f).items():
+            for a, part in parts.items() if col._nums else ():
+                queued.setdefault(w + a, {}).setdefault(p, []).append((part, col))
+            held = col._slots() | col._trunc if f._trunc else 0
+            for a, degrees in lams.items() if col._trunc or f._trunc else ():
+                mask = flags.get((w + a, p), 0)
+                for d in range(degrees.bit_length()):
+                    if degrees >> d & 1:
+                        mask |= (held if f._trunc >> d & 1 else col._trunc) << d
+                flags[w + a, p] = mask
     out: dict[tuple[int, int], dict] = {}
     dens: dict[int, int] = {}
-    for w, by_slot in queued.items():  # f is the last f_k; all share a descriptor and a span
+    for w, by_slot in queued.items():
         den = dens[w] = lcm(*(x._den * y._den for pairs in by_slot.values() for x, y in pairs))
         for p, pairs in by_slot.items():
             nums, dropped = f._times(pairs, den)
@@ -789,11 +813,14 @@ def project(f: ZSeries, half: str) -> ZSeries:
     if half not in ("plus", "minus"):
         raise ValueError("half must be 'plus' or 'minus'")
     keep = (lambda ze: ze >= 0) if half == "plus" else (lambda ze: ze < 0)
-    out = {}
-    for d, row in f.slices.items():
-        # The flagged zero of a row without terms has no z-exponent: both halves keep it.
-        out[d] = _by_weight({ze: el for ze, el in _by_z(row).items() if keep(ze) or el.is_zero()})
-    return f._like(out)
+    # The term (p, a, b) of the class at weight w sits at z^(w - p - a).  A flag
+    # does not say which z-entry of its class was lost: both halves keep it,
+    # as a flagged zero where no term of the class survives.
+    return f._like({
+        d: {w: el._like({key: c for key, c in el._nums.items() if keep(w - key[0] - key[1])},
+                        el._den, el._trunc) for w, el in row.items()}
+        for d, row in f.slices.items()
+    })
 
 
 def directional_derivative(f: ZSeries) -> ZSeries:

@@ -6,9 +6,9 @@ fold x0*y0 + x1*y1 + ..., one product and one sum per pair.  Denominators
 differ from pair to pair, keys fall on both sides of the Laurent floor and
 the log cap, and factors arrive truncated, zero or not, so the per-pair
 scaling and both flag rules are compared: numerators, denominator and flag
-mask must agree exactly.  The ``ZSeries`` products, ``scale_qseries``,
-``scale_scalar`` and ``compose_novikov``, built on ``_dot`` and on the column
-kernel ``series._scaled``, were first compared with the per-product rows
+mask must agree exactly.  The ``ZSeries`` products and ``compose_novikov``,
+built on ``_dot``, and ``scale_qseries`` and ``scale_scalar``, built on the
+column kernel ``series._scaled``, were first compared with the per-product rows
 they replaced, whose names the tests keep; they now hold random exact values
 to the reference model (``against_model``): rows of several weights, and
 multipliers whose coefficients mix lam exponents, with the inputs that pinned

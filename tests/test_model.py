@@ -5,9 +5,10 @@ Each test draws exact values and holds the engine's result to ROADMAP aim
 the q-series kernels, ``scale_qseries``, ``scale_scalar``,
 ``compose_novikov``, z·D_P and the z-reader are held to the model in their
 kernel's file; here are the inverse Novikov map, ``ZSeries.exp``, the
-regression cases of a flagged-zero power and of a scalar over another ring
-descriptor, and three known faults, kept as strict expected failures: a
-fix turns them into passes, and the suite then asks for the marker to go.
+regression cases of a flagged-zero power, of a scalar over another ring
+descriptor and of a projection that splits a flagged class, and two known
+faults, kept as strict expected failures: a fix turns them into passes, and
+the suite then asks for the marker to go.
 """
 
 from fractions import Fraction
@@ -92,20 +93,18 @@ def test_a_scalar_over_another_descriptor_is_refused():
         CohElement(desc, [s, LambdaScalar.zero(desc), LambdaScalar.zero(desc)])
 
 
-# -- known faults: each fails today, and must pass once its fault is mended ---------------
-
-
 NO_LOG = RingDescriptor(2, 1, 0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="project drops a weight class's flag with the z-entries it drops")
 def test_project_keeps_the_flag_of_a_class_it_splits():
     # 1 + log(lam) z^-1 at log cap 0: the log term is lost, and the weight-0
-    # class that holds 1 carries the flag; the minus half comes back an unflagged zero.
+    # class that holds 1 carries the flag; the minus half must be a flagged zero.
     f = {(0, 0, 0, 0, 0): 1, (0, -1, 0, 0, 1): 1}
     sound(project(zseries(NO_LOG, 0, f, RAW), "minus"), lambda m, a: model.project(a, "minus"), f,
           desc=NO_LOG)
+
+
+# -- known faults: each fails today, and must pass once its fault is mended ---------------
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

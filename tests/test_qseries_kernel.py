@@ -7,7 +7,8 @@ replaced.  Its operations were first compared with that series, whose name
 the tests keep; they now hold random exact values to the reference model
 (``against_model``), with the inputs that pinned its rules as examples.  In
 those, a term at lam^-3 lies below the floor of 2: the engine's copy drops
-it and flags its degree.
+it and flags its degree.  A product must not depend on the order of its
+factors, in sums of several pairs as alone.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ import model
 from against_model import RATIONALS, inputs, linear_sound, product_flags, q_series, qseries, read
 from against_model import scalar, scalars, sound, tails
 from test_class_kernel import DESC, FLAGS, TERMS, assert_canonical, lam
+from test_scalar_kernel import both_ways, products
 
 DEGREES = st.integers(0, 4)
 COEFFS = st.one_of(st.just({}), TERMS, TERMS)
@@ -81,6 +83,19 @@ def test_products_match_the_dict_series(case):
     assert flagged == product_flags(f, g, desc, D + 1)
     for got in (a * scalar(desc, s), scalar(desc, s) * a):
         sound(got, lambda m, x, y: m.times(x, model.at(y, 0), (D + 1,)), f, s, desc=desc)
+
+
+@given(inputs(q_series, q_series, q_series, q_series, scalars, scalars))
+@example((DESC, D, [F, G, TAIL, CLEAN_TAIL, {(-3, 0): 1}, {(0, 0): Fraction(1, 3)}]))
+def test_products_do_not_depend_on_the_order_of_their_factors(case):
+    desc, D, values = case
+    x, y, u, v = (qseries(desc, D, t) for t in values[:4])
+    s, t = (scalar(desc, t) for t in values[4:])
+    sound(both_ways([(x, y), (u, v)]), products((D + 1,)), *values[:4], desc=desc)
+    # A q-series times a scalar: the series comes first in a sum, on either side in a product.
+    sound(both_ways([(x, s), (u, t)], swap=False),
+          lambda m, a, b, c, d: products((D + 1,))(m, a, model.at(b, 0), c, model.at(d, 0)),
+          values[0], values[4], values[2], values[5], desc=desc)
 
 
 @given(inputs(tails), st.fractions(-3, 3, max_denominator=4).filter(bool))

@@ -8,14 +8,21 @@ arithmetic, the rational scale and the products of a class were first
 compared with the Fraction-dict kernel this one replaced, whose name the
 tests keep; they now hold random exact values to the reference model
 (``against_model``), with the inputs that pinned its rules as examples.
+The one term loop runs the factor with fewer terms outside, so every
+product is also taken with its factors swapped, in sums of several pairs
+over different denominators, and no value changes after its constructor,
+since the loop keeps each value's sorted terms on it.
 """
 
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import qlefschetz
 from qlefschetz import CohElement, LambdaScalar, QSeries, RingDescriptor
 
 import model
@@ -180,3 +187,133 @@ def test_scalars_and_classes_do_not_mix():
         c - s
     with pytest.raises(TypeError):
         s - c
+
+
+# -- the order of the factors ---------------------------------------------------------
+
+
+def both_ways(pairs, swap=True):
+    """The sum of the x*y over pairs through ``_dot``, which must not depend on the factor order.
+
+    With ``swap`` the sum with every pair reversed must agree, flags included,
+    and so must each x*y with y*x.  The pairs' denominators differ, so the
+    factor each pair is scaled by is not always 1.
+    """
+    got = pairs[0][0]._dot(pairs)
+    if swap:
+        back = pairs[0][1]._dot([(y, x) for x, y in pairs])
+        assert got == back and got._trunc == back._trunc
+    for x, y in pairs:
+        xy, yx = x * y, y * x
+        assert xy == yx and xy._trunc == yx._trunc
+    return got
+
+
+def products(span):
+    """The model of the sum x*y + u*v over slots of the given span."""
+    return lambda m, x, y, u, v: model.plus(m.times(x, y, span), m.times(u, v, span))
+
+
+# A flagged zero (lam^-3 is below the floor), and a product that drops lam^-4.
+FLAGGED = [{(-3, 0): 1}, {(0, 0): Fraction(1, 3), (1, 1): 2}, {(-2, 0): 5}, {(-2, 0): Fraction(1, 2)}]
+
+
+@given(inputs(scalars, scalars, scalars, scalars))
+@example((DESC, 0, FLAGGED))
+def test_scalar_products_do_not_depend_on_the_order_of_their_factors(case):
+    desc, _, values = case
+    x, y, u, v = (scalar(desc, t) for t in values)
+    sound(both_ways([(x, y), (u, v)]), products(()), *values, desc=desc)
+
+
+@given(inputs(classes, classes, classes, classes, scalars, scalars))
+@example((DESC, 0, [LOST_P1, {(0, 0, 0): 2, (1, -1, 1): 1, (2, 0, 0): 3}, {(0, -2, 0): 1},
+                    {(1, 0, 0): Fraction(1, 5)}, *FLAGGED[:2]]))
+def test_class_products_do_not_depend_on_the_order_of_their_factors(case):
+    desc, _, values = case
+    x, y, u, v = (cls(desc, t) for t in values[:4])
+    s, t = (scalar(desc, t) for t in values[4:])
+    sound(both_ways([(x, y), (u, v)]), products((desc.n,)), *values[:4], desc=desc)
+    # A class times a scalar: the class comes first in a sum, on either side in a product.
+    sound(both_ways([(x, s), (u, t)], swap=False),
+          lambda m, a, b, c, d: products((desc.n,))(m, a, model.at(b, 0), c, model.at(d, 0)),
+          values[0], values[4], values[2], values[5], desc=desc)
+
+
+class Counted(int):
+    """An integer that counts the products it is the left factor of."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        Counted.calls += 1
+        return int(self) * other
+
+
+def test_the_shorter_factor_alone_runs_outside_and_is_scaled():
+    # One term over 3 and three terms over 5, summed over 30: the pair's factor is 2.
+    x = CohElement._make(DESC, {(0, 0, 0): Counted(1)}, 3, 0)
+    y = CohElement._make(DESC, {(p, 0, 0): Counted(p + 1) for p in (2, 0, 1)}, 5, 0)
+    for pairs in ([(x, y)], [(y, x)]):
+        Counted.calls = 0
+        nums, dropped = x._times(pairs, 30)
+        # One multiplication by the factor, of the one term; the products read plain integers.
+        assert Counted.calls == 1
+        assert (nums, dropped) == ({(p, 0, 0): 2 * (p + 1) for p in range(3)}, 0)
+
+
+# -- a value never changes after its constructor --------------------------------------
+
+
+def storage_writes(tree) -> list[tuple[str, int]]:
+    """(innermost function, line) of every write to a value's numerators or denominator.
+
+    A write is an assignment or deletion of ``._nums`` or ``._den``, an item
+    assignment or deletion in ``._nums``, or a call of a dict method that
+    changes ``._nums`` in place.
+    """
+    changing = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            target = None
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, (ast.Store, ast.Del)):
+                target = child.attr
+            elif isinstance(child, ast.Subscript) and isinstance(child.ctx, (ast.Store, ast.Del)):
+                target = getattr(child.value, "attr", None) == "_nums" and "_nums"
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                inner = child.func.value
+                if child.func.attr in changing and getattr(inner, "attr", None) == "_nums":
+                    target = "_nums"
+            if target in ("_nums", "_den"):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_value_changes_after_its_constructor():
+    package = Path(qlefschetz.__file__).parent
+    writes = [(path.name, *write) for path in sorted(package.glob("*.py"))
+              for write in storage_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert writes
+    assert [w for w in writes if w[1] not in ("__init__", "_make")] == []
+
+
+def test_the_storage_check_sees_each_kind_of_write():
+    source = """
+def f(x, y):
+    x._nums = {}
+    x._den += 1
+    x._nums[1] = 2
+    del x._nums[1]
+    x._nums.update(y)
+    x._nums.setdefault(1, 2)
+    y = x._nums.get(1)
+"""
+    assert [line for _, line in storage_writes(ast.parse(source))] == [3, 4, 5, 6, 7, 8]

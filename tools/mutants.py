@@ -55,6 +55,16 @@ MUTANTS = {
             "            power = power * inner\n            if power.is_zero():"),
     "10b": ("series.py", "                power = power * inner\n                if power.is_zero() and not power.truncated:",
             "                power = power * inner\n                if power.is_zero():"),
+    "11a": ("ring.py", "            right = y._nums.items() if type(y) is LambdaScalar else y._by_slot()\n"
+                       "            for (i, a1, b1), c1 in x._nums.items():\n                c1 *= f\n",
+            "            right = [(k, c * f) for k, c in (y._nums.items() if type(y) is LambdaScalar"
+            " else y._by_slot())]\n            for (i, a1, b1), c1 in x._nums.items():\n"),
+    "11b": ("ring.py", "out._trunc, out._order = trunc, None", "out._trunc, out._order = trunc, sorted(nums.items())"),
+    "12": ("series.py", "for a in held.get(d, (0,)) if trunc >> d & 1 else ():",
+           "for a in held.get(d, ()) if trunc >> d & 1 else ():"),
+    "13": ("series.py", "                        el._den, el._trunc) for w, el in row.items()}",
+           "                        el._den, el._trunc * any(keep(w - k[0] - k[1]) for k in el._nums))"
+           " for w, el in row.items()}"),
 }
 
 DESCRIPTIONS = {
@@ -71,6 +81,10 @@ DESCRIPTIONS = {
     "9": "`-(lost & -lost)` rule of `_Graded._spread`",
     "10a": "exact-zero stop of `QSeries.compose`",
     "10b": "exact-zero stop of `ZSeries.compose_novikov`",
+    "11a": "inner factor scaled in `_Terms._times` (same values, more products)",
+    "11b": "stale cached order: `_by_slot` kept from the numerators before `_make` reduces them",
+    "12": "lam^0 rule of a flagged zero degree in `series.stacked_powers`",
+    "13": "flag of a class with no term in its half, `series.project`",
 }
 
 

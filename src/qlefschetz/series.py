@@ -669,24 +669,22 @@ def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
     and weight p - i + a, and no two terms meet.  Each class goes over the lcm
     of the denominators of the powers that reach it.  The flags follow the
     rule of ``_scaled`` for the exact class P^p: a flagged degree of powers[i]
-    flags slot p of the class at each lam exponent of its terms, at lam^0 when
-    it holds none.
+    flags slot p of the class at each lam exponent ``_lam_degrees`` gives it.
     """
     desc, D = powers[0].desc, powers[0].max_degree
     terms: dict[tuple[int, int], dict] = {}  # (degree, weight) -> {(p, a, b): (numerator, den)}
     flags: dict[tuple[int, int], int] = {}  # (degree, weight) -> mask of slots
     for i, power in enumerate(powers):
-        p, trunc = slot_step * i, power._trunc
+        p = slot_step * i
         if p >= desc.n:
             break
-        held: dict[int, set] = {}  # flagged degree -> the lam exponents of its terms
         for (d, a, b), c in power._nums.items():
             terms.setdefault((d, p - i + a), {})[p, a, b] = c, power._den
-            if trunc >> d & 1:
-                held.setdefault(d, set()).add(a)
-        for d in range(trunc.bit_length()):
-            for a in held.get(d, (0,)) if trunc >> d & 1 else ():
-                flags[d, p - i + a] = flags.get((d, p - i + a), 0) | 1 << p
+        for a, degrees in _lam_degrees(power).items() if power._trunc else ():
+            flagged = degrees & power._trunc
+            for d in range(flagged.bit_length()):
+                if flagged >> d & 1:
+                    flags[d, p - i + a] = flags.get((d, p - i + a), 0) | 1 << p
     rows: dict[int, dict[int, CohElement]] = {}
     for d, w in {**terms, **flags}:
         parts = terms.get((d, w), {})
@@ -725,18 +723,17 @@ def _scaled(rows, f: QSeries) -> dict[int, dict[int, CohElement]]:
     one ``_Terms._times`` call, over one denominator per output weight.  Here
     is the class-by-scalar flag rule of ``_Terms._dot`` written for a q-series
     (``stacked_powers`` writes it for the exact classes P^p): at each lam
-    exponent of the q^d coefficient of f (lam^0 for a flagged zero), an
-    unflagged coefficient passes on the class's flags, a flagged one also its
-    slots that hold a term.  Keys dropped by ``_times`` flag their slots.
+    exponent of the q^d coefficient of f (``_lam_degrees``), an unflagged
+    coefficient passes on the class's flags, a flagged one also its slots that
+    hold a term.  Keys dropped by ``_times`` flag their slots.
     """
     queued: dict[int, dict[int, list]] = {}  # output weight -> slot -> pairs
     flags: dict[tuple[int, int], int] = {}  # output (weight, slot) -> mask of degrees
     split: dict[int, dict] = {}
-    lams = {0: f._trunc and f._trunc & ~f._slots()}  # lam exponent -> mask of degrees
     for key, c in f._nums.items():
         split.setdefault(key[1], {})[key] = c
-        lams[key[1]] = lams.get(key[1], 0) | 1 << key[0]
     parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
+    lams = _lam_degrees(f)
     for w in {w for row in rows.values() for w in row}:
         at_w = {d: row[w] for d, row in rows.items() if w in row}
         for p, col in _columns(at_w, f).items():
@@ -768,6 +765,19 @@ def _scaled(rows, f: QSeries) -> dict[int, dict[int, CohElement]]:
         nums, mask = out.get((d, w), {}), trunc.get((d, w), 0)
         rows.setdefault(d, {})[w] = CohElement._make(f.desc, nums, dens.get(w, 1), mask)
     return rows
+
+
+def _lam_degrees(f: QSeries) -> dict[int, int]:
+    """Lam exponent a -> mask of the degrees of f with a term at lam^a.
+
+    Lam^0 also takes f's flagged degrees without a term: a flagged coefficient
+    of f flags its product with a class at each lam exponent of its terms, at
+    lam^0 when it holds none.
+    """
+    lams = {0: f._trunc and f._trunc & ~f._slots()}
+    for d, a, _ in f._nums:
+        lams[a] = lams.get(a, 0) | 1 << d
+    return lams
 
 
 def summed(queued: Mapping[int, list]) -> dict:

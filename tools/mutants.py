@@ -60,8 +60,7 @@ MUTANTS = {
             "            right = [(k, c * f) for k, c in (y._nums.items() if type(y) is LambdaScalar"
             " else y._by_slot())]\n            for (i, a1, b1), c1 in x._nums.items():\n"),
     "11b": ("ring.py", "out._trunc, out._order = trunc, None", "out._trunc, out._order = trunc, sorted(nums.items())"),
-    "12": ("series.py", "for a in held.get(d, (0,)) if trunc >> d & 1 else ():",
-           "for a in held.get(d, ()) if trunc >> d & 1 else ():"),
+    "12": ("series.py", "lams = {0: f._trunc and f._trunc & ~f._slots()}", "lams = {0: 0}"),
     "13": ("series.py", "                        el._den, el._trunc) for w, el in row.items()}",
            "                        el._den, el._trunc * any(keep(w - k[0] - k[1]) for k in el._nums))"
            " for w, el in row.items()}"),
@@ -83,7 +82,7 @@ DESCRIPTIONS = {
     "10b": "exact-zero stop of `ZSeries.compose_novikov`",
     "11a": "inner factor scaled in `_Terms._times` (same values, more products)",
     "11b": "stale cached order: `_by_slot` kept from the numerators before `_make` reduces them",
-    "12": "lam^0 rule of a flagged zero degree in `series.stacked_powers`",
+    "12": "lam^0 rule of a flagged zero degree in `series._lam_degrees`",
     "13": "flag of a class with no term in its half, `series.project`",
 }
 

@@ -25,12 +25,8 @@ disagrees, fails or outlives ``TIMEOUT_S`` makes the checkout's row ``ok``
 false.
 
     python3 tools/size_sweep.py parent=../parent change=. --out sizes.json
-    python3 tools/size_sweep.py parent=../parent change=. --size equivariant_birkhoff=14 \
-        --size p3_o3_o2_birkhoff=9 --out sizes.json
 
-Each checkout is given as LABEL=DIR; sizes run smallest first.  With
-``--size PIPELINE=D`` (repeatable) only the sizes given run, in that order,
-and D need not be one of ``SIZES``.  The JSON
+Each checkout is given as LABEL=DIR; sizes run smallest first.  The JSON
 records the host, each checkout's line count of ``src/`` (and its commit,
 when it is a git checkout), and one row per (pipeline, D) with its number
 of rounds and every checkout's median and quartiles over the rounds of its
@@ -159,17 +155,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="+", metavar="LABEL=DIR")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--size", action="append", default=[], metavar="PIPELINE=D",
-                    help="run only these sizes (repeatable)")
     args = ap.parse_args()
-    sizes = [(pipeline, D) for pipeline, degrees in SIZES.items() for D in degrees]
-    if args.size:
-        sizes = []
-        for item in args.size:
-            pipeline, sep, D = item.partition("=")
-            if not sep or pipeline not in SIZES or not D.isdigit():
-                ap.error(f"expected PIPELINE=D with PIPELINE one of {sorted(SIZES)}, got {item!r}")
-            sizes.append((pipeline, int(D)))
     checkouts = {}
     for item in args.checkouts:
         label, sep, path = item.partition("=")
@@ -179,27 +165,28 @@ def main() -> None:
 
     rows = []
     labels = list(checkouts)
-    for pipeline, D in sizes:
-        runs: dict[str, list] = {label: [] for label in labels}
-        rounds, r = ROUNDS, 0
-        while r < rounds:
-            for label in labels[r % len(labels):] + labels[:r % len(labels)]:
-                run = time_size(checkouts[label], pipeline, D)
-                runs[label].append(run)
-                print(f"{pipeline} D={D} round {r} {label}: {run}", file=sys.stderr, flush=True)
-            if r == 0 and any((run[0]["best_s"] or SHORT_S) < SHORT_S for run in runs.values()):
-                rounds *= SHORT_ROUND_FACTOR
-            r += 1
-        row = {"pipeline": pipeline, "D": D, "rounds": rounds}
-        for label in labels:
-            row[label] = summary(runs[label])
-        for label in labels[1:]:
-            # a round's runs share the host's load, so the count is steadier than the medians
-            row[label][f"rounds_lower_than_{labels[0]}"] = sum(
-                None not in (a["best_s"], b["best_s"]) and b["best_s"] < a["best_s"]
-                for a, b in zip(runs[labels[0]], runs[label])
-            )
-        rows.append(row)
+    for pipeline, sizes in SIZES.items():
+        for D in sizes:
+            runs: dict[str, list] = {label: [] for label in labels}
+            rounds, r = ROUNDS, 0
+            while r < rounds:
+                for label in labels[r % len(labels):] + labels[:r % len(labels)]:
+                    run = time_size(checkouts[label], pipeline, D)
+                    runs[label].append(run)
+                    print(f"{pipeline} D={D} round {r} {label}: {run}", file=sys.stderr, flush=True)
+                if r == 0 and any((run[0]["best_s"] or SHORT_S) < SHORT_S for run in runs.values()):
+                    rounds *= SHORT_ROUND_FACTOR
+                r += 1
+            row = {"pipeline": pipeline, "D": D, "rounds": rounds}
+            for label in labels:
+                row[label] = summary(runs[label])
+            for label in labels[1:]:
+                # a round's runs share the host's load, so the count is steadier than the medians
+                row[label][f"rounds_lower_than_{labels[0]}"] = sum(
+                    None not in (a["best_s"], b["best_s"]) and b["best_s"] < a["best_s"]
+                    for a, b in zip(runs[labels[0]], runs[label])
+                )
+            rows.append(row)
 
     report = {
         "tool": "tools/size_sweep.py",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from .errors import EngineError, ExtractionError, TransversalityError, UnitError
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
@@ -158,27 +158,16 @@ def _eliminate(f: ZSeries) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScal
 # -- chart extraction ----------------------------------------------------------------
 
 
-def _exp_terms(x: QSeries, count: int) -> list[QSeries]:
-    """x^k / k! for k < count, up to the first exact zero (no term, no flag); a flagged
-    zero stands for terms below the floor, whose products reach higher degrees."""
-    terms = [QSeries.one(x.desc, x.max_degree)]
-    while len(terms) < count:
-        term = (terms[-1] * x).scale(Fraction(1, len(terms)))
-        if term.is_zero() and not term.truncated:
-            break
-        terms.append(term)
-    return terms
-
-
 def _prefactor(x: QSeries, slot_step: int, count: int) -> ZSeries:
     """exp(-x P^slot_step/z) as a reduced ZSeries, stacked from the powers of -x.
 
     It is sum_k (-x)^k / k! P^(slot_step k) z^(-k) over k < count: n for
     tau P (P^n = 0), D + 1 for tau0, which has no constant term.  The powers
-    stop at the first exact zero (``_exp_terms``), and ``series.stacked_powers``
-    stacks them, so the factor costs only its powers.
+    stop at the first exact zero (``QSeries.powers``), and
+    ``series.stacked_powers`` stacks them, so the factor costs only its powers.
     """
-    return stacked_powers(_exp_terms(-x, count), slot_step)
+    terms = [p.scale(Fraction(1, factorial(k))) for k, p in enumerate((-x).powers(count))]
+    return stacked_powers(terms, slot_step)
 
 
 def _extract_chart(series: ZSeries):
@@ -223,7 +212,8 @@ def _inverse_novikov_map(tau_of_q: QSeries) -> QSeries:
     V = sum_j (theta + 1)^j T^j / j!, where theta = q d/dq scales q^j by j.
     The only products are the powers T^j, truncated at degree D - 1; T^j has
     valuation at least j, so each costs about (D - j)^2 / 2 term pairs, and
-    ``series.lagrange_sum`` reads the coefficients off the powers in one pass.
+    ``series.lagrange_sum`` takes them (``QSeries.powers``) and reads the
+    coefficients off them in one pass.
     """
     desc = tau_of_q.desc
     D = tau_of_q.max_degree
@@ -233,10 +223,7 @@ def _inverse_novikov_map(tau_of_q: QSeries) -> QSeries:
         return QSeries.zero(desc, D)
     # A flag on the constant stays at q^0 of T and so reaches every power.
     T = (QSeries(desc, D, {0: const}) - tau_of_q).truncate(D - 1)
-    powers = [T]
-    for _ in range(D - 2):
-        powers.append(powers[-1] * T)
-    return lagrange_sum(powers, lam_step, D)
+    return lagrange_sum(T, lam_step, D)
 
 
 def invert_series(h: QSeries) -> QSeries:

@@ -15,12 +15,15 @@ Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
 R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  Where the
 two meet there is one transposition, ``_columns`` (classes keyed by degree
-to one QSeries per P-slot), and one product of rows by a q-series,
-``_scaled``, each column multiplied once, not each class by each
-coefficient.  A substitution q = u(q') instead sums each class of its result
-over its own pairs, class by coefficient of the powers of u, so each goes
-over its own denominator (``ZSeries.compose_novikov``), and the chart factors
-are stacked from their powers without a product (``stacked_powers``).
+to one QSeries per P-slot), and one product of a z-series by a q-series:
+each class of the result is one sum of products (``summed``) over its own
+pairs, a class of the z-series times a lam-part of a coefficient of the
+q-series (``queue_scaled_row``), so each goes over its own denominator.  It
+serves ``ZSeries.scale_qseries``, the substitution q = u(q')
+(``ZSeries.compose_novikov``, against the powers of u) and the elimination
+of ``mirror``.  ``QSeries.powers`` is the one loop over the powers of a
+q-series, and the chart factors are stacked from their powers without a
+product (``stacked_powers``).
 """
 
 from __future__ import annotations
@@ -169,23 +172,30 @@ class QSeries(_Graded):
     def compose(self, inner: "QSeries") -> "QSeries":
         """Substitute q = inner(q'), where inner has valuation >= 1.
 
-        Flagged coefficients, zeros included, keep their flags; the powers of
-        inner stop only at an exact zero (no term, no flag).
+        One sum of products of the powers of inner (``powers``) by the
+        coefficients; flagged coefficients, zeros included, keep their flags.
         """
         self._check(inner)
         if not inner.valuation_at_least(1):
             raise ValueError("composition requires inner valuation >= 1")
-        out = QSeries(self.desc, self.max_degree, {0: self.coefficient(0)})
         coeffs = self._split()
-        power = QSeries.one(self.desc, self.max_degree)
-        pairs = []
-        for d in range(1, self.max_degree + 1):
-            power = power * inner
+        pairs = [(x, coeffs[d]) for d, x in enumerate(inner.powers(self.max_degree + 1))
+                 if d in coeffs]
+        return self._dot(pairs) if pairs else QSeries.zero(self.desc, self.max_degree)
+
+    def powers(self, count: int) -> list["QSeries"]:
+        """[1, self, self^2, ...], count of them, up to the first exact zero (no term, no flag).
+
+        A flagged zero power stands for terms below the floor, whose products
+        still reach higher degrees, so only an exact zero ends the family.
+        """
+        out = [QSeries.one(self.desc, self.max_degree)]
+        while len(out) < count:
+            power = out[-1] * self if len(out) > 1 else self
             if power.is_zero() and not power.truncated:
                 break
-            if d in coeffs:
-                pairs.append((power, coeffs[d]))
-        return out + out._dot(pairs) if pairs else out
+            out.append(power)
+        return out
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -211,11 +221,12 @@ def log_lambda_multiple(c: LambdaScalar) -> int:
     return int(log_coeff)
 
 
-def lagrange_sum(powers: list[QSeries], lam_step: int, max_degree: int) -> QSeries:
+def lagrange_sum(T: QSeries, lam_step: int, max_degree: int) -> QSeries:
     """The series u with [q^m] u = (1/m) [q^(m-1)] phi^m, phi = lam^lam_step exp(T).
 
-    ``powers`` are T, T^2, ... (T of valuation >= 1, truncated below
-    max_degree).  Expanding phi^m = lam^(lam_step m) sum_j m^j T^j / j!, the
+    T has valuation >= 1 and is truncated below max_degree, so its powers T,
+    T^2, ..., T^(max_degree - 1) (``QSeries.powers``) are all that reach u.
+    Expanding phi^m = lam^(lam_step m) sum_j m^j T^j / j!, the
     j = 0 term gives lam^lam_step at q^1, and the q^i term of T^j / j!
     reaches q^(i+1) with the factor (i+1)^(j-1) / j!, an integer over j! since
     j >= 1: one pass over the numerators of the powers, over one common
@@ -224,10 +235,10 @@ def lagrange_sum(powers: list[QSeries], lam_step: int, max_degree: int) -> QSeri
     at q^0 of T means the constant of the exponent, and with it the lam shift,
     was truncated: it flags every slot past q^0.
     """
-    desc = powers[0].desc
+    desc, powers = T.desc, T.powers(max_degree)[1:]
     den = lcm(*(power._den * factorial(j) for j, power in enumerate(powers, 1)))
     out = {(1, lam_step, 0): den}
-    trunc = (1 << max_degree + 1) - 2 if powers[0]._trunc & 1 else 0
+    trunc = (1 << max_degree + 1) - 2 if T._trunc & 1 else 0
     for j, power in enumerate(powers, 1):
         f = den // (power._den * factorial(j))
         trunc |= power._trunc << 1
@@ -402,10 +413,17 @@ class ZSeries:
         return self.scale_qseries(QSeries(self.desc, self.max_degree, {0: scalar}))
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
-        """Multiply by a scalar q-series, one (weight, P-slot) column at a time (``_scaled``)."""
+        """Multiply by a scalar q-series: the class at degree d + m and weight w is one sum
+        of products (``summed``), each class of slice d times each lam-part of [q^m] f
+        (``queue_scaled_row``), flagged zero coefficients included."""
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
-        return self._like(_scaled(self.slices, f))
+        queued: dict[int, dict[int, list]] = {}
+        for m, parts in f._lam_parts().items():
+            for d, row in self.slices.items():
+                if d + m <= self.max_degree:
+                    queue_scaled_row(queued.setdefault(d + m, {}), row, parts)
+        return self._like({d: summed(row) for d, row in queued.items()})
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
@@ -502,23 +520,16 @@ class ZSeries:
         The class of the result at degree m and weight w is one sum of products
         (``summed``), over the lcm of its own pairs: each class of slice d times
         each lam-part of [q^m] inner^d (``queue_scaled_row``), the flagged zero
-        coefficients of the powers included.  A power that is a flagged zero
-        stands for unknown terms below the floor, so only an exact zero ends the
-        sum early.
+        coefficients of the powers (``QSeries.powers``) included.
         """
         if self.desc != inner.desc or self.max_degree != inner.max_degree:
             raise DescriptorMismatchError("substitution series does not match")
         if not inner.valuation_at_least(1):
             raise ValueError("substitution requires valuation >= 1")
-        power, queued = QSeries.one(self.desc, self.max_degree), {}
-        for d in range(self.max_degree + 1):
-            if d:
-                power = power * inner
-                if power.is_zero() and not power.truncated:
-                    break
-            if d in self.slices:
-                for m, parts in power._lam_parts().items():
-                    queue_scaled_row(queued.setdefault(m, {}), self.slices[d], parts)
+        queued: dict[int, dict[int, list]] = {}
+        for d, power in enumerate(inner.powers(self.max_degree + 1)):
+            for m, parts in power._lam_parts().items() if d in self.slices else ():
+                queue_scaled_row(queued.setdefault(m, {}), self.slices[d], parts)
         return self._like({m: summed(row) for m, row in queued.items()})
 
     # -- serialization ------------------------------------------------------------
@@ -668,8 +679,9 @@ def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
     q^d lam^a log^b of powers[i] is the term (p, a, b) of the class at degree d
     and weight p - i + a, and no two terms meet.  Each class goes over the lcm
     of the denominators of the powers that reach it.  The flags follow the
-    rule of ``_scaled`` for the exact class P^p: a flagged degree of powers[i]
-    flags slot p of the class at each lam exponent ``_lam_degrees`` gives it.
+    class-by-scalar rule of ``_Terms._dot`` for the exact class P^p: a flagged
+    degree of powers[i] flags slot p of the class at each lam exponent of its
+    lam-parts (``_Terms._lam_parts``), at lam^0 when it holds no term.
     """
     desc, D = powers[0].desc, powers[0].max_degree
     terms: dict[tuple[int, int], dict] = {}  # (degree, weight) -> {(p, a, b): (numerator, den)}
@@ -680,11 +692,9 @@ def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
             break
         for (d, a, b), c in power._nums.items():
             terms.setdefault((d, p - i + a), {})[p, a, b] = c, power._den
-        for a, degrees in _lam_degrees(power).items() if power._trunc else ():
-            flagged = degrees & power._trunc
-            for d in range(flagged.bit_length()):
-                if flagged >> d & 1:
-                    flags[d, p - i + a] = flags.get((d, p - i + a), 0) | 1 << p
+        for d, parts in power._lam_parts().items() if power._trunc else ():
+            for a in parts if power._trunc >> d & 1 else ():
+                flags[d, p - i + a] = flags.get((d, p - i + a), 0) | 1 << p
     rows: dict[int, dict[int, CohElement]] = {}
     for d, w in {**terms, **flags}:
         parts = terms.get((d, w), {})
@@ -715,71 +725,6 @@ def _columns(values: Mapping[int, _Graded], like: QSeries) -> dict[int, QSeries]
     return {p: like._like(nums.get(p, {}), den, trunc.get(p, 0)) for p in {*nums, *trunc}}
 
 
-def _scaled(rows, f: QSeries) -> dict[int, dict[int, CohElement]]:
-    """The rows of rows * f, for weight-keyed rows of classes and a scalar q-series f.
-
-    The classes at a weight are split into P-slot columns (``_columns``), and
-    the lam^a part of f moves a column a weights up: output column (w, p) is
-    one ``_Terms._times`` call, over one denominator per output weight.  Here
-    is the class-by-scalar flag rule of ``_Terms._dot`` written for a q-series
-    (``stacked_powers`` writes it for the exact classes P^p): at each lam
-    exponent of the q^d coefficient of f (``_lam_degrees``), an unflagged
-    coefficient passes on the class's flags, a flagged one also its slots that
-    hold a term.  Keys dropped by ``_times`` flag their slots.
-    """
-    queued: dict[int, dict[int, list]] = {}  # output weight -> slot -> pairs
-    flags: dict[tuple[int, int], int] = {}  # output (weight, slot) -> mask of degrees
-    split: dict[int, dict] = {}
-    for key, c in f._nums.items():
-        split.setdefault(key[1], {})[key] = c
-    parts = {a: f._like(nums, f._den, 0) for a, nums in split.items()}
-    lams = _lam_degrees(f)
-    for w in {w for row in rows.values() for w in row}:
-        at_w = {d: row[w] for d, row in rows.items() if w in row}
-        for p, col in _columns(at_w, f).items():
-            for a, part in parts.items() if col._nums else ():
-                queued.setdefault(w + a, {}).setdefault(p, []).append((part, col))
-            held = col._slots() | col._trunc if f._trunc else 0
-            for a, degrees in lams.items() if col._trunc or f._trunc else ():
-                mask = flags.get((w + a, p), 0)
-                for d in range(degrees.bit_length()):
-                    if degrees >> d & 1:
-                        mask |= (held if f._trunc >> d & 1 else col._trunc) << d
-                flags[w + a, p] = mask
-    out: dict[tuple[int, int], dict] = {}
-    dens: dict[int, int] = {}
-    for w, by_slot in queued.items():
-        den = dens[w] = lcm(*(x._den * y._den for pairs in by_slot.values() for x, y in pairs))
-        for p, pairs in by_slot.items():
-            nums, dropped = f._times(pairs, den)
-            flags[w, p] = flags.get((w, p), 0) | dropped
-            for (d, a, b), c in nums.items():
-                out.setdefault((d, w), {})[p, a, b] = c
-    trunc: dict[tuple[int, int], int] = {}
-    for (w, p), mask in flags.items():
-        for d in range(mask.bit_length()):
-            if mask >> d & 1:
-                trunc[d, w] = trunc.get((d, w), 0) | 1 << p
-    rows: dict[int, dict[int, CohElement]] = {}
-    for d, w in [*out, *(key for key in trunc if key not in out)]:
-        nums, mask = out.get((d, w), {}), trunc.get((d, w), 0)
-        rows.setdefault(d, {})[w] = CohElement._make(f.desc, nums, dens.get(w, 1), mask)
-    return rows
-
-
-def _lam_degrees(f: QSeries) -> dict[int, int]:
-    """Lam exponent a -> mask of the degrees of f with a term at lam^a.
-
-    Lam^0 also takes f's flagged degrees without a term: a flagged coefficient
-    of f flags its product with a class at each lam exponent of its terms, at
-    lam^0 when it holds none.
-    """
-    lams = {0: f._trunc and f._trunc & ~f._slots()}
-    for d, a, _ in f._nums:
-        lams[a] = lams.get(a, 0) | 1 << d
-    return lams
-
-
 def summed(queued: Mapping[int, list]) -> dict:
     """Each key's queued pairs [(x, y)] as one value, the sum of the x*y reduced once.
 
@@ -792,20 +737,25 @@ def summed(queued: Mapping[int, list]) -> dict:
 def symplectic_form(f: ZSeries, g: ZSeries) -> QSeries:
     """Residue pairing: the z^(-1) coefficient of the Poincare-paired product f(-z)g(z).
 
-    Both arguments must be raw loop-space vectors.
+    Both arguments must be raw loop-space vectors.  A flag does not say at
+    which z its term was lost, so a flagged class in slice d1 of f or slice d2
+    of g flags the coefficient at q^(d1 + d2).
     """
     if f.convention != RAW or g.convention != RAW:
         raise ConventionError("symplectic form is defined on raw series")
     f._check(g)
     desc = f.desc
     out: dict[int, LambdaScalar] = {}
-    g_rows = {d: g.slice(d) for d in g.slices}
-    for d1 in f.slices:
-        row1 = f.slice(d1)
-        for d2, row2 in g_rows.items():
+    lost = LambdaScalar(desc, truncated=True)
+    g_rows = {d: (g.slice(d), any(el._trunc for el in row.values())) for d, row in g.slices.items()}
+    for d1, row in f.slices.items():
+        row1, flag1 = f.slice(d1), any(el._trunc for el in row.values())
+        for d2, (row2, flag2) in g_rows.items():
             d = d1 + d2
             if d > f.max_degree:
                 continue
+            if flag1 or flag2:
+                out[d] = out[d] + lost if d in out else lost
             for z1, e1 in row1.items():
                 e2 = row2.get(-1 - z1)
                 if e2 is None:

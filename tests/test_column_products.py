@@ -1,11 +1,11 @@
-"""Scalar q-series act on columns, and the chart factors are stacked from their powers.
+"""Scalar q-series scale z-series class by class, and the chart factors are stacked from their powers.
 
 Three replacements:
 
-- ``ZSeries.scale_qseries`` multiplies each (weight, P-slot) column by the
-  lam-parts of the q-series, one kernel call per output column, where it
-  queued every class against every coefficient.  Here the kernel calls are
-  counted on the quintic at D = 30.
+- ``ZSeries.scale_qseries`` sums each output class once (``series.summed``)
+  over its own pairs, a class times a lam-part of a coefficient, where a
+  column kernel once multiplied each (weight, P-slot) column.  Here the sums
+  of products are counted on the quintic at D = 30.
 - ``mirror._prefactor`` builds exp(-tau P/z) or exp(-tau0/z) alone from
   its q-series powers.  Each factor is held to the exponential of the
   reference model (``against_model.sound``) on a seeded grid of exact tails
@@ -112,27 +112,25 @@ def quintic(D):
     return I, I.z_row(0)[0].invert()
 
 
-def test_scaling_by_a_q_series_makes_one_kernel_call_per_output_column(monkeypatch):
+def test_scaling_by_a_q_series_makes_one_sum_of_products_per_output_class(monkeypatch):
     I, f = quintic(30)
     calls = []
-    times = ring._Terms._times
-    monkeypatch.setattr(
-        ring._Terms, "_times", lambda s, pairs, den: calls.append(1) or times(s, pairs, den)
-    )
+    dot = ring._Terms._dot
+    monkeypatch.setattr(ring._Terms, "_dot", lambda s, pairs: calls.append(1) or dot(s, pairs))
     J1 = I.scale_qseries(f)
     monkeypatch.undo()
-    columns = {(w, key[0]) for row in J1.slices.values() for w, el in row.items()
-               for key in el._nums}
-    # Every class of the quintic's I sits at weight 0, so the five P-slots are the columns.
-    assert len(calls) == len(columns) == 5
+    classes = [(d, w) for d, row in J1.slices.items() for w in row]
+    # Every class of the quintic's I sits at weight 0, so each slice 0 .. 30 is one class.
+    assert len(calls) == len(classes) == 31
 
 
 def test_a_factor_alone_makes_no_product_beyond_its_powers(monkeypatch):
     I, f = quintic(30)
     tau = I.scale_qseries(f).z_row(-1)[1]
     D, tau0 = tau.max_degree, tau.scale(Fraction(1, 3))
-    # exp(-tau P/z) has n - 1 powers of tau, exp(-tau0/z) the D powers of tau0.
-    for args, powers in (((tau, 1, tau.desc.n), tau.desc.n - 1), ((tau0, 0, 1 + D), D)):
+    # exp(-tau P/z) multiplies out tau^2 .. tau^(n-1), exp(-tau0/z) tau0^2 .. tau0^D;
+    # the first power is the series itself.
+    for args, powers in (((tau, 1, tau.desc.n), tau.desc.n - 2), ((tau0, 0, 1 + D), D - 1)):
         products = []
         dot = ring._Terms._dot
         monkeypatch.setattr(

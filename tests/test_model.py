@@ -6,9 +6,10 @@ the q-series kernels, ``scale_qseries``, ``scale_scalar``,
 ``compose_novikov``, z·D_P and the z-reader are held to the model in their
 kernel's file; here are the inverse Novikov map, ``ZSeries.exp``, the
 regression cases of a flagged-zero power, of a scalar over another ring
-descriptor and of a projection that splits a flagged class, and two known
-faults, kept as strict expected failures: a fix turns them into passes, and
-the suite then asks for the marker to go.
+descriptor, of a projection that splits a flagged class and of a symplectic
+form whose flagged partner sits at another z, and one known fault, kept as
+a strict expected failure: a fix turns it into a pass, and the suite then
+asks for the marker to go.
 """
 
 from fractions import Fraction
@@ -104,16 +105,14 @@ def test_project_keeps_the_flag_of_a_class_it_splits():
           desc=NO_LOG)
 
 
-# -- known faults: each fails today, and must pass once its fault is mended ---------------
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="symplectic_form pairs z-keyed views, where a flagged empty slice sits at z^0 only")
 def test_symplectic_form_keeps_the_flag_of_a_lost_partner():
-    # f = 1 and g = log(lam) P z^-1 at log cap 0: the pairing is log(lam), lost, but comes back unflagged.
+    # f = 1 and g = log(lam) P z^-1 at log cap 0: the pairing is log(lam), lost, so it is flagged.
     f, g = {(0, 0, 0, 0, 0): 1}, {(0, -1, 1, 0, 1): 1}
     sound(symplectic_form(zseries(NO_LOG, 0, f, RAW), zseries(NO_LOG, 0, g, RAW)),
           lambda m, a, b: m.symplectic_form(a, b, 0, NO_LOG.n), f, g, desc=NO_LOG)
+
+
+# -- known faults: each fails today, and must pass once its fault is mended ---------------
 
 
 @pytest.mark.xfail(strict=True, raises=EngineError,

@@ -6,10 +6,9 @@ rows they replaced, whose name the tests keep; they now hold random exact
 values, inhomogeneous and with keys on both sides of the Laurent floor and
 the log cap, to the reference model (``against_model``), in both
 conventions, with the named inputs below as examples.  The projection and
-the symplectic form are compared on values with the model at the engine's
-floor, since their flags are known to be unsound (the strict expected
-failures of ``test_model.py``).  The last tests pin that every series the
-pipeline builds is homogeneous: one weight class per slice.
+the symplectic form are also compared on values with the model at the
+engine's floor.  The last tests pin that every series the pipeline builds
+is homogeneous: one weight class per slice.
 """
 
 import json
@@ -90,7 +89,10 @@ def test_projection_and_symplectic_form_match_the_z_keyed_rows(case):
         assert read(got)[0] == model.project(low.cut(f), half)
         # a flagged class keeps its flag in the half that splits it
         sound(got, lambda m, x: model.project(x, half), f, desc=desc)
-    assert read(symplectic_form(a, b))[0] == low.symplectic_form(low.cut(f), low.cut(g), D, desc.n)
+    form = symplectic_form(a, b)
+    assert read(form)[0] == low.symplectic_form(low.cut(f), low.cut(g), D, desc.n)
+    # a flagged class flags every coefficient it reaches, whatever z its lost term had
+    sound(form, lambda m, x, y: m.symplectic_form(x, y, D, desc.n), f, g, desc=desc)
 
 
 @given(inputs(z_series), CONVENTIONS)

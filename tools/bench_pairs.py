@@ -9,13 +9,14 @@ file records the median and quartiles of each side and the number of pairs
 in which the change read lower, and next to ``peak_rss_mb`` the number of
 passes of every run, since the peak grows with the passes that fit into
 ``--seconds``.  It also records, for each checkout, the
-commit it is at (``git rev-parse HEAD``), whether its code differs from that
-commit, a sha256 over the files the harness runs (``src/``, ``perfbench/``
-and ``configs/``), which ties the file to the tree it measured even when the
-change is not committed yet, the line count of the ``.py`` files in ``src/``,
-and the best of ``COMPILE_ROUNDS`` ``compile()`` timings of those files, the
-two checkouts timed in turn (most of the harness's ``setup_s`` is this
-compile).  Only the timing is left out of the check that the checkouts did
+commit it is at (``git rev-parse HEAD``) and whether its code differs from
+that commit, both left out for a checkout that is not a git checkout (an
+exported tree); a sha256 over the files the harness runs (``src/``,
+``perfbench/`` and ``configs/``), which ties the file to the tree it measured
+even when the change is not committed yet; the line count of the ``.py``
+files in ``src/``; and the best of ``COMPILE_ROUNDS`` ``compile()`` timings
+of those files, the two checkouts timed in turn (most of the harness's
+``setup_s`` is this compile).  Only the timing is left out of the check that the checkouts did
 not change while they were measured.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
@@ -84,16 +85,28 @@ def compile_seconds(checkouts: dict[str, str]) -> dict[str, float]:
     return best
 
 
-def describe(checkout: str) -> dict:
-    """The commit a checkout is at, whether its run files differ from it, their digest and src/ lines."""
+def git_state(checkout: str, dirs) -> dict:
+    """The commit of a git checkout and whether its dirs differ from it; empty for an export.
+
+    A checkout counts as git when it has a ``.git`` entry, a directory or, in a
+    worktree, a file.
+    """
+    if not os.path.exists(os.path.join(checkout, ".git")):
+        return {}
+
     def git(*args: str) -> str:
         return subprocess.run(
             ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
         ).stdout.strip()
 
+    return {"commit": git("rev-parse", "HEAD"),
+            "uncommitted_changes": bool(git("status", "--porcelain", "--", *dirs))}
+
+
+def describe(checkout: str) -> dict:
+    """The git state of a checkout's run files (``git_state``), their digest and src/ lines."""
     return {
-        "commit": git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(git("status", "--porcelain", "--", *RUN_DIRS)),
+        **git_state(checkout, RUN_DIRS),
         "source_sha256": source_digest(checkout),
         "src_lines": sum(text.count("\n") for _, text in src_sources(checkout)),
     }

@@ -15,7 +15,7 @@ their own import path from the checkout (the ``perfbench`` harness) do not
 see the mutant.
 
     python3 tools/mutants.py tests/test_qseries_kernel.py "tests/test_acceptance.py tests/test_mirror.py"
-    python3 tools/mutants.py --only 3 --only 9 tests/test_fused_products.py
+    python3 tools/mutants.py --only 2 --only 9 tests/test_fused_products.py
 
 It prints one row per mutant, one column per selection, and ``caught`` or
 ``missed`` in each cell.
@@ -40,8 +40,6 @@ MUTANTS = {
     "1": ("ring.py", "if j >= room:", "if j > room:"),
     "2": ("ring.py", "trunc |= x._slots() | x._trunc if y._trunc else x._trunc",
           "trunc |= x._trunc | y._trunc"),
-    "3": ("series.py", "held = col._slots() | col._trunc if f._trunc else 0",
-          "held = col._trunc if f._trunc else 0"),
     "4": ("series.py", "trunc[p] = trunc.get(p, 0) | 1 << d", "trunc[p] = trunc.get(p, 0) | 1 << p"),
     "5": ("series.py", "if mask and (at is not None or not parts):", "if mask and at is not None:"),
     "6a": ("series.py", "c * f * (i + 1) ** (j - 1)", "c * f * (i + 1) ** j"),
@@ -51,16 +49,13 @@ MUTANTS = {
     "7b": ("ring.py", "nums[key] = get(key, 0) + c * d", "nums[key] = get(key, 0) + c"),
     "8": ("mirror.py", "if d not in pending:", "if _sweep or d not in pending:"),
     "9": ("ring.py", "out |= -(lost & -lost)", "out |= lost"),
-    "10a": ("series.py", "            power = power * inner\n            if power.is_zero() and not power.truncated:",
-            "            power = power * inner\n            if power.is_zero():"),
-    "10b": ("series.py", "                power = power * inner\n                if power.is_zero() and not power.truncated:",
-            "                power = power * inner\n                if power.is_zero():"),
+    "10": ("series.py", "if power.is_zero() and not power.truncated:", "if power.is_zero():"),
     "11a": ("ring.py", "            right = y._nums.items() if type(y) is LambdaScalar else y._by_slot()\n"
                        "            for (i, a1, b1), c1 in x._nums.items():\n                c1 *= f\n",
             "            right = [(k, c * f) for k, c in (y._nums.items() if type(y) is LambdaScalar"
             " else y._by_slot())]\n            for (i, a1, b1), c1 in x._nums.items():\n"),
     "11b": ("ring.py", "out._trunc, out._order = trunc, None", "out._trunc, out._order = trunc, sorted(nums.items())"),
-    "12": ("series.py", "lams = {0: f._trunc and f._trunc & ~f._slots()}", "lams = {0: 0}"),
+    "12": ("ring.py", "parts[p] = {0: LambdaScalar._make(desc, {}, 1, 1)}", "parts[p] = {}"),
     "13": ("series.py", "                        el._den, el._trunc) for w, el in row.items()}",
            "                        el._den, el._trunc * any(keep(w - k[0] - k[1]) for k in el._nums))"
            " for w, el in row.items()}"),
@@ -69,7 +64,6 @@ MUTANTS = {
 DESCRIPTIONS = {
     "1": "`j >= room` bound of `_Terms._times`",
     "2": "scalar flag rule of `_Terms._dot`",
-    "3": "`held` rule of `series._scaled`",
     "4": "`1 << d` bit mapping of `_columns`",
     "5": "`at is not None or not parts` rule of `_regroup`",
     "6a": "`(i + 1) ** (j - 1)` factor of `lagrange_sum`",
@@ -78,11 +72,10 @@ DESCRIPTIONS = {
     "7b": "`+ c * d` term of `_times_t_plus`",
     "8": "sweep stop of `_eliminate`",
     "9": "`-(lost & -lost)` rule of `_Graded._spread`",
-    "10a": "exact-zero stop of `QSeries.compose`",
-    "10b": "exact-zero stop of `ZSeries.compose_novikov`",
+    "10": "exact-zero stop of `QSeries.powers`",
     "11a": "inner factor scaled in `_Terms._times` (same values, more products)",
     "11b": "stale cached order: `_by_slot` kept from the numerators before `_make` reduces them",
-    "12": "lam^0 rule of a flagged zero degree in `series._lam_degrees`",
+    "12": "lam^0 part of a flagged slot without terms in `_Terms._lam_parts`",
     "13": "flag of a class with no term in its half, `series.project`",
 }
 

@@ -48,6 +48,8 @@ import statistics
 import subprocess
 import sys
 
+from bench_pairs import git_state
+
 ROUNDS = 7
 SHORT_S = 0.01
 SHORT_ROUND_FACTOR = 3
@@ -87,20 +89,6 @@ while runs < repeats or measured < min_s:
 counts = mirror.extract_instantons(M, 5) if pipeline == "quintic_small_mirror" and D >= 5 else None
 print(json.dumps({"best_s": best, "runs": runs, "counts": counts, "unitary": unitary}))
 """
-
-
-def git_state(checkout: str) -> dict:
-    """The commit of a git checkout and whether its src/ differs from it; empty for an export."""
-    if not os.path.isdir(os.path.join(checkout, ".git")):
-        return {}
-
-    def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
-        ).stdout.strip()
-
-    return {"commit": git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))}
 
 
 def src_lines(checkout: str) -> int:
@@ -198,7 +186,7 @@ def main() -> None:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "checkouts": {
-            label: {**git_state(path), "src_lines": src_lines(path)}
+            label: {**git_state(path, ("src",)), "src_lines": src_lines(path)}
             for label, path in checkouts.items()
         },
         "rows": rows,

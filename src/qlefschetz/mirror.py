@@ -37,7 +37,7 @@ from math import factorial, prod
 from .errors import EngineError, ExtractionError, TransversalityError, UnitError
 from .ring import BundleSpec, CohElement, LambdaScalar, RingDescriptor
 from .series import QSeries, REDUCED, ZSeries, _by_z, lagrange_sum, log_lambda_multiple
-from .series import directional_derivative, queue_scaled_row, stacked_powers, summed
+from .series import directional_derivative, lifted, queue_row_product, summed
 
 _MAX_SWEEPS = 400
 
@@ -140,10 +140,10 @@ def _eliminate(f: ZSeries) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScal
                     while len(frame) <= p:
                         frame.append(directional_derivative(frame[-1]))
                     neg = -beta
-                    parts = neg._lam_parts()[0]
+                    lift = lifted([(neg, 0, ze)])[0]
                     for dd, frame_row in frame[p].slices.items():
                         if d + dd <= D:
-                            queue_scaled_row(pending.setdefault(d + dd, {}), frame_row, parts, ze)
+                            queue_row_product(pending.setdefault(d + dd, {}), frame_row, lift)
                     cell = corrections[p].setdefault(ze, {})
                     old = cell.get(d)
                     cell[d] = neg if old is None else old + neg
@@ -159,15 +159,16 @@ def _eliminate(f: ZSeries) -> tuple[ZSeries, list[dict[int, dict[int, LambdaScal
 
 
 def _prefactor(x: QSeries, slot_step: int, count: int) -> ZSeries:
-    """exp(-x P^slot_step/z) as a reduced ZSeries, stacked from the powers of -x.
+    """exp(-x P^slot_step/z) as a reduced ZSeries, lifted from the powers of -x.
 
     It is sum_k (-x)^k / k! P^(slot_step k) z^(-k) over k < count: n for
     tau P (P^n = 0), D + 1 for tau0, which has no constant term.  The powers
-    stop at the first exact zero (``QSeries.powers``), and
-    ``series.stacked_powers`` stacks them, so the factor costs only its powers.
+    stop at the first exact zero (``QSeries.powers``), and ``series.lifted``
+    places them, so the factor costs only its powers.
     """
-    terms = [p.scale(Fraction(1, factorial(k))) for k, p in enumerate((-x).powers(count))]
-    return stacked_powers(terms, slot_step)
+    terms = [(p.scale(Fraction(1, factorial(k))), slot_step * k, -k)
+             for k, p in enumerate((-x).powers(count))]
+    return ZSeries._of(x.desc, x.max_degree, lifted(terms), REDUCED)
 
 
 def _extract_chart(series: ZSeries):

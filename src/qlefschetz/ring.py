@@ -17,11 +17,10 @@ one map over one common denominator, so a sum of products is reduced once,
 with one gcd, and builds no scalar objects; a single product is the one-pair
 case.  Each pair runs its factor with fewer terms outside and scans the other
 in the slot order it keeps: a value never changes after its constructor, so
-its sorted terms are computed once.  The pairs' flags are ORed: a product
-with an exact zero (no term, no flag) is an exact zero, a product with a
-scalar flags the other factor's flagged slots and, when the scalar is
-truncated, its slots that hold a term, and a graded product flags the slots
-``_Graded._spread`` gives.
+its sorted terms are computed once.  Every product of two values flags
+by one rule, ``_Terms._spread``: slot i + j is flagged when slot i of one
+factor and slot j of the other each hold a term or a flag and one of the two
+is flagged, so an exact zero slot reaches nothing.
 """
 
 from __future__ import annotations
@@ -270,50 +269,39 @@ class _Terms:
             order = self._order = sorted(self._nums.items())
         return order
 
-    def _lam_parts(self) -> dict[int, dict[int, "LambdaScalar"]]:
-        """Each slot that holds a term or a flag, split by lam exponent into scalars in lowest terms.
-
-        Each part carries its slot's flag; a flagged slot without terms is a
-        flagged zero at lam^0.
-        """
-        desc, den, trunc = self.desc, self._den, self._trunc
-        split: dict[tuple[int, int], dict] = {}
-        for (p, a, b), c in self._nums.items():
-            split.setdefault((p, a), {})[0, a, b] = c
-        parts: dict[int, dict[int, LambdaScalar]] = {}
-        for (p, a), nums in split.items():
-            parts.setdefault(p, {})[a] = LambdaScalar._make(desc, nums, den, trunc >> p & 1)
-        for p in range(trunc.bit_length()):
-            if trunc >> p & 1 and p not in parts:
-                parts[p] = {0: LambdaScalar._make(desc, {}, 1, 1)}
-        return parts
-
     def _slots(self) -> int:
         """Mask of the nonzero slots."""
         return sum(1 << p for p in {key[0] for key in self._nums})
+
+    def _spread(self, other) -> int:
+        """The slots of self * other that inherit a flag, before the mask to the span.
+
+        Slot i + j is flagged when slot i of self and slot j of other each hold
+        a term or a flag and at least one of the two is flagged: a flagged slot
+        stands for an unknown term below the floor, and an exact zero slot
+        reaches nothing.  A scalar is the one slot 0.
+        """
+        mine, theirs = self._slots() | self._trunc, other._slots() | other._trunc
+        out = 0
+        for i in range(mine.bit_length()):
+            if mine >> i & 1:
+                out |= (theirs if self._trunc >> i & 1 else other._trunc) << i
+        return out
 
     def _dot(self, pairs):
         """The sum of the products x*y over pairs [(x, y)], shaped like self, reduced once.
 
         The numerators go over the lcm of the x._den * y._den, and ``_times``
-        picks the factor order of each product.  A scalar factor comes second
-        in its pair, since the flag rule reads it there.  Each pair's flags
-        are ORed into the result: a pair with an exact zero factor (no
-        term, no flag) adds none; a product with a scalar y flags x's flagged
-        slots, and when y is truncated (an unknown term below the floor) also
-        the slots where x has a term, since an exact zero slot stays exact; a
-        graded product flags the slots ``_Graded._spread`` gives.
+        picks the factor order of each product.  The flags are those
+        ``_spread`` gives for each flagged pair, masked to self's span, and
+        those of the slots where ``_times`` dropped a key.
         """
         den, trunc = lcm(*[x._den * y._den for x, y in pairs]), 0
         for x, y in pairs:
-            # only a flagged pair adds flags, and none when a factor is an exact zero
-            if (x._trunc or y._trunc) and (x._nums or x._trunc) and (y._nums or y._trunc):
-                if type(y) is LambdaScalar:
-                    trunc |= x._slots() | x._trunc if y._trunc else x._trunc
-                else:
-                    trunc |= x._spread(y)
+            if x._trunc or y._trunc:
+                trunc |= x._spread(y)
         nums, dropped = self._times(pairs, den)
-        return self._like(nums, den, trunc | dropped)
+        return self._like(nums, den, (trunc & ((1 << self._span()) - 1)) | dropped)
 
 
 class LambdaScalar(_Terms):
@@ -460,12 +448,10 @@ class _Graded(_Terms):
     holding the coefficient of t^k: t = P and span n for a ``CohElement``,
     t = q and span D + 1 for a ``QSeries``.  Bit k of ``_trunc`` flags slot k.
 
-    Slot k of a product is truncated when a product of two nonzero slots
-    with i + j = k drops a term below the floor or past the log cap, or has
-    a truncated member, and also when a factor has a zero but truncated slot
-    at or below k: that zero stands for an unknown term below the floor.  A
-    truncated scalar factor marks the slots that hold a term or a flag.  A
-    product with an exact zero (no term, no flag) is an exact zero.
+    Slot k of a product is truncated when a product of two slots with
+    i + j = k drops a term below the floor or past the log cap, or when
+    ``_Terms._spread`` flags it.  A product with an exact zero (no term, no
+    flag) is an exact zero.
     """
 
     __slots__ = ()
@@ -497,20 +483,6 @@ class _Graded(_Terms):
             for p, part in sorted(parts.items())
         }
 
-    def _spread(self, other) -> int:
-        """Product slots that inherit a flag from the factors' truncated slots."""
-        span = self._span()
-        a_nz, b_nz = self._slots(), other._slots()
-        out = 0
-        for i in range(span):
-            if a_nz >> i & 1:
-                out |= (b_nz if self._trunc >> i & 1 else b_nz & other._trunc) << i
-        # A zero but truncated slot reaches every slot at or above its own.
-        lost = (self._trunc & ~a_nz) | (other._trunc & ~b_nz)
-        if lost:
-            out |= -(lost & -lost)
-        return out & ((1 << span) - 1)
-
     def _times_t_plus(self, d: int):
         """self * (t + d) for an integer d, as one numerator map over self's denominator.
 
@@ -527,7 +499,7 @@ class _Graded(_Terms):
         if self._trunc:
             # t + d as numerators; it is an exact zero at span 1 with d = 0
             step = {k: c for k, c in (((1, 0, 0), int(span > 1)), ((0, 0, 0), d)) if c}
-            trunc = self._spread(self._like(step, 1, 0)) if step else 0
+            trunc = self._spread(self._like(step, 1, 0)) & ((1 << span) - 1)
         return self._like({k: c for k, c in nums.items() if c}, self._den, trunc)
 
     def scale_scalar(self, scalar: LambdaScalar):

@@ -14,16 +14,18 @@ per slice, and a product of two slices is one class product.
 Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
 R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  Where the
-two meet there is one transposition, ``_columns`` (classes keyed by degree
-to one QSeries per P-slot), and one product of a z-series by a q-series:
-each class of the result is one sum of products (``summed``) over its own
-pairs, a class of the z-series times a lam-part of a coefficient of the
-q-series (``queue_scaled_row``), so each goes over its own denominator.  It
-serves ``ZSeries.scale_qseries``, the substitution q = u(q')
-(``ZSeries.compose_novikov``, against the powers of u) and the elimination
-of ``mirror``.  ``QSeries.powers`` is the one loop over the powers of a
-q-series, and the chart factors are stacked from their powers without a
-product (``stacked_powers``).
+two meet there is one transposition each way: ``_columns`` turns classes
+keyed by degree into one QSeries per P-slot, and ``lifted`` turns q-series
+and scalars into weight-keyed rows of classes, the one place where the lam
+exponents of a coefficient become weights.  A product of a z-series by a
+q-series is then the z-series product on rows: each class of the result is
+one sum of products (``queue_row_product``, ``summed``) over its own pairs,
+so each goes over its own denominator and its flags follow the one rule of
+``ring._Terms._spread``.  It serves ``ZSeries.scale_qseries``, the
+substitution q = u(q') (``ZSeries.compose_novikov``, against the lifted
+powers of u) and the elimination of ``mirror``.  ``QSeries.powers`` is the
+one loop over the powers of a q-series, and the chart factors are lifted
+from their powers without a product.
 """
 
 from __future__ import annotations
@@ -413,17 +415,11 @@ class ZSeries:
         return self.scale_qseries(QSeries(self.desc, self.max_degree, {0: scalar}))
 
     def scale_qseries(self, f: QSeries) -> "ZSeries":
-        """Multiply by a scalar q-series: the class at degree d + m and weight w is one sum
-        of products (``summed``), each class of slice d times each lam-part of [q^m] f
-        (``queue_scaled_row``), flagged zero coefficients included."""
+        """Multiply by a scalar q-series: the z-series product with f lifted to rows
+        (``lifted``), flagged zero coefficients included."""
         if self.desc != f.desc or self.max_degree != f.max_degree:
             raise DescriptorMismatchError("q-series does not match the z-series")
-        queued: dict[int, dict[int, list]] = {}
-        for m, parts in f._lam_parts().items():
-            for d, row in self.slices.items():
-                if d + m <= self.max_degree:
-                    queue_scaled_row(queued.setdefault(d + m, {}), row, parts)
-        return self._like({d: summed(row) for d, row in queued.items()})
+        return self * self._like(lifted([(f, 0, 0)]))
 
     def novikov_shift(self, k: int = 1) -> "ZSeries":
         """Multiply by q^k: slide every slice up by k, dropping past the truncation."""
@@ -519,8 +515,9 @@ class ZSeries:
 
         The class of the result at degree m and weight w is one sum of products
         (``summed``), over the lcm of its own pairs: each class of slice d times
-        each lam-part of [q^m] inner^d (``queue_scaled_row``), the flagged zero
-        coefficients of the powers (``QSeries.powers``) included.
+        each class of degree m of the lifted power inner^d (``lifted``,
+        ``queue_row_product``), the flagged zero coefficients of the powers
+        (``QSeries.powers``) included.
         """
         if self.desc != inner.desc or self.max_degree != inner.max_degree:
             raise DescriptorMismatchError("substitution series does not match")
@@ -528,8 +525,8 @@ class ZSeries:
             raise ValueError("substitution requires valuation >= 1")
         queued: dict[int, dict[int, list]] = {}
         for d, power in enumerate(inner.powers(self.max_degree + 1)):
-            for m, parts in power._lam_parts().items() if d in self.slices else ():
-                queue_scaled_row(queued.setdefault(m, {}), self.slices[d], parts)
+            for m, row in lifted([(power, 0, 0)]).items() if d in self.slices else ():
+                queue_row_product(queued.setdefault(m, {}), self.slices[d], row)
         return self._like({m: summed(row) for m, row in queued.items()})
 
     # -- serialization ------------------------------------------------------------
@@ -657,51 +654,35 @@ def queue_row_product(
             tgt.setdefault(z1 + z2, []).append((e1, e2))
 
 
-def queue_scaled_row(
-    tgt: dict[int, list], row: Mapping[int, CohElement], parts: Mapping[int, LambdaScalar],
-    shift: int = 0,
-) -> None:
-    """Queue the pairs of c * z^shift * row into tgt, for rows keyed by weight.
+def lifted(values) -> dict[int, dict[int, CohElement]]:
+    """The weight-keyed rows of sum value * P^p * z^k over values [(value, p, k)], p < n.
 
-    c is given by its lam-parts {a: scalar} (one slot of ``_Terms._lam_parts``):
-    the lam^a part moves a class a + shift weights up, so a scalar whose terms
-    have several lam exponents lands at several weights.
+    A value is a q-series, or a scalar read at q^0.  A transposition, no
+    product: P^p z^k has weight p + k, so the term q^d lam^a log^b of a value
+    is the term (p, a, b) of the class at degree d and weight p + k + a.  This
+    is the one place where the lam exponents of a coefficient become weights.
+    The pairs (p, k) are distinct, so no two terms meet; the classes go over
+    the lcm of the values' denominators and are reduced one by one.  A flagged
+    degree of a value flags slot p of the class at each weight its terms
+    there reach, at weight p + k (lam^0) when it holds no term: the flags
+    ``ring._Terms._spread`` gives the product of the value by P^p z^k.
     """
-    for a, part in parts.items():
-        for w, el in row.items():
-            tgt.setdefault(w + a + shift, []).append((el, part))
-
-
-def stacked_powers(powers: list[QSeries], slot_step: int) -> ZSeries:
-    """The reduced series sum_i powers[i] P^(slot_step i) z^(-i), p = slot_step i < n.
-
-    A transposition, no product: P^p z^(-i) has weight p - i, so the term
-    q^d lam^a log^b of powers[i] is the term (p, a, b) of the class at degree d
-    and weight p - i + a, and no two terms meet.  Each class goes over the lcm
-    of the denominators of the powers that reach it.  The flags follow the
-    class-by-scalar rule of ``_Terms._dot`` for the exact class P^p: a flagged
-    degree of powers[i] flags slot p of the class at each lam exponent of its
-    lam-parts (``_Terms._lam_parts``), at lam^0 when it holds no term.
-    """
-    desc, D = powers[0].desc, powers[0].max_degree
-    terms: dict[tuple[int, int], dict] = {}  # (degree, weight) -> {(p, a, b): (numerator, den)}
+    desc, den = values[0][0].desc, lcm(*(value._den for value, _, _ in values))
+    nums: dict[tuple[int, int], dict] = {}  # (degree, weight) -> numerators over den
     flags: dict[tuple[int, int], int] = {}  # (degree, weight) -> mask of slots
-    for i, power in enumerate(powers):
-        p = slot_step * i
-        if p >= desc.n:
-            break
-        for (d, a, b), c in power._nums.items():
-            terms.setdefault((d, p - i + a), {})[p, a, b] = c, power._den
-        for d, parts in power._lam_parts().items() if power._trunc else ():
-            for a in parts if power._trunc >> d & 1 else ():
-                flags[d, p - i + a] = flags.get((d, p - i + a), 0) | 1 << p
+    for value, p, k in values:
+        f, trunc = den // value._den, value._trunc
+        for (d, a, b), c in value._nums.items():
+            nums.setdefault((d, p + k + a), {})[p, a, b] = c * f
+        for d in range(trunc.bit_length()):
+            if trunc >> d & 1:
+                for w in {p + k + a for e, a, _ in value._nums if e == d} or {p + k}:
+                    nums.setdefault((d, w), {})
+                    flags[d, w] = flags.get((d, w), 0) | 1 << p
     rows: dict[int, dict[int, CohElement]] = {}
-    for d, w in {**terms, **flags}:
-        parts = terms.get((d, w), {})
-        den = lcm(*(e for _, e in parts.values()))
-        nums = {key: c * (den // e) for key, (c, e) in parts.items()}
-        rows.setdefault(d, {})[w] = CohElement._make(desc, nums, den, flags.get((d, w), 0))
-    return ZSeries._of(desc, D, rows, REDUCED)
+    for (d, w), part in nums.items():
+        rows.setdefault(d, {})[w] = CohElement._make(desc, part, den, flags.get((d, w), 0))
+    return rows
 
 
 def _columns(values: Mapping[int, _Graded], like: QSeries) -> dict[int, QSeries]:

@@ -172,25 +172,20 @@ def linear_sound(got, op, *values, desc) -> None:
 def product_flags(x: dict, y: dict, desc, span: int) -> set:
     """The slots flagged in the engine's product of two classes or q-series, exact x and y.
 
-    The flag rule of ``_Terms._dot`` and ``_Graded._spread`` in model terms: a
-    product with an exact zero factor (no term, no flag) has none; else slot
-    i + j is flagged where slot i of one factor and slot j of the other hold
-    terms and one of the two lost a term; a slot that lost every term flags
-    each slot at or above its own; and a slot is flagged where a product
+    The flag rule of ``_Terms._spread`` in model terms: slot i + j is flagged
+    where slot i of one factor and slot j of the other each hold a term or
+    lost one, and one of the two lost a term, so an exact zero slot (and an
+    exact zero factor) reaches nothing; and a slot is flagged where a product
     term leaves the range.
     """
     parts = []
     for value in (x, y):
         low = Model(desc.lambda_floor, desc.log_cap)
         kept = low.cut(value)
-        parts.append(({key[0] for key in kept}, {slot[0] for slot in low.lost}, kept))
+        lost = {slot[0] for slot in low.lost}
+        parts.append(({key[0] for key in kept} | lost, lost, kept))
     (held_x, lost_x, kept_x), (held_y, lost_y, kept_y) = parts
-    if not x or not y:
-        return set()
     out = {i + j for i in held_x for j in held_y if i in lost_x or j in lost_y}
-    emptied = (lost_x - held_x) | (lost_y - held_y)
-    if emptied:
-        out |= set(range(min(emptied), span))
     low = Model(desc.lambda_floor, desc.log_cap)
     low.times(kept_x, kept_y, (span,))
     return {i for i in out | {slot[0] for slot in low.lost} if i < span}

@@ -148,7 +148,7 @@ def test_the_s_matrix_json_renders_each_term_from_the_cells():
 def test_a_flagged_zero_tau0_is_still_multiplied_in(monkeypatch):
     # Slice 1 holds P z^-1 and a flagged 1 at z^-2, each class with its own
     # flags (weights 0 and -2), so tau0 = z^-1 P^0 is a flagged zero at q^1.
-    # exp(-tau0/z) then flags the slot (q^1, z^-2, P^1), which the product
+    # exp(-tau0/z) then flags the slot (q^2, z^-2, P^0), which the product
     # with exp(-tau P/z) alone leaves clean.
     desc = RingDescriptor(n=2, lambda_floor=1)
     flagged_one = CohElement.from_scalar(LambdaScalar(desc, {(0, 0): 1}, truncated=True))
@@ -161,4 +161,5 @@ def test_a_flagged_zero_tau0_is_still_multiplied_in(monkeypatch):
     monkeypatch.setattr(ZSeries, "compose_novikov", lambda s, u: charts.append(s) or compose(s, u))
     tau0, tau, *_ = mirror._extract_chart(series)
     assert tau0.is_zero() and tau0.truncated
-    assert charts[-1].scalar_slot(1, -2, 1).truncated
+    assert not (mirror._prefactor(tau, 1, desc.n) * series).scalar_slot(2, -2, 0).truncated
+    assert charts[-1].scalar_slot(2, -2, 0).truncated

@@ -32,7 +32,7 @@ VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 RATIONALS = st.one_of(st.integers(-5, 5), VALUES)
 TERMS = st.dictionaries(KEYS, VALUES, max_size=3)
 # Flags are rarer than not, so a flag that one rule should set is not always
-# hidden by another (a zero but truncated component taints a whole product).
+# hidden by another (a truncated component flags each product slot it reaches).
 FLAGS = st.integers(0, 3).map(lambda k: k == 0)
 
 

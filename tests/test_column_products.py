@@ -1,11 +1,12 @@
-"""Scalar q-series scale z-series class by class, and the chart factors are stacked from their powers.
+"""Scalar q-series scale z-series class by class, and the chart factors are lifted from their powers.
 
 Three replacements:
 
 - ``ZSeries.scale_qseries`` sums each output class once (``series.summed``)
-  over its own pairs, a class times a lam-part of a coefficient, where a
-  column kernel once multiplied each (weight, P-slot) column.  Here the sums
-  of products are counted on the quintic at D = 30.
+  over its own pairs, a class times a class of the lifted q-series
+  (``series.lifted``), where a column kernel once multiplied each (weight,
+  P-slot) column.  Here the sums of products are counted on the quintic at
+  D = 30.
 - ``mirror._prefactor`` builds exp(-tau P/z) or exp(-tau0/z) alone from
   its q-series powers.  Each factor is held to the exponential of the
   reference model (``against_model.sound``) on a seeded grid of exact tails

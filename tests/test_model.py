@@ -6,10 +6,9 @@ the q-series kernels, ``scale_qseries``, ``scale_scalar``,
 ``compose_novikov``, z·D_P and the z-reader are held to the model in their
 kernel's file; here are the inverse Novikov map, ``ZSeries.exp``, the
 regression cases of a flagged-zero power, of a scalar over another ring
-descriptor, of a projection that splits a flagged class and of a symplectic
-form whose flagged partner sits at another z, and one known fault, kept as
-a strict expected failure: a fix turns it into a pass, and the suite then
-asks for the marker to go.
+descriptor, of a projection that splits a flagged class, of a symplectic
+form whose flagged partner sits at another z and of an exponential whose
+flagged zero class sits at a nonzero weight.
 """
 
 from fractions import Fraction
@@ -20,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 from qlefschetz import (
     CohElement,
     DescriptorMismatchError,
-    EngineError,
     LambdaScalar,
     QSeries,
     RingDescriptor,
@@ -65,16 +63,16 @@ def test_inverse_novikov_map(case, k):
 
 
 def exponents(desc, D, dirty):
-    """z-series of weight z + p + a = 0, as the cone transform's exponent, with d >= 1 or p >= 1.
+    """z-series whose terms have d >= 1 or p >= 1, which makes exp a finite sum.
 
-    The second condition makes exp a finite sum.  The weight is 0 because
-    ``ZSeries.exp`` stops at a flagged zero term only when its weights
-    repeat (``test_z_series_exp_of_a_flagged_nilpotent_of_two_weights``).
+    The z-exponent is drawn freely, so the terms of one series sit at
+    several weights z + p + a, as in
+    ``test_z_series_exp_of_a_flagged_nilpotent_of_two_weights``; the cone
+    transform's exponent has weight 0.
     """
-    keys = st.tuples(st.integers(0, D), st.integers(0, desc.n - 1),
+    keys = st.tuples(st.integers(0, D), st.integers(-3, 3), st.integers(0, desc.n - 1),
                      st.integers(-desc.lambda_floor - 2 * dirty, 2), st.integers(0, desc.log_cap + dirty))
-    return st.dictionaries(keys.filter(lambda k: k[0] or k[1]), VALUES, max_size=6).map(
-        lambda v: {(d, -p - a, p, a, b): c for (d, p, a, b), c in v.items()})
+    return st.dictionaries(keys.filter(lambda k: k[0] or k[2]), VALUES, max_size=6)
 
 
 @EXAMPLES
@@ -82,6 +80,13 @@ def exponents(desc, D, dirty):
 def test_z_series_exp(case):
     desc, D, (f,) = case
     sound(zseries(desc, D, f).exp(), lambda m, a: m.z_exp(a, D, desc.n), f, desc=desc)
+
+
+def test_z_series_exp_of_a_flagged_nilpotent_of_two_weights():
+    # P log(lam) + P^2 at n = 3, log cap 0: the log term is lost, so P^1 is a flagged zero.
+    desc = RingDescriptor(3, 1, 0)
+    f = {(0, 0, 1, 0, 1): 1, (0, 0, 2, 0, 0): 1}
+    sound(zseries(desc, 0, f).exp(), lambda m, a: m.z_exp(a, 0, desc.n), f, desc=desc)
 
 
 def test_a_scalar_over_another_descriptor_is_refused():
@@ -110,15 +115,3 @@ def test_symplectic_form_keeps_the_flag_of_a_lost_partner():
     f, g = {(0, 0, 0, 0, 0): 1}, {(0, -1, 1, 0, 1): 1}
     sound(symplectic_form(zseries(NO_LOG, 0, f, RAW), zseries(NO_LOG, 0, g, RAW)),
           lambda m, a, b: m.symplectic_form(a, b, 0, NO_LOG.n), f, g, desc=NO_LOG)
-
-
-# -- known faults: each fails today, and must pass once its fault is mended ---------------
-
-
-@pytest.mark.xfail(strict=True, raises=EngineError,
-                   reason="ZSeries.exp waits for repeated weights, and the powers' weights grow")
-def test_z_series_exp_of_a_flagged_nilpotent_of_two_weights():
-    # P log(lam) + P^2 at n = 3, log cap 0: the log term is lost, so P^1 is a flagged zero.
-    desc = RingDescriptor(3, 1, 0)
-    f = {(0, 0, 1, 0, 1): 1, (0, 0, 2, 0, 0): 1}
-    sound(zseries(desc, 0, f).exp(), lambda m, a: m.z_exp(a, 0, desc.n), f, desc=desc)

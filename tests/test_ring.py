@@ -55,14 +55,25 @@ def test_zero_but_truncated_factor_taints_the_product():
     zero = LambdaScalar.zero(desc)
     a = CohElement(desc, [lost, zero])
     b = CohElement(desc, [LambdaScalar.lam_power(desc, 2), zero])
-    # The true product is lam^-1 in slot 0, itself below the floor.
+    # The true product is lam^-1 in slot 0, itself below the floor; slot 1
+    # is exact, since slot 1 of each factor is an exact zero.
     for prod in (a * b, b * a):
         assert prod.is_zero()
         assert prod.truncated
-        assert prod.component(0).truncated and prod.component(1).truncated
+        assert prod.component(0).truncated and not prod.component(1).truncated
     prod = b * CohElement(desc, [zero, lost])
     assert not prod.component(0).truncated
     assert prod.component(1).truncated
+
+
+def test_a_flagged_zero_slot_reaches_only_the_slots_the_other_factor_holds():
+    # x = lam^-3 q + q^2 at floor 1: q^1 is a flagged zero.  Its slot 1 reaches
+    # 1 + j only for the slots j of the other factor that hold a term or a flag.
+    desc = RingDescriptor(n=2, lambda_floor=1)
+    x = QSeries(desc, 3, {1: LambdaScalar.lam_power(desc, -3), 2: LambdaScalar.one(desc)})
+    assert x._trunc == 0b0010
+    assert (QSeries.one(desc, 3) * x)._trunc == 0b0010
+    assert (x * x)._trunc == 0b1100
 
 
 def test_integrate():

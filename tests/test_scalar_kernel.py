@@ -126,8 +126,8 @@ def test_json_round_trip_is_bit_exact(x, y):
 
 
 # The old product skipped zero components, so the flag of a zero but
-# truncated factor was lost; it must reach every slot at or above its own,
-# unless the other factor is an exact zero (no term, no flag).
+# truncated factor was lost; slot i of it must reach slot i + j for every
+# slot j of the other factor that holds a term or a flag.
 LOST_P1 = {(0, 0, 0): 1, (1, -4, 0): 1, (2, 1, 1): 2}
 # Slot 1 gets -lam^-3 + lam^-3: each pair drops a term below the floor, so
 # the slot is truncated although the sum of the dropped terms cancels.
@@ -141,7 +141,7 @@ CANCEL = [{(0, -2, 0): 1, (1, -2, 0): 1}, {(0, -1, 0): 1, (1, -1, 0): -1}]
 @example((DESC, 0, CANCEL))
 # A truncated nonzero component flags the slots of its products.
 @example((DESC, 0, [{(0, 0, 0): 1, (0, -3, 0): 1}, {(0, 0, 0): 1}]))
-# A zero but flagged P-slot reaches every slot of a product at or above its own.
+# A zero but flagged P^1 slot reaches P^1 and P^2 through the other factor's two slots.
 @example((RingDescriptor(3, 1, 1), 2, [{(1, -2, 0): 1}, {(0, 2, 0): 1, (1, 2, 0): 1}]))
 def test_coh_product_matches_the_fraction_kernel(case):
     desc, _, (x, y) = case

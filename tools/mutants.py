@@ -38,8 +38,8 @@ JOBS = 2  # pytest runs at a time
 
 MUTANTS = {
     "1": ("ring.py", "if j >= room:", "if j > room:"),
-    "2": ("ring.py", "trunc |= x._slots() | x._trunc if y._trunc else x._trunc",
-          "trunc |= x._trunc | y._trunc"),
+    "2": ("ring.py", "out |= (theirs if self._trunc >> i & 1 else other._trunc) << i",
+          "out |= (other._slots() if self._trunc >> i & 1 else other._trunc) << i"),
     "4": ("series.py", "trunc[p] = trunc.get(p, 0) | 1 << d", "trunc[p] = trunc.get(p, 0) | 1 << p"),
     "5": ("series.py", "if mask and (at is not None or not parts):", "if mask and at is not None:"),
     "6a": ("series.py", "c * f * (i + 1) ** (j - 1)", "c * f * (i + 1) ** j"),
@@ -48,14 +48,16 @@ MUTANTS = {
            "for (i, a, b), c in self._nums.items() if i < span}"),
     "7b": ("ring.py", "nums[key] = get(key, 0) + c * d", "nums[key] = get(key, 0) + c"),
     "8": ("mirror.py", "if d not in pending:", "if _sweep or d not in pending:"),
-    "9": ("ring.py", "out |= -(lost & -lost)", "out |= lost"),
+    "9": ("ring.py", "out |= (theirs if self._trunc >> i & 1 else other._trunc) << i",
+          "out |= (theirs if self._trunc >> i & 1 else 0) << i"),
     "10": ("series.py", "if power.is_zero() and not power.truncated:", "if power.is_zero():"),
     "11a": ("ring.py", "            right = y._nums.items() if type(y) is LambdaScalar else y._by_slot()\n"
                        "            for (i, a1, b1), c1 in x._nums.items():\n                c1 *= f\n",
             "            right = [(k, c * f) for k, c in (y._nums.items() if type(y) is LambdaScalar"
             " else y._by_slot())]\n            for (i, a1, b1), c1 in x._nums.items():\n"),
     "11b": ("ring.py", "out._trunc, out._order = trunc, None", "out._trunc, out._order = trunc, sorted(nums.items())"),
-    "12": ("ring.py", "parts[p] = {0: LambdaScalar._make(desc, {}, 1, 1)}", "parts[p] = {}"),
+    "12": ("series.py", "for e, a, _ in value._nums if e == d} or {p + k}:",
+           "for e, a, _ in value._nums if e == d} or ():"),
     "13": ("series.py", "                        el._den, el._trunc) for w, el in row.items()}",
            "                        el._den, el._trunc * any(keep(w - k[0] - k[1]) for k in el._nums))"
            " for w, el in row.items()}"),
@@ -63,7 +65,7 @@ MUTANTS = {
 
 DESCRIPTIONS = {
     "1": "`j >= room` bound of `_Terms._times`",
-    "2": "scalar flag rule of `_Terms._dot`",
+    "2": "flagged-slot branch of `_Terms._spread` (a flagged zero slot of the other factor not reached)",
     "4": "`1 << d` bit mapping of `_columns`",
     "5": "`at is not None or not parts` rule of `_regroup`",
     "6a": "`(i + 1) ** (j - 1)` factor of `lagrange_sum`",
@@ -71,11 +73,11 @@ DESCRIPTIONS = {
     "7a": "slot shift of `_times_t_plus`",
     "7b": "`+ c * d` term of `_times_t_plus`",
     "8": "sweep stop of `_eliminate`",
-    "9": "`-(lost & -lost)` rule of `_Graded._spread`",
+    "9": "unflagged-slot branch of `_Terms._spread` (the other factor's flags not taken)",
     "10": "exact-zero stop of `QSeries.powers`",
     "11a": "inner factor scaled in `_Terms._times` (same values, more products)",
     "11b": "stale cached order: `_by_slot` kept from the numerators before `_make` reduces them",
-    "12": "lam^0 part of a flagged slot without terms in `_Terms._lam_parts`",
+    "12": "lam^0 flag of a flagged degree without terms in `series.lifted`",
     "13": "flag of a class with no term in its half, `series.project`",
 }
 

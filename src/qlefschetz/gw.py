@@ -9,7 +9,7 @@ quantum-cohomology relation behind it, (z D_P)^n J = q J, is certified by
 qde_verify rather than hardcoded, and the fundamental solution frame
 {(z D_P)^a J} assembles into an S-matrix whose unitarity is checked against
 the Poincare Gram matrix.  Its cells are the frame's classes at one weight
-offset, one q-series per P-slot (``series._columns``).
+offset, one q-series per P-slot (``ring._transposed``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import TransversalityError
-from .ring import CohElement, LambdaScalar, RingDescriptor
-from .series import QSeries, REDUCED, ZSeries, _at_minus_z, _by_z, _columns
+from .ring import CohElement, LambdaScalar, RingDescriptor, _transposed
+from .series import QSeries, REDUCED, ZSeries, _at_minus_z, _by_z
 from .series import directional_derivative, queue_row_product, summed, z_json
 
 
@@ -154,7 +154,7 @@ def _matrix_from_frame(frame: list[ZSeries]) -> SMatrix:
             for w, el in row.items():
                 by_offset.setdefault(w - a + n * d, {})[d] = el
         for k, values in by_offset.items():
-            for b, series in _columns(values, like).items():
+            for b, series in _transposed(values, like).items():
                 cells[b][a][k] = series
     return SMatrix(desc, D, cells)
 
@@ -203,7 +203,7 @@ def s_matrix(J: ZSeries, n: int, max_degree: int):
     the fundamental solution makes it vanish identically through the Novikov
     truncation.  Returns (SMatrix, residual_ok, first_failure).
     """
-    if J.desc.n != n or J.max_degree < max_degree:
+    if J.desc.n != n or not 0 <= max_degree <= J.max_degree:
         raise ValueError("series does not match the requested parameters")
     return _s_matrix(*_guarded_frame(J, n), max_degree)
 

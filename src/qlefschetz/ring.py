@@ -20,7 +20,9 @@ in the slot order it keeps: a value never changes after its constructor, so
 its sorted terms are computed once.  Every product of two values flags
 by one rule, ``_Terms._spread``: slot i + j is flagged when slot i of one
 factor and slot j of the other each hold a term or a flag and one of the two
-is flagged, so an exact zero slot reaches nothing.
+is flagged, so an exact zero slot reaches nothing.  One transposition,
+``_transposed``, stacks scalars into a class or a q-series, splits a value
+into its slots as scalars, and turns classes keyed by degree into q-series.
 """
 
 from __future__ import annotations
@@ -98,17 +100,6 @@ def _add_nums(an: dict, ad: int, bn: dict, bd: int) -> tuple[dict, int]:
     return out, ad * fa
 
 
-def _stacked(desc: RingDescriptor, slots) -> tuple[dict, int, int]:
-    """Scalars [(slot, scalar)] over desc as one value's numerators, denominator and flag mask."""
-    slots = list(slots)
-    if any(s.desc is not desc and s.desc != desc for _, s in slots):
-        raise DescriptorMismatchError("scalars over a different ring descriptor")
-    # Over the lcm of lowest-terms denominators the numerators are coprime to it.
-    den = lcm(*(s._den for _, s in slots))
-    nums = {(k, a, b): c * (den // s._den) for k, s in slots for (_, a, b), c in s._nums.items()}
-    return nums, den, sum(s._trunc << k for k, s in slots)
-
-
 def _render(terms, den: int) -> dict[str, str]:
     """One slot's ((p, a, b), numerator c) terms over den as JSON: 'a' or 'a|b' to c/den.
 
@@ -127,6 +118,30 @@ def _render_slots(nums: dict, den: int) -> dict[str, dict[str, str]]:
     for key, c in nums.items():
         slots.setdefault(key[0], []).append((key, c))
     return {str(p): _render(terms, den) for p, terms in slots.items()}
+
+
+def _transposed(values: Mapping[int, "_Terms"], like: "_Terms") -> dict:
+    """Values keyed by k as one value per slot p that holds a term or a flag, shaped like ``like``.
+
+    Term (p, a, b) of the value at key k becomes term (k, a, b) of the value at
+    key p, and flag bit p of value k becomes bit k of value p.  Each result goes
+    over the lcm of the values' denominators and is reduced once; every value
+    must lie over the descriptor of ``like``.
+    """
+    desc = like.desc
+    if any(v.desc is not desc and v.desc != desc for v in values.values()):
+        raise DescriptorMismatchError("values over a different ring descriptor")
+    den = lcm(*(v._den for v in values.values()))
+    nums: dict[int, dict] = {}
+    trunc: dict[int, int] = {}
+    for k, v in values.items():
+        f = den // v._den
+        for (p, a, b), c in v._nums.items():
+            nums.setdefault(p, {})[k, a, b] = c * f
+        for p in range(v._trunc.bit_length()):
+            if v._trunc >> p & 1:
+                trunc[p] = trunc.get(p, 0) | 1 << k
+    return {p: like._like(nums.get(p, {}), den, trunc.get(p, 0)) for p in sorted({*nums, *trunc})}
 
 
 class _Terms:
@@ -464,25 +479,6 @@ class _Graded(_Terms):
         self._check(other)
         return self._dot([(self, other)])
 
-    def _slot(self, k: int) -> LambdaScalar:
-        """Slot k as a scalar, with its flag."""
-        nums = {(0, a, b): c for (p, a, b), c in self._nums.items() if p == k}
-        return LambdaScalar._make(self.desc, nums, self._den, self._trunc >> k & 1)
-
-    def _split(self) -> dict[int, LambdaScalar]:
-        """The slots that hold a term or a flag as scalars with their flags, in one pass.
-
-        Every other slot is an unflagged zero.
-        """
-        trunc = self._trunc
-        parts: dict[int, dict] = {p: {} for p in range(trunc.bit_length()) if trunc >> p & 1}
-        for (p, a, b), c in self._nums.items():
-            parts.setdefault(p, {})[(0, a, b)] = c
-        return {
-            p: LambdaScalar._make(self.desc, part, self._den, trunc >> p & 1)
-            for p, part in sorted(parts.items())
-        }
-
     def _times_t_plus(self, d: int):
         """self * (t + d) for an integer d, as one numerator map over self's denominator.
 
@@ -528,7 +524,8 @@ class CohElement(_Graded):
         if len(comps) != desc.n:
             raise ValueError(f"expected {desc.n} components, got {len(comps)}")
         self.desc, self._order = desc, None
-        self._nums, self._den, self._trunc = _stacked(desc, enumerate(comps))
+        out = _transposed(dict(enumerate(comps)), self).get(0)
+        self._nums, self._den, self._trunc = (out._nums, out._den, out._trunc) if out else ({}, 1, 0)
 
     # -- constructors --------------------------------------------------------
 
@@ -570,12 +567,13 @@ class CohElement(_Graded):
     def component(self, k: int) -> LambdaScalar:
         if not 0 <= k < self.desc.n:
             raise IndexError(f"no P^{k} slot in Q[P]/(P^{self.desc.n})")
-        return self._slot(k)
+        return self.components[k]
 
     @property
     def components(self) -> tuple[LambdaScalar, ...]:
-        """All n components, split off in one pass."""
-        parts, zero = self._split(), LambdaScalar.zero(self.desc)
+        """All n components, the slots transposed into scalars in one pass."""
+        zero = LambdaScalar.zero(self.desc)
+        parts = _transposed({0: self}, zero)
         return tuple(parts.get(p, zero) for p in range(self.desc.n))
 
     # -- arithmetic ----------------------------------------------------------

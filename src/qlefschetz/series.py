@@ -14,10 +14,10 @@ per slice, and a product of two slices is one class product.
 Scalar-valued q-series (mirror maps, the series F and G, symplectic pairings
 of loop vectors) are handled by the companion QSeries type, an element of
 R[q]/(q^(D+1)) stored and multiplied like a class in R[P]/(P^n).  Where the
-two meet there is one transposition each way: ``_columns`` turns classes
-keyed by degree into one QSeries per P-slot, and ``lifted`` turns q-series
-and scalars into weight-keyed rows of classes, the one place where the lam
-exponents of a coefficient become weights.  A product of a z-series by a
+two meet there is one transposition each way: ``ring._transposed`` turns
+classes keyed by degree into one QSeries per P-slot, and ``lifted`` turns
+q-series and scalars into weight-keyed rows of classes, the one place where
+the lam exponents of a coefficient become weights.  A product of a z-series by a
 q-series is then the z-series product on rows: each class of the result is
 one sum of products (``queue_row_product``, ``summed``) over its own pairs,
 so each goes over its own denominator and its flags follow the one rule of
@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 from .errors import ConventionError, DescriptorMismatchError, EngineError, UnitError
 from .ring import CohElement, LambdaScalar, RingDescriptor, _Graded, _render_slots
-from .ring import _stacked, poincare_pairing
+from .ring import _transposed, poincare_pairing
 
 REDUCED = "reduced"
 RAW = "raw"
@@ -62,14 +62,15 @@ class QSeries(_Graded):
     ) -> None:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        slots = []
+        slots = {}
         for d, c in (coeffs or {}).items():
             if d < 0:
                 raise ValueError("negative Novikov degree")
             if d <= max_degree:
-                slots.append((d, c))
+                slots[d] = c
         self.desc, self.max_degree, self._order = desc, max_degree, None
-        self._nums, self._den, self._trunc = _stacked(desc, slots)
+        out = _transposed(slots, self).get(0)
+        self._nums, self._den, self._trunc = (out._nums, out._den, out._trunc) if out else ({}, 1, 0)
 
     def _like(self, nums: dict, den: int, trunc: int) -> "QSeries":
         out = self._make(self.desc, nums, den, trunc)
@@ -98,14 +99,15 @@ class QSeries(_Graded):
         )
 
     def coefficient(self, d: int) -> LambdaScalar:
-        if not 0 <= d <= self.max_degree:
-            return LambdaScalar.zero(self.desc)
-        return self._slot(d)
+        """The q^d coefficient with its flag; zero past the truncation."""
+        zero = LambdaScalar.zero(self.desc)
+        return _transposed({0: self}, zero).get(d, zero)
 
     @property
     def coeffs(self) -> dict[int, LambdaScalar]:
-        """The nonzero coefficients by Novikov degree, split off in one pass."""
-        return {d: c for d, c in self._split().items() if not c.is_zero()}
+        """The nonzero coefficients by Novikov degree, transposed into scalars in one pass."""
+        parts = _transposed({0: self}, LambdaScalar.zero(self.desc))
+        return {d: c for d, c in parts.items() if not c.is_zero()}
 
     def _check(self, other: "QSeries") -> None:
         if self.desc != other.desc:
@@ -125,7 +127,13 @@ class QSeries(_Graded):
         return hash((super().__hash__(), self.max_degree))
 
     def truncate(self, max_degree: int) -> "QSeries":
-        """The series modulo q^(max_degree + 1), with the flags of the kept coefficients."""
+        """The series modulo q^(max_degree + 1), with the flags of the kept coefficients.
+
+        A series is known only modulo q^(self.max_degree + 1), so a higher order
+        returns it unchanged, as ``ZSeries.truncate_novikov`` does.
+        """
+        if max_degree >= self.max_degree:
+            return self
         nums = {key: c for key, c in self._nums.items() if key[0] <= max_degree}
         out = QSeries(self.desc, max_degree)
         return out._like(nums, self._den, self._trunc & ((1 << max_degree + 1) - 1))
@@ -140,11 +148,13 @@ class QSeries(_Graded):
         g_n = -(1/f_0) sum_{k=1}^{n} f_k g_(n-k), one pass over the degrees.
         The coefficients are read with their flags, flagged zeros included.
         """
-        c0 = self.coefficient(0)
+        zero = LambdaScalar.zero(self.desc)
+        coeffs = _transposed({0: self}, zero)
+        c0 = coeffs.get(0, zero)
         if not c0.is_rational() or c0.as_rational() == 0:
             raise UnitError("q-series constant term is not a nonzero rational")
         neg_inv_lead = Fraction(-1, c0.as_rational())
-        tail = {k: c for k, c in self._split().items() if k}
+        tail = {k: c for k, c in coeffs.items() if k}
         first = LambdaScalar(self.desc, {(0, 0): -neg_inv_lead}, c0.truncated)
         return self._recurrence(first, tail, lambda n: neg_inv_lead)
 
@@ -157,7 +167,8 @@ class QSeries(_Graded):
         """
         if not self.valuation_at_least(1):
             raise ValueError("exp requires q-valuation >= 1")
-        weighted = {k: c.scale(k) for k, c in self._split().items() if k}
+        parts = _transposed({0: self}, LambdaScalar.zero(self.desc))
+        weighted = {k: c.scale(k) for k, c in parts.items() if k}
         one = LambdaScalar(self.desc, {(0, 0): 1}, self._trunc & 1)
         return self._recurrence(one, weighted, lambda n: Fraction(1, n))
 
@@ -180,7 +191,7 @@ class QSeries(_Graded):
         self._check(inner)
         if not inner.valuation_at_least(1):
             raise ValueError("composition requires inner valuation >= 1")
-        coeffs = self._split()
+        coeffs = _transposed({0: self}, LambdaScalar.zero(self.desc))
         pairs = [(x, coeffs[d]) for d, x in enumerate(inner.powers(self.max_degree + 1))
                  if d in coeffs]
         return self._dot(pairs) if pairs else QSeries.zero(self.desc, self.max_degree)
@@ -333,11 +344,11 @@ class ZSeries:
     def z_row(self, z_exp: int) -> list[QSeries]:
         """The n q-series sum_d [z^z_exp P^p] slice_d q^d, p < n, flags and flagged zeros kept.
 
-        Slice d is read once, as one class (``_by_z(..., at=z_exp)``), and ``_columns`` splits them.
+        Slice d is read once, as one class (``_by_z(..., at=z_exp)``); ``_transposed`` splits them.
         """
         zero = QSeries.zero(self.desc, self.max_degree)
         at = {d: el for d, row in self.slices.items() for el in _by_z(row, at=z_exp).values()}
-        columns = _columns(at, zero)
+        columns = _transposed(at, zero)
         return [columns.get(p, zero) for p in range(self.desc.n)]
 
     def is_zero(self) -> bool:
@@ -434,7 +445,9 @@ class ZSeries:
         )
 
     def truncate_novikov(self, max_degree: int) -> "ZSeries":
-        """Forget all slices above a lower truncation order."""
+        """Forget all slices above a lower truncation order; a higher order returns self."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
         if max_degree >= self.max_degree:
             return self
         return ZSeries._of(self.desc, max_degree, self.slices, self.convention)
@@ -683,27 +696,6 @@ def lifted(values) -> dict[int, dict[int, CohElement]]:
     for (d, w), part in nums.items():
         rows.setdefault(d, {})[w] = CohElement._make(desc, part, den, flags.get((d, w), 0))
     return rows
-
-
-def _columns(values: Mapping[int, _Graded], like: QSeries) -> dict[int, QSeries]:
-    """Values keyed by degree as one q-series per slot that holds a term or a flag.
-
-    Term (p, a, b) of the value at degree d becomes term (d, a, b) of series p,
-    and bit p of the flags of value d becomes bit d of series p; the series
-    are shaped like ``like``, each built once over the lcm of the values'
-    denominators.
-    """
-    den = lcm(*(v._den for v in values.values()))
-    nums: dict[int, dict] = {}
-    trunc: dict[int, int] = {}
-    for d, v in values.items():
-        f = den // v._den
-        for (p, a, b), c in v._nums.items():
-            nums.setdefault(p, {})[d, a, b] = c * f
-        for p in range(v._trunc.bit_length()):
-            if v._trunc >> p & 1:
-                trunc[p] = trunc.get(p, 0) | 1 << d
-    return {p: like._like(nums.get(p, {}), den, trunc.get(p, 0)) for p in {*nums, *trunc}}
 
 
 def summed(queued: Mapping[int, list]) -> dict:

@@ -11,8 +11,9 @@ entries, where ``gw`` builds only the entries a <= b, with the q-series' own
 is ``SMatrix.to_json_dict`` as it was before it rendered each term from the
 cells' numerators: it builds one q-series per z-exponent with ``entry(b, a)``
 and renders each.  ``cells_by_components`` is ``gw._matrix_from_frame`` as
-it was before it read the frame through ``series._columns``: it splits every
-class into its components and stacks each cell's scalars into q-series.
+it was before it read the frame through one transposition (now
+``ring._transposed``): it splits every class into its components and stacks
+each cell's scalars into q-series.
 """
 
 from __future__ import annotations

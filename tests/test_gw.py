@@ -121,3 +121,10 @@ def test_s_matrix_json_shape():
     data = S.to_json_dict()
     assert data["size"] == 2
     assert data["entries"][0][0]["0"]["0"] == {"0": "1"}
+
+
+def test_s_matrix_refuses_a_negative_degree_in_its_own_check():
+    J = j_reduced(3, 2)
+    for D in (-1, 3):
+        with pytest.raises(ValueError, match="does not match the requested parameters"):
+            s_matrix(J, 3, D)

@@ -92,3 +92,30 @@ def test_only_series_reads_the_storage_fields_and_re_keys_by_z():
                 rules.append(path.name)
     assert set(readers) <= {"ring.py", "series.py"}
     assert rules == ["series.py"]
+
+
+def test_one_transposition_serves_scalars_classes_and_q_series():
+    # Term (p, a, b) of the value at key k becomes term (k, a, b) of the value
+    # at key p in one function at the top level of ring.py: the constructors
+    # stack scalars through it, the readers split a value into scalars through
+    # it, and z_row and the S-matrix cells turn classes into q-series through it.
+    defined, callers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owners[id(child)] = node.name if isinstance(node, ast.ClassDef) else None
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.name, owners[id(node)], node.name))
+                if any(isinstance(n, ast.Name) and n.id == "_transposed" for n in ast.walk(node)):
+                    callers.add((owners[id(node)], node.name))
+    names = {name for _, _, name in defined}
+    assert not names & {"_stacked", "_split", "_slot", "_columns"}
+    assert [f for f in defined if f[2] == "_transposed"] == [("ring.py", None, "_transposed")]
+    assert callers == {
+        ("CohElement", "__init__"), ("CohElement", "components"),
+        ("QSeries", "__init__"), ("QSeries", "coefficient"), ("QSeries", "coeffs"),
+        ("QSeries", "invert"), ("QSeries", "exp"), ("QSeries", "compose"),
+        ("ZSeries", "z_row"), (None, "_matrix_from_frame"),
+    }

@@ -7,7 +7,7 @@ residual one product of two z-power pieces at a time.  The inputs are the
 J-function, J * (1 + c lam^e / z), which carries lam and has a second offset
 unless e = 1, and J + J/z; the last two are not unitary, so the residual and
 its first failure are compared where they are nonzero too.  The cells that
-``gw._matrix_from_frame`` reads through ``series._columns`` are compared,
+``gw._matrix_from_frame`` reads through ``ring._transposed`` are compared,
 numerators, denominator and flags, with ``gw_oracles.cells_by_components``,
 which split every class into its components.
 """

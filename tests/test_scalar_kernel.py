@@ -4,10 +4,9 @@
 Keys are drawn on both sides of the Laurent floor and of the log cap, and
 inputs may arrive already truncated.  Results are in lowest terms, equal
 values are equal and hash equal, and the JSON form round-trips.  The
-arithmetic, the rational scale and the products of a class were first
-compared with the Fraction-dict kernel this one replaced, whose name the
-tests keep; they now hold random exact values to the reference model
-(``against_model``), with the inputs that pinned its rules as examples.
+arithmetic, the rational scale and the products of a class hold random
+exact values to the reference model ``tests/model.py`` (``against_model``),
+with the inputs that pinned its rules as examples.
 The one term loop runs the factor with fewer terms outside, so every
 product is also taken with its factors swapped, in sums of several pairs
 over different denominators, and no value changes after its constructor,
@@ -69,7 +68,7 @@ PRODUCTS = [
 @example((DESC, 0, list(PRODUCTS[1])))
 @example((DESC, 0, list(PRODUCTS[2])))
 @example((DESC, 0, list(PRODUCTS[3])))
-def test_arithmetic_matches_the_fraction_kernel(case):
+def test_arithmetic_matches_the_model(case):
     desc, _, (x, y) = case
     a, b = scalar(desc, x), scalar(desc, y)
     linear_sound(a + b, lambda m, u, v: model.plus(u, v), x, y, desc=desc)
@@ -80,7 +79,7 @@ def test_arithmetic_matches_the_fraction_kernel(case):
 
 @given(inputs(scalars), st.one_of(st.integers(-5, 5), FRACTIONS))
 @example((DESC, 0, [PRODUCTS[3][0]]), 0)
-def test_scale_matches_the_fraction_kernel(case, value):
+def test_scale_matches_the_model(case, value):
     desc, _, (x,) = case
     a = scalar(desc, x)
     for got in (a.scale(value), a * value, value * a):
@@ -143,7 +142,7 @@ CANCEL = [{(0, -2, 0): 1, (1, -2, 0): 1}, {(0, -1, 0): 1, (1, -1, 0): -1}]
 @example((DESC, 0, [{(0, 0, 0): 1, (0, -3, 0): 1}, {(0, 0, 0): 1}]))
 # A zero but flagged P^1 slot reaches P^1 and P^2 through the other factor's two slots.
 @example((RingDescriptor(3, 1, 1), 2, [{(1, -2, 0): 1}, {(0, 2, 0): 1, (1, 2, 0): 1}]))
-def test_coh_product_matches_the_fraction_kernel(case):
+def test_coh_product_matches_the_model(case):
     desc, _, (x, y) = case
     got = cls(desc, x) * cls(desc, y)
     sound(got, lambda m, u, v: m.times(u, v, (desc.n,)), x, y, desc=desc)

@@ -138,6 +138,27 @@ def test_degenerate_truncation_order():
     assert f * f == f
 
 
+def test_a_higher_truncation_order_returns_the_series_unchanged():
+    # 1 + q is known only mod q^4: raising the order would mark the unknown
+    # q^4 and q^5 coefficients of its inverse as exact.
+    desc = RingDescriptor(n=2)
+    f = QSeries.from_rationals(desc, 3, {0: 1, 1: 1})
+    for m in (3, 5):
+        assert f.truncate(m) is f
+    inv = f.truncate(5).invert()
+    assert inv.max_degree == 3 and not inv.truncated
+    assert inv == QSeries.from_rationals(desc, 3, {0: 1, 1: -1, 2: 1, 3: -1})
+    assert f.truncate(1) == QSeries.from_rationals(desc, 1, {0: 1, 1: 1})
+    J = ZSeries.unit(desc, 2)
+    assert J.truncate_novikov(4) is J
+
+
+def test_a_negative_truncation_order_is_refused():
+    J = ZSeries.unit(RingDescriptor(n=2), 2)
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        J.truncate_novikov(-1)
+
+
 def _random_raw(desc, rng, D=2):
     slices = {}
     for d in range(D + 1):

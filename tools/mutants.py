@@ -40,7 +40,7 @@ MUTANTS = {
     "1": ("ring.py", "if j >= room:", "if j > room:"),
     "2": ("ring.py", "out |= (theirs if self._trunc >> i & 1 else other._trunc) << i",
           "out |= (other._slots() if self._trunc >> i & 1 else other._trunc) << i"),
-    "4": ("series.py", "trunc[p] = trunc.get(p, 0) | 1 << d", "trunc[p] = trunc.get(p, 0) | 1 << p"),
+    "4": ("ring.py", "trunc[p] = trunc.get(p, 0) | 1 << k", "trunc[p] = trunc.get(p, 0) | 1 << p"),
     "5": ("series.py", "if mask and (at is not None or not parts):", "if mask and at is not None:"),
     "6a": ("series.py", "c * f * (i + 1) ** (j - 1)", "c * f * (i + 1) ** j"),
     "6b": ("series.py", "trunc |= power._trunc << 1", "trunc |= power._trunc"),
@@ -66,7 +66,7 @@ MUTANTS = {
 DESCRIPTIONS = {
     "1": "`j >= room` bound of `_Terms._times`",
     "2": "flagged-slot branch of `_Terms._spread` (a flagged zero slot of the other factor not reached)",
-    "4": "`1 << d` bit mapping of `_columns`",
+    "4": "`1 << k` flag bit mapping of `ring._transposed`",
     "5": "`at is not None or not parts` rule of `_regroup`",
     "6a": "`(i + 1) ** (j - 1)` factor of `lagrange_sum`",
     "6b": "`<< 1` flag shift of `lagrange_sum`",
